@@ -5,17 +5,22 @@ Claims reproduced:
 * executing a q-of-m-column query chunk-at-a-time straight off a
   transposed file's page chains beats the row engine (which reconstructs
   full m-column tuples and evaluates bound expressions row by row) by
-  >= 3x on a 100k-row, 2-of-10-column scan; and
+  >= 2.5x on a 100k-row, 2-of-10-column scan (the floor was 3x while the
+  row engine also paid a per-value decode for its ten columns; with pages
+  decoded a run at a time both engines are ~3x faster and the ratio left
+  is tuple reconstruction and row-wise evaluation); and
 * coalescing a burst of deltas into one propagation sweep (one entry scan,
   one ``apply_batch`` per live maintainer) beats per-delta propagation by
   >= 2x on a 1k-delta burst.
 
 Alongside the printed tables the run persists ``BENCH_e17.json`` at the
 repo root so future PRs can track the perf trajectory machine-readably.
+``E17_ROWS``, ``E17_TRACER_ROWS`` and ``E17_ROUNDS`` size a smoke run.
 """
 
 from __future__ import annotations
 
+import os
 import time
 from pathlib import Path
 
@@ -37,7 +42,11 @@ from repro.views.updates import update_rows
 from repro.views.view import ConcreteView
 from repro.workloads.census import generate_microdata
 
-N_ROWS = 100_000
+N_ROWS = int(os.environ.get("E17_ROWS", "100000"))
+#: The 2% disabled-tracer gate times a longer scan than the speedup test:
+#: at 100k rows a scan is ~40 ms and scheduler noise alone reaches the gate.
+TRACER_ROWS = int(os.environ.get("E17_TRACER_ROWS", "300000"))
+TRACER_ROUNDS = int(os.environ.get("E17_ROUNDS", "9"))
 N_COLS = 10
 BLOCK = 4096
 N_DELTAS = 1_000
@@ -58,13 +67,17 @@ def _best_of(repeats, operation):
     return best
 
 
-def build_transposed(tracer=None):
+def build_transposed(tracer=None, rows=N_ROWS):
     types = [DataType.FLOAT] * N_COLS
     disk = SimulatedDisk(block_size=BLOCK)
     pool = BufferPool(disk, capacity=64, tracer=tracer)
     storage = TransposedFile(pool, types, tracer=tracer)
-    for i in range(N_ROWS):
-        storage.append_row(tuple(float((i * 7 + c * 13) % 1000) for c in range(N_COLS)))
+    storage.append_rows(
+        [
+            tuple(float((i * 7 + c * 13) % 1000) for c in range(N_COLS))
+            for i in range(rows)
+        ]
+    )
     pool.flush_all()
     schema = Schema([measure(f"C{c}") for c in range(N_COLS)])
     return StoredRelation("e17", schema, storage)
@@ -105,7 +118,7 @@ def test_e17_vectorized_scan_speedup():
     _METRICS["scan_row_engine_s"] = t_rows
     _METRICS["scan_vectorized_s"] = t_vec
     _METRICS["scan_speedup"] = gain
-    assert gain >= 3.0, f"vectorized scan only {gain:.2f}x faster"
+    assert gain >= 2.5, f"vectorized scan only {gain:.2f}x faster"
 
 
 def test_e17_disabled_tracer_overhead():
@@ -120,10 +133,10 @@ def test_e17_disabled_tracer_overhead():
             VecSelect(VecScan(stored, columns=wanted), predicate), wanted
         ).rows()
 
-    plain = build_transposed()  # constructor default: the disabled path
-    injected = build_transposed(tracer=NULL_TRACER)
+    plain = build_transposed(rows=TRACER_ROWS)  # default: the disabled path
+    injected = build_transposed(tracer=NULL_TRACER, rows=TRACER_ROWS)
     tracer = Tracer()
-    traced = build_transposed(tracer=tracer)
+    traced = build_transposed(tracer=tracer, rows=TRACER_ROWS)
 
     # Pair the timings round by round and compare medians of the paired
     # ratios: machine drift moves both halves of a back-to-back pair
@@ -131,11 +144,11 @@ def test_e17_disabled_tracer_overhead():
     # dominates independently-timed minima.
     import statistics
 
-    rounds, repeats = 7, 3
+    rounds, repeats = TRACER_ROUNDS, 3
     for stored in (plain, injected, traced):
         scan(stored)  # warm page memos and allocator before timing
     tracer.reset()  # drop the counters charged while loading/warming
-    span = tracer.span("e17.vectorized_scan", rows=N_ROWS, columns=len(wanted))
+    span = tracer.span("e17.vectorized_scan", rows=TRACER_ROWS, columns=len(wanted))
     null_ratios, enabled_ratios = [], []
     t_plain = t_null = t_enabled = float("inf")
     for _ in range(rounds):
@@ -157,7 +170,8 @@ def test_e17_disabled_tracer_overhead():
     enabled_overhead = statistics.median(enabled_ratios) - 1.0
     table = ExperimentTable(
         "E17c",
-        f"Tracer overhead on the vectorized scan ({rounds} rounds, best of {repeats})",
+        f"Tracer overhead on the vectorized scan, {TRACER_ROWS} rows "
+        f"({rounds} rounds, best of {repeats})",
         ["tracer", "time_s", "overhead_vs_disabled"],
     )
     table.add_row("disabled (default NULL_TRACER)", t_plain, "baseline")

@@ -160,17 +160,19 @@ def instrument(op: Any) -> tuple[Any, OpStats]:
 
 
 def uses_vectorized(op: Any) -> bool:
-    """Whether any operator of the (instrumented or raw) plan is vectorized."""
+    """Whether the (instrumented or raw) plan runs on the vectorized engine.
+
+    The engine of a plan is the engine of its spine, the ``child`` chain
+    from the root: a join is row-engine work, and so is everything above
+    it, even when its probe input is a pruned vectorized scan.
+    """
     from repro.relational.vectorized import VectorOperator
 
     inner = op._inner if isinstance(op, _Probe) else op
     if isinstance(inner, VectorOperator):
         return True
-    return any(
-        uses_vectorized(getattr(inner, attr))
-        for attr in _CHILD_ATTRS
-        if getattr(inner, attr, None) is not None
-    )
+    child = getattr(inner, "child", None)
+    return child is not None and uses_vectorized(child)
 
 
 def render(root: OpStats, engine: str, total_rows: int) -> str:

@@ -14,8 +14,12 @@ The plan shape is fixed — scan -> (pushed selections) -> join -> selection
   transposed-file backing) runs on the vectorized engine
   (:mod:`repro.relational.vectorized`): the scan is pruned to the columns
   the query touches and selection/projection/group-by execute
-  chunk-at-a-time, falling back to the row engine for joins, index access,
-  and heap-backed sources; and
+  chunk-at-a-time, falling back to the row engine for index access and
+  heap-backed sources;
+* a join runs on the row engine, but over a transposed-file probe (left)
+  input it reads only the columns the query touches plus the join keys,
+  with the pushed conjuncts as chunk kernels — unless the query is
+  ``SELECT *``; and
 * HAVING becomes a selection over the group-by output (it may reference
   aggregate aliases).
 """
@@ -36,7 +40,7 @@ from repro.relational.operators import (
     Select,
     Sort,
 )
-from repro.relational.relation import Relation
+from repro.relational.relation import Relation, StoredRelation
 from repro.relational.sql import Query, SelectItem, parse
 
 
@@ -58,9 +62,9 @@ def _combine(preds: list[ex.Expr]) -> ex.Expr | None:
 def plan(query: Query, catalog: Catalog, use_vectorized: bool = True) -> Any:
     """Build an operator pipeline for ``query`` against ``catalog``.
 
-    ``use_vectorized=False`` forces the row engine even for join-free
-    queries over chunk-capable sources (EXPLAIN ANALYZE uses it to show
-    both engines on the same query).
+    ``use_vectorized=False`` forces the row engine, scans included, even
+    over chunk-capable sources (EXPLAIN ANALYZE uses it to show both
+    engines on the same query).
     """
     left: Any = catalog.get(query.table)
     where = query.where
@@ -81,7 +85,10 @@ def plan(query: Query, catalog: Catalog, use_vectorized: bool = True) -> Any:
                     pushed_right.append(conjunct)
                 else:
                     kept.append(conjunct)
-        if pushed_left:
+        probe = _try_pruned_probe(query, left, _combine(pushed_left)) if use_vectorized else None
+        if probe is not None:
+            left = probe
+        elif pushed_left:
             left = Select(left, _combine(pushed_left))
         if pushed_right and query.join.how == "inner":
             right = Select(right, _combine(pushed_right))
@@ -249,6 +256,36 @@ def _try_vectorized(query: Query, source: Any, where: ex.Expr | None) -> Any:
     return pipeline
 
 
+def _try_pruned_probe(query: Query, source: Any, pushed: ex.Expr | None) -> Any:
+    """A join's probe input read q-of-m, or ``None`` to scan it row-wise.
+
+    The join, and everything above it, stays on the row engine and takes
+    the probe rows through the row iterator every vectorized operator has;
+    what changes is that only the columns the query touches (plus the join
+    keys) are read, and the pushed conjuncts run as chunk kernels.  ``SELECT
+    *`` needs the full width, a heap-backed input cannot be pruned, and
+    in-memory rows are tuples already: pruning those skips no page and
+    costs a transposition each way.
+    """
+    from repro.relational.vectorized import VecScan, VecSelect
+
+    assert query.join is not None
+    if not (isinstance(source, StoredRelation) and source.supports_column_chunks()):
+        return None
+    specs = _grouped_specs(query)
+    items = _projection_items(query) if specs is None else None
+    needed = _needed_columns(query, source.schema, query.where, specs, items)
+    if needed is None:
+        return None
+    wanted = set(needed) | set(query.join.left_keys)
+    probe: Any = VecScan(
+        source, columns=[name for name in source.schema.names if name in wanted]
+    )
+    if pushed is not None:
+        probe = VecSelect(probe, pushed)
+    return probe
+
+
 def _needed_columns(
     query: Query,
     schema: Any,
@@ -343,7 +380,9 @@ def explain_analyze(
     ``engine`` selects the execution engine: ``"auto"`` takes whatever the
     planner picks, ``"vectorized"`` requires the vectorized path (raising
     :class:`QueryError` when the query cannot run on it), and ``"row"``
-    forces the row engine.  The result is an
+    forces the row engine.  A join is the row engine's: a pruned vectorized
+    scan may feed its probe side (the tree shows it), but the plan is
+    labelled ``"row"`` and refused under ``"vectorized"``.  The result is an
     :class:`~repro.obs.explain.ExplainResult` whose ``render()`` shows
     per-operator row counts and inclusive wall time.
     """

@@ -194,8 +194,7 @@ class StoredRelation:
     ) -> "StoredRelation":
         """Bulk-load rows into ``storage`` and wrap the result."""
         if isinstance(storage, _COLUMNAR):
-            for row in rows:
-                storage.append_row(row)
+            storage.append_rows(list(rows))
         else:
             for row in rows:
                 storage.insert(row)

@@ -11,12 +11,17 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from functools import lru_cache
+from itertools import chain, repeat
+from typing import Any, Callable, Sequence
 
-from repro.core.errors import StorageError
+from repro.core.errors import PageError, StorageError
 from repro.relational.types import NA, DataType, is_na
 
 _NA_SENTINEL = "\x00__NA__"
+_U32 = struct.Struct("<I")
+
+Buffer = bytes | bytearray | memoryview
 
 
 @dataclass(frozen=True)
@@ -59,28 +64,25 @@ def rle_expand(runs: Sequence[tuple[object, int]]) -> list[object]:
     return out
 
 
+def rle_encode_runs(runs: Sequence[tuple[object, int]], dtype: DataType) -> bytes:
+    """Serialize runs as a uint32 run count, then (value, uint32 count) pairs."""
+    heads = [head for head, _ in runs]
+    counts = [count for _, count in runs]
+    return _U32.pack(len(runs)) + _encode_records(heads, dtype, counts)
+
+
 def rle_encode_bytes(values: Sequence[object], dtype: DataType) -> bytes:
     """Serialize a column as run-length (value, uint32 count) pairs."""
-    parts = [struct.pack("<I", 0)]  # placeholder for run count
-    runs = rle_runs(values)
-    for value, count in runs:
-        parts.append(_encode_value(value, dtype))
-        parts.append(struct.pack("<I", count))
-    parts[0] = struct.pack("<I", len(runs))
-    return b"".join(parts)
+    return rle_encode_runs(rle_runs(values), dtype)
 
 
-def rle_decode_bytes(buf: bytes, dtype: DataType) -> list[object]:
+def rle_decode_bytes(buf: Buffer, dtype: DataType) -> list[object]:
     """Inverse of :func:`rle_encode_bytes`."""
-    (n_runs,) = struct.unpack_from("<I", buf, 0)
-    pos = 4
-    values: list[object] = []
-    for _ in range(n_runs):
-        value, pos = _decode_value(buf, pos, dtype)
-        (count,) = struct.unpack_from("<I", buf, pos)
-        pos += 4
-        values.extend([value] * count)
-    return values
+    if len(buf) < _U32.size:
+        raise PageError(f"no run count in the {len(buf)} bytes available")
+    (n_runs,) = _U32.unpack_from(buf, 0)
+    flat = _decode_records(buf, _U32.size, dtype, n_runs, "I")
+    return list(chain.from_iterable(map(repeat, flat[0::2], flat[1::2])))
 
 
 # -- dictionary encoding ------------------------------------------------------
@@ -192,6 +194,13 @@ def row_serialized(rows: Sequence[Sequence[object]], dtypes: Sequence[DataType])
     return out
 
 
+# One value on a page is a marker byte (0 = NA, nothing follows; 1 = a value
+# follows) and the value: little-endian int64 / float64 / int32 / one byte, or
+# a uint16 length and that many UTF-8 bytes.  ``_encode_value`` and
+# ``_decode_value`` are that format written down one value at a time: the
+# reference the bulk codec is tested against, and the STR path.
+
+
 def _encode_value(value: object, dtype: DataType) -> bytes:
     if is_na(value):
         return b"\x00"
@@ -209,7 +218,7 @@ def _encode_value(value: object, dtype: DataType) -> bytes:
     raise StorageError(f"unsupported dtype {dtype!r}")
 
 
-def _decode_value(buf: bytes, pos: int, dtype: DataType) -> tuple[object, int]:
+def _decode_value(buf: Buffer, pos: int, dtype: DataType) -> tuple[object, int]:
     marker = buf[pos]
     pos += 1
     if marker == 0:
@@ -225,13 +234,153 @@ def _decode_value(buf: bytes, pos: int, dtype: DataType) -> tuple[object, int]:
     if dtype is DataType.STR:
         (length,) = struct.unpack_from("<H", buf, pos)
         start = pos + 2
-        return buf[start : start + length].decode("utf-8"), start + length
+        raw = bytes(buf[start : start + length])
+        if len(raw) < length:
+            raise IndexError("string runs past the end of the buffer")
+        return raw.decode("utf-8"), start + length
     raise StorageError(f"unsupported dtype {dtype!r}")
 
 
-def iter_value_stream(buf: bytes, dtype: DataType, count: int) -> Iterator[object]:
-    """Decode ``count`` consecutive plain values from ``buf``."""
-    pos = 0
+# -- the page codec -------------------------------------------------------------
+#
+# A fixed-width column between two NA is a constant-stride array of
+# (marker, value) records, so one compiled ``struct`` format moves the whole
+# run: the marker is a pad byte on the way in and is stamped over the packed
+# run on the way out.  An RLE page is the same records with a uint32 run
+# length after each (``tail="I"``).
+
+#: code, converter and width of the types whose values all have one size.
+_FIXED: dict[DataType, tuple[str, Callable[[Any], object], int]] = {
+    DataType.INT: ("q", int, 8),
+    DataType.FLOAT: ("d", float, 8),
+    DataType.CATEGORY: ("i", int, 4),
+    DataType.BOOL: ("?", bool, 1),
+}
+#: Bytes a run adds to an RLE page beyond its head value.
+RLE_COUNT_SIZE = _U32.size
+#: Longest run moved by one format (a 4 KB page of float64 is 455 values).
+#: With the cache size below it bounds what the compiled formats can hold: a
+#: format of n records is ~32n bytes, so 8 MB with every slot at full length.
+_MAX_RUN = 512
+_FORMATS = 512
+
+
+@lru_cache(maxsize=_FORMATS)
+def _run_format(record: str, n: int) -> struct.Struct:
+    return struct.Struct("<" + ("x" + record) * n)
+
+
+def encoded_sizes(values: Sequence[object], dtype: DataType) -> list[int]:
+    """Encoded bytes of each value (what a page fill has to add up)."""
+    fixed = _FIXED.get(dtype)
+    if fixed is None:
+        return [len(_encode_value(v, dtype)) for v in values]
+    full = 1 + fixed[2]
+    return [1 if v is NA or v != v else full for v in values]
+
+
+def encode_values(values: Sequence[object], dtype: DataType) -> bytes:
+    """Serialize ``values`` as consecutive plain values (a page body)."""
+    return _encode_records(values, dtype, None)
+
+
+def decode_values(buf: Buffer, dtype: DataType, count: int) -> list[object]:
+    """Decode ``count`` consecutive plain values from the start of ``buf``.
+
+    Bytes after the last value (a page's zero padding) are ignored; a
+    buffer that ends before ``count`` values do raises :class:`PageError`.
+    """
+    return _decode_records(buf, 0, dtype, count, "")
+
+
+def _encode_records(
+    values: Sequence[object], dtype: DataType, tails: Sequence[int] | None
+) -> bytes:
+    fixed = _FIXED.get(dtype)
+    if fixed is None:
+        if tails is None:
+            return b"".join([_encode_value(v, dtype) for v in values])
+        return b"".join(
+            [_encode_value(v, dtype) + _U32.pack(t) for v, t in zip(values, tails)]
+        )
+    code, convert, width = fixed
+    record = code if tails is None else code + "I"
+    stride = 1 + width + (0 if tails is None else _U32.size)
+    parts: list[bytes | bytearray] = []
+    start = 0
+    total = len(values)
+    # is_na() for these types: NaN is their only value unequal to itself.
+    missing = [i for i, v in enumerate(values) if v is NA or v != v]
+    for stop in (*missing, total):
+        for lo in range(start, stop, _MAX_RUN):
+            hi = min(stop, lo + _MAX_RUN)
+            fields: list[object] = list(map(convert, values[lo:hi]))
+            if tails is not None:
+                heads = fields
+                fields = [None] * (2 * len(heads))
+                fields[0::2] = heads
+                fields[1::2] = tails[lo:hi]
+            run = bytearray(_run_format(record, hi - lo).pack(*fields))
+            run[0::stride] = b"\x01" * (hi - lo)
+            parts.append(run)
+        if stop < total:
+            parts.append(b"\x00" if tails is None else b"\x00" + _U32.pack(tails[stop]))
+        start = stop + 1
+    return b"".join(parts)
+
+
+def _decode_records(
+    buf: Buffer, pos: int, dtype: DataType, count: int, tail: str
+) -> list[object]:
+    """``count`` records from ``buf[pos:]``, flat: each value, then its tail."""
+    try:
+        fixed = _FIXED.get(dtype)
+        if fixed is None:
+            return _decode_each(buf, pos, dtype, count, tail)
+        stride = 1 + fixed[2] + (_U32.size if tail else 0)
+        return _decode_runs(buf, pos, fixed[0] + tail, stride, count, tail)
+    except (IndexError, struct.error):
+        # Every read past the end of ``buf`` raises one of the two.
+        raise PageError(
+            f"{count} values do not fit the {len(buf)} bytes available"
+        ) from None
+
+
+def _decode_each(
+    buf: Buffer, pos: int, dtype: DataType, count: int, tail: str
+) -> list[object]:
+    out: list[object] = []
     for _ in range(count):
         value, pos = _decode_value(buf, pos, dtype)
-        yield value
+        out.append(value)
+        if tail:
+            out.append(_U32.unpack_from(buf, pos)[0])
+            pos += _U32.size
+    return out
+
+
+def _decode_runs(
+    buf: Buffer, pos: int, record: str, stride: int, left: int, tail: str
+) -> list[object]:
+    out: list[object] = []
+    while left:
+        # The markers of the records ahead, were none of them NA: the first
+        # zero among them is the next NA, and everything before it is a run.
+        run = bytes(buf[pos : pos + left * stride : stride]).find(0)
+        if run:
+            run = min(left if run < 0 else run, _MAX_RUN)
+            out.extend(_run_format(record, run).unpack_from(buf, pos))
+            pos += run * stride
+            left -= run
+        elif tail:
+            out.append(NA)
+            out.append(_U32.unpack_from(buf, pos + 1)[0])
+            pos += 1 + _U32.size
+            left -= 1
+        else:
+            ahead = bytes(buf[pos : pos + left])
+            run = len(ahead) - len(ahead.lstrip(b"\x00"))
+            out.extend([NA] * run)
+            pos += run
+            left -= run
+    return out

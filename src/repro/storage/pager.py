@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
+from typing import Callable
 
 from repro.core.errors import BufferPoolError
 from repro.obs.tracer import NULL_TRACER, AbstractTracer
@@ -37,8 +38,12 @@ class ReplacementPolicy:
     def on_evict(self, block_no: int) -> None:
         """A page left the pool."""
 
-    def victim(self, evictable: set[int]) -> int:
-        """Choose a block to evict from the non-empty ``evictable`` set."""
+    def victim(self, evictable: Callable[[int], bool]) -> int | None:
+        """Choose a resident block to evict, or ``None`` if none qualifies.
+
+        ``evictable(block_no)`` says whether a block may go (it is unpinned);
+        a policy asks it only of the candidates it reaches, in its own order.
+        """
         raise NotImplementedError
 
 
@@ -59,11 +64,8 @@ class LRUPolicy(ReplacementPolicy):
     def on_evict(self, block_no: int) -> None:
         self._order.pop(block_no, None)
 
-    def victim(self, evictable: set[int]) -> int:
-        for block_no in self._order:
-            if block_no in evictable:
-                return block_no
-        raise BufferPoolError("LRU policy found no evictable page")
+    def victim(self, evictable: Callable[[int], bool]) -> int | None:
+        return next(filter(evictable, self._order), None)
 
 
 class MRUPolicy(LRUPolicy):
@@ -74,11 +76,8 @@ class MRUPolicy(LRUPolicy):
     just before it is needed again while MRU retains a useful prefix.
     """
 
-    def victim(self, evictable: set[int]) -> int:
-        for block_no in reversed(self._order):
-            if block_no in evictable:
-                return block_no
-        raise BufferPoolError("MRU policy found no evictable page")
+    def victim(self, evictable: Callable[[int], bool]) -> int | None:
+        return next(filter(evictable, reversed(self._order)), None)
 
 
 class FIFOPolicy(ReplacementPolicy):
@@ -94,11 +93,8 @@ class FIFOPolicy(ReplacementPolicy):
     def on_evict(self, block_no: int) -> None:
         self._order.pop(block_no, None)
 
-    def victim(self, evictable: set[int]) -> int:
-        for block_no in self._order:
-            if block_no in evictable:
-                return block_no
-        raise BufferPoolError("FIFO policy found no evictable page")
+    def victim(self, evictable: Callable[[int], bool]) -> int | None:
+        return next(filter(evictable, self._order), None)
 
 
 class ClockPolicy(ReplacementPolicy):
@@ -130,14 +126,14 @@ class ClockPolicy(ReplacementPolicy):
             else:
                 self._hand = 0
 
-    def victim(self, evictable: set[int]) -> int:
+    def victim(self, evictable: Callable[[int], bool]) -> int | None:
         if not self._ring:
-            raise BufferPoolError("clock policy has no pages")
+            return None
         spins = 0
         limit = 2 * len(self._ring) + 1
         while spins < limit:
             block_no = self._ring[self._hand]
-            if block_no in evictable:
+            if evictable(block_no):
                 if self._ref[block_no]:
                     self._ref[block_no] = False
                 else:
@@ -148,9 +144,9 @@ class ClockPolicy(ReplacementPolicy):
         # first evictable page under the hand.
         for offset in range(len(self._ring)):
             block_no = self._ring[(self._hand + offset) % len(self._ring)]
-            if block_no in evictable:
+            if evictable(block_no):
                 return block_no
-        raise BufferPoolError("clock policy found no evictable page")
+        return None
 
 
 POLICIES = {
@@ -317,17 +313,13 @@ class BufferPool:
     def _ensure_room(self) -> None:
         if len(self._frames) < self.capacity:
             return
-        evictable = {
-            block_no
-            for block_no, frame in self._frames.items()
-            if frame.pin_count == 0
-        }
-        if not evictable:
+        frames = self._frames
+        victim = self.policy.victim(lambda block_no: frames[block_no].pin_count == 0)
+        if victim is None:
             raise BufferPoolError(
                 f"all {self.capacity} frames are pinned; cannot evict"
             )
-        victim = self.policy.victim(evictable)
-        frame = self._frames[victim]
+        frame = frames[victim]
         if frame.dirty:
             self.disk.write_block(victim, bytes(frame.data))
             self.stats.dirty_writebacks += 1

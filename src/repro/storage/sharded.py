@@ -151,17 +151,20 @@ class ShardedTransposedFile:
 
     def append_row(self, values: Sequence[object]) -> int:
         """Append one row to its round-robin shard; return the global row."""
-        row = self._row_count
-        shard = self.router.shard_of(row)
-        self._files[shard].append_row(values)
-        self._versions[shard] += 1
-        self._row_count += 1
-        return row
+        self.append_rows([values])
+        return self._row_count - 1
 
     def append_rows(self, rows: Sequence[Sequence[object]]) -> None:
-        """Append many rows."""
-        for row in rows:
-            self.append_row(row)
+        """Append many rows: each shard takes its stride of them in bulk."""
+        shards = self.router.shards
+        for shard, file in enumerate(self._files):
+            # The first of ``rows`` this shard owns, then every Nth after it.
+            first = (shard - self._row_count) % shards
+            part = rows[first::shards]
+            if part:
+                file.append_rows(part)
+                self._versions[shard] += len(part)
+        self._row_count += len(rows)
 
     def set_value(self, row: int, column: int, value: object) -> None:
         """Point-update one cell on its owning shard."""

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterator, Sequence
 
 from repro.core.errors import PageError, StorageError
@@ -36,6 +37,20 @@ class _ColumnPage:
     page_no: int
     first_row: int
     count: int
+
+
+@dataclass
+class _Fill:
+    """A slice of an append that lands on one page.
+
+    ``fresh`` fills start a new page; the first fill of an append may top up
+    the open one.  In RLE mode ``runs`` is the page's run list once filled.
+    """
+
+    start: int
+    stop: int
+    fresh: bool
+    runs: list[tuple[object, int]]
 
 
 class _Column:
@@ -59,9 +74,8 @@ class _Column:
         # State of the open (last) page, kept in memory to make appends
         # incremental; it mirrors what is on the page.
         self._open_page_no: int | None = None
-        self._open_offset = 0  # next free byte (plain mode)
+        self._open_used = 0  # bytes of the page in use, count header included
         self._open_runs: list[tuple[object, int]] = []  # rle mode
-        self._open_rle_size = 0  # encoded body size of the open runs
         # Last decoded page, memoized: consecutive point probes of the same
         # page (the informational query walking a row range, or an RLE
         # column probed value by value) skip re-decoding the whole page.
@@ -70,79 +84,79 @@ class _Column:
 
     # -- append ------------------------------------------------------------
 
-    def append(self, value: object) -> None:
-        if self.compress == "rle":
-            self._append_rle(value)
-        else:
-            self._append_plain(value)
-        self.row_count += 1
-        if self._memo_page_no == self._open_page_no:
-            self._invalidate_memo()
+    def plan(self, values: Sequence[object]) -> list[_Fill]:
+        """Split an append over pages by the greedy fill; writes nothing.
 
-    def _append_plain(self, value: object) -> None:
-        encoded = comp._encode_value(value, self.dtype)
+        A value goes on the open page while its bytes fit (in RLE mode a
+        value equal to the last run's head costs none), else it starts a
+        page — the rule a value-at-a-time append follows, so the layout
+        does not depend on how an append was batched.
+        """
+        rle = self.compress == "rle"
         block_size = self.pool.disk.block_size
-        meta = self.pages[-1] if self.pages else None
-        fits = (
-            meta is not None
-            and self._open_offset + len(encoded) <= block_size
-            and meta.count < _MAX_PAGE_VALUES
-        )
-        if not fits:
-            if _COUNT.size + len(encoded) > block_size:
-                raise StorageError(
-                    f"a single value of {len(encoded)} bytes exceeds the "
-                    f"{block_size}-byte page"
-                )
+        header = _COUNT.size + (comp.RLE_COUNT_SIZE if rle else 0)
+        sizes = comp.encoded_sizes(values, self.dtype)
+        has_page = bool(self.pages)
+        used = self._open_used
+        count = self.pages[-1].count if has_page else 0
+        runs = list(self._open_runs)
+        fills: list[_Fill] = []
+        start = 0
+        fresh = False
+        for i, value in enumerate(values):
+            if rle:
+                extends = bool(runs) and runs[-1][0] == value
+                need = 0 if extends else sizes[i] + comp.RLE_COUNT_SIZE
+            else:
+                need = sizes[i]
+            if not has_page or used + need > block_size or count >= _MAX_PAGE_VALUES:
+                if rle:
+                    extends = False
+                    need = sizes[i] + comp.RLE_COUNT_SIZE
+                if header + need > block_size:
+                    raise StorageError(
+                        f"a single value of {sizes[i]} bytes exceeds the "
+                        f"{block_size}-byte page"
+                    )
+                if i > start:
+                    fills.append(_Fill(start, i, fresh, runs))
+                start, fresh, has_page = i, True, True
+                used, count, runs = header, 0, []
+            used += need
+            count += 1
+            if rle:
+                if extends:
+                    runs[-1] = (runs[-1][0], runs[-1][1] + 1)
+                else:
+                    runs.append((value, 1))
+        if len(values) > start:
+            fills.append(_Fill(start, len(values), fresh, runs))
+        return fills
+
+    def write(self, fill: _Fill, values: Sequence[object]) -> None:
+        """Put one planned fill of ``values`` on its page."""
+        if fill.fresh:
             self._start_page()
-            meta = self.pages[-1]
         assert self._open_page_no is not None
+        meta = self.pages[-1]
+        if self.compress == "rle":
+            at = _COUNT.size
+            body = comp.rle_encode_runs(fill.runs, self.dtype)
+            self._open_runs = fill.runs
+        else:
+            at = self._open_used
+            body = comp.encode_values(values[fill.start : fill.stop], self.dtype)
         page = self.pool.fetch_page(self._open_page_no)
         try:
-            page[self._open_offset : self._open_offset + len(encoded)] = encoded
-            meta.count += 1
+            page[at : at + len(body)] = body
+            meta.count += fill.stop - fill.start
             _COUNT.pack_into(page, 0, meta.count)
         finally:
             self.pool.unpin(self._open_page_no, dirty=True)
-        self._open_offset += len(encoded)
-
-    def _append_rle(self, value: object) -> None:
-        block_size = self.pool.disk.block_size
-        extends_run = bool(self._open_runs) and self._open_runs[-1][0] == value
-        entry_size = 0 if extends_run else len(comp._encode_value(value, self.dtype)) + 4
-        body_size = self._open_rle_size + entry_size
-        meta = self.pages[-1] if self.pages else None
-        fits = (
-            meta is not None
-            and _COUNT.size + 4 + body_size <= block_size
-            and meta.count < _MAX_PAGE_VALUES
-        )
-        if not fits:
-            self._start_page()
-            meta = self.pages[-1]
-            extends_run = False
-            entry_size = len(comp._encode_value(value, self.dtype)) + 4
-        if extends_run:
-            head, count = self._open_runs[-1]
-            self._open_runs[-1] = (head, count + 1)
-        else:
-            self._open_runs.append((value, 1))
-            self._open_rle_size += entry_size
-        meta.count += 1
-        self._write_open_rle(meta)
-
-    def _write_open_rle(self, meta: _ColumnPage) -> None:
-        assert self._open_page_no is not None
-        parts = [struct.pack("<I", len(self._open_runs))]
-        for value, count in self._open_runs:
-            parts.append(comp._encode_value(value, self.dtype))
-            parts.append(struct.pack("<I", count))
-        encoded = _COUNT.pack(meta.count) + b"".join(parts)
-        page = self.pool.fetch_page(self._open_page_no)
-        try:
-            page[: len(encoded)] = encoded
-        finally:
-            self.pool.unpin(self._open_page_no, dirty=True)
+        self._open_used = at + len(body)
+        self.row_count += fill.stop - fill.start
+        if self._memo_page_no == self._open_page_no:
+            self._invalidate_memo()
 
     def _start_page(self) -> None:
         page_no, page = self.pool.new_page()
@@ -150,9 +164,8 @@ class _Column:
         self.pool.unpin(page_no, dirty=True)
         self.pages.append(_ColumnPage(page_no, self.row_count, 0))
         self._open_page_no = page_no
-        self._open_offset = _COUNT.size
+        self._open_used = _COUNT.size
         self._open_runs = []
-        self._open_rle_size = 0
 
     # -- read --------------------------------------------------------------
 
@@ -176,12 +189,14 @@ class _Column:
 
     def set(self, row: int, value: object) -> None:
         meta = self._page_for_row(row)
-        values = self._read_page(meta)
+        # A copy: the decode may be the memoized one, and a rewrite that
+        # does not fit must leave it as the page still is.
+        values = list(self._read_page(meta))
         values[row - meta.first_row] = value
         if self.compress == "rle":
             body = comp.rle_encode_bytes(values, self.dtype)
         else:
-            body = b"".join(comp._encode_value(v, self.dtype) for v in values)
+            body = comp.encode_values(values, self.dtype)
         encoded = _COUNT.pack(meta.count) + body
         if len(encoded) > self.pool.disk.block_size:
             raise StorageError(
@@ -196,16 +211,9 @@ class _Column:
             self.pool.unpin(meta.page_no, dirty=True)
         if meta is self.pages[-1]:
             # Refresh open-page state to mirror the rewrite.
+            self._open_used = len(encoded)
             if self.compress == "rle":
                 self._open_runs = comp.rle_runs(values)
-                self._open_rle_size = sum(
-                    len(comp._encode_value(v, self.dtype)) + 4
-                    for v, _ in self._open_runs
-                )
-            else:
-                self._open_offset = len(encoded)
-        # The in-place edit above may have mutated the memoized decode;
-        # drop it so the next probe re-reads the rewritten page.
         self._invalidate_memo()
 
     # -- internals ----------------------------------------------------------
@@ -235,19 +243,28 @@ class _Column:
         self.tracer.add("transposed.pages_read")
         page = self.pool.fetch_page(meta.page_no)
         try:
-            buf = bytes(page)
+            # Decoded straight out of the pinned frame, no copy of the page.
+            (count,) = _COUNT.unpack_from(page, 0)
+            if count != meta.count:
+                raise PageError(
+                    f"page {meta.page_no} holds {count} values, "
+                    f"metadata says {meta.count}"
+                )
+            body = memoryview(page)[_COUNT.size :]
+            try:
+                if self.compress == "rle":
+                    values = comp.rle_decode_bytes(body, self.dtype)
+                else:
+                    values = comp.decode_values(body, self.dtype, count)
+            except PageError as exc:
+                raise PageError(f"page {meta.page_no} is damaged: {exc}") from None
         finally:
             self.pool.unpin(meta.page_no)
-        (count,) = _COUNT.unpack_from(buf, 0)
-        if count != meta.count:
+        if len(values) != count:
             raise PageError(
-                f"page holds {count} values, metadata says {meta.count}"
+                f"page {meta.page_no} is damaged: its runs hold "
+                f"{len(values)} values, its count says {count}"
             )
-        body = buf[_COUNT.size :]
-        if self.compress == "rle":
-            values = comp.rle_decode_bytes(body, self.dtype)
-        else:
-            values = list(comp.iter_value_stream(body, self.dtype, count))
         self._memo_page_no = meta.page_no
         self._memo_values = values
         return values
@@ -294,20 +311,32 @@ class TransposedFile:
 
     def append_row(self, values: Sequence[object]) -> int:
         """Append one row (a value to every column); return its row number."""
-        if len(values) != len(self._columns):
-            raise StorageError(
-                f"row has {len(values)} fields, file has {len(self._columns)} columns"
-            )
-        for column, value in zip(self._columns, values):
-            column.append(value)
-        row = self._row_count
-        self._row_count += 1
-        return row
+        self.append_rows([values])
+        return self._row_count - 1
 
     def append_rows(self, rows: Sequence[Sequence[object]]) -> None:
-        """Append many rows."""
-        for row in rows:
-            self.append_row(row)
+        """Append many rows, a column at a time.
+
+        Each column's values are split over its pages and encoded a page at
+        a time.  Pages are allocated in the order a row-at-a-time append
+        reaches them (by first row, then column), so the device image is
+        the same however the rows were batched.
+        """
+        for values in rows:
+            if len(values) != len(self._columns):
+                raise StorageError(
+                    f"row has {len(values)} fields, file has {len(self._columns)} columns"
+                )
+        by_column = list(zip(*rows))
+        fills = [
+            (fill.start, index, fill)
+            for index, values in enumerate(by_column)
+            for fill in self._columns[index].plan(values)
+        ]
+        fills.sort(key=itemgetter(0, 1))
+        for _, index, fill in fills:
+            self._columns[index].write(fill, by_column[index])
+        self._row_count += len(rows)
 
     def set_value(self, row: int, column: int, value: object) -> None:
         """Point-update one cell (touches only that column's page)."""

@@ -157,3 +157,65 @@ class TestChainIntegrity:
             tf.append_row((v,))
         flat = [v for chunk in tf.scan_column_chunks([0], 64) for v in chunk[0]]
         assert flat == values
+
+
+class TestDamagedPage:
+    """A page that cannot hold what its count says fails typed, naming itself."""
+
+    def damaged(self, compress, damage):
+        disk, pool, tf = make_tf([DataType.FLOAT, DataType.INT], compress=compress)
+        tf.append_rows([(float(i), i) for i in range(300)])
+        pool.clear()
+        meta = tf._columns[0].pages[1]
+        block = disk._state.blocks[meta.page_no]
+        disk._state.blocks[meta.page_no] = damage(block)
+        return tf, meta
+
+    @pytest.mark.parametrize("compress", [None, "rle"])
+    def test_truncated_block(self, compress):
+        tf, meta = self.damaged(compress, lambda block: block[:40])
+        message = rf"page {meta.page_no} .*{meta.count} values .*38 bytes available"
+        with pytest.raises(PageError, match=message):
+            list(tf.scan_column_chunks([0, 1], chunk_size=64))
+        with pytest.raises(PageError, match=message):
+            tf.get_value(meta.first_row, 0)
+        with pytest.raises(PageError, match=message):
+            tf.set_value(meta.first_row, 0, 1.0)
+        # The other column and the pages before the damage still read.
+        assert list(tf.scan_column(1)) == list(range(300))
+        assert tf.get_value(0, 0) == 0.0
+
+    @pytest.mark.parametrize("compress", [None, "rle"])
+    def test_zeroed_block(self, compress):
+        tf, meta = self.damaged(compress, lambda block: bytes(len(block)))
+        message = f"page {meta.page_no} holds 0 values, metadata says {meta.count}"
+        with pytest.raises(PageError, match=message):
+            list(tf.scan_column_chunks([0], chunk_size=64))
+        with pytest.raises(PageError, match=message):
+            tf.get_value(meta.first_row, 0)
+        with pytest.raises(PageError, match=message):
+            tf.set_value(meta.first_row, 0, 1.0)
+
+    def test_zeroed_tail_of_an_rle_block(self):
+        # In a plain page zeros are NA markers; in an RLE page they are runs
+        # of no values, and the page no longer adds up to its count.
+        tf, meta = self.damaged("rle", lambda block: block[:60] + bytes(len(block) - 60))
+        message = f"page {meta.page_no} .* values, its count says {meta.count}"
+        with pytest.raises(PageError, match=message):
+            list(tf.scan_column_chunks([0], chunk_size=64))
+        with pytest.raises(PageError, match=message):
+            tf.get_value(meta.first_row, 0)
+        with pytest.raises(PageError, match=message):
+            tf.set_value(meta.first_row, 0, 1.0)
+
+
+class TestRewriteThatDoesNotFit:
+    def test_refused_set_leaves_the_page_readable_as_it_is(self):
+        _, _, tf = make_tf([DataType.FLOAT], block_size=64, compress="rle")
+        # Four runs fill a 64-byte page; the fifth value starts the next.
+        tf.append_rows([(0.0,)] * 10 + [(1.0,), (2.0,), (3.0,), (4.0,)])
+        assert [p.count for p in tf._columns[0].pages] == [13, 1]
+        assert tf.get_value(5, 0) == 0.0  # memoizes the page
+        with pytest.raises(StorageError, match="no longer fits"):
+            tf.set_value(5, 0, -1.0)  # would split the first run in three
+        assert tf.get_value(5, 0) == 0.0
