@@ -5,10 +5,7 @@ Claims reproduced:
 * executing a q-of-m-column query chunk-at-a-time straight off a
   transposed file's page chains beats the row engine (which reconstructs
   full m-column tuples and evaluates bound expressions row by row) by
-  >= 2.5x on a 100k-row, 2-of-10-column scan (the floor was 3x while the
-  row engine also paid a per-value decode for its ten columns; with pages
-  decoded a run at a time both engines are ~3x faster and the ratio left
-  is tuple reconstruction and row-wise evaluation); and
+  >= 3x on a 100k-row, 2-of-10-column scan; and
 * coalescing a burst of deltas into one propagation sweep (one entry scan,
   one ``apply_batch`` per live maintainer) beats per-delta propagation by
   >= 2x on a 1k-delta burst.
@@ -21,6 +18,7 @@ repo root so future PRs can track the perf trajectory machine-readably.
 from __future__ import annotations
 
 import os
+import statistics
 import time
 from pathlib import Path
 
@@ -98,9 +96,15 @@ def test_e17_vectorized_scan_speedup():
 
     assert run_rows() == run_vectorized()  # same rows before timing
 
-    t_rows = _best_of(3, run_rows)
-    t_vec = _best_of(3, run_vectorized)
-    gain = speedup(t_rows, t_vec)
+    # The engines are timed turn about and the gate reads the median of the
+    # per-round ratios: a host whose speed shifts for seconds at a time moves
+    # a ratio of two separately taken minima, not the ratio within a round.
+    rounds = [
+        (_best_of(2, run_rows), _best_of(2, run_vectorized)) for _ in range(5)
+    ]
+    t_rows = min(rows for rows, _ in rounds)
+    t_vec = min(vec for _, vec in rounds)
+    gain = statistics.median(speedup(rows, vec) for rows, vec in rounds)
 
     table = ExperimentTable(
         "E17",
@@ -118,7 +122,7 @@ def test_e17_vectorized_scan_speedup():
     _METRICS["scan_row_engine_s"] = t_rows
     _METRICS["scan_vectorized_s"] = t_vec
     _METRICS["scan_speedup"] = gain
-    assert gain >= 2.5, f"vectorized scan only {gain:.2f}x faster"
+    assert gain >= 3.0, f"vectorized scan only {gain:.2f}x faster"
 
 
 def test_e17_disabled_tracer_overhead():
@@ -142,8 +146,6 @@ def test_e17_disabled_tracer_overhead():
     # ratios: machine drift moves both halves of a back-to-back pair
     # together, so the ratio isolates the hooks' cost from the noise that
     # dominates independently-timed minima.
-    import statistics
-
     rounds, repeats = TRACER_ROUNDS, 3
     for stored in (plain, injected, traced):
         scan(stored)  # warm page memos and allocator before timing

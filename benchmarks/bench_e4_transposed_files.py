@@ -37,10 +37,12 @@ def build_files():
     tf_disk = SimulatedDisk(block_size=BLOCK)
     tf_pool = BufferPool(tf_disk, capacity=8)
     transposed = TransposedFile(tf_pool, types)
-    for i in range(N_ROWS):
-        row = tuple(float(i * N_COLS + c) for c in range(N_COLS))
+    rows = [
+        tuple(float(i * N_COLS + c) for c in range(N_COLS)) for i in range(N_ROWS)
+    ]
+    for row in rows:
         heap.insert(row)
-        transposed.append_row(row)
+    transposed.append_rows(rows)
     heap_pool.flush_all()
     tf_pool.flush_all()
     return (heap_disk, heap_pool, heap), (tf_disk, tf_pool, transposed)

@@ -82,8 +82,7 @@ def test_e5_compressed_pages_reduce_io(census, benchmark):
         disk = SimulatedDisk(block_size=1024)
         pool = BufferPool(disk, capacity=4)
         tf = TransposedFile(pool, [DataType.CATEGORY], compress=compress)
-        for value in census.column("AGE_GROUP"):
-            tf.append_row((value,))
+        tf.append_rows([(value,) for value in census.column("AGE_GROUP")])
         pool.flush_all()
         pool.clear()
         disk.reset_stats()
@@ -97,6 +96,5 @@ def test_e5_compressed_pages_reduce_io(census, benchmark):
     disk = SimulatedDisk(block_size=1024)
     pool = BufferPool(disk, capacity=4)
     tf = TransposedFile(pool, [DataType.CATEGORY], compress="rle")
-    for value in census.column("AGE_GROUP"):
-        tf.append_row((value,))
+    tf.append_rows([(value,) for value in census.column("AGE_GROUP")])
     benchmark(lambda: list(tf.scan_column(0)))

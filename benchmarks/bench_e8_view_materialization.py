@@ -45,8 +45,7 @@ def disk_cost_of_one_use(micro):
     disk = SimulatedDisk(block_size=4096, cost_model=DiskCostModel())
     pool = BufferPool(disk, capacity=8)
     tf = TransposedFile(pool, micro.schema.types)
-    for row in micro:
-        tf.append_row(row)
+    tf.append_rows(list(micro))
     pool.flush_all()
     pool.clear()
     disk.reset_stats()

@@ -263,6 +263,8 @@ RLE_COUNT_SIZE = _U32.size
 #: format of n records is ~32n bytes, so 8 MB with every slot at full length.
 _MAX_RUN = 512
 _FORMATS = 512
+#: Records per run below which the per-value decoder beats the run decoder.
+_DENSE_NA = 2
 
 
 @lru_cache(maxsize=_FORMATS)
@@ -338,7 +340,7 @@ def _decode_records(
         if fixed is None:
             return _decode_each(buf, pos, dtype, count, tail)
         stride = 1 + fixed[2] + (_U32.size if tail else 0)
-        return _decode_runs(buf, pos, fixed[0] + tail, stride, count, tail)
+        return _decode_runs(buf, pos, dtype, fixed[0] + tail, stride, count, tail)
     except (IndexError, struct.error):
         # Every read past the end of ``buf`` raises one of the two.
         raise PageError(
@@ -360,15 +362,31 @@ def _decode_each(
 
 
 def _decode_runs(
-    buf: Buffer, pos: int, record: str, stride: int, left: int, tail: str
+    buf: Buffer,
+    pos: int,
+    dtype: DataType,
+    record: str,
+    stride: int,
+    left: int,
+    tail: str,
 ) -> list[object]:
     out: list[object] = []
+    count = left
+    steps = 0
     while left:
+        # Each step below moves one run of values or of NA.  Where NA come so
+        # thick that a step moves under _DENSE_NA records, a record at a time
+        # is the faster way through the rest of the page.
+        if steps >= 16 and count - left < _DENSE_NA * steps:
+            return out + _decode_each(buf, pos, dtype, left, tail)
+        steps += 1
         # The markers of the records ahead, were none of them NA: the first
         # zero among them is the next NA, and everything before it is a run.
-        run = bytes(buf[pos : pos + left * stride : stride]).find(0)
+        # Looking no further than one run keeps a page of many NA linear.
+        ahead = min(left, _MAX_RUN)
+        run = bytes(buf[pos : pos + ahead * stride : stride]).find(0)
         if run:
-            run = min(left if run < 0 else run, _MAX_RUN)
+            run = ahead if run < 0 else run
             out.extend(_run_format(record, run).unpack_from(buf, pos))
             pos += run * stride
             left -= run
@@ -378,8 +396,8 @@ def _decode_runs(
             pos += 1 + _U32.size
             left -= 1
         else:
-            ahead = bytes(buf[pos : pos + left])
-            run = len(ahead) - len(ahead.lstrip(b"\x00"))
+            markers = bytes(buf[pos : pos + ahead])
+            run = len(markers) - len(markers.lstrip(b"\x00"))
             out.extend([NA] * run)
             pos += run
             left -= run

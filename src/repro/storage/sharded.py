@@ -156,6 +156,13 @@ class ShardedTransposedFile:
 
     def append_rows(self, rows: Sequence[Sequence[object]]) -> None:
         """Append many rows: each shard takes its stride of them in bulk."""
+        # Checked for the whole batch first: a shard refusing its part after
+        # another has written would leave the shards misaligned for good.
+        for values in rows:
+            if len(values) != len(self.types):
+                raise StorageError(
+                    f"row has {len(values)} fields, file has {len(self.types)} columns"
+                )
         shards = self.router.shards
         for shard, file in enumerate(self._files):
             # The first of ``rows`` this shard owns, then every Nth after it.

@@ -310,7 +310,11 @@ class TransposedFile:
     # -- mutation ----------------------------------------------------------
 
     def append_row(self, values: Sequence[object]) -> int:
-        """Append one row (a value to every column); return its row number."""
+        """Append one row (a value to every column); return its row number.
+
+        A batch of one: the planning is per call, so a loader with more
+        than a few rows should hand them to :meth:`append_rows` together.
+        """
         self.append_rows([values])
         return self._row_count - 1
 

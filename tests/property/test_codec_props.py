@@ -150,6 +150,10 @@ def test_edge_pages(dtype):
         [*edges, NA],
         [NA, *edges, NA, NA, *edges, NA],
         edges * (long_run // len(edges) + 1),
+        # NA in every other slot takes the decoder to its per-value path, from
+        # the start of the page and from part-way through it.
+        [v for edge in edges * 30 for v in (edge, NA)],
+        edges * 10 + [v for edge in edges * 60 for v in (NA, edge)],
         [],
     ):
         for encode, decode, reference in (

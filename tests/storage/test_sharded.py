@@ -102,6 +102,22 @@ class TestShardedTransposedFile:
         assert storage.get_value(0, 0) is NA
         assert storage.get_value(1, 1) is NA
 
+    def test_bad_row_in_a_batch_appends_nothing(self):
+        rows = rows_fixture(10)
+        storage = make_sharded(rows, shards=4)
+        versions = [storage.shard_version(s) for s in range(4)]
+        # The short row (global row 11) belongs to shard 3, the last one
+        # written; shards 0 and 2 take their rows of the batch before it.
+        batch = [(100.0, 100, "x"), (101.0, 101, "x"), (102.0, 102, "x")]
+        with pytest.raises(StorageError, match="2 fields"):
+            storage.append_rows([batch[0], batch[1][:2], batch[2]])
+        assert len(storage) == 10
+        assert [storage.shard_row_count(s) for s in range(4)] == [3, 3, 2, 2]
+        assert [storage.shard_version(s) for s in range(4)] == versions
+        # The next append still lands every row on its own global position.
+        storage.append_rows(batch)
+        assert [tuple(r) for r in storage.scan_rows()] == rows + batch
+
     def test_truncated_shard_chain_raises_storage_error(self):
         storage = make_sharded(rows_fixture(12), shards=3)
         # Doctor shard 1: drop its last page for column 0 so the merged
