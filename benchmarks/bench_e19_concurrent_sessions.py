@@ -236,7 +236,7 @@ def test_e19_concurrent_sessions(tmp_path):
         )
         assert counters["server.request"] >= result["requests"]
         # MVCC discipline: writers publish versions and still take the
-        # EXCLUSIVE lock; readers pin versions and take NO lock — grants
+        # view lock; readers pin versions and take NO lock — grants
         # are bounded by writes + one registry lock per handshake + the
         # one-time per-view bootstrap, regardless of how many reads ran.
         # +1 for the warmup client's handshake, +1 for the per-view

@@ -9,13 +9,13 @@ REPRO-A109); everything else either acquires them through the
 
 Layers:
 
-* :mod:`repro.concurrency.locks` — per-view reader/writer locks with
-  wait-for-graph deadlock detection and acquisition timeouts.
+* :mod:`repro.concurrency.locks` — per-resource exclusive locks (writers,
+  registry mutations, checkpoints) with wait-for-graph deadlock detection
+  and acquisition timeouts.
 * :mod:`repro.concurrency.mvcc` — multi-version concurrency control:
   per-view :class:`VersionChain` of immutable published
   :class:`ViewVersion` records (copy-on-write column chunks, frozen
-  summary snapshots), lock-free :class:`SnapshotReader`, and the
-  :class:`ReplicaPool` of reader workers with bounded-staleness handoff.
+  summary snapshots) and the lock-free :class:`SnapshotReader`.
 * :mod:`repro.concurrency.transactions` — the
   :class:`TransactionCoordinator`: lock-free MVCC snapshot reads (pinned
   published versions), per-view serialized writes that publish at exit,
@@ -32,13 +32,8 @@ Layers:
 """
 
 from repro.concurrency.groupcommit import GroupCommitter
-from repro.concurrency.locks import LockManager, LockMode
-from repro.concurrency.mvcc import (
-    ReplicaPool,
-    SnapshotReader,
-    VersionChain,
-    ViewVersion,
-)
+from repro.concurrency.locks import LockManager
+from repro.concurrency.mvcc import SnapshotReader, VersionChain, ViewVersion
 from repro.concurrency.sanitizer import (
     LockOrderSanitizer,
     SanitizedLatch,
@@ -52,9 +47,7 @@ __all__ = [
     "ConcurrentTracer",
     "GroupCommitter",
     "LockManager",
-    "LockMode",
     "LockOrderSanitizer",
-    "ReplicaPool",
     "SanitizedLatch",
     "SnapshotReader",
     "TransactionCoordinator",

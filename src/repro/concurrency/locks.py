@@ -1,4 +1,4 @@
-"""Per-view reader/writer locks with deadlock detection and timeouts.
+"""Per-resource exclusive locks with deadlock detection and timeouts.
 
 The paper's architecture is multi-analyst by construction — "we envision
 several concrete views over a single raw database.  Each view is private to
@@ -14,17 +14,15 @@ Design:
 
 * **Resources are names** (view names, plus reserved names like the
   registry), not objects — the manager never imports the things it guards.
-* **Two modes.**  SHARED admits any number of readers; EXCLUSIVE admits one
-  writer and nobody else.  Same-session re-acquisition is reentrant (a
-  count per holder); a sole SHARED holder may upgrade to EXCLUSIVE in
-  place.
-* **Writer priority.**  A SHARED request blocks while an EXCLUSIVE request
-  is queued on the same resource, so a stream of readers cannot starve a
-  writer.
+* **One mode.**  A resource has at most one holding session; everybody
+  else waits.  Readers do not come here at all — they pin a published
+  MVCC version (:mod:`repro.concurrency.mvcc`) — so the holders are
+  writers, registry mutations, quiescing checkpoints and the one-time
+  chain bootstrap.  Same-session re-acquisition is reentrant (a count).
 * **Deadlock detection** runs on the wait-for graph at every blocking
-  acquisition: an edge runs from each waiting session to each current
-  holder of the resource it wants (and, transitively, through holders that
-  are themselves waiting).  A request that would close a cycle raises
+  acquisition: an edge runs from each waiting session to the holder of
+  the resource it wants (and, transitively, through holders that are
+  themselves waiting).  A request that would close a cycle raises
   :class:`~repro.core.errors.DeadlockError` immediately — the requester is
   the victim and keeps everything it already held.
 * **Timeouts.**  Every acquisition carries a deadline (default from the
@@ -36,11 +34,9 @@ Counter names (charged to the injected tracer): ``lock.grant``,
 
 from __future__ import annotations
 
-import enum
 import threading
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from typing import Iterator
 
 from repro.concurrency.sanitizer import (
@@ -52,48 +48,8 @@ from repro.core.errors import ConcurrencyError, DeadlockError, LockTimeoutError
 from repro.obs.tracer import NULL_TRACER, AbstractTracer
 
 
-class LockMode(enum.Enum):
-    """How a session wants to hold a resource."""
-
-    SHARED = "shared"
-    EXCLUSIVE = "exclusive"
-
-
-@dataclass
-class _Hold:
-    """One session's (reentrant) hold on one resource.
-
-    ``upgraded_at`` remembers the acquisition level at which a sole-holder
-    SHARED->EXCLUSIVE upgrade happened, so releasing back below that level
-    downgrades the hold to SHARED again — the outer scopes only ever asked
-    for a read lock, and other readers must not stay blocked on them.
-    """
-
-    mode: LockMode
-    count: int
-    upgraded_at: int | None = None
-
-
-@dataclass
-class _ResourceLock:
-    """One resource's holder table."""
-
-    holders: dict[str, _Hold] = field(default_factory=dict)
-
-    def mode_of(self, session: str) -> LockMode | None:
-        held = self.holders.get(session)
-        return held.mode if held else None
-
-    @property
-    def exclusive_holder(self) -> str | None:
-        for session, hold in self.holders.items():
-            if hold.mode is LockMode.EXCLUSIVE:
-                return session
-        return None
-
-
 class LockManager:
-    """Reader/writer locks over named resources, for analyst sessions.
+    """Exclusive locks over named resources, for analyst sessions.
 
     Parameters
     ----------
@@ -121,26 +77,20 @@ class LockManager:
         self._sanitizer = sanitizer if sanitizer is not None else current_sanitizer()
         self._mutex = threading.Lock()
         self._granted = threading.Condition(self._mutex)
-        self._locks: dict[str, _ResourceLock] = {}
-        #: session -> (resource, mode) it is currently blocked on.
-        self._waits: dict[str, tuple[str, LockMode]] = {}
+        #: resource -> (holding session, reentrant count); absent when free.
+        self._locks: dict[str, tuple[str, int]] = {}
+        #: session -> resource it is currently blocked on.
+        self._waits: dict[str, str] = {}
 
     # -- acquisition -------------------------------------------------------
 
     def acquire(
-        self,
-        session: str,
-        resource: str,
-        mode: LockMode,
-        timeout_s: float | None = None,
+        self, session: str, resource: str, timeout_s: float | None = None
     ) -> None:
-        """Block until ``session`` holds ``resource`` in ``mode``.
+        """Block until ``session`` holds ``resource``.
 
         Raises :class:`DeadlockError` when granting would require waiting
-        on a cycle, :class:`LockTimeoutError` on deadline expiry, and
-        :class:`ConcurrencyError` on an unsupported upgrade (a shared
-        holder upgrading while other holders remain *waits*; two such
-        upgraders deadlock and one is chosen as victim).
+        on a cycle and :class:`LockTimeoutError` on deadline expiry.
         """
         deadline = time.monotonic() + (
             self.timeout_s if timeout_s is None else timeout_s
@@ -149,12 +99,12 @@ class LockManager:
         start = time.monotonic()
         with self._granted:
             while True:
-                # Re-fetched every iteration: release() drops a resource's
-                # entry when its last holder leaves, so a woken waiter must
-                # not grant itself on a stale _ResourceLock object.
-                lock = self._locks.setdefault(resource, _ResourceLock())
-                if self._grantable(lock, session, resource, mode):
-                    self._grant(lock, session, mode)
+                # Re-read every iteration: release() drops a resource's
+                # entry when its holder leaves, so a woken waiter must
+                # decide on the table as it is now.
+                holder, count = self._locks.get(resource, (session, 0))
+                if holder == session:
+                    self._locks[resource] = (session, count + 1)
                     self._waits.pop(session, None)
                     self.tracer.add("lock.grant")
                     if waited:
@@ -163,16 +113,15 @@ class LockManager:
                 if not waited:
                     waited = True
                     self.tracer.add("lock.wait")
-                self._waits[session] = (resource, mode)
+                self._waits[session] = resource
                 victim_cycle = self._find_cycle(session)
                 if victim_cycle:
                     self._waits.pop(session, None)
                     self._granted.notify_all()
                     self.tracer.add("lock.deadlock")
                     raise DeadlockError(
-                        f"session {session!r} waiting for {mode.value} on "
-                        f"{resource!r} closes a wait-for cycle: "
-                        f"{' -> '.join(victim_cycle)}"
+                        f"session {session!r} waiting on {resource!r} closes "
+                        f"a wait-for cycle: {' -> '.join(victim_cycle)}"
                     )
                 remaining = deadline - time.monotonic()
                 if remaining <= 0 or not self._granted.wait(remaining):
@@ -180,9 +129,8 @@ class LockManager:
                     self._granted.notify_all()
                     self.tracer.add("lock.timeout")
                     raise LockTimeoutError(
-                        f"session {session!r} timed out waiting for "
-                        f"{mode.value} lock on {resource!r} "
-                        f"(held by {sorted(lock.holders)})"
+                        f"session {session!r} timed out waiting for the "
+                        f"lock on {resource!r} (held by {holder!r})"
                     )
         if self._sanitizer is not None:
             self._sanitizer.note_acquire(
@@ -192,24 +140,15 @@ class LockManager:
     def release(self, session: str, resource: str) -> None:
         """Release one level of ``session``'s hold on ``resource``."""
         with self._granted:
-            lock = self._locks.get(resource)
-            held = lock.holders.get(session) if lock else None
-            if lock is None or held is None:
+            holder, count = self._locks.get(resource, (None, 0))
+            if holder != session:
                 raise ConcurrencyError(
                     f"session {session!r} does not hold {resource!r}"
                 )
-            if held.count > 1:
-                held.count -= 1
-                if held.upgraded_at is not None and held.count < held.upgraded_at:
-                    # The exclusive scope is gone; the remaining outer
-                    # holds were acquired SHARED, so downgrade in place
-                    # and let blocked readers back in.
-                    held.mode = LockMode.SHARED
-                    held.upgraded_at = None
+            if count > 1:
+                self._locks[resource] = (session, count - 1)
             else:
-                del lock.holders[session]
-                if not lock.holders:
-                    del self._locks[resource]
+                del self._locks[resource]
             self._granted.notify_all()
         if self._sanitizer is not None:
             self._sanitizer.note_release(f"res:{resource}")
@@ -220,44 +159,30 @@ class LockManager:
         Returns the number of resources released.  Also clears any wait
         registration the session left behind (a thread killed mid-wait).
         """
-        released = 0
-        dropped: list[str] = []
         with self._granted:
             self._waits.pop(session, None)
-            for resource in list(self._locks):
-                lock = self._locks[resource]
-                if session in lock.holders:
-                    del lock.holders[session]
-                    released += 1
-                    dropped.append(resource)
-                    if not lock.holders:
-                        del self._locks[resource]
-            if released:
+            dropped = [
+                resource
+                for resource, (holder, _) in self._locks.items()
+                if holder == session
+            ]
+            for resource in dropped:
+                del self._locks[resource]
+            if dropped:
                 self._granted.notify_all()
         if self._sanitizer is not None:
             # Usually a foreign-thread teardown; note_release tolerates
             # releasing keys this thread never acquired.
             for resource in dropped:
                 self._sanitizer.note_release(f"res:{resource}")
-        return released
-
-    @contextmanager
-    def shared(
-        self, session: str, resource: str, timeout_s: float | None = None
-    ) -> Iterator[None]:
-        """``with locks.shared(sid, view):`` — scoped read lock."""
-        self.acquire(session, resource, LockMode.SHARED, timeout_s)
-        try:
-            yield
-        finally:
-            self.release(session, resource)
+        return len(dropped)
 
     @contextmanager
     def exclusive(
         self, session: str, resource: str, timeout_s: float | None = None
     ) -> Iterator[None]:
-        """``with locks.exclusive(sid, view):`` — scoped write lock."""
-        self.acquire(session, resource, LockMode.EXCLUSIVE, timeout_s)
+        """``with locks.exclusive(sid, view):`` — scoped lock."""
+        self.acquire(session, resource, timeout_s)
         try:
             yield
         finally:
@@ -265,21 +190,19 @@ class LockManager:
 
     # -- introspection -----------------------------------------------------
 
-    def holders(self, resource: str) -> dict[str, LockMode]:
-        """Who currently holds ``resource`` (empty when free)."""
+    def holder(self, resource: str) -> str | None:
+        """The session currently holding ``resource`` (None when free)."""
         with self._mutex:
-            lock = self._locks.get(resource)
-            if lock is None:
-                return {}
-            return {s: hold.mode for s, hold in lock.holders.items()}
+            held = self._locks.get(resource)
+            return held[0] if held else None
 
     def held_by(self, session: str) -> list[str]:
         """Resources ``session`` currently holds, sorted."""
         with self._mutex:
             return sorted(
                 resource
-                for resource, lock in self._locks.items()
-                if session in lock.holders
+                for resource, (holder, _) in self._locks.items()
+                if holder == session
             )
 
     def __repr__(self) -> str:
@@ -291,76 +214,24 @@ class LockManager:
 
     # -- internals (call with self._mutex held) ----------------------------
 
-    def _grantable(
-        self, lock: _ResourceLock, session: str, resource: str, mode: LockMode
-    ) -> bool:
-        held = lock.mode_of(session)
-        if mode is LockMode.SHARED:
-            if held is not None:
-                return True  # reentrant (EXCLUSIVE covers SHARED)
-            exclusive = lock.exclusive_holder
-            if exclusive is not None:
-                return False
-            # Writer priority: queued EXCLUSIVE waiters block new readers.
-            return not self._exclusive_waiter(resource, session)
-        # EXCLUSIVE
-        if held is LockMode.EXCLUSIVE:
-            return True  # reentrant
-        others = [s for s in lock.holders if s != session]
-        return not others  # free, or a sole-holder upgrade
-
-    def _grant(self, lock: _ResourceLock, session: str, mode: LockMode) -> None:
-        held = lock.holders.get(session)
-        if held is None:
-            lock.holders[session] = _Hold(mode, 1)
-        elif mode is LockMode.EXCLUSIVE and held.mode is LockMode.SHARED:
-            # Sole-holder upgrade: the hold becomes exclusive in place,
-            # remembering the level so release() can downgrade it back.
-            held.count += 1
-            held.mode = LockMode.EXCLUSIVE
-            held.upgraded_at = held.count
-        else:
-            held.count += 1
-
-    def _exclusive_waiter(self, resource: str, exclude: str) -> bool:
-        return any(
-            wanted == resource and mode is LockMode.EXCLUSIVE
-            for waiter, (wanted, mode) in self._waits.items()
-            if waiter != exclude
-        )
-
     def _find_cycle(self, start: str) -> list[str]:
         """A wait-for cycle through ``start``, or [] when none exists.
 
-        Edges: a waiting session points at every *other* current holder of
-        the resource it wants; holders that are themselves waiting extend
-        the walk.  Returns the session names along the cycle for the error
-        message.
+        Each waiting session points at the holder of the resource it
+        wants, so the wait-for graph is a chain: follow it until it ends
+        (no cycle), returns to ``start`` (the cycle, named for the error
+        message), or loops among other sessions (not ours to break).
         """
-        path: list[str] = []
-        seen: set[str] = set()
-
-        def walk(session: str) -> list[str]:
-            if session in seen:
+        path = [start]
+        session = start
+        while True:
+            resource = self._waits.get(session)
+            held = self._locks.get(resource) if resource is not None else None
+            if held is None:
                 return []
-            seen.add(session)
-            waiting_on = self._waits.get(session)
-            if waiting_on is None:
-                return []
-            resource, _ = waiting_on
-            lock = self._locks.get(resource)
-            if lock is None:
+            session = held[0]
+            if session == start:
+                return path + [start]
+            if session in path:
                 return []
             path.append(session)
-            for holder in lock.holders:
-                if holder == session:
-                    continue
-                if holder == start:
-                    return path + [holder]
-                cycle = walk(holder)
-                if cycle:
-                    return cycle
-            path.pop()
-            return []
-
-        return walk(start)

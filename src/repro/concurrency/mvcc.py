@@ -1,18 +1,18 @@
 """Multi-version concurrency control: immutable published view versions.
 
-The lock-based read path serialized exactly the traffic a statistical
+A lock-based read path serializes exactly the traffic a statistical
 database should serve lock-free: BENCH_e19 showed throughput collapsing
-past 4 analysts because every ``query``/``columns``/``history`` request
-took the view's SHARED lock and then mutated the Summary Database under
-its latch.  This module replaces that with MVCC:
+past 4 analysts when every ``query``/``columns``/``history`` request
+locked the view and then mutated the Summary Database under its latch.
+Reads go through MVCC instead:
 
 * **Writers publish, readers pin.**  A :class:`VersionChain` holds, per
   view, a chain of frozen :class:`ViewVersion` records — the history
   high-water mark, a summary-entry snapshot, and the per-attribute
   column-chunk epochs.  The writer path publishes a new version at the
-  end of each write transaction *while still holding the EXCLUSIVE view
-  lock* (the publication point); readers pin the latest version and never
-  touch the view lock or the summary latch again.
+  end of each write transaction *while still holding the view lock* (the
+  publication point); readers pin the latest version and never touch the
+  view lock or the summary latch again.
 * **Copy-on-write columns.**  Publication captures column values per
   attribute, but shares the frozen chunk with the predecessor version
   whenever the attribute's epoch (:attr:`ConcreteView.epochs`) is
@@ -22,11 +22,12 @@ its latch.  This module replaces that with MVCC:
   pins; publication and unpinning garbage-collect every version that is
   neither pinned nor latest, so a burst of writes cannot accumulate
   unbounded history.
-* **Replica workers.**  A :class:`ReplicaPool` gives the wire server a
-  dedicated read executor: each worker thread keeps a thread-sticky pin
-  per view and re-pins only when the chain has advanced past the pool's
-  staleness bound (``max_lag``, default 0 — read-your-writes, since the
-  writer publishes before its response is sent).
+* **One pin per read.**  A read holds its pin exactly as long as it
+  computes (``with coordinator.read(sid, view)``), under the reader's own
+  session id, so an idle connection retains nothing and a disconnect
+  releases whatever an in-flight read still holds.  Readers always pin
+  the head: the writer publishes before its response is sent, so a
+  session reads its own writes.
 * **Demand-driven warming.**  A reader that misses a version's summary
   snapshot and computes the result itself registers the key on the chain
   (:meth:`VersionChain.note_demand`).  The next write transaction warms
@@ -46,13 +47,11 @@ Observability counters (REPRO-A107 — tracers are injected, never
 constructed here): ``mvcc.publish``, ``mvcc.publish_noop``, ``mvcc.pin``,
 ``mvcc.unpin``, ``mvcc.reclaim``, ``mvcc.release_all``,
 ``mvcc.cow_shared``, ``mvcc.cow_copied``, ``mvcc.memo_hit``,
-``mvcc.repin``, ``mvcc.warm``.
+``mvcc.warm``.
 """
 
 from __future__ import annotations
 
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.concurrency.tracing import make_latch
@@ -61,8 +60,7 @@ from repro.core.session import PAIR_FUNCTIONS
 from repro.obs.tracer import NULL_TRACER, AbstractTracer
 from repro.views.view import ConcreteView
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle: transactions imports us
-    from repro.concurrency.transactions import TransactionCoordinator
+if TYPE_CHECKING:  # pragma: no cover
     from repro.metadata.management import ManagementDatabase
 
 
@@ -152,10 +150,10 @@ def _capture_parts(
 ) -> dict[str, Any]:
     """Freeze the view's current state into :class:`ViewVersion` fields.
 
-    Caller must hold the view's EXCLUSIVE lock (or otherwise guarantee no
-    writer is mid-flight, as the bootstrap's SHARED lock does).  Column
-    chunks whose copy-on-write epoch matches the predecessor's are shared
-    by reference instead of re-copied.
+    Caller must hold the view's lock (writer exit and first-read
+    bootstrap both do), or otherwise guarantee no writer is mid-flight.
+    Column chunks whose copy-on-write epoch matches the predecessor's are
+    shared by reference instead of re-copied.
     """
     names = list(view.schema.names)
     epochs = {name: view.epochs.get(name, 0) for name in names}
@@ -196,9 +194,9 @@ class VersionChain:
 
     The latch guards the chain structure (append, pins, reclamation)
     only; state capture happens outside it, and :attr:`seq` may be read
-    bare as a staleness hint (it is a monotonically increasing int — a
-    torn read is impossible and a stale one merely delays a re-pin by one
-    request).
+    bare (it is a monotonically increasing int — a torn read is
+    impossible; the coordinator's bootstrap re-checks it under the view
+    lock before publishing).
     """
 
     def __init__(self, view_name: str, tracer: AbstractTracer | None = None) -> None:
@@ -279,16 +277,13 @@ class VersionChain:
     def publish_version(self, view: ConcreteView) -> ViewVersion:
         """Publish the view's current state; the MVCC publication point.
 
-        Caller must hold the view's EXCLUSIVE lock (writer exit) or its
-        SHARED lock (first-read bootstrap — no writer can be mid-flight,
-        so concurrent bootstraps capture identical state and the second
-        one collapses into a no-op).  Unchanged state — detected by the
-        ``(version high-water mark, history length)`` pair, since undo
-        shortens the history without lowering the monotonic version —
-        returns the existing head.  A *regressed* high-water mark can
-        only mean a writer replaced view state around the coordinator:
-        that is the re-verification the old read path did at exit, moved
-        here to the publication point.
+        Caller must hold the view's lock (writer exit, or the first-read
+        bootstrap), so no other publisher can be mid-flight.  Unchanged
+        state — detected by the ``(version high-water mark, history
+        length)`` pair, since undo shortens the history without lowering
+        the monotonic version — returns the existing head.  A *regressed*
+        high-water mark can only mean a writer replaced view state around
+        the coordinator, and raises :class:`SnapshotError`.
         """
         with self._latch:
             prev = self._versions[-1] if self._versions else None
@@ -309,14 +304,6 @@ class VersionChain:
         parts = _capture_parts(view, prev, self.tracer)
         reclaimed = 0
         with self._latch:
-            head = self._versions[-1] if self._versions else None
-            if (
-                head is not None
-                and head.view_version == parts["view_version"]
-                and head.history_len == parts["history_len"]
-            ):
-                # A concurrent bootstrap published this same state first.
-                return head
             self._seq += 1
             version = ViewVersion(view_name=self.view_name, seq=self._seq, **parts)
             self._versions.append(version)
@@ -400,12 +387,11 @@ class VersionChain:
 class SnapshotReader:
     """Read-only operations against one pinned :class:`ViewVersion`.
 
-    The MVCC replacement for the lock-holding ``ReadSnapshot``: computes
-    run against the version's frozen columns and publication-time summary
-    snapshot, never the live view — no view lock, no summary latch, no
-    cache mutation.  Results computed here are memoized on the version
-    itself, so repeated queries against the same published state hit the
-    per-version memo instead of rescanning.
+    Computes run against the version's frozen columns and
+    publication-time summary snapshot, never the live view — no view lock,
+    no summary latch, no cache mutation.  Results computed here are
+    memoized on the version itself, so repeated queries against the same
+    published state hit the per-version memo instead of rescanning.
     """
 
     __slots__ = ("pinned", "_management", "_tracer", "_on_miss")
@@ -489,86 +475,3 @@ class SnapshotReader:
 
     def __repr__(self) -> str:
         return f"SnapshotReader({self.pinned!r})"
-
-
-class ReplicaPool:
-    """Copy-on-write snapshot replicas: N reader workers, one writer path.
-
-    The wire server routes read-only ops (``query``/``columns``/
-    ``history``) to this pool's executor; writes stay on the coordinator's
-    worker pool with the unchanged propagator/WAL/group-commit pipeline.
-    Each worker thread keeps a *thread-sticky* pin per view — its private
-    copy-on-write replica — and hands off to a newer version only when
-    the chain has advanced more than ``max_lag`` publications past it
-    (bounded staleness; 0 preserves read-your-writes because the writer
-    publishes before its response is sent).
-    """
-
-    def __init__(
-        self,
-        coordinator: "TransactionCoordinator",
-        workers: int = 4,
-        max_lag: int = 0,
-        tracer: AbstractTracer | None = None,
-    ) -> None:
-        self.coordinator = coordinator
-        self.workers = workers
-        self.max_lag = max_lag
-        self.tracer = tracer if tracer is not None else coordinator.tracer
-        self.executor = ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="repro-replica"
-        )
-        self._local = threading.local()
-
-    def _sid(self) -> str:
-        """The calling worker thread's replica session id."""
-        return f"__replica:{threading.current_thread().name}__"
-
-    def _pinned_map(self) -> dict[str, ViewVersion]:
-        pinned = getattr(self._local, "pinned", None)
-        if pinned is None:
-            pinned = {}
-            self._local.pinned = pinned
-        return pinned
-
-    def reader(
-        self, view_name: str, timeout_s: float | None = None
-    ) -> SnapshotReader:
-        """A reader against this worker's replica of ``view_name``.
-
-        Steady state acquires no locks at all: the staleness check is a
-        bare read of the chain's sequence counter.  Only when the pinned
-        version lags the head by more than ``max_lag`` does the worker
-        re-pin (one chain latch) and release its old replica.
-        ``timeout_s`` bounds the one-time bootstrap lock acquisition.
-        """
-        sid = self._sid()
-        chain = self.coordinator.chain(sid, view_name, timeout_s)
-        pinned = self._pinned_map()
-        version = pinned.get(view_name)
-        if version is None or chain.seq - version.seq > self.max_lag:
-            fresh = chain.pin(sid)
-            if version is not None:
-                chain.unpin(sid, version)
-                self.tracer.add("mvcc.repin")
-            pinned[view_name] = fresh
-            version = fresh
-        return SnapshotReader(
-            version,
-            self.coordinator.dbms.management,
-            tracer=self.tracer,
-            on_miss=chain.note_demand,
-        )
-
-    def close(self) -> None:
-        """Shut the worker pool down without blocking.
-
-        Deliberately latch-free (callable from the event loop's ``stop``
-        path): worker threads' sticky pins are simply abandoned — there
-        are at most ``workers × views`` of them, and they die with the
-        chain when the coordinator is dropped.
-        """
-        self.executor.shutdown(wait=False, cancel_futures=True)
-
-    def __repr__(self) -> str:
-        return f"ReplicaPool({self.workers} workers, max_lag={self.max_lag})"

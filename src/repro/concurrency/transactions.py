@@ -13,10 +13,10 @@ tests).  It enforces the two-level discipline the service layer needs:
   half-applied multi-attribute update because versions are only published
   at write-transaction exit.  The only lock a read path ever takes is the
   one-time per-view *bootstrap* (:meth:`chain`): the first reader of a
-  never-published view briefly holds the SHARED lock so its initial
-  capture cannot race a writer.
+  never-published view briefly holds the view's lock so its initial
+  capture cannot race a writer or another bootstrap.
 * **Writes serialize per view and publish at exit.**  ``with
-  coordinator.write(sid, view)`` takes the EXCLUSIVE lock; the
+  coordinator.write(sid, view)`` takes the view's lock; the
   update/undo flows through the existing
   :class:`~repro.core.propagation.UpdatePropagator` and WAL unchanged,
   and on successful exit — still under the lock — the new state is
@@ -29,7 +29,7 @@ tests).  It enforces the two-level discipline the service layer needs:
   reserved resource name, :data:`REGISTRY_RESOURCE`, since they touch
   shared structures no per-view lock covers.
 * **Checkpoints quiesce.**  :meth:`checkpoint` takes the registry lock
-  plus every view's EXCLUSIVE lock in sorted name order (lock ordering —
+  plus every view's lock in sorted name order (lock ordering —
   no cycles possible among checkpointers), so the snapshot observes no
   in-flight transaction.
 
@@ -45,7 +45,7 @@ from contextlib import contextmanager
 from typing import Any, Iterator
 
 from repro.concurrency.groupcommit import GroupCommitter
-from repro.concurrency.locks import LockManager, LockMode
+from repro.concurrency.locks import LockManager
 from repro.concurrency.mvcc import SnapshotReader, VersionChain, ViewVersion
 from repro.concurrency.tracing import make_latch
 from repro.core.dbms import StatisticalDBMS
@@ -134,10 +134,9 @@ class TransactionCoordinator:
 
         Steady state is latch-light: a bare dict read finds the chain and
         its published head.  Only a never-published view pays for locking
-        — the bootstrap takes the view's SHARED lock (bounded by
-        ``timeout_s``) so the initial capture cannot observe a writer
-        mid-flight; racing bootstraps publish identical state and
-        collapse into one version.
+        — the bootstrap takes the view's lock (bounded by ``timeout_s``)
+        so the initial capture cannot observe a writer mid-flight, and
+        re-checks under it, so racing bootstraps publish exactly once.
         """
         chain = self._chains.get(view_name)
         if chain is None:
@@ -147,8 +146,9 @@ class TransactionCoordinator:
                     view_name, VersionChain(view_name, tracer=self.tracer)
                 )
         if chain.seq == 0:
-            with self.locks.shared(sid, view_name, timeout_s):
-                chain.publish_version(self.dbms.view(view_name))
+            with self.locks.exclusive(sid, view_name, timeout_s):
+                if chain.seq == 0:
+                    chain.publish_version(self.dbms.view(view_name))
         return chain
 
     def chain_if_published(self, view_name: str) -> VersionChain | None:
@@ -169,8 +169,8 @@ class TransactionCoordinator:
     ) -> ViewVersion:
         """Publish ``view``'s current state (the MVCC publication point).
 
-        Caller must hold the view's EXCLUSIVE lock, or otherwise
-        guarantee no writer is mid-flight.
+        Caller must hold the view's lock, or otherwise guarantee no
+        writer is mid-flight.
         """
         if view is None:
             view = self.dbms.view(view_name)
@@ -216,7 +216,7 @@ class TransactionCoordinator:
         analyst: str | None = None,
         timeout_s: float | None = None,
     ) -> Iterator[AnalystSession]:
-        """A serialized write transaction (EXCLUSIVE lock).
+        """A serialized write transaction (holds the view's lock).
 
         On successful exit — still under the lock — the new view state is
         published to the version chain; a body that raises publishes
@@ -247,7 +247,7 @@ class TransactionCoordinator:
     def _warm_summaries(self, view_name: str, session: AnalystSession) -> None:
         """Warm reader-demanded summary keys at the publication point.
 
-        Caller holds the view's EXCLUSIVE lock.  Every key a snapshot
+        Caller holds the view's lock.  Every key a snapshot
         reader ever had to compute itself (:meth:`VersionChain.
         note_demand`) is computed through the live session here, so the
         Summary Database's consistency policy maintains it across
@@ -285,13 +285,13 @@ class TransactionCoordinator:
             yield self.dbms
 
     def registry_names(self, sid: str, timeout_s: float | None = None) -> list[str]:
-        """Snapshot the registry's view names under the SHARED registry lock.
+        """Snapshot the registry's view names under the registry lock.
 
         Handshake/stats use this instead of reading ``registry.names()``
         bare, so the read cannot observe a registry mid-mutation
-        (publish/adopt hold the EXCLUSIVE registry lock).
+        (publish/adopt hold the same lock).
         """
-        with self.locks.shared(sid, REGISTRY_RESOURCE, timeout_s):
+        with self.locks.exclusive(sid, REGISTRY_RESOURCE, timeout_s):
             return self.dbms.registry.names()
 
     # -- quiesced checkpoints ----------------------------------------------
@@ -309,17 +309,13 @@ class TransactionCoordinator:
         """
         held: list[str] = []
         try:
-            self.locks.acquire(
-                sid, REGISTRY_RESOURCE, LockMode.EXCLUSIVE, timeout_s
-            )
+            self.locks.acquire(sid, REGISTRY_RESOURCE, timeout_s)
             held.append(REGISTRY_RESOURCE)
             for name in sorted(self.dbms.registry.names()):
                 # Same-class (view-lock) nesting is sanctioned here: the
                 # sorted resource names are an explicit total order, so two
                 # quiescers cannot meet in opposite directions.
-                self.locks.acquire(  # repro-lint: disable=REPRO-C201
-                    sid, name, LockMode.EXCLUSIVE, timeout_s
-                )
+                self.locks.acquire(sid, name, timeout_s)  # repro-lint: disable=REPRO-C201
                 held.append(name)
             yield
         finally:

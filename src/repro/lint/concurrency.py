@@ -260,18 +260,19 @@ NOISY_METHOD_NAMES = frozenset(
 #: LockManager-ish method -> (resource positional index, timeout positional
 #: index), both counted among the call's arguments (self excluded).
 MANAGER_ACQUIRE_METHODS = {
-    "acquire": (1, 3),
-    "shared": (1, 2),
+    "acquire": (1, 2),
     "exclusive": (1, 2),
 }
 
-#: TransactionCoordinator contexts that acquire a lock for their body.
-#: method -> (resource index or None for the registry, timeout index,
-#: result type bound by ``with ... as``).
+#: TransactionCoordinator contexts that acquire a lock.  method ->
+#: (resource index or None for the registry, timeout index, result type
+#: bound by ``with ... as``, whether the lock is held for the body).
+#: ``read`` only *may* take the view lock — the one-time chain bootstrap,
+#: released before the body runs against the pinned version.
 COORDINATOR_CONTEXTS = {
-    "read": (1, 3, "ReadSnapshot"),
-    "write": (1, 3, "AnalystSession"),
-    "registry_write": (None, 1, "StatisticalDBMS"),
+    "read": (1, 3, "SnapshotReader", False),
+    "write": (1, 3, "AnalystSession", True),
+    "registry_write": (None, 1, "StatisticalDBMS", True),
 }
 
 #: Receiver attribute names that identify a LockManager / coordinator even
@@ -684,6 +685,8 @@ class _Acq:
     line: int
     has_timeout: bool
     bare_call: bool  # True for x.acquire(...) used as a statement
+    held_for_body: bool = True  # False: a ``with`` that releases before its body
+    binds: str | None = None  # class of the ``with ... as`` target
 
 
 class _FunctionWalker:
@@ -734,7 +737,10 @@ class _FunctionWalker:
                         # No loop self-edge here: a ``with`` in a loop
                         # releases before the next iteration re-acquires.
                         self._record_site(acq, guarded=True, held=inner)
-                        inner = inner + (acq.key,)
+                        if acq.held_for_body:
+                            inner = inner + (acq.key,)
+                        if acq.binds and isinstance(item.optional_vars, ast.Name):
+                            self.local_types[item.optional_vars.id] = acq.binds
                     else:
                         resolved = self._record_call(
                             item.context_expr, inner, line=stmt.lineno
@@ -861,7 +867,7 @@ class _FunctionWalker:
                 bare_call=method == "acquire",
             )
         if method in COORDINATOR_CONTEXTS and self._is_coordinator(receiver):
-            res_idx, timeout_idx, _result = COORDINATOR_CONTEXTS[method]
+            res_idx, timeout_idx, result, holds = COORDINATOR_CONTEXTS[method]
             resource = (
                 expr.args[res_idx]
                 if res_idx is not None and len(expr.args) > res_idx
@@ -876,6 +882,8 @@ class _FunctionWalker:
                 expr.lineno,
                 _timeout_present(expr, timeout_idx),
                 bare_call=False,
+                held_for_body=holds,
+                binds=result,
             )
         if method == "acquire" and allow_bare:
             latch = self._latch_key(receiver)

@@ -22,31 +22,26 @@ slow scan never stalls the loop.  Between the two sits admission control:
   remaining.
 
 Concurrency control is delegated to a
-:class:`~repro.concurrency.transactions.TransactionCoordinator`.  Reads
-and writes take different paths (MVCC):
+:class:`~repro.concurrency.transactions.TransactionCoordinator`.  A read
+is served one of two ways (MVCC), a write one way:
 
-* **Read ops** (``query``/``columns``/``history``) are routed to a
-  :class:`~repro.concurrency.mvcc.ReplicaPool` — ``read_workers``
-  dedicated threads, each holding a thread-sticky pin on the latest
-  published :class:`~repro.concurrency.mvcc.ViewVersion` (its private
-  copy-on-write replica).  They acquire no view lock and no summary
-  latch; ``max_staleness`` bounds how many publications a replica may
-  lag before re-pinning (0 = read-your-writes).  ``stats`` — the fourth
-  read-only op — stays on the inline executor so it answers even when
-  the pools are saturated.
-* **Memoized scalar queries take an inline fast path.**  A ``query``
-  whose answer already sits in the head version's publication-time
-  summary snapshot or per-version memo is answered directly on the
-  event loop (counter ``server.read_inline``) — three bare reads, no
-  lock, no latch, no pin, so it cannot stall framing (REPRO-C205).
-  The loop never *computes*: a memo miss goes to a replica worker,
-  which computes once and memoizes on the immutable version, making
-  every subsequent identical query against that version an inline hit.
-  This removes two executor hops (~0.5 ms each under load) from the
-  80%-read steady state; bootstrap reads and bulk payloads
-  (``columns``/``history``) always keep the replica-pool path.
-* **Write ops** (``update``/``undo``) run per-view exclusive write
-  transactions on the worker pool, keeping the unchanged
+* **Memoized scalar queries are answered inline.**  A ``query`` whose
+  answer already sits in the head version's publication-time summary
+  snapshot or per-version memo is answered directly on the event loop
+  (counter ``server.read_inline``) — three bare reads, no lock, no
+  latch, no pin, so it cannot stall framing (REPRO-C205).  The loop
+  never *computes*.
+* **Every other read is a plain job on the worker pool**: a memo miss,
+  a bootstrap read, a bulk payload (``columns``/``history``).  The
+  handler runs under ``with coordinator.read(sid, view)`` — pin the
+  latest published :class:`~repro.concurrency.mvcc.ViewVersion` under
+  the connection's own sid, compute, unpin — acquiring no view lock and
+  no summary latch.  A miss computes once and memoizes on the immutable
+  version, so the next identical query against it is an inline hit.
+  ``stats`` stays on the inline executor so it answers even when the
+  worker pool is saturated.
+* **Write ops** (``update``/``undo``) run per-view serialized write
+  transactions on the same worker pool through the
   propagator/WAL/group-commit pipeline; each publishes a new immutable
   version at commit.  ``publish``/``adopt`` serialize under the registry
   lock and ``checkpoint`` quiesces the whole system.
@@ -70,7 +65,6 @@ import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Any, Callable
 
-from repro.concurrency.mvcc import ReplicaPool, SnapshotReader
 from repro.concurrency.transactions import TransactionCoordinator
 from repro.core.dbms import StatisticalDBMS
 from repro.core.errors import (
@@ -88,12 +82,8 @@ from repro.server.protocol import encode_frame, read_frame
 
 #: Ops answered without admission control (kept responsive under load);
 #: their registry reads still run off the event loop, under the
-#: coordinator's SHARED registry lock, on a dedicated inline executor.
+#: coordinator's registry lock, on a dedicated inline executor.
 _INLINE_OPS = frozenset({"handshake", "stats", "close"})
-
-#: Read-only ops served by the replica pool's reader workers: they run
-#: against pinned immutable versions and never contend with writers.
-_READ_OPS = frozenset({"query", "columns", "history"})
 
 
 class AnalystServer:
@@ -112,8 +102,6 @@ class AnalystServer:
         tracer: AbstractTracer | None = None,
         coordinator: TransactionCoordinator | None = None,
         allow_debug: bool = False,
-        read_workers: int | None = None,
-        max_staleness: int = 0,
     ) -> None:
         self.dbms = dbms
         self.host = host
@@ -122,11 +110,6 @@ class AnalystServer:
         self.max_inflight = max_inflight
         self.max_queue = max_queue
         self.request_timeout_s = request_timeout_s
-        #: Reader threads in the replica pool (default: mirror the write
-        #: pool) and how many publications a replica may lag (0 keeps
-        #: read-your-writes: the writer publishes before responding).
-        self.read_workers = read_workers if read_workers is not None else max_workers
-        self.max_staleness = max_staleness
         self.tracer = tracer if tracer is not None else (
             dbms.tracer if dbms.tracer.enabled else NULL_TRACER
         )
@@ -137,7 +120,6 @@ class AnalystServer:
         self._sids = itertools.count(1)
         self._pool: ThreadPoolExecutor | None = None
         self._inline_pool: ThreadPoolExecutor | None = None
-        self._replicas: ReplicaPool | None = None
         self._server: asyncio.AbstractServer | None = None
         self._slots: asyncio.Semaphore | None = None
         self._queued = 0
@@ -158,12 +140,6 @@ class AnalystServer:
         self._inline_pool = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="repro-inline"
         )
-        self._replicas = ReplicaPool(
-            self.coordinator,
-            workers=self.read_workers,
-            max_lag=self.max_staleness,
-            tracer=self.tracer,
-        )
         self._slots = asyncio.Semaphore(self.max_inflight)
         self._server = await asyncio.start_server(
             self._handle_connection, self.host, self.port
@@ -176,11 +152,6 @@ class AnalystServer:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
-        if self._replicas is not None:
-            # Latch-free shutdown (safe on the event loop): abandons the
-            # reader threads' sticky pins, which die with the chains.
-            self._replicas.close()
-            self._replicas = None
         if self._pool is not None:
             self._pool.shutdown(wait=False, cancel_futures=True)
             self._pool = None
@@ -348,22 +319,13 @@ class AnalystServer:
                 return self._timeout_response(request_id, timeout_s)
         finally:
             self._queued -= 1
-        # Slot held: hand off to a worker thread.  Read ops go to the
-        # replica pool (pinned-version readers, no lock contention with
-        # writers); everything else keeps the write/registry worker pool.
-        # The future is shielded so a deadline expiry abandons the result
-        # without cancelling the bookkeeping; _release_slot runs on the
-        # loop when the thread ends.
+        # Slot held: hand off to a worker thread.  The future is shielded
+        # so a deadline expiry abandons the result without cancelling the
+        # bookkeeping; _release_slot runs on the loop when the thread ends.
         self._inflight += 1
-        replicas = self._replicas
-        pool = (
-            replicas.executor
-            if replicas is not None and request.get("op") in _READ_OPS
-            else self._pool
-        )
         loop = asyncio.get_running_loop()
         future = loop.run_in_executor(
-            pool, self._execute, sid, analyst, request, deadline
+            self._pool, self._execute, sid, analyst, request, deadline
         )
         future.add_done_callback(self._release_slot)
         try:
@@ -389,31 +351,16 @@ class AnalystServer:
         — no lock, no latch, no pin.  Everything else returns ``None``
         and takes the admission-controlled worker path: bootstrap reads,
         memo misses (a worker computes once and memoizes on the version,
-        so the *next* identical query hits here), malformed requests
-        (the worker shapes the ``protocol`` error), and shutdown.
+        so the *next* identical query hits here) and malformed requests
+        (the worker shapes the ``protocol`` error).
         """
-        if self._replicas is None:  # not started / already stopped
+        try:
+            chain = self.coordinator.chain_if_published(self._view_of(request))
+            key = self._query_key(request)
+        except ProtocolError:
             return None
-        view = request.get("view")
-        if not view:
-            return None
-        chain = self.coordinator.chain_if_published(str(view))
-        if chain is None:
-            return None
-        version = chain.head()
+        version = chain.head() if chain is not None else None
         if version is None:
-            return None
-        function = request.get("function")
-        if not isinstance(function, str):
-            return None
-        attributes = request.get("attributes")
-        if attributes is not None:
-            if not isinstance(attributes, (list, tuple)) or len(attributes) != 2:
-                return None
-            key = (function, (str(attributes[0]), str(attributes[1])))
-        elif "attribute" in request:
-            key = (function, (str(request["attribute"]),))
-        else:
             return None
         hit, value = version.cached(key)
         if not hit:
@@ -467,72 +414,34 @@ class AnalystServer:
             handler = getattr(self, f"_op_{op}", None)
             if handler is None:
                 return self._err(request_id, "unknown_op", f"unknown op {op!r}")
-            return self._enveloped(
-                request_id, handler, sid, analyst, request, deadline
-            )
-
-    def _enveloped(
-        self,
-        request_id: Any,
-        handler: Callable[..., dict[str, Any]],
-        *args: Any,
-    ) -> dict[str, Any]:
-        """Run one handler, shaping any failure as an error envelope.
-
-        Shared by the worker-thread :meth:`_execute` path and the
-        event-loop inline read path, so both answer identical error
-        codes; a malformed request (missing/ill-typed fields) must
-        answer an error frame, never tear down the connection.
-        """
-        try:
-            return self._ok(request_id, handler(*args))
-        except DeadlockError as exc:
-            return self._err(request_id, "deadlock", str(exc))
-        except LockTimeoutError as exc:
-            return self._err(request_id, "lock_timeout", str(exc))
-        except SnapshotError as exc:
-            return self._err(request_id, "snapshot", str(exc))
-        except ServerError as exc:
-            return self._err(request_id, exc.code, str(exc))
-        except ReproError as exc:
-            self.tracer.add("server.error")
-            return self._err(request_id, type(exc).__name__, str(exc))
-        except Exception as exc:
-            self.tracer.add("server.error")
-            return self._err(
-                request_id, "internal", f"unexpected {type(exc).__name__}: {exc}"
-            )
+            # Any failure answers an error frame: a malformed request
+            # (missing/ill-typed fields) must never tear down the
+            # connection, which would release the session's locks.
+            try:
+                return self._ok(
+                    request_id, handler(sid, analyst, request, deadline)
+                )
+            except DeadlockError as exc:
+                return self._err(request_id, "deadlock", str(exc))
+            except LockTimeoutError as exc:
+                return self._err(request_id, "lock_timeout", str(exc))
+            except SnapshotError as exc:
+                return self._err(request_id, "snapshot", str(exc))
+            except ServerError as exc:
+                return self._err(request_id, exc.code, str(exc))
+            except ReproError as exc:
+                self.tracer.add("server.error")
+                return self._err(request_id, type(exc).__name__, str(exc))
+            except Exception as exc:
+                self.tracer.add("server.error")
+                return self._err(
+                    request_id, "internal", f"unexpected {type(exc).__name__}: {exc}"
+                )
 
     @staticmethod
     def _remaining(deadline: float) -> float:
         """Lock-wait budget left before this request's deadline."""
         return max(deadline - time.monotonic(), 0.0)
-
-    def _read_view(self, sid: str, view_name: str, deadline: float) -> SnapshotReader:
-        """A pinned snapshot reader for one read-only request.
-
-        On a replica worker this is the thread's sticky copy-on-write
-        replica (re-pinned only past the staleness bound).  The fallback
-        — tests driving :meth:`_execute` directly, before ``start()`` —
-        takes a one-shot pin; the version stays readable after the unpin
-        because published versions are immutable (reclamation only drops
-        the *chain's* reference).  ``deadline`` bounds the one-time
-        bootstrap lock wait either way.
-        """
-        replicas = self._replicas
-        if replicas is not None:
-            return replicas.reader(view_name, timeout_s=self._remaining(deadline))
-        chain = self.coordinator.chain(
-            sid, view_name, timeout_s=self._remaining(deadline)
-        )
-        pinned = chain.pin(sid)
-        chain.unpin(sid, pinned)
-        return SnapshotReader(
-            pinned,
-            self.dbms.management,
-            tracer=self.tracer,
-            on_miss=chain.note_demand,
-        )
 
     # Each _op_* runs on a worker thread with admission already granted;
     # ``deadline`` (monotonic) bounds its lock waits via _remaining().
@@ -551,47 +460,39 @@ class AnalystServer:
 
     def _op_query(self, sid: str, analyst: str, request: dict[str, Any], deadline: float) -> dict[str, Any]:
         view_name = self._view_of(request)
-        self._check_query(request)  # protocol errors before any pinning
-        return self._query_result(
-            self._read_view(sid, view_name, deadline), request
-        )
+        function, attrs = self._query_key(request)  # protocol errors before any pinning
+        with self.coordinator.read(
+            sid, view_name, timeout_s=self._remaining(deadline)
+        ) as reader:
+            if len(attrs) == 2:
+                value = reader.compute_pair(function, attrs[0], attrs[1])
+            else:
+                value = reader.compute(function, attrs[0])
+            return {
+                "value": result_to_jsonable(value),
+                "version": reader.version,
+            }
 
     @staticmethod
-    def _check_query(request: dict[str, Any]) -> None:
-        """Raise :class:`ProtocolError` unless ``request`` is a well-formed
-        ``query`` (string function, attribute or two-item attributes)."""
-        if not isinstance(request.get("function"), str):
+    def _query_key(request: dict[str, Any]) -> tuple[str, tuple[str, ...]]:
+        """The ``(function, attributes)`` summary key a ``query`` asks for.
+
+        The one parser of a query's shape — the inline probe looks the
+        key up, the worker handler computes it.  Raises
+        :class:`ProtocolError` unless the request names a string function
+        and either an attribute or a two-item attributes list.
+        """
+        function = request.get("function")
+        if not isinstance(function, str):
             raise ProtocolError("op 'query' needs a string 'function'")
         attributes = request.get("attributes")
-        if attributes is not None and (
-            not isinstance(attributes, (list, tuple)) or len(attributes) != 2
-        ):
-            raise ProtocolError("'attributes' must be a two-item list")
-        if attributes is None and "attribute" not in request:
-            raise ProtocolError("op 'query' needs 'attribute' or 'attributes'")
-
-    def _query_result(
-        self, reader: SnapshotReader, request: dict[str, Any]
-    ) -> dict[str, Any]:
-        """Compute one ``query`` answer against a pinned reader.
-
-        Validates the request shape itself (the inline path reaches
-        here without :meth:`_op_query`), so both paths answer the same
-        ``protocol`` errors for malformed queries.
-        """
-        self._check_query(request)
-        function = str(request["function"])
-        attributes = request.get("attributes")
         if attributes is not None:
-            value = reader.compute_pair(
-                function, str(attributes[0]), str(attributes[1])
-            )
-        else:
-            value = reader.compute(function, str(request["attribute"]))
-        return {
-            "value": result_to_jsonable(value),
-            "version": reader.version,
-        }
+            if not isinstance(attributes, (list, tuple)) or len(attributes) != 2:
+                raise ProtocolError("'attributes' must be a two-item list")
+            return function, (str(attributes[0]), str(attributes[1]))
+        if "attribute" not in request:
+            raise ProtocolError("op 'query' needs 'attribute' or 'attributes'")
+        return function, (str(request["attribute"]),)
 
     def _op_columns(
         self, sid: str, analyst: str, request: dict[str, Any], deadline: float
@@ -604,14 +505,16 @@ class AnalystServer:
         names = [str(a) for a in attributes]
         # One immutable pinned version serves every requested column, so
         # the multi-attribute atomicity probe holds by construction.
-        reader = self._read_view(sid, view_name, deadline)
-        return {
-            "version": reader.version,
-            "columns": {
-                name: [value_to_jsonable(v) for v in reader.column(name)]
-                for name in names
-            },
-        }
+        with self.coordinator.read(
+            sid, view_name, timeout_s=self._remaining(deadline)
+        ) as reader:
+            return {
+                "version": reader.version,
+                "columns": {
+                    name: [value_to_jsonable(v) for v in reader.column(name)]
+                    for name in names
+                },
+            }
 
     def _op_update(self, sid: str, analyst: str, request: dict[str, Any], deadline: float) -> dict[str, Any]:
         view_name = self._view_of(request)
@@ -677,19 +580,21 @@ class AnalystServer:
 
     def _op_history(self, sid: str, analyst: str, request: dict[str, Any], deadline: float) -> dict[str, Any]:
         view_name = self._view_of(request)
-        reader = self._read_view(sid, view_name, deadline)
-        return {
-            "version": reader.version,
-            "operations": [
-                {
-                    "version": op.version,
-                    "kind": op.kind.value,
-                    "attribute": op.attribute,
-                    "cells": op.cells_changed,
-                }
-                for op in reader.operations()
-            ],
-        }
+        with self.coordinator.read(
+            sid, view_name, timeout_s=self._remaining(deadline)
+        ) as reader:
+            return {
+                "version": reader.version,
+                "operations": [
+                    {
+                        "version": op.version,
+                        "kind": op.kind.value,
+                        "attribute": op.attribute,
+                        "cells": op.cells_changed,
+                    }
+                    for op in reader.operations()
+                ],
+            }
 
     def _op_checkpoint(
         self, sid: str, analyst: str, request: dict[str, Any], deadline: float

@@ -100,7 +100,7 @@ class SummaryDatabase:
         #: Guard held around structural mutations (insert/remove).  The
         #: default no-op latch costs nothing single-threaded; the
         #: multi-analyst layer (:mod:`repro.concurrency`) installs a real
-        #: mutex so concurrent shared-lock readers filling the cache cannot
+        #: mutex so concurrent sessions filling the cache cannot
         #: corrupt the insertion order or the attribute index.  Lock
         #: construction itself stays inside ``repro.concurrency``
         #: (REPRO-A109); this class only *holds* whatever it was given.

@@ -7,17 +7,24 @@ teardown (``coordinator.release``), which must make an in-flight read's
 own exit-time unpin a harmless no-op.
 """
 
+import sys
 import threading
+import time
 
 import pytest
 
-from repro.concurrency import ConcurrentTracer, TransactionCoordinator
+from repro.concurrency import (
+    ConcurrentTracer,
+    SnapshotReader,
+    TransactionCoordinator,
+)
 from repro.core.dbms import StatisticalDBMS
 from repro.core.errors import SnapshotError
 from repro.relational.expressions import col
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema, measure
 from repro.server import AnalystServer, ServerClient, ServerThread
+from repro.server.protocol import write_frame_sync
 from repro.views.materialize import SourceNode, ViewDefinition
 
 
@@ -143,36 +150,107 @@ class TestDisconnectTeardown:
         server = AnalystServer(coord.dbms, coordinator=coord, tracer=tracer)
         thread = ServerThread(server).start()
         try:
-            with ServerClient(port=thread.port, timeout_s=10) as conn:
-                conn.handshake("hopper")
-                conn.open_view("v")
-                conn.query("v", "mean", "x")
-                conn.update("v", {"y": 7.0})
-                conn.query("v", "sum", "y")
-            # Disconnect ran the teardown: the wire sid (s1, s2, ...)
-            # holds no pins — only replica workers' sticky pins remain.
-            chain = coord.chain("boot", "v")
-            deadline = threading.Event()
-            deadline.wait(0.2)  # let the async close drain
-            assert all(
-                sid.startswith("__replica:")
-                for holders in chain.pins().values()
-                for sid in holders
-            )
-            # More writes: replica workers re-pin forward, the chain never
-            # accumulates history beyond pinned replicas + head.
-            with ServerClient(port=thread.port, timeout_s=10) as conn:
-                conn.handshake("grace")
-                conn.open_view("v")
-                for i in range(5):
-                    conn.update("v", {"y": float(i)})
-                    conn.query("v", "sum", "y")
-            assert len(chain.live()) <= server.read_workers + 1
+            with ServerClient(port=thread.port, timeout_s=10) as idle:
+                idle.handshake("hopper")
+                idle.open_view("v")
+                # One of each worker-path read: a cold query (bootstrap +
+                # memo miss), a bulk column fetch, the history.
+                idle.query("v", "mean", "x")
+                idle.columns("v", ["x", "y"])
+                idle.history("v")
+                # Served and now idle: the connection retains nothing —
+                # each read unpinned before its response was sent.
+                chain = coord.chain("boot", "v")
+                assert chain.pins() == {}
+                with ServerClient(port=thread.port, timeout_s=10) as conn:
+                    conn.handshake("grace")
+                    conn.open_view("v")
+                    for i in range(5):
+                        conn.update("v", {"y": float(i)})
+                        conn.query("v", "sum", "y")
+                # The idle connection is still open, yet only the head
+                # survives: no read path keeps a dead version alive.
+                assert len(chain.live()) == 1
+                assert chain.pins() == {}
             totals = tracer.counter_totals()
-            assert totals.get("mvcc.repin", 0) >= 1
             assert totals.get("mvcc.reclaim", 0) >= 1
         finally:
             thread.stop()
+
+    def test_disconnect_mid_columns_leaves_no_pin(self, monkeypatch):
+        in_read = threading.Event()
+        proceed = threading.Event()
+        real_column = SnapshotReader.column
+
+        def slow_column(reader, attribute):
+            in_read.set()
+            proceed.wait(5)
+            return real_column(reader, attribute)
+
+        monkeypatch.setattr(SnapshotReader, "column", slow_column)
+        coord = build_coordinator()
+        thread = ServerThread(AnalystServer(coord.dbms, coordinator=coord)).start()
+        try:
+            conn = ServerClient(port=thread.port, timeout_s=10)
+            conn.handshake("ghost")
+            write_frame_sync(
+                conn._sock,
+                {"op": "columns", "id": 99, "view": "v", "attributes": ["x"]},
+            )
+            assert in_read.wait(5)
+            chain = coord.chain("boot", "v")
+            # Pinned under the connection's own sid — the one the
+            # disconnect teardown releases.
+            assert chain.pins() == {chain.seq: {conn.sid: 1}}
+            conn._sock.close()  # vanish without reading the response
+            proceed.set()
+            deadline = time.monotonic() + 5
+            while chain.pins() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert chain.pins() == {}
+            write_once(coord, "w", 1.0)
+            assert len(chain.live()) == 1
+        finally:
+            proceed.set()
+            thread.stop()
+
+
+class TestBootstrap:
+    def test_racing_first_reads_publish_exactly_once(self):
+        tracer = ConcurrentTracer()
+        coord = build_coordinator(tracer)
+        readers = 8
+        barrier = threading.Barrier(readers)
+        sums = []
+        errors = []
+
+        def first_read(index):
+            try:
+                barrier.wait(5)
+                with coord.read(f"r{index}", "v") as snap:
+                    sums.append((snap.pinned.seq, snap.compute("sum", "x")))
+            except Exception as exc:  # noqa: BLE001 - asserted below
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=first_read, args=(i,), daemon=True)
+            for i in range(readers)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(not thread.is_alive() for thread in threads)
+        assert not errors, errors
+        assert sums == [(1, pytest.approx(45.0))] * readers
+        assert tracer.counter_totals()["mvcc.publish"] == 1
+        assert coord.chain("boot", "v").pins() == {}
+        assert coord.locks.holder("v") is None
 
 
 class TestCopyOnWrite:

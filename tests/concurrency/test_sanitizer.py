@@ -12,7 +12,6 @@ import pytest
 
 from repro.concurrency import (
     LockManager,
-    LockMode,
     LockOrderSanitizer,
     SanitizedLatch,
     current_sanitizer,
@@ -134,8 +133,8 @@ class TestEdgeRecording:
 class TestLockManagerIntegration:
     def test_manager_reports_with_classified_keys(self, sanitizer):
         locks = LockManager(timeout_s=1.0)
-        locks.acquire("s1", "__registry__", LockMode.SHARED)
-        locks.acquire("s1", "census", LockMode.EXCLUSIVE)
+        locks.acquire("s1", "__registry__")
+        locks.acquire("s1", "census")
         locks.release("s1", "census")
         locks.release("s1", "__registry__")
         assert sanitizer.observed_keys() == {
@@ -155,7 +154,7 @@ class TestLockManagerIntegration:
         locks = LockManager(timeout_s=1.0)
         active = install_sanitizer(LockOrderSanitizer())
         try:
-            locks.acquire("s1", "census", LockMode.SHARED)
+            locks.acquire("s1", "census")
             locks.release("s1", "census")
             assert active.acquisitions == 0
         finally:
@@ -163,19 +162,20 @@ class TestLockManagerIntegration:
 
     def test_release_all_notifies_per_resource(self, sanitizer):
         locks = LockManager(timeout_s=1.0)
-        locks.acquire("s1", "a", LockMode.SHARED)
-        locks.acquire("s1", "b", LockMode.SHARED)
+        locks.acquire("s1", "a")
+        locks.acquire("s1", "b")
         assert locks.release_all("s1") == 2
         # Everything released: a fresh acquire starts a new hold stack.
-        locks.acquire("s1", "c", LockMode.SHARED)
+        locks.acquire("s1", "c")
         assert all(
             edge[0] != "res:c" and edge[1] != "res:c"
             for edge in sanitizer.observed_edges()
         )
 
     def test_shared_context_manager_is_instrumented(self, sanitizer):
+        # The scoped form reports to the sanitizer like a bare acquire.
         locks = LockManager(timeout_s=1.0)
-        with locks.shared("s1", "census"):
+        with locks.exclusive("s1", "census"):
             pass
         assert "res:census" in sanitizer.observed_keys()
 
@@ -212,14 +212,14 @@ class TestClassification:
 class TestCoverage:
     def test_coverage_matches_by_file_and_function(self, sanitizer):
         locks = LockManager(timeout_s=1.0)
-        with locks.shared("s1", "census"):
+        with locks.exclusive("s1", "census"):
             pass
         exercised = LockSite(
             key="lock:<view>",
             kind="manager",
             path="src/repro/concurrency/locks.py",
-            line=249,
-            function="LockManager.shared",
+            line=185,
+            function="LockManager.exclusive",
             has_timeout=True,
             guarded=True,
         )

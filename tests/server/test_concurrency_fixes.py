@@ -17,7 +17,7 @@ import time
 
 import pytest
 
-from repro.concurrency import LockMode, TransactionCoordinator
+from repro.concurrency import TransactionCoordinator
 from repro.core.errors import LockTimeoutError
 from repro.server import AnalystServer, ServerClient, ServerThread
 from repro.summary.summarydb import SummaryDatabase
@@ -61,7 +61,7 @@ class TestBoundedCheckpoint:
 
     def test_checkpoint_times_out_against_a_held_view_lock(self):
         coord = TransactionCoordinator(build_dbms())
-        coord.locks.acquire("blocker", "v", LockMode.EXCLUSIVE)
+        coord.locks.acquire("blocker", "v")
         try:
             with pytest.raises(LockTimeoutError):
                 coord.checkpoint("chk", timeout_s=0.05)
@@ -72,7 +72,7 @@ class TestBoundedCheckpoint:
 
     def test_quiesce_forwards_the_timeout(self):
         coord = TransactionCoordinator(build_dbms())
-        coord.locks.acquire("blocker", "v", LockMode.SHARED)
+        coord.locks.acquire("blocker", "v")
         try:
             with pytest.raises(LockTimeoutError):
                 with coord.quiesce("q", timeout_s=0.05):

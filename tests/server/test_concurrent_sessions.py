@@ -146,7 +146,7 @@ class TestInterleavedSessions:
             assert a == b
 
             # Snapshot coherence: results served end-to-end by the MVCC
-            # read path (replica workers, pinned published versions)
+            # read path (inline memo hits, pinned published versions)
             # match a from-scratch recompute over the final columns.
             checked = 0
             with ServerClient(port=thread.port, timeout_s=30) as conn:
@@ -266,7 +266,7 @@ class TestSanitizedStress:
         # stress run hits it depends on whether a write published first).
         hit, _missed = sanitizer.coverage(model.instrumented_sites())
         hit_functions = {site.function.rsplit(".", 1)[-1] for site in hit}
-        for required in ("shared", "exclusive", "write", "quiesce"):
+        for required in ("exclusive", "write", "quiesce"):
             assert required in hit_functions, (
                 f"site {required!r} never exercised; hit={sorted(hit_functions)}"
             )

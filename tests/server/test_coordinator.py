@@ -4,7 +4,7 @@ import threading
 
 import pytest
 
-from repro.concurrency import LockMode, TransactionCoordinator
+from repro.concurrency import TransactionCoordinator
 from repro.concurrency.groupcommit import GroupCommitter
 from repro.concurrency.transactions import REGISTRY_RESOURCE
 from repro.core.dbms import StatisticalDBMS
@@ -37,7 +37,7 @@ class TestSessions:
     def test_release_drops_cache_and_locks(self):
         coord = TransactionCoordinator(build_dbms())
         first = coord.session("s1", "v")
-        coord.locks.acquire("s1", "v", LockMode.SHARED)
+        coord.locks.acquire("s1", "v")
         assert coord.release("s1") == 1
         assert coord.locks.held_by("s1") == []
         assert coord.session("s1", "v") is not first

@@ -1,4 +1,4 @@
-"""LockManager tests: grant rules, writer priority, deadlock, timeout."""
+"""LockManager tests: grant rules, deadlock, timeout."""
 
 import threading
 
@@ -7,7 +7,6 @@ import pytest
 from repro.concurrency.locks import (
     DeadlockError,
     LockManager,
-    LockMode,
     LockTimeoutError,
 )
 from repro.core.errors import ConcurrencyError
@@ -15,63 +14,23 @@ from repro.obs.tracer import Tracer
 
 
 class TestGrantRules:
-    def test_shared_locks_coexist(self):
-        locks = LockManager()
-        locks.acquire("a", "v", LockMode.SHARED)
-        locks.acquire("b", "v", LockMode.SHARED)
-        assert set(locks.holders("v")) == {"a", "b"}
-
     def test_exclusive_excludes_shared(self):
+        # One mode: a held resource admits no second session at all.
         locks = LockManager()
-        locks.acquire("a", "v", LockMode.EXCLUSIVE)
+        locks.acquire("a", "v")
         with pytest.raises(LockTimeoutError):
-            locks.acquire("b", "v", LockMode.SHARED, timeout_s=0.05)
+            locks.acquire("b", "v", timeout_s=0.05)
+        assert locks.holder("v") == "a"
 
     def test_reentrant_same_mode(self):
         locks = LockManager()
-        locks.acquire("a", "v", LockMode.EXCLUSIVE)
-        locks.acquire("a", "v", LockMode.EXCLUSIVE)
+        locks.acquire("a", "v")
+        locks.acquire("a", "v")
         locks.release("a", "v")
         # Still held after one release: the count was two.
-        assert locks.holders("v") == {"a": LockMode.EXCLUSIVE}
+        assert locks.holder("v") == "a"
         locks.release("a", "v")
-        assert locks.holders("v") == {}
-
-    def test_sole_holder_upgrades_in_place(self):
-        locks = LockManager()
-        locks.acquire("a", "v", LockMode.SHARED)
-        locks.acquire("a", "v", LockMode.EXCLUSIVE)
-        assert locks.holders("v") == {"a": LockMode.EXCLUSIVE}
-
-    def test_upgrade_downgrades_when_exclusive_scope_released(self):
-        locks = LockManager()
-        locks.acquire("a", "v", LockMode.SHARED)
-        locks.acquire("a", "v", LockMode.EXCLUSIVE)  # sole-holder upgrade
-        locks.release("a", "v")  # inner exclusive scope ends
-        # The remaining outer hold was acquired SHARED: other readers
-        # must be admitted again.
-        assert locks.holders("v") == {"a": LockMode.SHARED}
-        locks.acquire("b", "v", LockMode.SHARED, timeout_s=0.05)
-        assert set(locks.holders("v")) == {"a", "b"}
-
-    def test_upgrade_survives_nested_exclusive_reentry(self):
-        locks = LockManager()
-        locks.acquire("a", "v", LockMode.SHARED)
-        locks.acquire("a", "v", LockMode.EXCLUSIVE)  # upgrade at level 2
-        locks.acquire("a", "v", LockMode.EXCLUSIVE)  # reentrant, level 3
-        locks.release("a", "v")  # back to level 2: still inside the upgrade
-        assert locks.holders("v") == {"a": LockMode.EXCLUSIVE}
-        locks.release("a", "v")  # upgrade scope gone
-        assert locks.holders("v") == {"a": LockMode.SHARED}
-        locks.release("a", "v")
-        assert locks.holders("v") == {}
-
-    def test_upgrade_blocked_by_other_reader(self):
-        locks = LockManager()
-        locks.acquire("a", "v", LockMode.SHARED)
-        locks.acquire("b", "v", LockMode.SHARED)
-        with pytest.raises(LockTimeoutError):
-            locks.acquire("a", "v", LockMode.EXCLUSIVE, timeout_s=0.05)
+        assert locks.holder("v") is None
 
     def test_release_unheld_is_error(self):
         locks = LockManager()
@@ -80,58 +39,24 @@ class TestGrantRules:
 
     def test_release_all_drops_every_resource(self):
         locks = LockManager()
-        locks.acquire("a", "v1", LockMode.SHARED)
-        locks.acquire("a", "v2", LockMode.EXCLUSIVE)
-        locks.acquire("a", "v2", LockMode.EXCLUSIVE)
+        locks.acquire("a", "v1")
+        locks.acquire("a", "v2")
+        locks.acquire("a", "v2")
         assert locks.release_all("a") == 2
         assert locks.held_by("a") == []
 
     def test_context_managers(self):
         locks = LockManager()
-        with locks.shared("a", "v"):
-            assert locks.holders("v") == {"a": LockMode.SHARED}
         with locks.exclusive("a", "v"):
-            assert locks.holders("v") == {"a": LockMode.EXCLUSIVE}
-        assert locks.holders("v") == {}
-
-
-class TestWriterPriority:
-    def test_queued_writer_blocks_new_readers(self):
-        locks = LockManager()
-        locks.acquire("r1", "v", LockMode.SHARED)
-        started = threading.Event()
-        acquired = threading.Event()
-
-        def writer():
-            started.set()
-            locks.acquire("w", "v", LockMode.EXCLUSIVE, timeout_s=5)
-            acquired.set()
-            locks.release("w", "v")
-
-        thread = threading.Thread(target=writer, daemon=True)
-        thread.start()
-        started.wait(1)
-        # Give the writer time to register as a waiter, then try a new reader:
-        # writer priority must refuse it even though r1's lock is SHARED.
-        deadline_ok = False
-        for _ in range(50):
-            try:
-                locks.acquire("r2", "v", LockMode.SHARED, timeout_s=0.01)
-                locks.release("r2", "v")
-            except LockTimeoutError:
-                deadline_ok = True
-                break
-        assert deadline_ok, "new reader was admitted past a queued writer"
-        locks.release("r1", "v")
-        assert acquired.wait(5), "writer never got the lock"
-        thread.join(5)
+            assert locks.holder("v") == "a"
+        assert locks.holder("v") is None
 
 
 class TestDeadlock:
     def test_two_session_cycle_detected(self):
         locks = LockManager()
-        locks.acquire("a", "v1", LockMode.EXCLUSIVE)
-        locks.acquire("b", "v2", LockMode.EXCLUSIVE)
+        locks.acquire("a", "v1")
+        locks.acquire("b", "v2")
         blocked = threading.Event()
         results = {}
 
@@ -139,7 +64,7 @@ class TestDeadlock:
             blocked.set()
             try:
                 # b waits for v1 (held by a) -> edge b->a.
-                locks.acquire("b", "v1", LockMode.EXCLUSIVE, timeout_s=5)
+                locks.acquire("b", "v1", timeout_s=5)
                 results["b"] = "acquired"
             except DeadlockError:
                 results["b"] = "deadlock"
@@ -152,7 +77,7 @@ class TestDeadlock:
         # a waits for v2 (held by b) -> edge a->b closes the cycle; exactly
         # one side must be chosen as victim and the other must proceed.
         try:
-            locks.acquire("a", "v2", LockMode.EXCLUSIVE, timeout_s=5)
+            locks.acquire("a", "v2", timeout_s=5)
             results["a"] = "acquired"
         except DeadlockError as exc:
             results["a"] = "deadlock"
@@ -164,14 +89,14 @@ class TestDeadlock:
 
     def test_victim_keeps_existing_locks(self):
         locks = LockManager()
-        locks.acquire("a", "v1", LockMode.EXCLUSIVE)
-        locks.acquire("b", "v2", LockMode.EXCLUSIVE)
+        locks.acquire("a", "v1")
+        locks.acquire("b", "v2")
         blocked = threading.Event()
 
         def session_b():
             blocked.set()
             try:
-                locks.acquire("b", "v1", LockMode.EXCLUSIVE, timeout_s=5)
+                locks.acquire("b", "v1", timeout_s=5)
             except DeadlockError:
                 pass
 
@@ -179,7 +104,7 @@ class TestDeadlock:
         thread.start()
         blocked.wait(1)
         try:
-            locks.acquire("a", "v2", LockMode.EXCLUSIVE, timeout_s=5)
+            locks.acquire("a", "v2", timeout_s=5)
         except DeadlockError:
             # The victim still holds what it held before the doomed request.
             assert locks.held_by("a") == ["v1"]
@@ -191,16 +116,16 @@ class TestDeadlock:
 class TestTimeoutAndCounters:
     def test_default_timeout_applies(self):
         locks = LockManager(timeout_s=0.05)
-        locks.acquire("a", "v", LockMode.EXCLUSIVE)
+        locks.acquire("a", "v")
         with pytest.raises(LockTimeoutError, match="v"):
-            locks.acquire("b", "v", LockMode.SHARED)
+            locks.acquire("b", "v")
 
     def test_counters_emitted(self):
         tracer = Tracer()
         locks = LockManager(timeout_s=0.05, tracer=tracer)
-        locks.acquire("a", "v", LockMode.EXCLUSIVE)
+        locks.acquire("a", "v")
         with pytest.raises(LockTimeoutError):
-            locks.acquire("b", "v", LockMode.SHARED)
+            locks.acquire("b", "v")
         totals = tracer.counter_totals()
         assert totals["lock.grant"] == 1
         assert totals["lock.wait"] == 1

@@ -1,5 +1,7 @@
 """Wire server + blocking client: ops, errors, admission control."""
 
+import threading
+
 import pytest
 
 from repro.concurrency import ConcurrentTracer
@@ -108,6 +110,20 @@ class TestBasicOps:
             adopted = bob.adopt("v", "bobs_copy")
             assert adopted == {"view": "bobs_copy", "rows": 10}
 
+    def test_server_owns_two_executors(self, client):
+        # Worker-path reads (cold query, bulk columns) and writes share
+        # the one worker pool; handshake/stats/teardown use the inline one.
+        client.query("v", "mean", "x")
+        client.columns("v", ["x", "y"])
+        client.update("v", {"y": 1.0})
+        client.stats()
+        pools = {
+            thread.name.rsplit("_", 1)[0]
+            for thread in threading.enumerate()
+            if thread.name.startswith("repro-") and thread.name != "repro-server"
+        }
+        assert pools == {"repro-worker", "repro-inline"}
+
     def test_stats_exposes_counters(self, client):
         client.query("v", "mean", "x")
         stats = client.stats()
@@ -140,16 +156,27 @@ class TestErrors:
             ("undo", {"view": "v", "count": "many"}),
             ("adopt", {"view": "v"}),  # no new_name
             ("columns", {"view": "v", "attributes": []}),
+            ("query", {"view": "v", "function": 7, "attribute": "x"}),
+            ("query", {"view": "v", "function": "mean", "attributes": "xy"}),
+            ("query", {"view": "v", "function": "corr", "attributes": ["x", "y", "x"]}),
+            ("query", {"function": "mean", "attribute": "x"}),  # no view
+            ("history", {}),  # no view
         ],
     )
     def test_malformed_request_answers_error_frame(self, client, op, params):
         # A bad request must produce an error response, never a
         # connection teardown (which would release the session's locks).
-        with pytest.raises(ServerError) as exc:
+        with pytest.raises(ServerError) as cold:
             client.call(op, **params)
-        assert exc.value.code == "protocol"
+        assert cold.value.code == "protocol"
         # The connection survives and keeps working.
         assert client.query("v", "mean", "x")["value"] == pytest.approx(4.5)
+        # That query published the view and memoized its answer, so a
+        # query is now probed on the event loop before it reaches a
+        # worker: the same bad shape must answer the same error.
+        with pytest.raises(ServerError) as warm:
+            client.call(op, **params)
+        assert (warm.value.code, str(warm.value)) == ("protocol", str(cold.value))
 
     def test_non_numeric_timeout_is_protocol_error(self, client):
         with pytest.raises(ServerError) as exc:
@@ -185,8 +212,6 @@ class TestAdmission:
         )
         thread = ServerThread(server).start()
         try:
-            import threading
-
             # Four concurrent one-second sleeps against 1 worker slot and
             # a queue of 1: at most two can be admitted (one in flight,
             # one queued), so at least two must bounce with "busy".
