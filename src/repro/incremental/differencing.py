@@ -10,7 +10,11 @@ function given the function definition in some high-level form".
 This module provides:
 
 * :class:`IncrementalComputation` — the protocol every incremental form
-  implements (initialize / on_insert / on_delete / on_update / value);
+  implements: ``reset`` / ``fold(values, sign)`` / ``value`` (plus
+  ``partial_state`` / ``merge_partial`` where mergeable).  The base class
+  derives every other entry point (``initialize``, ``absorb``,
+  ``on_insert`` / ``on_delete`` / ``on_update``, ``apply_delta`` /
+  ``apply_batch``) from those, so a maintainer's arithmetic is written once;
 * :class:`Delta` — a batch of changes to one attribute;
 * :class:`AlgebraicForm` and :func:`derive_incremental` — a small
   realization of that automatic generation: functions defined as algebraic
@@ -29,7 +33,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
-from repro.core.errors import NotIncrementallyComputable, RuleError
+from repro.core.errors import NotIncrementallyComputable, RuleError, StatisticsError
 from repro.relational.types import NA, NAType, is_na
 
 #: A high-level function definition: a nested tuple whose head is an
@@ -88,16 +92,33 @@ class Delta:
 
 
 class IncrementalComputation:
-    """Protocol for an incrementally maintainable function result."""
+    """An incrementally maintainable function result: one signed fold.
 
-    #: Whether on_delete / updates that remove values are supported.
-    supports_deletion: bool = True
+    A concrete maintainer writes its arithmetic in exactly three places —
+    :meth:`reset` (the empty state), :meth:`fold` (add or remove a batch of
+    values) and :attr:`value` (finalize) — plus :meth:`partial_state` /
+    :meth:`merge_partial` where shard partials can be combined.  Every
+    other way of driving a maintainer is defined here, once, in terms of
+    those: batch evaluation is a fold from empty, a shard partial is a
+    fold followed by a merge, finite differencing (SS4.2) is a fold of the
+    delta's added values and a ``sign=-1`` fold of its removed ones.
+    Subclasses do not override the derived entry points (lint REPRO-S005).
+    """
 
-    #: Whether :meth:`partial_state` / :meth:`merge_partial` are supported.
-    supports_partials: bool = False
+    def reset(self) -> None:
+        """Return to the empty state (no values tracked)."""
+        raise NotImplementedError
 
-    def initialize(self, values: Iterable[Any]) -> None:
-        """Compute the initial state from a full pass over the values."""
+    def fold(self, values: Iterable[Any], sign: int = 1) -> None:
+        """Add (``sign=+1``) or remove (``sign=-1``) a batch of values.
+
+        NA skipping, domain tracking and the numerics live here and
+        nowhere else.  The shard workers feed whole selected column slices
+        through the ``+1`` direction on every scan chunk, so that loop is
+        the hot path.  Removing a value the state does not hold raises
+        :class:`~repro.core.errors.StatisticsError` wherever the maintainer
+        can tell.
+        """
         raise NotImplementedError
 
     @property
@@ -105,45 +126,73 @@ class IncrementalComputation:
         """The current function result."""
         raise NotImplementedError
 
+    def _require_tracked(self, remaining: float, slack: float = 0.0) -> None:
+        """Fail loudly when a removal took more than the state held.
+
+        Exact maintainers call this once at the end of a ``sign=-1`` fold
+        with the count (or weight) they have left; a negative one means the
+        caller removed values that were never added, and every later
+        result would be silently wrong.
+        """
+        if remaining < -slack:
+            raise StatisticsError(
+                f"{type(self).__name__}: removed more values than the state "
+                f"tracks (left with {remaining!r})"
+            )
+
+    # -- derived entry points (do not override) ------------------------------
+
+    def initialize(self, values: Iterable[Any]) -> None:
+        """Compute the state from a full pass over the values."""
+        self.reset()
+        self.fold(values)
+
+    def absorb(self, values: Iterable[Any]) -> None:
+        """Fold a batch of inserted values into the state."""
+        self.fold(values)
+
     def on_insert(self, value: Any) -> None:
         """Incorporate a newly inserted value."""
-        raise NotImplementedError
+        self.fold((value,))
 
     def on_delete(self, value: Any) -> None:
         """Remove a previously present value."""
-        raise NotImplementedError
+        self.fold((value,), -1)
 
     def on_update(self, old: Any, new: Any) -> None:
-        """Replace ``old`` with ``new`` (default: delete then insert)."""
-        self.on_delete(old)
-        self.on_insert(new)
+        """Replace ``old`` with ``new``."""
+        self.fold((new,))
+        self.fold((old,), -1)
 
     def apply_delta(self, delta: Delta) -> Any:
         """Apply a whole delta and return the new value."""
-        for value in delta.inserts:
-            self.on_insert(value)
-        for value in delta.deletes:
-            self.on_delete(value)
-        for old, new in delta.updates:
-            self.on_update(old, new)
-        return self.value
+        return self.apply_batch((delta,))
 
     def apply_batch(self, deltas: Iterable[Delta]) -> Any:
         """Apply a burst of deltas and return the new value.
 
-        The default folds delta by delta; maintainers with a cheaper batch
-        form (one state update for the whole burst — sums, counts,
-        moments) override this.  ``value`` is only read after folding (or
-        for an empty burst): reading it first could trigger a lazy
-        regeneration that already reflects the pending changes, which the
-        fold would then double-apply.
+        The added values (inserts, new halves of updates) fold in before
+        the removed ones (deletes, old halves) fold out.  Any burst that
+        was legal change by change — every removed value was present
+        originally or added earlier in the burst — therefore stays legal
+        however :meth:`Delta.coalesce` reordered it, and the state never
+        dips below what it will hold afterwards.  ``value`` is only read
+        after folding: reading it first could trigger a lazy regeneration
+        that already reflects the pending changes.
         """
-        result: Any = None
-        applied = False
+        added: list[Any] = []
+        removed: list[Any] = []
         for delta in deltas:
-            result = self.apply_delta(delta)
-            applied = True
-        return result if applied else self.value
+            added += delta.inserts
+            removed += delta.deletes
+            for old, new in delta.updates:
+                added.append(new)
+                removed.append(old)
+        if added:
+            self.fold(added)
+        if removed:
+            self.fold(removed, -1)
+        return self.value
 
     # -- mergeable partial states (scatter-gather protocol) ------------------
 
@@ -172,17 +221,6 @@ class IncrementalComputation:
             f"{type(self).__name__} has no mergeable partial state"
         )
 
-    def absorb(self, values: Iterable[Any]) -> None:
-        """Fold a batch of inserted values into the state.
-
-        Semantically identical to calling :meth:`on_insert` per value
-        (which is the default); subclasses override with a loop-hoisted
-        version because the shard workers feed whole selected column
-        slices through here on every scan chunk.
-        """
-        for value in values:
-            self.on_insert(value)
-
 
 # -- algebraic (automatically differencable) forms ---------------------------
 #
@@ -210,52 +248,27 @@ class AlgebraicForm(IncrementalComputation):
     expression on demand.
     """
 
-    supports_partials = True
-
     def __init__(self, definition: Definition) -> None:
         _validate_definition(definition)
         self.definition = definition
         self._measures = sorted(_collect_measures(definition))
+        self.reset()
+
+    def reset(self) -> None:
         self._state: dict[str, float] = {m: 0.0 for m in self._measures}
         self._n = 0  # non-NA count, maintained even if "count" unused
         # sumlog's domain is positive values only.  Rather than poisoning
-        # the measure with NaN (which on_delete could never cancel:
+        # the measure with NaN (which a removal could never cancel:
         # NaN - NaN = NaN), count the non-positive values present and
-        # report NA while any remain — deleting the offender recovers.
-        self._track_domain = "sumlog" in self._measures
+        # report NA while any remain — removing the offender recovers.
         self._nonpositive = 0
 
-    def initialize(self, values: Iterable[Any]) -> None:
-        self._state = {m: 0.0 for m in self._measures}
-        self._n = 0
-        self._nonpositive = 0
-        for value in values:
-            self.on_insert(value)
+    def fold(self, values: Iterable[Any], sign: int = 1) -> None:
+        """One signed state update for the whole batch.
 
-    def on_insert(self, value: Any) -> None:
-        if is_na(value):
-            return
-        self._n += 1
-        if self._track_domain and float(value) <= 0:
-            self._nonpositive += 1
-        for measure in self._measures:
-            self._state[measure] += _measure_contribution(measure, value)
-
-    def on_delete(self, value: Any) -> None:
-        if is_na(value):
-            return
-        self._n -= 1
-        if self._track_domain and float(value) <= 0:
-            self._nonpositive -= 1
-        for measure in self._measures:
-            self._state[measure] -= _measure_contribution(measure, value)
-
-    def absorb(self, values: Iterable[Any]) -> None:
-        """Batch insert with the per-measure work hoisted out of the loop.
-
-        Exactly :meth:`on_insert` per value, but the measure set is probed
-        once and each measure accumulates in a local before a single state
-        write — the shard workers' hot path.
+        Every base measure is a sum of per-value contributions, so the
+        measure set is probed once, each measure accumulates in a local,
+        and the state is touched once — adding or subtracting the totals.
         """
         state = self._state
         want_sum = "sum" in state
@@ -286,55 +299,21 @@ class AlgebraicForm(IncrementalComputation):
                     lg += log(x)
                 else:
                     nonpositive += 1
-        self._n += n
-        self._nonpositive += nonpositive
+        self._n += sign * n
+        self._nonpositive += sign * nonpositive
         if "count" in state:
-            state["count"] += n
+            state["count"] += sign * n
         if want_sum:
-            state["sum"] += s
+            state["sum"] += sign * s
         if want_sq:
-            state["sumsq"] += sq
+            state["sumsq"] += sign * sq
         if want_cube:
-            state["sumcube"] += cube
+            state["sumcube"] += sign * cube
         if want_quart:
-            state["sumquart"] += quart
+            state["sumquart"] += sign * quart
         if want_log:
-            state["sumlog"] += lg
-
-    def apply_batch(self, deltas: Iterable[Delta]) -> Scalar:
-        """True batch differencing: one state update for the whole burst.
-
-        Every base measure is a sum of per-value contributions, so a burst
-        of deltas collapses to one signed contribution total per measure —
-        the state is touched once regardless of burst size.
-        """
-        dn = 0
-        dnp = 0
-        totals: dict[str, float] = {m: 0.0 for m in self._measures}
-
-        def account(value: Any, sign: float) -> int:
-            nonlocal dnp
-            if is_na(value):
-                return 0
-            if self._track_domain and float(value) <= 0:
-                dnp += 1 if sign > 0 else -1
-            for measure in self._measures:
-                totals[measure] += sign * _measure_contribution(measure, value)
-            return 1
-
-        for delta in deltas:
-            for value in delta.inserts:
-                dn += account(value, 1.0)
-            for value in delta.deletes:
-                dn -= account(value, -1.0)
-            for old, new in delta.updates:
-                dn -= account(old, -1.0)
-                dn += account(new, 1.0)
-        self._n += dn
-        self._nonpositive += dnp
-        for measure in self._measures:
-            self._state[measure] += totals[measure]
-        return self.value
+            state["sumlog"] += sign * lg
+        self._require_tracked(self._n)
 
     def partial_state(self) -> dict[str, Any]:
         """Base-measure totals plus the counts that scope their validity."""
@@ -362,30 +341,6 @@ class AlgebraicForm(IncrementalComputation):
         return _evaluate(
             self.definition, self._state, self._n, self._nonpositive
         )
-
-
-def _measure_contribution(measure: str, value: float) -> float:
-    x = float(value)
-    if measure == "count":
-        return 1.0
-    if measure == "sum":
-        return x
-    if measure == "sumsq":
-        return x * x
-    if measure == "sumcube":
-        return x * x * x
-    if measure == "sumquart":
-        return x * x * x * x
-    if measure == "sumlog":
-        import math
-
-        # Only positive values contribute (the geometric mean's domain).
-        # Non-positive values add 0 here and are counted separately by
-        # AlgebraicForm._nonpositive; the evaluator reports NA while any
-        # are present.  (A NaN contribution would be unrecoverable: the
-        # matching on_delete subtraction is NaN - NaN = NaN.)
-        return math.log(x) if x > 0 else 0.0
-    raise RuleError(f"unknown base measure {measure!r}")
 
 
 def _collect_measures(definition: Definition) -> set[str]:
@@ -434,8 +389,6 @@ def _evaluate(
             return NA
         return inner ** 0.5
     if head == "exp":
-        import math
-
         inner = _evaluate(definition[1], state, n, nonpositive)
         if is_na(inner):
             return NA

@@ -17,48 +17,43 @@ class IncrementalFrequency(IncrementalComputation):
     """A maintained value-frequency table.
 
     Exposes the mode, the number of unique values, and the top-k most
-    frequent values.  Insert/delete are O(1) dictionary updates; the mode
-    is tracked lazily (recomputed in O(U) only when the current mode's
-    count is no longer provably maximal).
+    frequent values.  Adding/removing is an O(1) dictionary update per
+    value; the mode is tracked lazily (recomputed in O(U) only when the
+    current mode's count is no longer provably maximal).
     """
 
     def __init__(self) -> None:
+        self.reset()
+
+    def reset(self) -> None:
         self._counts: Counter = Counter()
         self._na = 0
         self._mode: Any = NA
         self._mode_dirty = False
 
-    def initialize(self, values: Iterable[Any]) -> None:
-        self._counts = Counter()
-        self._na = 0
-        self._mode = NA
-        self._mode_dirty = False
+    def fold(self, values: Iterable[Any], sign: int = 1) -> None:
+        counts = self._counts
         for value in values:
-            self.on_insert(value)
-
-    def on_insert(self, value: Any) -> None:
-        if is_na(value):
-            self._na += 1
-            return
-        self._counts[value] += 1
-        if self._mode_dirty:
-            # The tracked mode is stale (its count dropped); comparing
-            # against it could crown a non-maximal value.
-            self._refresh_mode()
-        elif is_na(self._mode) or self._counts[value] > self._counts.get(self._mode, 0):
-            self._mode = value
-
-    def on_delete(self, value: Any) -> None:
-        if is_na(value):
-            self._na -= 1
-            return
-        if self._counts[value] <= 0:
-            raise StatisticsError(f"deleting absent value {value!r}")
-        self._counts[value] -= 1
-        if self._counts[value] == 0:
-            del self._counts[value]
-        if value == self._mode:
-            self._mode_dirty = True
+            if is_na(value):
+                self._na += sign
+            elif sign > 0:
+                counts[value] += 1
+                # While the tracked mode is stale (its count dropped) the
+                # next read recomputes it; comparing against it here could
+                # crown a non-maximal value.
+                if not self._mode_dirty and (
+                    is_na(self._mode) or counts[value] > counts.get(self._mode, 0)
+                ):
+                    self._mode = value
+            else:
+                if counts[value] <= 0:
+                    raise StatisticsError(f"deleting absent value {value!r}")
+                counts[value] -= 1
+                if counts[value] == 0:
+                    del counts[value]
+                if value == self._mode:
+                    self._mode_dirty = True
+        self._require_tracked(self._na)
 
     def _refresh_mode(self) -> None:
         if not self._counts:

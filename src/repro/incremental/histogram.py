@@ -5,7 +5,8 @@ The Summary Database stores histograms among its varying-length results
 ranges and the other for the number of values that fall in each range").
 :class:`MaintainedHistogram` keeps such a histogram consistent under point
 changes, with underflow/overflow buckets for values that drift outside the
-original range and a rebinning trigger when too much mass escapes.
+original range and a rebinning trigger, checked on each read, when too
+much mass escapes.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ class MaintainedHistogram(IncrementalComputation):
         escaped-mass fraction exceeds ``rebin_threshold``.
     rebin_threshold:
         Fraction of total count allowed in the underflow+overflow buckets
-        before an automatic rebin (requires ``values_provider``).
+        before a read rebins automatically (requires ``values_provider``).
     """
 
     def __init__(
@@ -49,12 +50,10 @@ class MaintainedHistogram(IncrementalComputation):
         self.lo = float(lo)
         self.hi = float(hi)
         self.bins = bins
-        self.counts = [0] * bins
-        self.underflow = 0
-        self.overflow = 0
         self.rebins = 0
         self._provider = values_provider
         self._threshold = rebin_threshold
+        self.reset()
 
     # -- geometry -----------------------------------------------------------
 
@@ -84,43 +83,37 @@ class MaintainedHistogram(IncrementalComputation):
 
     # -- protocol -------------------------------------------------------------
 
-    def initialize(self, values: Iterable[Any]) -> None:
+    def reset(self) -> None:
         self.counts = [0] * self.bins
         self.underflow = 0
         self.overflow = 0
+
+    def fold(self, values: Iterable[Any], sign: int = 1) -> None:
         for value in values:
-            self.on_insert(value)
-
-    def on_insert(self, value: Any) -> None:
-        if is_na(value):
-            return
-        index = self._bucket(float(value))
-        if index == -1:
-            self.underflow += 1
-        elif index == self.bins:
-            self.overflow += 1
-        else:
-            self.counts[index] += 1
-        self._maybe_rebin()
-
-    def on_delete(self, value: Any) -> None:
-        if is_na(value):
-            return
-        index = self._bucket(float(value))
-        if index == -1:
-            self.underflow -= 1
-        elif index == self.bins:
-            self.overflow -= 1
-        else:
-            if self.counts[index] <= 0:
-                raise StatisticsError(
-                    f"deleting value {value!r} from empty bucket {index}"
-                )
-            self.counts[index] -= 1
+            if is_na(value):
+                continue
+            index = self._bucket(float(value))
+            if index == -1:
+                self.underflow += sign
+            elif index == self.bins:
+                self.overflow += sign
+            else:
+                if sign < 0 and self.counts[index] <= 0:
+                    raise StatisticsError(
+                        f"deleting value {value!r} from empty bucket {index}"
+                    )
+                self.counts[index] += sign
+        self._require_tracked(min(self.underflow, self.overflow))
 
     @property
     def value(self) -> tuple[list[float], list[int]]:
-        """The paper's two vectors: (edges, counts)."""
+        """The paper's two vectors: (edges, counts).
+
+        Rebinning happens here, on the read, never inside ``fold``: the
+        provider already reflects a whole burst of changes, so a rebuild in
+        the middle of one would apply the rest of the burst twice.
+        """
+        self._maybe_rebin()
         return (self.edges, list(self.counts))
 
     @property
@@ -143,10 +136,8 @@ class MaintainedHistogram(IncrementalComputation):
             raise StatisticsError("rebinning requires a values_provider")
         values = [float(v) for v in self._provider() if not is_na(v)]
         self.rebins += 1
+        self.reset()
         if not values:
-            self.counts = [0] * self.bins
-            self.underflow = 0
-            self.overflow = 0
             return
         lo, hi = min(values), max(values)
         if hi == lo:
@@ -154,9 +145,6 @@ class MaintainedHistogram(IncrementalComputation):
         span = hi - lo
         self.lo = lo - 0.001 * span
         self.hi = hi + 0.001 * span
-        self.counts = [0] * self.bins
-        self.underflow = 0
-        self.overflow = 0
         for value in values:
             index = self._bucket(value)
             assert index is not None and 0 <= index < self.bins

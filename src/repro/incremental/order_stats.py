@@ -25,22 +25,25 @@ because the window stores exact in-range values rather than discretized
 bucket labels.
 
 **Contract:** ``values_provider`` must reflect every change already
-reported through ``on_insert``/``on_delete``/``on_update`` — i.e. apply
-the change to the underlying data *before* notifying the window.
+reported through ``fold`` (and the ``on_insert``/``on_delete``/
+``on_update``/``apply_batch`` entry points built on it) — i.e. apply the
+change to the underlying data *before* notifying the window.
 Regeneration only happens inside :meth:`value` reads and explicit
-:meth:`regenerate` calls, never inside the mutators.
+:meth:`regenerate` calls, never inside ``fold``.
 
-**Digest fallback:** ``Delta.coalesce`` reorders a mixed burst into
-inserts → deletes → updates, so a legitimate burst like
-``update(x → y); delete(y)`` reaches the window as a delete of a value it
-has never seen.  When such a delete falls inside the window bounds (or
-hits an empty multiset) the histogram-window invariant is broken and the
-window historically raised mid-propagation.  With ``digest_fallback``
-(the default) it instead enters *digest mode*: reads are served from a
+**Digest fallback:** a removal the window cannot classify — a value
+inside the window bounds that the window never saw, or any value when the
+multiset is empty — breaks the histogram-window invariant.  A coalesced
+burst such as ``update(x → y); delete(y)`` no longer gets there
+(``apply_batch`` folds added values in before removed ones fold out), but
+change notifications that arrive out of order, or a delta that does not
+match the data, still can, and the window historically raised
+mid-propagation.  With ``digest_fallback`` (the default) it instead enters
+*digest mode*: reads are served from a
 :class:`~repro.incremental.sketches.TDigest` rebuilt lazily from the
-provider (one unsorted pass — the provider already reflects the whole
-burst), counted in ``stats.invariant_breaks``.  An explicit
-:meth:`regenerate` restores the exact window.
+provider (one unsorted pass — the provider is the truth), counted in
+``stats.invariant_breaks``.  An explicit :meth:`regenerate` restores the
+exact window.
 """
 
 from __future__ import annotations
@@ -167,85 +170,66 @@ class OrderStatWindow(IncrementalComputation):
 
     # -- maintenance ------------------------------------------------------------
 
-    def initialize(self, values: Iterable[Any]) -> None:
-        """Build the window from the given values (one sorting pass)."""
+    def reset(self) -> None:
+        """The empty, initialized multiset (exact mode)."""
         self._digest_mode = False
         self._digest = None
-        cleaned = sorted(v for v in values if not is_na(v))
-        self.stats.data_passes += 1
-        self._install_from_sorted(cleaned)
+        self._install_from_sorted([])
         self._initialized = True
 
-    def on_insert(self, value: Any) -> None:
-        """Incorporate one inserted value (NA ignored)."""
-        if is_na(value) or not self._initialized:
+    def fold(self, values: Iterable[Any], sign: int = 1) -> None:
+        """Move the pointer for each added or removed value (NA ignored).
+
+        Before the first read or :meth:`initialize` the window is unbuilt
+        and ignores changes: the build reads the provider, which already
+        reflects them.  A batch added to an empty multiset becomes the
+        window in one sorting pass.  Removing a value the window has no
+        record of (inside the bounds but absent, or from an empty
+        multiset) breaks the histogram-window invariant; with
+        ``digest_fallback`` the window degrades to digest-served reads
+        instead of raising.
+        """
+        if not self._initialized:
+            return
+        clean = [v for v in values if not is_na(v)]
+        if not clean:
             return
         if self._digest_mode:
             # Provider already reflects the change; the next read rebuilds.
             self._digest = None
             return
-        if self._lo_bound is None:
-            # The tracked multiset was empty: this value becomes the window.
-            self._window = [value]
-            self._below = 0
-            self._above = 0
-            self._lo_bound = value
-            self._hi_bound = value
-            self.stats.pointer_moves += 1
-            return
-        if value < self._lo_bound:
-            self._below += 1
-        elif value > self._hi_bound:
-            self._above += 1
-        else:
-            bisect.insort(self._window, value)
-        self.stats.pointer_moves += 1
-
-    def on_delete(self, value: Any) -> None:
-        """Remove one present value (NA ignored).
-
-        Deleting a value the window has no record of (inside the bounds
-        but absent, or from an empty multiset) breaks the histogram-window
-        invariant — the coalesced mixed-burst case.  With
-        ``digest_fallback`` the window degrades to digest-served reads
-        instead of raising.
-        """
-        if is_na(value) or not self._initialized:
-            return
-        if self._digest_mode:
-            self._digest = None
+        if sign > 0 and self._lo_bound is None:
+            clean.sort()
+            self.stats.data_passes += 1
+            self._install_from_sorted(clean)
             return
         if self._lo_bound is None:
-            if self._digest_fallback:
-                self._enter_digest_mode()
-                return
-            raise StatisticsError(f"deleting value {value!r} from an empty multiset")
-        if value < self._lo_bound:
-            self._below -= 1
-        elif value > self._hi_bound:
-            self._above -= 1
-        else:
-            i = bisect.bisect_left(self._window, value)
-            if i < len(self._window) and self._window[i] == value:
-                self._window.pop(i)
-            elif self._digest_fallback:
-                self._enter_digest_mode()
-                return
+            self._break_invariant(f"removing {clean!r} from an empty multiset")
+            return
+        window = self._window
+        for value in clean:
+            if value < self._lo_bound:
+                self._below += sign
+            elif value > self._hi_bound:
+                self._above += sign
+            elif sign > 0:
+                bisect.insort(window, value)
             else:
-                raise StatisticsError(
-                    f"deleting value {value!r} not present in the window range"
-                )
-        self.stats.pointer_moves += 1
-
-    def on_update(self, old: Any, new: Any) -> None:
-        """Replace ``old`` with ``new``."""
-        self.on_delete(old)
-        self.on_insert(new)
+                i = bisect.bisect_left(window, value)
+                if i == len(window) or window[i] != value:
+                    self._break_invariant(
+                        f"removing value {value!r} not present in the window range"
+                    )
+                    return
+                window.pop(i)
+            self.stats.pointer_moves += 1
 
     # -- digest fallback ----------------------------------------------------------
 
-    def _enter_digest_mode(self) -> None:
-        """Degrade to digest-served reads after an invariant break."""
+    def _break_invariant(self, reason: str) -> None:
+        """Degrade to digest-served reads (or raise, without the fallback)."""
+        if not self._digest_fallback:
+            raise StatisticsError(reason)
         self.stats.invariant_breaks += 1
         self._digest_mode = True
         self._digest = None
@@ -254,7 +238,7 @@ class OrderStatWindow(IncrementalComputation):
         digest = self._digest
         if digest is None:
             digest = TDigest()
-            digest.absorb(self._provider())
+            digest.fold(self._provider())
             self.stats.data_passes += 1
             self._digest = digest
         return digest

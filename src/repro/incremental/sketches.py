@@ -5,8 +5,8 @@ unified in-RDBMS analytics line (PAPERS.md) shows the ambitious version:
 approximate-but-mergeable *sketches* living inside the database as
 first-class summary entries.  Every sketch here implements the
 :class:`~repro.incremental.differencing.IncrementalComputation` protocol
-including ``partial_state()`` / ``merge_partial()``, so it serves three
-roles with one state machine:
+— ``reset`` / ``fold(values, sign)`` / ``value`` plus ``partial_state()``
+/ ``merge_partial()`` — so it serves three roles with one state machine:
 
 * a **maintainer** for a ``(function, attributes)`` summary entry that
   stays warm under analyst insert/delete/update;
@@ -95,69 +95,58 @@ class TDigest(IncrementalComputation):
     """
 
     sketch_kind = "tdigest"
-    supports_partials = True
 
     def __init__(self, compression: int = 200) -> None:
         if compression < 20:
             raise StatisticsError(f"compression must be >= 20, got {compression}")
         self.compression = compression
+        self.reset()
+
+    # -- maintenance ---------------------------------------------------------
+
+    def reset(self) -> None:
         self._means: list[float] = []
         self._weights: list[float] = []
         self._buffer: list[float] = []
         self._total = 0.0
         self.approx_deletes = 0
 
-    # -- maintenance ---------------------------------------------------------
-
-    def initialize(self, values: Iterable[Any]) -> None:
-        self._means = []
-        self._weights = []
-        self._buffer = []
-        self._total = 0.0
-        self.approx_deletes = 0
-        self.absorb(values)
-
-    def on_insert(self, value: Any) -> None:
-        if is_na(value):
+    def fold(self, values: Iterable[Any], sign: int = 1) -> None:
+        if sign > 0:
+            buffer = self._buffer
+            added = 0
+            for value in values:
+                if is_na(value):
+                    continue
+                buffer.append(float(value))
+                added += 1
+            self._total += added
+            if len(buffer) >= 4 * self.compression:
+                self._compress()
             return
-        self._buffer.append(float(value))
-        self._total += 1.0
-        if len(self._buffer) >= 4 * self.compression:
-            self._compress()
-
-    def absorb(self, values: Iterable[Any]) -> None:
-        buffer = self._buffer
-        added = 0
+        # Removal is not the mirror of insertion: weight comes off the
+        # centroid nearest each value, approximately when means differ.
         for value in values:
             if is_na(value):
                 continue
-            buffer.append(float(value))
-            added += 1
-        self._total += added
-        if len(buffer) >= 4 * self.compression:
             self._compress()
-
-    def on_delete(self, value: Any) -> None:
-        if is_na(value):
-            return
-        self._compress()
-        if not self._means:
-            raise StatisticsError(
-                f"deleting value {value!r} from an empty t-digest"
-            )
-        target = float(value)
-        i = bisect.bisect_left(self._means, target)
-        if i >= len(self._means):
-            i = len(self._means) - 1
-        elif i > 0 and target - self._means[i - 1] < self._means[i] - target:
-            i -= 1
-        if self._means[i] != target:
-            self.approx_deletes += 1
-        self._weights[i] -= 1.0
-        self._total -= 1.0
-        if self._weights[i] <= 0.0:
-            del self._means[i]
-            del self._weights[i]
+            if not self._means:
+                raise StatisticsError(
+                    f"deleting value {value!r} from an empty t-digest"
+                )
+            target = float(value)
+            i = bisect.bisect_left(self._means, target)
+            if i >= len(self._means):
+                i = len(self._means) - 1
+            elif i > 0 and target - self._means[i - 1] < self._means[i] - target:
+                i -= 1
+            if self._means[i] != target:
+                self.approx_deletes += 1
+            self._weights[i] -= 1.0
+            self._total -= 1.0
+            if self._weights[i] <= 0.0:
+                del self._means[i]
+                del self._weights[i]
 
     # -- queries -------------------------------------------------------------
 
@@ -322,7 +311,6 @@ class HyperLogLog(IncrementalComputation):
     """
 
     sketch_kind = "hll"
-    supports_partials = True
 
     def __init__(
         self,
@@ -338,17 +326,14 @@ class HyperLogLog(IncrementalComputation):
         self.sparse_limit = sparse_limit
         self._provider = values_provider
         self._m = 1 << p
-        self._sparse: dict[int, int] | None = {}
-        self._registers: bytearray | None = None
-        self._dirty = False
+        self.reset()
 
     # -- maintenance ---------------------------------------------------------
 
-    def initialize(self, values: Iterable[Any]) -> None:
-        self._sparse = {}
-        self._registers = None
+    def reset(self) -> None:
+        self._sparse: dict[int, int] | None = {}
+        self._registers: bytearray | None = None
         self._dirty = False
-        self.absorb(values)
 
     def _add_hash(self, h: int) -> None:
         if self._sparse is not None:
@@ -363,38 +348,36 @@ class HyperLogLog(IncrementalComputation):
         if rank > self._registers[idx]:
             self._registers[idx] = rank
 
-    def on_insert(self, value: Any) -> None:
-        if is_na(value):
-            return
-        self._add_hash(hash64(value, self.seed))
-
-    def absorb(self, values: Iterable[Any]) -> None:
+    def fold(self, values: Iterable[Any], sign: int = 1) -> None:
         seed = self.seed
+        if sign > 0:
+            for value in values:
+                if not is_na(value):
+                    self._add_hash(hash64(value, seed))
+            return
         for value in values:
-            if not is_na(value):
-                self._add_hash(hash64(value, seed))
-
-    def on_delete(self, value: Any) -> None:
-        if is_na(value):
-            return
-        if self._sparse is not None:
-            h = hash64(value, self.seed)
-            count = self._sparse.get(h, 0)
-            if count <= 0:
+            if is_na(value):
+                continue
+            sparse = self._sparse
+            if sparse is not None:
+                h = hash64(value, seed)
+                count = sparse.get(h, 0)
+                if count <= 0:
+                    raise StatisticsError(
+                        f"deleting value {value!r} never counted by this sketch"
+                    )
+                if count == 1:
+                    del sparse[h]
+                else:
+                    sparse[h] = count - 1
+            elif self._provider is None:
                 raise StatisticsError(
-                    f"deleting value {value!r} never counted by this sketch"
+                    "dense HyperLogLog cannot delete without a values provider"
                 )
-            if count == 1:
-                del self._sparse[h]
             else:
-                self._sparse[h] = count - 1
-            return
-        # Dense registers are not invertible; defer to a provider rebuild.
-        if self._provider is None:
-            raise StatisticsError(
-                "dense HyperLogLog cannot delete without a values provider"
-            )
-        self._dirty = True
+                # Dense registers are not invertible; the next read
+                # rebuilds from the provider.
+                self._dirty = True
 
     def _densify(self) -> None:
         sparse = self._sparse
@@ -406,10 +389,8 @@ class HyperLogLog(IncrementalComputation):
 
     def _rebuild(self) -> None:
         assert self._provider is not None
-        self._sparse = {}
-        self._registers = None
-        self._dirty = False
-        self.absorb(self._provider())
+        self.reset()
+        self.fold(self._provider())
 
     # -- queries -------------------------------------------------------------
 
@@ -520,46 +501,47 @@ class ReservoirSample(IncrementalComputation):
     """
 
     sketch_kind = "reservoir"
-    supports_partials = True
 
     def __init__(self, k: int = 64, seed: int = 0) -> None:
         if k < 1:
             raise StatisticsError(f"reservoir size must be >= 1, got {k}")
         self.k = k
         self.seed = seed
-        self._rng = random.Random(seed)
+        self.reset()
+
+    def reset(self) -> None:
+        self._rng = random.Random(self.seed)
         self._sample: list[Any] = []
         self._n = 0
 
-    def initialize(self, values: Iterable[Any]) -> None:
-        self._rng = random.Random(self.seed)
-        self._sample = []
-        self._n = 0
-        self.absorb(values)
-
-    def on_insert(self, value: Any) -> None:
-        if is_na(value):
+    def fold(self, values: Iterable[Any], sign: int = 1) -> None:
+        sample = self._sample
+        if sign > 0:
+            for value in values:
+                if is_na(value):
+                    continue
+                self._n += 1
+                if len(sample) < self.k:
+                    sample.append(value)
+                else:
+                    j = self._rng.randrange(self._n)
+                    if j < self.k:
+                        sample[j] = value
             return
-        self._n += 1
-        if len(self._sample) < self.k:
-            self._sample.append(value)
-        else:
-            j = self._rng.randrange(self._n)
-            if j < self.k:
-                self._sample[j] = value
-
-    def on_delete(self, value: Any) -> None:
-        if is_na(value):
-            return
-        if self._n <= 0:
-            raise StatisticsError(
-                f"deleting value {value!r} from an empty reservoir population"
-            )
-        self._n -= 1
-        try:
-            self._sample.remove(value)
-        except ValueError:
-            pass
+        # Removal shrinks the population and drops the value from the
+        # sample when present; it never resamples (documented bias).
+        for value in values:
+            if is_na(value):
+                continue
+            if self._n <= 0:
+                raise StatisticsError(
+                    f"deleting value {value!r} from an empty reservoir population"
+                )
+            self._n -= 1
+            try:
+                sample.remove(value)
+            except ValueError:
+                pass
 
     @property
     def population(self) -> int:
@@ -629,7 +611,6 @@ class CountMinSketch(IncrementalComputation):
     """
 
     sketch_kind = "countmin"
-    supports_partials = True
 
     def __init__(self, width: int = 1024, depth: int = 4, seed: int = 0) -> None:
         if width < 8 or depth < 1:
@@ -639,8 +620,7 @@ class CountMinSketch(IncrementalComputation):
         self.width = width
         self.depth = depth
         self.seed = seed
-        self._rows = [[0] * width for _ in range(depth)]
-        self._total = 0
+        self.reset()
 
     def _positions(self, value: Any) -> list[int]:
         base = self.seed * 0x9E3779B9
@@ -649,28 +629,19 @@ class CountMinSketch(IncrementalComputation):
             for level in range(self.depth)
         ]
 
-    def initialize(self, values: Iterable[Any]) -> None:
+    def reset(self) -> None:
         self._rows = [[0] * self.width for _ in range(self.depth)]
         self._total = 0
-        self.absorb(values)
 
-    def on_insert(self, value: Any) -> None:
-        if is_na(value):
-            return
-        for level, position in enumerate(self._positions(value)):
-            self._rows[level][position] += 1
-        self._total += 1
-
-    def on_delete(self, value: Any) -> None:
-        if is_na(value):
-            return
-        if self._total <= 0:
-            raise StatisticsError(
-                f"deleting value {value!r} from an empty CountMin sketch"
-            )
-        for level, position in enumerate(self._positions(value)):
-            self._rows[level][position] -= 1
-        self._total -= 1
+    def fold(self, values: Iterable[Any], sign: int = 1) -> None:
+        rows = self._rows
+        for value in values:
+            if is_na(value):
+                continue
+            for level, position in enumerate(self._positions(value)):
+                rows[level][position] += sign
+            self._total += sign
+        self._require_tracked(self._total)
 
     def estimate(self, value: Any) -> int:
         """Point-frequency estimate (never an underestimate)."""
@@ -736,7 +707,6 @@ class HeavyHitterSketch(IncrementalComputation):
     """
 
     sketch_kind = "heavy_hitters"
-    supports_partials = True
 
     def __init__(
         self,
@@ -752,10 +722,9 @@ class HeavyHitterSketch(IncrementalComputation):
         self._cm = CountMinSketch(width=width, depth=depth, seed=seed)
         self._candidates: dict[Any, int] = {}
 
-    def initialize(self, values: Iterable[Any]) -> None:
-        self._cm.initialize(())
+    def reset(self) -> None:
+        self._cm.reset()
         self._candidates = {}
-        self.absorb(values)
 
     def _consider(self, value: Any) -> None:
         estimate = self._cm.estimate(value)
@@ -770,22 +739,19 @@ class HeavyHitterSketch(IncrementalComputation):
             del self._candidates[weakest]
             self._candidates[value] = estimate
 
-    def on_insert(self, value: Any) -> None:
-        if is_na(value):
-            return
-        self._cm.on_insert(value)
-        self._consider(value)
-
-    def on_delete(self, value: Any) -> None:
-        if is_na(value):
-            return
-        self._cm.on_delete(value)
-        if value in self._candidates:
-            estimate = self._cm.estimate(value)
-            if estimate <= 0:
-                del self._candidates[value]
-            else:
-                self._candidates[value] = estimate
+    def fold(self, values: Iterable[Any], sign: int = 1) -> None:
+        clean = [v for v in values if not is_na(v)]
+        self._cm.fold(clean, sign)
+        candidates = self._candidates
+        for value in dict.fromkeys(clean):
+            if sign > 0:
+                self._consider(value)
+            elif value in candidates:
+                estimate = self._cm.estimate(value)
+                if estimate <= 0:
+                    del candidates[value]
+                else:
+                    candidates[value] = estimate
 
     @property
     def value(self) -> tuple[tuple[Any, float], ...]:

@@ -175,6 +175,8 @@ MUTATOR_METHODS = frozenset(
 #: reader, so the C206 pass records these receivers as object mutations.
 SKETCH_MUTATOR_METHODS = frozenset(
     {
+        "fold",
+        "reset",
         "on_insert",
         "on_delete",
         "on_update",

@@ -61,11 +61,14 @@ RULE_ALGEBRAIC = rule(
 )
 RULE_PROTOCOL = rule(
     "REPRO-S005",
-    "IncrementalComputation subclasses implement the full protocol",
+    "IncrementalComputation subclasses write their arithmetic once",
     layer="semantic",
     rationale=(
-        "a maintainer missing initialize/on_insert/on_delete/value raises "
-        "NotImplementedError mid-propagation, stranding entries half-updated"
+        "a maintainer missing reset/fold/value raises NotImplementedError "
+        "mid-propagation, stranding entries half-updated; one overriding a "
+        "base-owned entry point (initialize/absorb/on_insert/on_delete/"
+        "apply_delta/apply_batch) forks its arithmetic into a second copy "
+        "that can drift from fold"
     ),
 )
 RULE_INVALIDATION = rule(
@@ -306,27 +309,47 @@ def check_algebraic_definitions(definitions: Any = None) -> Iterator[Finding]:
             )
 
 
+#: What a concrete maintainer must supply, and the entry points the base
+#: class derives from those (``on_update`` may be overridden where a
+#: replace is not delete-then-insert).
+_MAINTAINER_REQUIRED = ("reset", "fold", "value")
+_MAINTAINER_BASE_OWNED = (
+    "initialize", "absorb", "on_insert", "on_delete", "apply_delta", "apply_batch",
+)
+
+
 def check_computation_protocol() -> Iterator[Finding]:
-    """REPRO-S005: concrete maintainers override the whole protocol."""
+    """REPRO-S005: maintainers implement reset/fold/value and nothing twice."""
     import repro.metadata.functions  # noqa: F401  (loads private subclasses)
     from repro.incremental.differencing import IncrementalComputation
 
     for cls in _all_subclasses(IncrementalComputation):
         if inspect.isabstract(cls):
             continue
+        name = f"{cls.__module__}.{cls.__qualname__}"
         missing = [
             method
-            for method in ("initialize", "on_insert", "on_delete")
+            for method in _MAINTAINER_REQUIRED
             if getattr(cls, method) is getattr(IncrementalComputation, method)
         ]
-        if cls.value is IncrementalComputation.value:
-            missing.append("value")
         if missing:
             yield _finding(
                 RULE_PROTOCOL,
                 cls,
-                f"{cls.__module__}.{cls.__qualname__} does not implement "
-                f"{missing} of the IncrementalComputation protocol",
+                f"{name} does not implement {missing} of the "
+                "IncrementalComputation protocol",
+            )
+        forked = [
+            method
+            for method in _MAINTAINER_BASE_OWNED
+            if getattr(cls, method) is not getattr(IncrementalComputation, method)
+        ]
+        if forked:
+            yield _finding(
+                RULE_PROTOCOL,
+                cls,
+                f"{name} overrides {forked}, which IncrementalComputation "
+                "derives from fold(); put the arithmetic in fold() instead",
             )
 
 

@@ -46,7 +46,7 @@ from repro.incremental.sketches import (
     TDigest,
 )
 from repro.relational.schema import Attribute, AttributeRole
-from repro.relational.types import is_na
+from repro.relational.types import is_na, quantile_fraction
 from repro.stats import descriptive as desc
 from repro.stats.histogram import build_histogram
 
@@ -158,7 +158,6 @@ def _histogram_two_vectors(values: Sequence[Any]) -> tuple[list[float], list[int
     return (list(built.edges), list(built.counts))
 
 
-_QUANTILE_RE = re.compile(r"^quantile_(\d{1,2})$")
 _HEAVY_HITTERS_RE = re.compile(r"^heavy_hitters_(\d{1,3})$")
 
 
@@ -215,14 +214,13 @@ class FunctionRegistry:
         found = self._functions.get(name)
         if found is not None:
             return found
-        match = _QUANTILE_RE.match(name)
-        if match:
-            q = int(match.group(1)) / 100.0
+        q = quantile_fraction(name)
+        if q is not None:
             function = StatFunction(
                 name=name,
-                compute=lambda values, q=q: desc.quantile(values, q),
+                compute=lambda values: desc.quantile(values, q),
                 result_kind=ResultKind.SCALAR,
-                maintainer_factory=lambda provider, q=q: QuantileWindow(q, provider),
+                maintainer_factory=lambda provider: QuantileWindow(q, provider),
             )
             self._functions[name] = function
             return function

@@ -24,7 +24,7 @@ import enum
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Iterable
 
-from repro.core.errors import RuleError
+from repro.core.errors import RuleError, StatisticsError
 from repro.incremental.differencing import Delta
 from repro.metadata.functions import FunctionRegistry, StatFunction
 
@@ -85,10 +85,17 @@ class IncrementalRule(UpdateRule):
             entry.result = entry.maintainer.value
             entry.stale = False
             return RuleOutcome(kind=self.kind, recomputed=True)
-        # Route through apply_batch so maintainers with true batch math
-        # (sums, counts, moments) use it even for a single coalesced delta.
-        entry.maintainer.apply_batch((delta,))
-        entry.result = entry.maintainer.value
+        try:
+            entry.result = entry.maintainer.apply_batch((delta,))
+        except StatisticsError:
+            # The delta does not match what the maintainer tracks (a
+            # removal of a value it never saw).  The view has already
+            # changed and the sweep must reach the remaining entries, so
+            # drop the poisoned maintainer and fall back to SS4.3: stale
+            # now, recomputed on the next lookup — never silently wrong.
+            entry.maintainer = None
+            entry.stale = True
+            return RuleOutcome(kind=self.kind, marked_stale=True)
         entry.stale = False
         return RuleOutcome(kind=self.kind, incremental_changes=delta.size)
 

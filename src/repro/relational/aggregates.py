@@ -14,13 +14,12 @@ skipped.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Sequence
 
 from repro.core.errors import QueryError
 from repro.relational.schema import Attribute, AttributeRole, Schema
-from repro.relational.types import NA, DataType, is_na
+from repro.relational.types import NA, DataType, is_na, quantile_fraction
 
 
 @dataclass(frozen=True)
@@ -159,8 +158,6 @@ AGGREGATES: dict[str, Callable[[Sequence[Any]], Any]] = {
 
 _INT_RESULTS = {"count", "count_star", "count_distinct"}
 
-_QUANTILE_AGG_RE = re.compile(r"^quantile_(\d{1,2})$")
-
 
 def resolve_aggregate(func: str) -> Callable[[Sequence[Any]], Any] | None:
     """The evaluator for one aggregate name, or ``None`` if unknown.
@@ -172,11 +169,39 @@ def resolve_aggregate(func: str) -> Callable[[Sequence[Any]], Any] | None:
     found = AGGREGATES.get(func)
     if found is not None:
         return found
-    match = _QUANTILE_AGG_RE.match(func)
-    if match:
-        q = int(match.group(1)) / 100.0
-        return lambda values, q=q: agg_quantile(values, q)
+    q = quantile_fraction(func)
+    if q is not None:
+        return lambda values: agg_quantile(values, q)
     return None
+
+
+def group_by_schema(
+    in_schema: Schema, keys: Sequence[str], specs: Sequence[AggregateSpec]
+) -> Schema:
+    """Validate a group-by against its input schema; return the output schema.
+
+    The key attributes followed by one MEASURE column per spec.  Shared by
+    the row, vectorized and sharded group-by operators, so all three accept
+    and reject the same plans and name their columns alike.
+    """
+    if not specs:
+        raise QueryError("group-by requires at least one aggregate")
+    attributes = [in_schema.attribute(k) for k in keys]
+    for spec in specs:
+        if resolve_aggregate(spec.func) is None and spec.func != "weighted_avg":
+            raise QueryError(
+                f"unknown aggregate {spec.func!r}; choose from "
+                f"{sorted(AGGREGATES) + ['weighted_avg', 'quantile_NN']}"
+            )
+        if spec.func == "weighted_avg" and not spec.weight:
+            raise QueryError("weighted_avg requires a weight attribute")
+        if spec.attr is not None:
+            in_schema.index_of(spec.attr)  # validate
+        elif spec.func not in ("count", "count_star"):
+            raise QueryError(f"aggregate {spec.func!r} requires an attribute")
+        dtype = DataType.INT if spec.func in _INT_RESULTS else DataType.FLOAT
+        attributes.append(Attribute(spec.alias, dtype, AttributeRole.MEASURE))
+    return Schema(attributes)
 
 
 class GroupBy:
@@ -188,28 +213,10 @@ class GroupBy:
     """
 
     def __init__(self, child: Any, keys: Sequence[str], specs: Sequence[AggregateSpec]) -> None:
-        if not specs:
-            raise QueryError("group-by requires at least one aggregate")
         self.child = child
         self.keys = list(keys)
         self.specs = list(specs)
-        in_schema: Schema = child.schema
-        attributes = [in_schema.attribute(k) for k in self.keys]
-        for spec in self.specs:
-            if resolve_aggregate(spec.func) is None and spec.func != "weighted_avg":
-                raise QueryError(
-                    f"unknown aggregate {spec.func!r}; choose from "
-                    f"{sorted(AGGREGATES) + ['weighted_avg', 'quantile_NN']}"
-                )
-            if spec.func == "weighted_avg" and not spec.weight:
-                raise QueryError("weighted_avg requires a weight attribute")
-            if spec.attr is not None:
-                in_schema.index_of(spec.attr)  # validate
-            elif spec.func not in ("count", "count_star"):
-                raise QueryError(f"aggregate {spec.func!r} requires an attribute")
-            dtype = DataType.INT if spec.func in _INT_RESULTS else DataType.FLOAT
-            attributes.append(Attribute(spec.alias, dtype, AttributeRole.MEASURE))
-        self.schema = Schema(attributes)
+        self.schema = group_by_schema(child.schema, self.keys, self.specs)
 
     def __iter__(self) -> Iterator[tuple[Any, ...]]:
         in_schema = self.child.schema

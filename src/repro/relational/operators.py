@@ -48,6 +48,21 @@ class Select(Operator):
                 yield row
 
 
+def project_schema(
+    in_schema: Schema, items: Sequence[str | tuple[str | Attribute, Expr]]
+) -> Schema:
+    """Output schema of a projection (shared with the vectorized operator)."""
+    attributes: list[Attribute] = []
+    for item in items:
+        if isinstance(item, str):
+            attributes.append(in_schema.attribute(item))
+        elif isinstance(item[0], Attribute):
+            attributes.append(item[0])
+        else:
+            attributes.append(Attribute(item[0], DataType.FLOAT, AttributeRole.DERIVED))
+    return Schema(attributes)
+
+
 class Project(Operator):
     """A subset (or computation) of columns.
 
@@ -58,24 +73,14 @@ class Project(Operator):
 
     def __init__(self, child: Any, items: Sequence[str | tuple[str | Attribute, Expr]]) -> None:
         self.child = child
-        attributes: list[Attribute] = []
-        self._fns: list[Any] = []
         in_schema: Schema = child.schema
-        for item in items:
-            if isinstance(item, str):
-                attributes.append(in_schema.attribute(item))
-                index = in_schema.index_of(item)
-                self._fns.append(_picker(index))
-            else:
-                target, expr = item
-                if isinstance(target, Attribute):
-                    attributes.append(target)
-                else:
-                    attributes.append(
-                        Attribute(target, DataType.FLOAT, AttributeRole.DERIVED)
-                    )
-                self._fns.append(expr.bind(in_schema))
-        self.schema = Schema(attributes)
+        self.schema = project_schema(in_schema, items)
+        self._fns: list[Any] = [
+            _picker(in_schema.index_of(item))
+            if isinstance(item, str)
+            else item[1].bind(in_schema)
+            for item in items
+        ]
 
     def __iter__(self) -> Iterator[tuple[Any, ...]]:
         fns = self._fns

@@ -36,7 +36,7 @@ from typing import Any, Iterator, Sequence
 from repro.core.errors import QueryError
 from repro.incremental.differencing import IncrementalComputation
 from repro.obs.tracer import NULL_TRACER, AbstractTracer
-from repro.relational.aggregates import AggregateSpec, GroupBy
+from repro.relational.aggregates import AggregateSpec, group_by_schema
 from repro.relational.expressions import Expr
 from repro.relational.relation import StoredRelation
 from repro.relational.schema import Schema
@@ -47,10 +47,10 @@ from repro.relational.shardworker import (
     install_shard,
     is_mergeable,
     make_partial,
-    quantile_fraction,
     run_installed,
     run_partial,
 )
+from repro.relational.types import quantile_fraction
 from repro.relational.vectorized import (
     CHUNK_SIZE,
     ColumnChunk,
@@ -325,9 +325,7 @@ class ShardedGroupBy(VectorOperator):
                 f"aggregates {unmergeable} have no mergeable partial form; "
                 "use the single-stream engine"
             )
-        # Reuse the row operator's validation and output-schema logic.
-        template = GroupBy(_SchemaOnly(source.schema), keys, specs)
-        self.schema = template.schema
+        self.schema = group_by_schema(source.schema, keys, specs)
         self.source = source
         self.keys = list(keys)
         self.specs = list(specs)
@@ -352,16 +350,6 @@ class ShardedGroupBy(VectorOperator):
         )
         rows = gather_rows(per_shard, self.keys, self.specs)
         yield from chunks_from_rows(self.schema, rows, max(len(rows), 1))
-
-
-class _SchemaOnly:
-    """A stand-in child carrying only a schema (for operator validation)."""
-
-    def __init__(self, schema: Schema) -> None:
-        self.schema = schema
-
-    def __iter__(self) -> Iterator[tuple[Any, ...]]:
-        return iter(())
 
 
 def _needed_columns(

@@ -23,7 +23,6 @@ compiled kernels — closures do not pickle, so each worker compiles
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import Any, Sequence
 
@@ -39,6 +38,7 @@ from repro.relational.aggregates import AggregateSpec
 from repro.relational.expressions import Expr
 from repro.relational.relation import StoredRelation
 from repro.relational.schema import Schema
+from repro.relational.types import quantile_fraction
 from repro.relational.vectorized import CHUNK_SIZE, VecScan
 from repro.storage.transposed import TransposedFile
 
@@ -66,25 +66,11 @@ MERGEABLE_FUNCS = frozenset(
     }
 )
 
-_QUANTILE_FUNC_RE = re.compile(r"^quantile_(\d{1,2})$")
-
 
 def is_mergeable(func: str) -> bool:
     """Whether an aggregate has a mergeable partial form (incl. quantile_NN)."""
-    return func in MERGEABLE_FUNCS or _QUANTILE_FUNC_RE.match(func) is not None
+    return func in MERGEABLE_FUNCS or quantile_fraction(func) is not None
 
-
-def quantile_fraction(func: str) -> float | None:
-    """The quantile in [0, 1] an aggregate finalizes to, or ``None``.
-
-    ``median`` is ``0.5``; ``quantile_NN`` is ``NN/100``.
-    """
-    if func == "median":
-        return 0.5
-    match = _QUANTILE_FUNC_RE.match(func)
-    if match:
-        return int(match.group(1)) / 100.0
-    return None
 
 #: Functions answered by the group's row count alone (no partial object).
 _SIZE_FUNCS = frozenset({"count_star"})
@@ -181,7 +167,7 @@ def run_partial(file: TransposedFile, request: ShardRequest) -> list[GroupPartia
             None if i is None else chunk.columns[i].to_list() for i in weight_idx
         ]
         # Bucket the chunk's selected row positions per group first, then
-        # feed each computation one absorb() per (group, chunk) — batching
+        # feed each computation one fold() per (group, chunk) — batching
         # turns len(rows) * len(specs) method dispatches into len(groups)
         # * len(specs), which is what keeps the shards=1 serial path at
         # parity with the single-stream vectorized engine.
@@ -214,9 +200,9 @@ def run_partial(file: TransposedFile, request: ShardRequest) -> list[GroupPartia
                 assert column is not None
                 weights = weight_columns[position]
                 if weights is not None:
-                    comp.absorb([(column[r], weights[r]) for r in rows])
+                    comp.fold([(column[r], weights[r]) for r in rows])
                 else:
-                    comp.absorb([column[r] for r in rows])
+                    comp.fold([column[r] for r in rows])
         base += chunk.length
     for key, group in groups.items():
         group.states = [

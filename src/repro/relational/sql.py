@@ -28,6 +28,7 @@ from typing import Any
 
 from repro.core.errors import QueryError
 from repro.relational import expressions as ex
+from repro.relational.types import quantile_fraction
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>\d+\.\d+|\.\d+|\d+)"
@@ -273,7 +274,7 @@ def _parse_aggregate(t: _Tokenizer) -> SelectItem:
     if func.startswith("QUANTILE_"):
         # QUANTILE_75(x) — the 75th percentile, lowered like MEDIAN.
         resolved = func.lower()
-        if not re.fullmatch(r"quantile_\d{1,2}", resolved):
+        if quantile_fraction(resolved) is None:
             raise QueryError(
                 f"malformed quantile aggregate {func!r}; use QUANTILE_NN "
                 "with NN in 0..99"

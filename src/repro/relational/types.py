@@ -11,6 +11,7 @@ NA while reporting how many values were skipped.
 from __future__ import annotations
 
 import enum
+import re
 from typing import Any
 
 
@@ -55,6 +56,24 @@ def is_na(value: Any) -> bool:
     if value is NA:
         return True
     return isinstance(value, float) and value != value
+
+
+_QUANTILE_RE = re.compile(r"^quantile_(\d{1,2})$")
+
+
+def quantile_fraction(func: str) -> float | None:
+    """The quantile in [0, 1] a function name denotes, or ``None``.
+
+    ``median`` is ``0.5``; ``quantile_NN`` is ``NN/100``.  The one parser
+    for the name family the SQL front end, the aggregate operators, the
+    function registry and the database abstract all synthesize on demand.
+    """
+    if func == "median":
+        return 0.5
+    match = _QUANTILE_RE.match(func)
+    if match:
+        return int(match.group(1)) / 100.0
+    return None
 
 
 class DataType(enum.Enum):

@@ -30,7 +30,7 @@ from typing import Any, Callable, Iterable, Iterator, Sequence
 from repro.core.errors import QueryError
 from repro.relational.aggregates import (
     AggregateSpec,
-    GroupBy,
+    group_by_schema,
     resolve_aggregate,
     weighted_avg,
 )
@@ -229,14 +229,12 @@ class VecProject(VectorOperator):
     """
 
     def __init__(self, child: Any, items: Sequence[Any]) -> None:
-        from repro.relational.operators import Project
+        from repro.relational.operators import project_schema
 
         self.child = child
-        # Reuse the row operator's item handling for schema construction and
-        # validation; only the per-chunk kernels differ.
-        template = Project(_SchemaOnly(child.schema), items)
-        self.schema = template.schema
         in_schema: Schema = child.schema
+        # The row operator's output schema; only the per-chunk kernels differ.
+        self.schema = project_schema(in_schema, items)
         self._fns: list[ChunkFn] = []
         for item in items:
             if isinstance(item, str):
@@ -255,16 +253,6 @@ class VecProject(VectorOperator):
 
 def _column_picker(index: int) -> ChunkFn:
     return lambda chunk: chunk.columns[index]
-
-
-class _SchemaOnly:
-    """A stand-in child carrying only a schema (for operator validation)."""
-
-    def __init__(self, schema: Schema) -> None:
-        self.schema = schema
-
-    def __iter__(self) -> Iterator[tuple[Any, ...]]:
-        return iter(())
 
 
 class _Group:
@@ -289,9 +277,7 @@ class VecGroupBy(VectorOperator):
 
     def __init__(self, child: Any, keys: Sequence[str], specs: Sequence[AggregateSpec]) -> None:
         self.child = child
-        # Reuse the row operator's validation and output-schema logic.
-        template = GroupBy(_SchemaOnly(child.schema), keys, specs)
-        self.schema = template.schema
+        self.schema = group_by_schema(child.schema, keys, specs)
         self.keys = list(keys)
         self.specs = list(specs)
         in_schema: Schema = child.schema
@@ -343,7 +329,7 @@ class VecGroupBy(VectorOperator):
             elif spec.func == "count_star" or (spec.func == "count" and ci is None):
                 out.append(group.size)
             else:
-                assert evaluator is not None  # validated by the GroupBy template
+                assert evaluator is not None  # validated by group_by_schema
                 out.append(evaluator(group.values[ci]))
         return tuple(out)
 

@@ -12,7 +12,7 @@ normal equations (subtract ``n·x̄x̄ᵀ``) so catastrophic cancellation on
 shifted data is confined to the accumulation, not amplified by the solve.
 The states of two accumulators add component-wise, so the model merges
 under scatter-gather exactly like the power-sum aggregates
-(``supports_partials``).
+(``partial_state`` / ``merge_partial``).
 
 The solve is numpy-free on purpose: the closed-form Gauss–Jordan solve
 doubles as the independent reference the property suite checks
@@ -76,16 +76,15 @@ class IncrementalLinearRegression(IncrementalComputation):
     """
 
     sketch_kind = "linreg"
-    supports_partials = True
     supports_row_updates = True
 
     def __init__(self, k: int) -> None:
         if k < 1:
             raise StatisticsError("OLS needs at least one predictor")
         self.k = k
-        self._reset()
+        self.reset()
 
-    def _reset(self) -> None:
+    def reset(self) -> None:
         d = self.k + 1
         self._n = 0
         # Augmented Gram matrix Σ z zᵀ, z = (1, x1..xk); kept full, not
@@ -96,44 +95,29 @@ class IncrementalLinearRegression(IncrementalComputation):
 
     # -- maintenance ---------------------------------------------------------
 
-    @staticmethod
-    def _complete(row: Sequence[Any]) -> bool:
-        return not any(is_na(v) for v in row)
-
-    def _accumulate(self, row: Sequence[Any], sign: float) -> None:
-        if len(row) != self.k + 1:
-            raise StatisticsError(
-                f"model row needs {self.k + 1} components (y, x1..x{self.k}), "
-                f"got {len(row)}"
-            )
-        if not self._complete(row):
-            return
-        y = float(row[0])
-        z = [1.0] + [float(v) for v in row[1:]]
+    def fold(self, values: Iterable[Sequence[Any]], sign: int = 1) -> None:
+        """Add or remove whole rows: an O(k²) signed rank-one update each."""
         gram = self._gram
         moment = self._moment
-        for i, zi in enumerate(z):
-            signed = sign * zi
-            row_i = gram[i]
-            for j, zj in enumerate(z):
-                row_i[j] += signed * zj
-            moment[i] += signed * y
-        self._yty += sign * y * y
-        self._n += int(sign)
-
-    def initialize(self, values: Iterable[Sequence[Any]]) -> None:
-        self._reset()
-        self.absorb(values)
-
-    def on_insert(self, value: Sequence[Any]) -> None:
-        self._accumulate(value, 1.0)
-
-    def on_delete(self, value: Sequence[Any]) -> None:
-        self._accumulate(value, -1.0)
-
-    def absorb(self, values: Iterable[Sequence[Any]]) -> None:
         for row in values:
-            self._accumulate(row, 1.0)
+            if len(row) != self.k + 1:
+                raise StatisticsError(
+                    f"model row needs {self.k + 1} components (y, x1..x{self.k}), "
+                    f"got {len(row)}"
+                )
+            if any(is_na(v) for v in row):
+                continue  # complete-case analysis
+            y = float(row[0])
+            z = [1.0] + [float(v) for v in row[1:]]
+            for i, zi in enumerate(z):
+                signed = sign * zi
+                row_i = gram[i]
+                for j, zj in enumerate(z):
+                    row_i[j] += signed * zj
+                moment[i] += signed * y
+            self._yty += sign * y * y
+            self._n += sign
+        self._require_tracked(self._n)
 
     # -- solving -------------------------------------------------------------
 

@@ -18,11 +18,10 @@ from __future__ import annotations
 
 import enum
 import math
-import re
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from repro.relational.types import is_na
+from repro.relational.types import is_na, quantile_fraction
 from repro.summary.summarydb import SummaryDatabase
 
 
@@ -58,9 +57,6 @@ class Inference:
         )
 
 
-_QUANTILE_RE = re.compile(r"^quantile_(\d{1,2})$")
-
-
 class DatabaseAbstract:
     """Inference rules over one Summary Database."""
 
@@ -85,11 +81,9 @@ class DatabaseAbstract:
             if entry.stale or entry.pending_updates > 0 or is_na(entry.result):
                 continue
             name = entry.key.function
-            match = _QUANTILE_RE.match(name)
-            if match:
-                points[int(match.group(1)) / 100.0] = float(entry.result)
-            elif name == "median":
-                points[0.5] = float(entry.result)
+            q = quantile_fraction(name)
+            if q is not None:
+                points[q] = float(entry.result)
             elif name == "min":
                 points[0.0] = float(entry.result)
             elif name == "max":
@@ -234,12 +228,8 @@ class DatabaseAbstract:
     def _rule_quantile_interpolation(
         self, function: str, attribute: str
     ) -> Inference | None:
-        match = _QUANTILE_RE.match(function)
-        if match:
-            q = int(match.group(1)) / 100.0
-        elif function == "median":
-            q = 0.5
-        else:
+        q = quantile_fraction(function)
+        if q is None:
             return None
         points = self._cached_quantiles(attribute)
         if q in points:

@@ -56,6 +56,7 @@ class TestMaintainedHistogram:
         for i in range(5):
             work.append(100.0 + i)
             h.on_insert(100.0 + i)
+            h.value  # the rebin check runs on the read
         assert h.rebins >= 1
         # Only the values inserted after the last rebin can still overflow.
         assert h.overflow <= 2

@@ -2,14 +2,16 @@
 
 ``Delta.coalesce`` reorders a mixed burst into inserts → deletes →
 updates.  A legitimate analyst burst such as ``update(30 → 25)`` followed
-by ``delete(25)`` therefore reaches :class:`MedianWindow` with the delete
-*first* — deleting a value the window has never seen.  When that value
-falls inside the window bounds (or the window is empty), the paper's
-histogram-window scheme has no way to classify it and historically raised
-``StatisticsError`` mid-propagation, wedging the entry.  The fix routes
-the window through a t-digest rebuild when the invariant breaks instead
-of raising: the provider already reflects the post-burst data (the
-documented contract), so one provider pass restores a correct answer.
+by ``delete(25)`` used to reach :class:`MedianWindow` with the delete
+*first* — deleting a value the window had never seen — and the paper's
+histogram-window scheme, unable to classify it, raised ``StatisticsError``
+mid-propagation, wedging the entry.  Two things now prevent that:
+``apply_batch`` folds a burst's added values in before its removed values
+fold out, so a coalesced burst is maintained exactly; and a removal the
+window still cannot classify (notifications out of order, a delta that
+does not match the data) routes it through a t-digest rebuild instead of
+raising: the provider already reflects the data (the documented contract),
+so one provider pass restores a correct answer.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from repro.relational.types import NA
 
 def test_coalesced_update_then_delete_inside_bounds() -> None:
     """update(30→25) + delete(25) coalesces to delete-first; 25 is in
-    [10, 30] but absent from the window — must recover, not raise."""
+    [10, 30] — the add-first fold keeps the window exact, no raise."""
     data = [10.0, 20.0, 30.0]
     window = MedianWindow(lambda: list(data))
     window.initialize(data)
@@ -39,12 +41,14 @@ def test_coalesced_update_then_delete_inside_bounds() -> None:
     data[:] = [10.0, 20.0]
     window.apply_batch((burst,))
     assert window.value == pytest.approx(15.0)
-    assert window.stats.invariant_breaks >= 1
+    assert window.stats.invariant_breaks == 0
+    assert not window.in_digest_mode
 
 
 def test_coalesced_burst_on_empty_multiset() -> None:
-    """update(NA→5) + delete(5) against an all-NA column: the coalesced
-    delete hits an empty multiset."""
+    """update(NA→5) + delete(5) against an all-NA column: exact through
+    ``apply_batch``; the same two changes notified delete-first hit an
+    empty multiset and must degrade, not raise."""
     data: list[object] = [NA, NA]
     window = MedianWindow(lambda: list(data))
     window.initialize(data)
@@ -54,7 +58,20 @@ def test_coalesced_burst_on_empty_multiset() -> None:
     data[:] = [NA]
     window.apply_batch((burst,))
     assert window.value is NA
-    assert window.stats.invariant_breaks >= 1
+    assert window.stats.invariant_breaks == 0
+
+    late = MedianWindow(lambda: list(data))
+    late.initialize([NA, NA])
+    late.on_delete(5.0)
+    late.on_update(NA, 5.0)
+    assert late.value is NA
+    assert late.stats.invariant_breaks == 1
+
+
+def out_of_order(window: MedianWindow, old: float, new: float) -> None:
+    """Notify ``update(old → new); delete(new)`` delete-first."""
+    window.on_delete(new)
+    window.on_update(old, new)
 
 
 def test_digest_mode_tracks_later_mutations() -> None:
@@ -64,9 +81,9 @@ def test_digest_mode_tracks_later_mutations() -> None:
     window = MedianWindow(lambda: list(data))
     window.initialize(data)
 
-    burst = Delta.coalesce([Delta(updates=[(7.0, 6.5)]), Delta(deletes=[6.5])])
     data[:] = [float(v) for v in range(1, 7)]  # 1..6
-    window.apply_batch((burst,))
+    out_of_order(window, 7.0, 6.5)
+    assert window.in_digest_mode
     assert window.value == pytest.approx(3.5)
 
     # Ordinary maintenance continues after the break.
@@ -83,11 +100,8 @@ def test_explicit_regenerate_restores_exact_window() -> None:
     data = [10.0, 20.0, 30.0]
     window = MedianWindow(lambda: list(data))
     window.initialize(data)
-    burst = Delta.coalesce(
-        [Delta(updates=[(30.0, 25.0)]), Delta(deletes=[25.0])]
-    )
     data[:] = [10.0, 20.0]
-    window.apply_batch((burst,))
+    out_of_order(window, 30.0, 25.0)
     assert window.stats.invariant_breaks >= 1
 
     window.regenerate()

@@ -10,6 +10,8 @@ acceptance criterion that the static and runtime halves agree.
 import textwrap
 from pathlib import Path
 
+import pytest
+
 from repro.lint import run_lint
 from repro.lint.concurrency import (
     CONCURRENCY_RULE_IDS,
@@ -542,6 +544,22 @@ class TestC206VersionMutation:
                     def poke(self, chain, key):
                         v = chain.pin("sid")
                         v.summary[key].on_insert(2.0)
+                """,
+            ),
+            select={"REPRO-C206"},
+        )
+        assert rule_ids(findings) == {"REPRO-C206"}
+
+    @pytest.mark.parametrize("call", ["fold([2.0], -1)", "reset()"])
+    def test_fold_and_reset_on_published_state_are_flagged(self, call):
+        # The two primitives every other maintainer mutator is built on.
+        findings = lint_sources(
+            (
+                "server/patch.py",
+                f"""
+                class Patcher:
+                    def poke(self, version: ViewVersion, key):
+                        version.summary[key].{call}
                 """,
             ),
             select={"REPRO-C206"},

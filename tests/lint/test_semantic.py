@@ -4,12 +4,16 @@ Each test wires a deliberately broken registry/rule-repository and asserts
 the corresponding REPRO-Sxxx rule fires with a usable message.
 """
 
+import gc
+
 import pytest
 
 from repro.core.errors import RuleError
-from repro.incremental.aggregates import IncrementalMean
+from repro.incremental.aggregates import IncrementalCount, IncrementalMean
+from repro.incremental.differencing import IncrementalComputation
 from repro.lint.semantic import (
     check_algebraic_definitions,
+    check_computation_protocol,
     check_invalidation_paths,
     check_live_maintainers,
     check_order_statistics,
@@ -111,6 +115,63 @@ class TestLiveMaintainers:
             "drifting_mean" in f.message and "diverged" in f.message
             for f in findings
         )
+
+
+class TestComputationProtocol:
+    """REPRO-S005 walks live subclasses, so each fixture class is dropped
+    (and collected) before the codebase-clean gate can see it."""
+
+    @staticmethod
+    def findings_for(cls):
+        return [f for f in check_computation_protocol() if cls.__qualname__ in f.message]
+
+    def test_shipped_maintainers_are_clean(self):
+        assert list(check_computation_protocol()) == []
+
+    def test_missing_fold_reported(self):
+        class NoFold(IncrementalComputation):
+            def reset(self):
+                self.seen = 0
+
+            @property
+            def value(self):
+                return self.seen
+
+        try:
+            [finding] = self.findings_for(NoFold)
+            assert finding.rule_id == "REPRO-S005"
+            assert "does not implement ['fold']" in finding.message
+        finally:
+            del NoFold
+            gc.collect()
+
+    def test_overriding_a_base_owned_entry_point_reported(self):
+        class ForkedCount(IncrementalCount):
+            def on_insert(self, value):  # a second copy of fold's arithmetic
+                self._n += 1
+
+            def apply_batch(self, deltas):
+                return self.value
+
+        try:
+            [finding] = self.findings_for(ForkedCount)
+            assert finding.rule_id == "REPRO-S005"
+            assert "overrides ['on_insert', 'apply_batch']" in finding.message
+        finally:
+            del ForkedCount
+            gc.collect()
+
+    def test_value_override_on_a_concrete_maintainer_is_clean(self):
+        class Doubled(IncrementalCount):
+            @property
+            def value(self):
+                return 2 * self._n
+
+        try:
+            assert self.findings_for(Doubled) == []
+        finally:
+            del Doubled
+            gc.collect()
 
 
 class TestOrderStatistics:
