@@ -38,8 +38,10 @@ from pathlib import Path
 from typing import Any
 
 from repro.core.errors import DurabilityError, SummaryError
-from repro.durability.faults import FaultInjector
+from repro.durability.faults import FaultInjector, write_atomically
 from repro.metadata.persistence import (
+    attribute_from_dict,
+    attribute_to_dict,
     history_to_dict,
     management_to_dict,
     value_from_jsonable,
@@ -53,8 +55,7 @@ from repro.incremental.sketches import (
     TDigest,
 )
 from repro.obs.tracer import NULL_TRACER, AbstractTracer
-from repro.relational.schema import Attribute, AttributeRole, Schema
-from repro.relational.types import DataType
+from repro.relational.schema import Schema
 from repro.stats.models import IncrementalLinearRegression
 from repro.summary.entries import decode_result, encode_result
 
@@ -86,7 +87,7 @@ def snapshot_dbms(dbms: Any) -> dict:
         record: dict[str, Any] = {
             "name": view.name,
             "owner": view.owner,
-            "schema": [_attribute_to_dict(attr) for attr in view.schema.attributes],
+            "schema": [attribute_to_dict(attr) for attr in view.schema.attributes],
             "rows": [
                 [value_to_jsonable(value) for value in row]
                 for row in view.relation
@@ -104,25 +105,6 @@ def snapshot_dbms(dbms: Any) -> dict:
         "management": management_to_dict(dbms.management),
         "views": views,
     }
-
-
-def _attribute_to_dict(attr: Attribute) -> dict:
-    return {
-        "name": attr.name,
-        "dtype": attr.dtype.name,
-        "role": attr.role.value,
-        "codebook": attr.codebook,
-    }
-
-
-def attribute_from_dict(data: dict) -> Attribute:
-    """Inverse of the snapshot's per-attribute record."""
-    return Attribute(
-        data["name"],
-        DataType[data["dtype"]],
-        AttributeRole(data["role"]),
-        data.get("codebook"),
-    )
 
 
 def schema_from_snapshot(columns: list[dict]) -> Schema:
@@ -263,15 +245,7 @@ class Checkpointer:
         """
         self.directory.mkdir(parents=True, exist_ok=True)
         payload = json.dumps(snapshot_dbms(dbms), indent=1).encode("utf-8")
-        tmp = self.path.with_name(CHECKPOINT_NAME + ".tmp")
-        handle = self.faults.open(tmp, "wb")
-        try:
-            handle.write(payload)
-            handle.sync()
-        finally:
-            handle.close()
-        self.faults.replace(tmp, self.path)
-        self.faults.fsync_directory(self.directory)
+        write_atomically(self.faults, self.path, payload)
         self.tracer.add("checkpoint.write")
         self.tracer.add("checkpoint.bytes", len(payload))
         return self.path

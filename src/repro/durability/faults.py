@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from pathlib import Path
 from typing import IO, Any
 
 from repro.core.errors import DurabilityError, InjectedFault
@@ -226,6 +227,26 @@ class FaultyFile:
 
     def __getattr__(self, name: str) -> Any:
         return getattr(self._handle, name)
+
+
+def write_atomically(injector: FaultInjector, path: Path, payload: bytes) -> None:
+    """Replace the file at ``path`` with ``payload``, all or nothing.
+
+    Payload to a temp file beside it, fsync, :func:`os.replace` over the
+    live name, directory fsync — every step through ``injector``, so the
+    crash sweeps can kill the write at each I/O point.  The rename is the
+    commit point, durable only once the directory entry reaches disk: a
+    crash leaves the old file or the new one, never a torn mix.
+    """
+    tmp = path.with_name(path.name + ".tmp")
+    handle = injector.open(tmp, "wb")
+    try:
+        handle.write(payload)
+        handle.sync()
+    finally:
+        handle.close()
+    injector.replace(tmp, path)
+    injector.fsync_directory(path.parent)
 
 
 def fsync_directory(path: str | os.PathLike) -> None:

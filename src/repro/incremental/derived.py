@@ -22,13 +22,18 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from repro.core.errors import RuleError
-from repro.relational.expressions import Expr
-from repro.relational.relation import Relation
 from repro.relational.schema import Attribute, AttributeRole, Schema
 from repro.relational.types import NA, DataType
+
+if TYPE_CHECKING:
+    # Annotations only: the SQL aggregate table (relational.aggregates)
+    # imports this package for its partial states, so at run time the
+    # package may depend on relational's leaf modules alone.
+    from repro.relational.expressions import Expr
+    from repro.relational.relation import Relation
 
 
 class DerivationKind(enum.Enum):

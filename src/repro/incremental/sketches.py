@@ -293,6 +293,23 @@ class TDigest(IncrementalComputation):
         return digest
 
 
+class QuantileDigest(TDigest):
+    """A t-digest whose ``value`` is one fixed quantile, read off by rank.
+
+    The rank ``q·(n−1)`` is the type-7 position ``agg_quantile`` and
+    ``agg_median`` interpolate at, so while the digest holds unit
+    centroids the SQL aggregates finalize to the batch answer exactly.
+    """
+
+    def __init__(self, q: float) -> None:
+        super().__init__()
+        self.q = q
+
+    @property
+    def value(self) -> Any:
+        return self.value_at_rank(self.q * (self.count - 1))
+
+
 class HyperLogLog(IncrementalComputation):
     """Distinct-value counter: exact sparse multiset, then HLL registers.
 

@@ -203,8 +203,9 @@ VECTORIZED_MODULES = ("relational/vectorized.py",)
 
 #: Shard-worker modules, where REPRO-A110 applies (another scope-*to*
 #: list): code shipped to shard processes must stay read-only and below
-#: the view layer.
-SHARD_WORKER_MODULES = ("relational/shardworker.py",)
+#: the view layer.  The vectorized module hosts the grouping loop
+#: (``fold_groups``) the workers execute.
+SHARD_WORKER_MODULES = ("relational/shardworker.py", "relational/vectorized.py")
 
 #: Import prefixes a shard worker may never pull in: the view/summary
 #: layers carry mutable per-analyst state that only exists in the

@@ -29,7 +29,8 @@ from repro.metadata.rules import RuleKind
 from repro.metadata.subject import ROOT
 from repro.relational import expressions as ex
 from repro.relational.aggregates import AggregateSpec
-from repro.relational.types import NA, is_na
+from repro.relational.schema import Attribute, AttributeRole
+from repro.relational.types import NA, DataType, is_na
 from repro.summary.policies import (
     ConsistencyPolicy,
     InvalidatePolicy,
@@ -79,6 +80,29 @@ def result_to_jsonable(value: Any) -> Any:
     if isinstance(value, (tuple, list)):
         return [result_to_jsonable(item) for item in value]
     return value_to_jsonable(value)
+
+
+# -- schema attributes ---------------------------------------------------------------
+
+
+def attribute_to_dict(attr: Attribute) -> dict[str, Any]:
+    """The per-attribute record of checkpoint snapshots and view manifests."""
+    return {
+        "name": attr.name,
+        "dtype": attr.dtype.name,
+        "role": attr.role.value,
+        "codebook": attr.codebook,
+    }
+
+
+def attribute_from_dict(data: dict[str, Any]) -> Attribute:
+    """Inverse of :func:`attribute_to_dict`."""
+    return Attribute(
+        data["name"],
+        DataType[data["dtype"]],
+        AttributeRole(data["role"]),
+        data.get("codebook"),
+    )
 
 
 # -- expressions -------------------------------------------------------------------

@@ -13,11 +13,21 @@ skipped.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Any, Callable, Iterator, Sequence
 
 from repro.core.errors import QueryError
+from repro.incremental.aggregates import (
+    IncrementalCount,
+    IncrementalMax,
+    IncrementalMin,
+    IncrementalWeightedMean,
+)
+from repro.incremental.differencing import DEFINITIONS, AlgebraicForm, IncrementalComputation
+from repro.incremental.sketches import HyperLogLog, QuantileDigest
 from repro.relational.schema import Attribute, AttributeRole, Schema
 from repro.relational.types import NA, DataType, is_na, quantile_fraction
 
@@ -142,37 +152,109 @@ def weighted_avg(values: Sequence[Any], weights: Sequence[Any]) -> Any:
     return num / den if den else NA
 
 
-AGGREGATES: dict[str, Callable[[Sequence[Any]], Any]] = {
-    "count": agg_count,
-    "count_star": agg_count_star,
-    "sum": agg_sum,
-    "avg": agg_avg,
-    "mean": agg_avg,
-    "min": agg_min,
-    "max": agg_max,
-    "median": agg_median,
-    "var": agg_var,
-    "std": agg_std,
-    "count_distinct": agg_count_distinct,
+def _agg_weighted_pairs(pairs: Sequence[tuple[Any, Any]]) -> Any:
+    return weighted_avg(*zip(*pairs)) if pairs else NA
+
+
+@dataclass(frozen=True)
+class Aggregate:
+    """One row of the SQL aggregate table: everything a function name decides.
+
+    ``evaluate`` is the batch reference over what the aggregate consumes,
+    which ``arity`` names: ``0`` the group's rows (only their number
+    matters), ``1`` one column's values, ``2`` (value, weight) pairs.
+    ``partial`` builds its mergeable per-shard state, if it has one; an
+    ``arity`` 0 aggregate needs none, every group carries its size.
+    """
+
+    evaluate: Callable[[Sequence[Any]], Any]
+    arity: int = 1
+    integer: bool = False
+    partial: Callable[[], IncrementalComputation] | None = None
+
+
+def _power_sums(name: str) -> Callable[[], IncrementalComputation]:
+    # Merged power sums do not depend on how the rows were partitioned
+    # (exact for integer-valued data).
+    return functools.partial(AlgebraicForm, DEFINITIONS[name])
+
+
+#: The one name -> aggregate table of the SQL path: the row, vectorized and
+#: sharded group-by operators, their output schema and the planner's
+#: sharded lowering all read it, so adding an aggregate is adding a row.
+AGGREGATES: dict[str, Aggregate] = {
+    "count": Aggregate(agg_count, integer=True, partial=IncrementalCount),
+    "count_star": Aggregate(agg_count_star, arity=0, integer=True),
+    "sum": Aggregate(agg_sum, partial=_power_sums("sum")),
+    "avg": Aggregate(agg_avg, partial=_power_sums("avg")),
+    "mean": Aggregate(agg_avg, partial=_power_sums("mean")),
+    "min": Aggregate(agg_min, partial=IncrementalMin),
+    "max": Aggregate(agg_max, partial=IncrementalMax),
+    "median": Aggregate(agg_median, partial=functools.partial(QuantileDigest, 0.5)),
+    "var": Aggregate(agg_var, partial=_power_sums("var")),
+    "std": Aggregate(agg_std, partial=_power_sums("std")),
+    # Shard workers only insert, so the sketch needs no values provider;
+    # its seeded hashing keeps process-mode workers in agreement.
+    "count_distinct": Aggregate(agg_count_distinct, integer=True, partial=HyperLogLog),
+    "weighted_avg": Aggregate(_agg_weighted_pairs, arity=2, partial=IncrementalWeightedMean),
 }
 
-_INT_RESULTS = {"count", "count_star", "count_distinct"}
 
+def resolve_aggregate(func: str) -> Aggregate | None:
+    """The table row for one aggregate name, or ``None`` if unknown.
 
-def resolve_aggregate(func: str) -> Callable[[Sequence[Any]], Any] | None:
-    """The evaluator for one aggregate name, or ``None`` if unknown.
-
-    ``quantile_NN`` names are synthesized on demand (``quantile_75`` is
+    ``quantile_NN`` rows are synthesized on demand (``quantile_75`` is
     the 75th percentile), mirroring the function registry's quantile
     synthesis on the summary layer.
     """
     found = AGGREGATES.get(func)
-    if found is not None:
-        return found
-    q = quantile_fraction(func)
-    if q is not None:
-        return lambda values: agg_quantile(values, q)
-    return None
+    if found is None:
+        q = quantile_fraction(func)
+        if q is not None:
+            found = Aggregate(
+                functools.partial(agg_quantile, q=q),
+                partial=functools.partial(QuantileDigest, q),
+            )
+    return found
+
+
+def spec_aggregate(spec: AggregateSpec) -> Aggregate:
+    """The table row serving ``spec``; ``count`` of no attribute is ``count(*)``."""
+    star = spec.attr is None and spec.func == "count"
+    found = resolve_aggregate("count_star" if star else spec.func)
+    if found is None:
+        raise QueryError(
+            f"unknown aggregate {spec.func!r}; choose from "
+            f"{sorted(AGGREGATES) + ['quantile_NN']}"
+        )
+    return found
+
+
+def spec_inputs(spec: AggregateSpec) -> list[str]:
+    """The attributes ``spec`` consumes: none, its column, or (column, weight)."""
+    names = (spec.attr, spec.weight)[: spec_aggregate(spec).arity]
+    return [name for name in names if name is not None]
+
+
+def is_mergeable(func: str) -> bool:
+    """Whether shards can answer an aggregate with partials merged on gather."""
+    found = resolve_aggregate(func)
+    return found is not None and (found.arity == 0 or found.partial is not None)
+
+
+def make_partial(spec: AggregateSpec) -> IncrementalComputation | None:
+    """A fresh mergeable state for one spec (``None``: the group size serves it).
+
+    The shard workers (accumulate) and the coordinator (merge) both build
+    their states here, so the two sides cannot disagree about a function's
+    partial representation.
+    """
+    found = spec_aggregate(spec)
+    if found.arity == 0:
+        return None
+    if found.partial is None:
+        raise QueryError(f"aggregate {spec.func!r} has no mergeable partial form")
+    return found.partial()
 
 
 def group_by_schema(
@@ -188,18 +270,15 @@ def group_by_schema(
         raise QueryError("group-by requires at least one aggregate")
     attributes = [in_schema.attribute(k) for k in keys]
     for spec in specs:
-        if resolve_aggregate(spec.func) is None and spec.func != "weighted_avg":
-            raise QueryError(
-                f"unknown aggregate {spec.func!r}; choose from "
-                f"{sorted(AGGREGATES) + ['weighted_avg', 'quantile_NN']}"
-            )
-        if spec.func == "weighted_avg" and not spec.weight:
-            raise QueryError("weighted_avg requires a weight attribute")
-        if spec.attr is not None:
-            in_schema.index_of(spec.attr)  # validate
-        elif spec.func not in ("count", "count_star"):
+        found = spec_aggregate(spec)
+        if found.arity == 2 and not spec.weight:
+            raise QueryError(f"{spec.func} requires a weight attribute")
+        if spec.attr is None and found.arity:
             raise QueryError(f"aggregate {spec.func!r} requires an attribute")
-        dtype = DataType.INT if spec.func in _INT_RESULTS else DataType.FLOAT
+        for name in (spec.attr, spec.weight):
+            if name:
+                in_schema.index_of(name)  # validate
+        dtype = DataType.INT if found.integer else DataType.FLOAT
         attributes.append(Attribute(spec.alias, dtype, AttributeRole.MEASURE))
     return Schema(attributes)
 
@@ -209,7 +288,9 @@ class GroupBy:
 
     With an empty key list, produces one row of grand totals.  The output
     schema has the key attributes (CATEGORY role) followed by one column per
-    :class:`AggregateSpec`.
+    :class:`AggregateSpec`.  This is the reference the vectorized and
+    sharded operators are checked against: it gathers each group's rows and
+    hands every aggregate's batch evaluator exactly what it consumes.
     """
 
     def __init__(self, child: Any, keys: Sequence[str], specs: Sequence[AggregateSpec]) -> None:
@@ -221,41 +302,19 @@ class GroupBy:
     def __iter__(self) -> Iterator[tuple[Any, ...]]:
         in_schema = self.child.schema
         key_idx = [in_schema.index_of(k) for k in self.keys]
-        col_idx = [
-            in_schema.index_of(spec.attr) if spec.attr is not None else None
-            for spec in self.specs
-        ]
-        weight_idx = [
-            in_schema.index_of(spec.weight) if spec.weight else None
-            for spec in self.specs
-        ]
-        groups: dict[tuple, list[tuple]] = {}
-        order: list[tuple] = []
+        evaluators = [spec_aggregate(spec).evaluate for spec in self.specs]
+        # What each aggregate consumes of a row: the row, a value, or a pair.
+        input_idx = [[in_schema.index_of(n) for n in spec_inputs(s)] for s in self.specs]
+        pickers = [itemgetter(*idx) if idx else tuple for idx in input_idx]
+        groups: dict[tuple, list[tuple]] = {}  # insertion order is first-seen order
         for row in self.child:
-            key = tuple(row[i] for i in key_idx)
-            bucket = groups.get(key)
-            if bucket is None:
-                groups[key] = bucket = []
-                order.append(key)
-            bucket.append(row)
-        if not self.keys and not order:
-            order.append(())
+            groups.setdefault(tuple(row[i] for i in key_idx), []).append(row)
+        if not self.keys and not groups:
             groups[()] = []
-        for key in order:
-            rows = groups[key]
+        for key, rows in groups.items():
             out: list[Any] = list(key)
-            for spec, ci, wi in zip(self.specs, col_idx, weight_idx):
-                if spec.func == "weighted_avg":
-                    values = [r[ci] for r in rows]
-                    weights = [r[wi] for r in rows]
-                    out.append(weighted_avg(values, weights))
-                elif spec.func in ("count_star",) or (spec.func == "count" and ci is None):
-                    out.append(len(rows))
-                else:
-                    values = [r[ci] for r in rows]
-                    evaluator = resolve_aggregate(spec.func)
-                    assert evaluator is not None  # validated in __init__
-                    out.append(evaluator(values))
+            for evaluate, pick in zip(evaluators, pickers):
+                out.append(evaluate([pick(r) for r in rows]))
             yield tuple(out)
 
     def rows(self) -> list[tuple[Any, ...]]:

@@ -85,7 +85,11 @@ def plan(query: Query, catalog: Catalog, use_vectorized: bool = True) -> Any:
                     pushed_right.append(conjunct)
                 else:
                     kept.append(conjunct)
-        probe = _try_pruned_probe(query, left, _combine(pushed_left)) if use_vectorized else None
+        probe = (
+            _try_pruned_probe(query, left, right, _combine(pushed_left))
+            if use_vectorized
+            else None
+        )
         if probe is not None:
             left = probe
         elif pushed_left:
@@ -115,31 +119,21 @@ def plan(query: Query, catalog: Catalog, use_vectorized: bool = True) -> Any:
         # keep the row engine; otherwise a sharded aggregate query runs
         # scatter-gather, and any other chunk-capable source runs the
         # whole select/project/group-by stack vectorized.
-        vectorized = _try_sharded(query, pipeline, where)
-        if vectorized is None:
-            vectorized = _try_vectorized(query, pipeline, where)
+        vectorized = _try_vectorized(query, pipeline, where)
 
     if vectorized is not None:
         pipeline = vectorized
     else:
+        # The row operators bind lazily: check the query's names now.
+        specs, items, _ = _query_shape(query, pipeline.schema, where)
         if where is not None:
             pipeline = Select(pipeline, where)
-        specs = _grouped_specs(query)
         if specs is not None:
-            pipeline = GroupBy(pipeline, query.group_by, specs)
-            if query.having is not None:
-                # HAVING filters the grouped rows; it references group keys
-                # and aggregate aliases, which are exactly the GroupBy
-                # output schema.
-                pipeline = Select(pipeline, query.having)
-            # Reorder output columns to the SELECT order when it differs.
-            wanted = _grouped_output_names(query.select, query.group_by)
-            if wanted != pipeline.schema.names:
-                pipeline = Project(pipeline, wanted)
-        else:
-            items = _projection_items(query)
-            if items is not None:
-                pipeline = Project(pipeline, items)
+            pipeline = _grouped_tail(
+                query, GroupBy(pipeline, query.group_by, specs), Select, Project
+            )
+        elif items is not None:
+            pipeline = Project(pipeline, items)
 
     if query.order_by:
         pipeline = Sort(pipeline, query.order_by, descending=query.order_desc)
@@ -176,6 +170,44 @@ def _grouped_specs(query: Query) -> list[AggregateSpec] | None:
     return specs
 
 
+def _grouped_tail(query: Query, grouped: Any, select: Any, project: Any) -> Any:
+    """What every engine puts above its group-by operator.
+
+    HAVING filters the grouped rows — it references group keys and
+    aggregate aliases, which are exactly the group-by output schema — and
+    a projection reorders the output columns to the SELECT order when it
+    differs.  ``select`` / ``project`` are the operator classes of the
+    engine ``grouped`` runs on.
+    """
+    if query.having is not None:
+        grouped = select(grouped, query.having)
+    wanted = _grouped_output_names(query.select, query.group_by)
+    if wanted != grouped.schema.names:
+        grouped = project(grouped, wanted)
+    return grouped
+
+
+def _query_shape(
+    query: Query, schema: Any, where: ex.Expr | None
+) -> tuple[list[AggregateSpec] | None, list[Any] | None, list[str] | None]:
+    """A query's grouped specs, its projection items, and the columns it needs.
+
+    At most one of specs and items is set; with neither (``SELECT *``) the
+    needed columns are ``None``, the full width.  Otherwise they are the
+    columns of ``schema`` the query touches, and a name ``schema`` lacks is
+    rejected here, whichever engine the plan ends up on.
+    """
+    from repro.relational.vectorized import needed_columns
+
+    specs = _grouped_specs(query)
+    items = _projection_items(query) if specs is None else None
+    if specs is None and items is None:
+        return None, None, None
+    return specs, items, needed_columns(
+        schema, where, query.group_by, specs or (), items or ()
+    )
+
+
 def _projection_items(query: Query) -> list[Any] | None:
     """Projection items for an ungrouped query, or ``None`` for SELECT *."""
     star = any(item.kind == "star" for item in query.select)
@@ -192,40 +224,15 @@ def _projection_items(query: Query) -> list[Any] | None:
     return items
 
 
-def _try_sharded(query: Query, source: Any, where: ex.Expr | None) -> Any:
-    """Lower an eligible aggregate query to scatter-gather, or ``None``.
-
-    Eligible: join-free (guaranteed by the caller), sharded transposed
-    storage, grouped/aggregate shape, and every aggregate mergeable —
-    which since the sketch partials (t-digest / HyperLogLog) includes
-    ``median``, ``quantile_NN``, and ``count_distinct``.  Plain
-    projections still fall back, where scatter would only re-concatenate
-    rows.  HAVING and SELECT-order projection run over the merged group
-    rows, exactly as on the vectorized path.
-    """
-    from repro.relational.sharded import (
-        ShardedGroupBy,
-        is_mergeable,
-        is_sharded_source,
-    )
-    from repro.relational.vectorized import VecProject, VecSelect
-
-    if not is_sharded_source(source):
-        return None
-    specs = _grouped_specs(query)
-    if specs is None or any(not is_mergeable(spec.func) for spec in specs):
-        return None
-    pipeline: Any = ShardedGroupBy(source, query.group_by, specs, where=where)
-    if query.having is not None:
-        pipeline = VecSelect(pipeline, query.having)
-    wanted = _grouped_output_names(query.select, query.group_by)
-    if wanted != pipeline.schema.names:
-        pipeline = VecProject(pipeline, wanted)
-    return pipeline
-
-
 def _try_vectorized(query: Query, source: Any, where: ex.Expr | None) -> Any:
-    """Build a vectorized pipeline for ``query``, or ``None`` to stay row-wise."""
+    """Build a vectorized pipeline for ``query``, or ``None`` to stay row-wise.
+
+    A grouped query over sharded transposed storage whose aggregates are all
+    mergeable runs scatter-gather, the selection pushed into the per-shard
+    scans.  Plain projections over shards take the ordinary pruned scan:
+    scatter would only re-concatenate rows.
+    """
+    from repro.relational.sharded import ShardedGroupBy, is_mergeable, is_sharded_source
     from repro.relational.vectorized import (
         VecGroupBy,
         VecProject,
@@ -236,27 +243,29 @@ def _try_vectorized(query: Query, source: Any, where: ex.Expr | None) -> Any:
 
     if not supports_column_chunks(source):
         return None
-    specs = _grouped_specs(query)
-    items = _projection_items(query) if specs is None else None
-    needed = _needed_columns(query, source.schema, where, specs, items)
+    specs, items, needed = _query_shape(query, source.schema, where)
+    if (
+        specs is not None
+        and is_sharded_source(source)
+        and all(is_mergeable(spec.func) for spec in specs)
+    ):
+        grouped = ShardedGroupBy(source, query.group_by, specs, where=where)
+        return _grouped_tail(query, grouped, VecSelect, VecProject)
     pipeline = as_chunk_pipeline(source, columns=needed)
     if pipeline is None:
         return None
     if where is not None:
         pipeline = VecSelect(pipeline, where)
     if specs is not None:
-        pipeline = VecGroupBy(pipeline, query.group_by, specs)
-        if query.having is not None:
-            pipeline = VecSelect(pipeline, query.having)
-        wanted = _grouped_output_names(query.select, query.group_by)
-        if wanted != pipeline.schema.names:
-            pipeline = VecProject(pipeline, wanted)
+        pipeline = _grouped_tail(
+            query, VecGroupBy(pipeline, query.group_by, specs), VecSelect, VecProject
+        )
     elif items is not None:
         pipeline = VecProject(pipeline, items)
     return pipeline
 
 
-def _try_pruned_probe(query: Query, source: Any, pushed: ex.Expr | None) -> Any:
+def _try_pruned_probe(query: Query, source: Any, right: Any, pushed: ex.Expr | None) -> Any:
     """A join's probe input read q-of-m, or ``None`` to scan it row-wise.
 
     The join, and everything above it, stays on the row engine and takes
@@ -272,9 +281,9 @@ def _try_pruned_probe(query: Query, source: Any, pushed: ex.Expr | None) -> Any:
     assert query.join is not None
     if not (isinstance(source, StoredRelation) and source.supports_column_chunks()):
         return None
-    specs = _grouped_specs(query)
-    items = _projection_items(query) if specs is None else None
-    needed = _needed_columns(query, source.schema, query.where, specs, items)
+    # The query may touch ``right``'s columns too: check against the join.
+    joined = source.schema.concat(right.schema)
+    _, _, needed = _query_shape(query, joined, query.where)
     if needed is None:
         return None
     wanted = set(needed) | set(query.join.left_keys)
@@ -284,39 +293,6 @@ def _try_pruned_probe(query: Query, source: Any, pushed: ex.Expr | None) -> Any:
     if pushed is not None:
         probe = VecSelect(probe, pushed)
     return probe
-
-
-def _needed_columns(
-    query: Query,
-    schema: Any,
-    where: ex.Expr | None,
-    specs: list[AggregateSpec] | None,
-    items: list[Any] | None,
-) -> list[str] | None:
-    """Source columns the query touches, in schema order (None = all).
-
-    This is the q of the q-of-m scan: the vectorized path never reads the
-    other m − q columns off a transposed backing.
-    """
-    if specs is None and items is None:
-        return None  # SELECT * needs the full width.
-    used: set[str] = set()
-    if where is not None:
-        used |= where.columns()
-    if specs is not None:
-        used |= set(query.group_by)
-        for spec in specs:
-            if spec.attr is not None:
-                used.add(spec.attr)
-            if spec.weight:
-                used.add(spec.weight)
-    elif items is not None:
-        for item in items:
-            if isinstance(item, str):
-                used.add(item)
-            else:
-                used |= item[1].columns()
-    return [name for name in schema.names if name in used]
 
 
 def _try_index_access(

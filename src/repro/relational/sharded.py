@@ -9,15 +9,14 @@ by :func:`repro.relational.shardworker.run_partial`, either in-process
 :class:`ShardedGroupBy` merges the per-group partial states through the
 incremental layer's ``merge_partial()`` protocol on gather.
 
-Why the results match the single-stream engine: every mergeable function is
-computed from partition-order-independent state — power sums
-(:class:`~repro.incremental.differencing.AlgebraicForm`) for
-sum/avg/var/std, plain counters for count, a value multiset for min/max,
-(numerator, denominator) for weighted_avg — so the merged totals are the
-same no matter how rows were split across shards.  Group output order is
-restored by tagging each group with the *global* row number of its first
-selected row (the router's inverse mapping) and sorting the merged groups
-on the minimum tag: exactly the first-seen order VecGroupBy produces.
+Why the results match the single-stream engine: the partial states the
+aggregate table names (:data:`repro.relational.aggregates.AGGREGATES`) are
+partition-order independent — power sums, counters, value multisets,
+(numerator, denominator) pairs — so the merged totals are the same no
+matter how rows were split across shards.  Group output order is restored
+by tagging each group with the *global* row number of its first selected
+row (the router's inverse mapping) and sorting the merged groups on the
+minimum tag: exactly the first-seen order VecGroupBy produces.
 
 Shard affinity: each shard owns one single-worker process pool, and the
 shard's file is shipped (pickled) to that worker once, cached under a
@@ -34,33 +33,32 @@ from concurrent.futures import Future, ProcessPoolExecutor
 from typing import Any, Iterator, Sequence
 
 from repro.core.errors import QueryError
-from repro.incremental.differencing import IncrementalComputation
 from repro.obs.tracer import NULL_TRACER, AbstractTracer
-from repro.relational.aggregates import AggregateSpec, group_by_schema
+from repro.relational.aggregates import (
+    AggregateSpec,
+    group_by_schema,
+    is_mergeable,
+    make_partial,
+)
 from repro.relational.expressions import Expr
 from repro.relational.relation import StoredRelation
 from repro.relational.schema import Schema
 from repro.relational.shardworker import (
-    MERGEABLE_FUNCS,
-    GroupPartial,
     ShardRequest,
     install_shard,
-    is_mergeable,
-    make_partial,
     run_installed,
     run_partial,
 )
-from repro.relational.types import quantile_fraction
 from repro.relational.vectorized import (
     CHUNK_SIZE,
     ColumnChunk,
+    GroupPartial,
     VectorOperator,
     chunks_from_rows,
+    group_rows,
+    needed_columns,
 )
 from repro.storage.sharded import ShardedTransposedFile
-
-#: Environment override for the execution mode (auto / serial / process).
-MODE_ENV = "REPRO_SHARD_MODE"
 
 _MODES = ("auto", "serial", "process")
 
@@ -208,17 +206,10 @@ _EXECUTORS = weakref.WeakKeyDictionary()
 
 def get_executor(
     storage: ShardedTransposedFile,
-    mode: str | None = None,
+    mode: str = "auto",
     tracer: AbstractTracer | None = None,
 ) -> ShardExecutor:
-    """The cached executor for ``storage`` (created on first use).
-
-    ``mode=None`` reads the :data:`MODE_ENV` environment variable,
-    defaulting to ``auto`` — benchmarks and CI force a mode without
-    plumbing a parameter through the planner.
-    """
-    if mode is None:
-        mode = os.environ.get(MODE_ENV, "auto")
+    """The cached executor for ``storage`` and ``mode`` (created on first use)."""
     per_storage = _EXECUTORS.setdefault(storage, {})
     executor = per_storage.get(mode)
     if executor is None:
@@ -233,15 +224,6 @@ def is_sharded_source(source: Any) -> bool:
     )
 
 
-class _MergedGroup:
-    __slots__ = ("first_row", "size", "comps")
-
-    def __init__(self, first_row: int, comps: list[IncrementalComputation | None]) -> None:
-        self.first_row = first_row
-        self.size = 0
-        self.comps = comps
-
-
 def gather_rows(
     per_shard: Sequence[Sequence[GroupPartial]],
     keys: Sequence[str],
@@ -251,50 +233,25 @@ def gather_rows(
 
     Groups merge by key through ``merge_partial``; output order is
     ascending minimum global first-row, which reproduces the single-stream
-    engine's first-seen order.  With no grouping keys and no matching rows,
-    one grand-total row over the empty input is emitted (SQL semantics,
-    matching VecGroupBy).
+    engine's first-seen order.  The rows are finalized as VecGroupBy's are
+    (:func:`~repro.relational.vectorized.group_rows`), the empty-input
+    grand-total row included.
     """
-    merged: dict[tuple[Any, ...], _MergedGroup] = {}
+    merged: dict[tuple[Any, ...], GroupPartial] = {}
     for shard_result in per_shard:
         for partial in shard_result:
             group = merged.get(partial.key)
             if group is None:
-                merged[partial.key] = group = _MergedGroup(
-                    partial.first_row, [make_partial(spec) for spec in specs]
+                states = [make_partial(spec) for spec in specs]
+                merged[partial.key] = group = GroupPartial(
+                    partial.key, partial.first_row, 0, states
                 )
             group.first_row = min(group.first_row, partial.first_row)
             group.size += partial.size
-            for comp, state in zip(group.comps, partial.states):
-                if comp is not None:
-                    comp.merge_partial(state)
-    if not keys and not merged:
-        merged[()] = _MergedGroup(0, [make_partial(spec) for spec in specs])
-    rows: list[tuple[Any, ...]] = []
-    for key, group in sorted(merged.items(), key=lambda item: item[1].first_row):
-        out: list[Any] = list(key)
-        for spec, comp in zip(specs, group.comps):
-            out.append(_final_value(spec, comp, group.size))
-        rows.append(tuple(out))
-    return rows
-
-
-def _final_value(
-    spec: AggregateSpec, comp: IncrementalComputation | None, size: int
-) -> Any:
-    if comp is None:
-        return size  # count(*) over the selected rows, NA included
-    if spec.func == "min":
-        return comp.min  # type: ignore[attr-defined]
-    if spec.func == "max":
-        return comp.max  # type: ignore[attr-defined]
-    q = quantile_fraction(spec.func)
-    if q is not None:
-        # Rank-based finalize reproduces the single-stream type-7
-        # convention exactly while the merged digest holds unit centroids.
-        n = comp.count  # type: ignore[attr-defined]
-        return comp.value_at_rank(q * (n - 1))  # type: ignore[attr-defined]
-    return comp.value
+            for state, shipped in zip(group.states, partial.states):
+                if state is not None:
+                    state.merge_partial(shipped)
+    return group_rows(merged, keys, specs, make_partial)
 
 
 class ShardedGroupBy(VectorOperator):
@@ -336,7 +293,7 @@ class ShardedGroupBy(VectorOperator):
         # scatter-gather plans.
         self.tracer = tracer
         self.executor = executor if executor is not None else get_executor(source.storage)
-        self._columns = _needed_columns(source.schema, where, keys, specs)
+        self._columns = needed_columns(source.schema, where, keys, specs)
 
     def chunks(self) -> Iterator[ColumnChunk]:
         per_shard = self.executor.run(
@@ -352,27 +309,7 @@ class ShardedGroupBy(VectorOperator):
         yield from chunks_from_rows(self.schema, rows, max(len(rows), 1))
 
 
-def _needed_columns(
-    schema: Schema,
-    where: Expr | None,
-    keys: Sequence[str],
-    specs: Sequence[AggregateSpec],
-) -> list[str]:
-    """Source columns the request touches, in schema order (q of m)."""
-    used: set[str] = set(keys)
-    if where is not None:
-        used |= where.columns()
-    for spec in specs:
-        if spec.attr is not None:
-            used.add(spec.attr)
-        if spec.weight:
-            used.add(spec.weight)
-    return [name for name in schema.names if name in used]
-
-
 __all__ = [
-    "MERGEABLE_FUNCS",
-    "MODE_ENV",
     "ShardExecutor",
     "ShardedGroupBy",
     "gather_rows",

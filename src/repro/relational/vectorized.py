@@ -25,14 +25,16 @@ with :class:`~repro.relational.relation.Relation.from_operator`.
 
 from __future__ import annotations
 
+from collections import defaultdict
+from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from repro.core.errors import QueryError
 from repro.relational.aggregates import (
     AggregateSpec,
     group_by_schema,
-    resolve_aggregate,
-    weighted_avg,
+    spec_aggregate,
+    spec_inputs,
 )
 from repro.relational.schema import Schema
 from repro.relational.types import NA
@@ -203,6 +205,32 @@ class VecScan(VectorOperator):
             yield ColumnChunk(self.schema, columns, len(raw_columns[0]))
 
 
+def needed_columns(
+    schema: Schema,
+    where: Any,
+    keys: Sequence[str],
+    specs: Sequence[AggregateSpec],
+    items: Sequence[Any] = (),
+) -> list[str]:
+    """Source columns a query touches, in schema order: the q of q-of-m.
+
+    A pruned scan never reads the other m - q columns off a transposed
+    backing.  A name ``schema`` lacks raises here, at plan time and against
+    the real schema, not later from inside a scan that was pruned without
+    it.  ``items`` are projection items (names or ``(alias, Expr)`` pairs).
+    """
+    used: set[str] = set(keys)
+    if where is not None:
+        used |= where.columns()
+    for spec in specs:
+        used.update(name for name in (spec.attr, spec.weight) if name)
+    for item in items:
+        used |= {item} if isinstance(item, str) else item[1].columns()
+    for name in sorted(used):
+        schema.index_of(name)  # validate
+    return [name for name in schema.names if name in used]
+
+
 class VecSelect(VectorOperator):
     """Selection: the predicate compiles once to a boolean-mask kernel."""
 
@@ -255,24 +283,124 @@ def _column_picker(index: int) -> ChunkFn:
     return lambda chunk: chunk.columns[index]
 
 
-class _Group:
-    """Accumulated state for one group key."""
+@dataclass
+class GroupPartial:
+    """One group of a grouped aggregation, as folded, merged or shipped.
 
-    __slots__ = ("size", "values")
+    ``states`` are live fold states until a shard worker swaps in their
+    picklable ``partial_state()`` snapshots (and the global ``first_row``)
+    for the trip to the coordinator.
+    """
 
-    def __init__(self, column_indexes: Sequence[int]) -> None:
-        self.size = 0
-        self.values: dict[int, list[Any]] = {i: [] for i in column_indexes}
+    key: tuple[Any, ...]
+    first_row: int  # position of the group's first selected row
+    size: int  # selected rows (count(*) numerator)
+    states: list[Any]  # one per spec (None where the size serves it)
+
+
+def fold_groups(
+    source: VectorOperator,
+    keys: Sequence[str],
+    specs: Sequence[AggregateSpec],
+    new_state: Callable[[AggregateSpec], Any],
+    mask_fn: ChunkFn | None = None,
+) -> dict[tuple[Any, ...], GroupPartial]:
+    """The one grouping loop: a map from group key to one fold state per spec.
+
+    Buckets each chunk's selected row positions per group, then gives every
+    state one ``fold`` per (group, chunk) of what its aggregate consumes —
+    a column slice, or (value, weight) pairs — so method dispatches number
+    groups x specs per chunk, not rows x specs.  ``new_state`` builds a
+    spec's state, or ``None`` when the group size serves it: exact states
+    under :class:`VecGroupBy`, mergeable partials in a shard worker, and
+    nothing else differs between the two.  Groups come back in first-seen
+    order; ``first_row`` counts positions across ``source``'s chunks,
+    unselected rows included.
+    """
+    schema = source.schema
+    key_idx = [schema.index_of(k) for k in keys]
+    input_idx = [[schema.index_of(n) for n in spec_inputs(spec)] for spec in specs]
+    groups: dict[tuple[Any, ...], GroupPartial] = {}
+    base = 0
+    for chunk in source.chunks():
+        columns = [column.to_list() for column in chunk.columns]
+        mask = mask_fn(chunk).data if mask_fn is not None else None
+        chunk_keys = zip(*(columns[i] for i in key_idx)) if key_idx else [()] * chunk.length
+        # Per spec, what its aggregate consumes of each row: a value, or a tuple.
+        inputs = [
+            columns[idx[0]] if len(idx) == 1 else list(zip(*(columns[i] for i in idx)))
+            for idx in input_idx
+        ]
+        buckets: defaultdict[tuple[Any, ...], list[int]] = defaultdict(list)
+        for r, key in enumerate(chunk_keys):
+            if mask is None or mask[r]:
+                buckets[key].append(r)
+        for key, rows in buckets.items():
+            group = groups.get(key)
+            if group is None:
+                states = [new_state(spec) for spec in specs]
+                groups[key] = group = GroupPartial(key, base + rows[0], 0, states)
+            group.size += len(rows)
+            for state, consumed in zip(group.states, inputs):
+                if state is not None:
+                    state.fold([consumed[r] for r in rows])
+        base += chunk.length
+    return groups
+
+
+def group_rows(
+    groups: dict[tuple[Any, ...], GroupPartial],
+    keys: Sequence[str],
+    specs: Sequence[AggregateSpec],
+    new_state: Callable[[AggregateSpec], Any],
+) -> list[tuple[Any, ...]]:
+    """Finalize folded groups into output rows, in first-seen order.
+
+    With no grouping keys and no group, one grand-total row over the empty
+    input is emitted (SQL semantics, the row engine's too).
+    """
+    if not keys and not groups:
+        groups[()] = GroupPartial((), 0, 0, [new_state(spec) for spec in specs])
+    return [
+        (*group.key, *(group.size if s is None else s.value for s in group.states))
+        for group in sorted(groups.values(), key=lambda group: group.first_row)
+    ]
+
+
+class _ExactState:
+    """A fold state that keeps what it is fed and reduces it in one batch.
+
+    ``value`` is the reference evaluator over every value the group saw, in
+    scan order: the row engine's computation, so its result bit for bit,
+    and ``median`` / ``count_distinct`` stay exact off the sharded path.
+    """
+
+    __slots__ = ("evaluate", "values")
+
+    def __init__(self, evaluate: Callable[[Sequence[Any]], Any]) -> None:
+        self.evaluate = evaluate
+        self.values: list[Any] = []
+
+    def fold(self, values: list[Any]) -> None:
+        self.values += values
+
+    @property
+    def value(self) -> Any:
+        return self.evaluate(self.values)
+
+
+def _exact_state(spec: AggregateSpec) -> _ExactState | None:
+    found = spec_aggregate(spec)
+    return _ExactState(found.evaluate) if found.arity else None
 
 
 class VecGroupBy(VectorOperator):
     """Group-by over chunks with the row engine's exact aggregate semantics.
 
-    Grouping gathers each aggregate input column-wise per group; the final
-    per-group reduction reuses the shared NA-skipping aggregate functions,
-    so results match :class:`~repro.relational.aggregates.GroupBy` bit for
-    bit.  Output is one chunk of group rows (group counts are small
-    relative to input rows).
+    :func:`fold_groups` with an exact state per (group, spec); results match
+    :class:`~repro.relational.aggregates.GroupBy` bit for bit.  Output is
+    one chunk of group rows (group counts are small relative to input
+    rows).
     """
 
     def __init__(self, child: Any, keys: Sequence[str], specs: Sequence[AggregateSpec]) -> None:
@@ -280,58 +408,11 @@ class VecGroupBy(VectorOperator):
         self.schema = group_by_schema(child.schema, keys, specs)
         self.keys = list(keys)
         self.specs = list(specs)
-        in_schema: Schema = child.schema
-        self._key_idx = [in_schema.index_of(k) for k in self.keys]
-        self._col_idx = [
-            in_schema.index_of(spec.attr) if spec.attr is not None else None
-            for spec in self.specs
-        ]
-        self._weight_idx = [
-            in_schema.index_of(spec.weight) if spec.weight else None
-            for spec in self.specs
-        ]
-        self._evaluators = [resolve_aggregate(spec.func) for spec in self.specs]
 
     def chunks(self) -> Iterator[ColumnChunk]:
-        key_idx = self._key_idx
-        needed = sorted(
-            {i for i in self._col_idx if i is not None}
-            | {i for i in self._weight_idx if i is not None}
-        )
-        groups: dict[tuple, _Group] = {}
-        order: list[tuple] = []
-        for chunk in self.child.chunks():
-            key_columns = [chunk.columns[i].to_list() for i in key_idx]
-            data_columns = [(i, chunk.columns[i].to_list()) for i in needed]
-            for r in range(chunk.length):
-                key = tuple(column[r] for column in key_columns)
-                group = groups.get(key)
-                if group is None:
-                    groups[key] = group = _Group(needed)
-                    order.append(key)
-                group.size += 1
-                values = group.values
-                for i, column in data_columns:
-                    values[i].append(column[r])
-        if not self.keys and not order:
-            order.append(())
-            groups[()] = _Group(needed)
-        out_rows = [self._emit(key, groups[key]) for key in order]
+        groups = fold_groups(self.child, self.keys, self.specs, _exact_state)
+        out_rows = group_rows(groups, self.keys, self.specs, _exact_state)
         yield _chunk_from_block(self.schema, out_rows, len(self.schema))
-
-    def _emit(self, key: tuple, group: _Group) -> tuple[Any, ...]:
-        out: list[Any] = list(key)
-        for spec, ci, wi, evaluator in zip(
-            self.specs, self._col_idx, self._weight_idx, self._evaluators
-        ):
-            if spec.func == "weighted_avg":
-                out.append(weighted_avg(group.values[ci], group.values[wi]))
-            elif spec.func == "count_star" or (spec.func == "count" and ci is None):
-                out.append(group.size)
-            else:
-                assert evaluator is not None  # validated by group_by_schema
-                out.append(evaluator(group.values[ci]))
-        return tuple(out)
 
 
 def supports_column_chunks(source: Any) -> bool:
@@ -367,6 +448,7 @@ __all__ = [
     "CHUNK_SIZE",
     "ColumnChunk",
     "ColumnVector",
+    "GroupPartial",
     "VecGroupBy",
     "VecProject",
     "VecScan",
@@ -374,5 +456,8 @@ __all__ = [
     "VectorOperator",
     "as_chunk_pipeline",
     "chunks_from_rows",
+    "fold_groups",
+    "group_rows",
+    "needed_columns",
     "supports_column_chunks",
 ]

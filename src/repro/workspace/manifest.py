@@ -30,8 +30,9 @@ from pathlib import Path
 from typing import Any
 
 from repro.core.errors import ManifestError
-from repro.durability.faults import FaultInjector
-from repro.relational.schema import Attribute, Schema
+from repro.durability.faults import FaultInjector, write_atomically
+from repro.metadata.persistence import attribute_to_dict
+from repro.relational.schema import Schema
 from repro.views.materialize import ViewDefinition
 
 MANIFEST_NAME = "manifest.json"
@@ -39,15 +40,6 @@ MANIFEST_FORMAT = 1
 #: Hex digits of the sha256 content hash used as a directory name — 16
 #: gives 64 bits, collision-safe far past the "thousands of views" scale.
 SPACE_ID_LENGTH = 16
-
-
-def _attribute_to_dict(attr: Attribute) -> dict[str, Any]:
-    return {
-        "name": attr.name,
-        "dtype": attr.dtype.name,
-        "role": attr.role.value,
-        "codebook": attr.codebook,
-    }
 
 
 def canonical_parameters(parameters: dict[str, Any] | None) -> dict[str, Any]:
@@ -77,7 +69,7 @@ def view_space_id(
     process-local, nothing ``PYTHONHASHSEED``-salted.
     """
     payload = {
-        "schema": [_attribute_to_dict(attr) for attr in schema.attributes],
+        "schema": [attribute_to_dict(attr) for attr in schema.attributes],
         "definition": definition.canonical(),
         "parameters": canonical_parameters(parameters),
     }
@@ -170,19 +162,10 @@ def write_manifest(
     :func:`os.replace` rename is the commit point, durable only once the
     directory entry is fsynced.
     """
-    injector = faults or FaultInjector()
     target = manifest_path(directory)
     target.parent.mkdir(parents=True, exist_ok=True)
     payload = json.dumps(manifest.to_dict(), indent=1, sort_keys=True)
-    tmp = target.with_name(MANIFEST_NAME + ".tmp")
-    handle = injector.open(tmp, "wb")
-    try:
-        handle.write(payload.encode("utf-8"))
-        handle.sync()
-    finally:
-        handle.close()
-    injector.replace(tmp, target)
-    injector.fsync_directory(target.parent)
+    write_atomically(faults or FaultInjector(), target, payload.encode("utf-8"))
     return target
 
 

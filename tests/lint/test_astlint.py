@@ -1,5 +1,6 @@
 """Seeded-violation tests for the AST lint passes (layer 2)."""
 
+import inspect
 import textwrap
 
 from repro.lint.astlint import lint_source
@@ -488,6 +489,7 @@ class TestLockConstruct:
 
 class TestShardWorkerIsolation:
     WORKER = "src/repro/relational/shardworker.py"
+    LOOP = "src/repro/relational/vectorized.py"
 
     def test_views_import_flagged(self):
         code = """
@@ -536,6 +538,25 @@ class TestShardWorkerIsolation:
             return [sum(chunk) for chunk in file.scan_column(0)]
         """
         assert lint(code, path=self.WORKER, select={"REPRO-A110"}) == []
+
+    def test_write_api_call_in_grouping_loop_flagged(self):
+        # Shard workers execute vectorized.fold_groups, so its module is in scope.
+        code = """
+        def fold_groups(chunks, source):
+            for chunk in chunks:
+                source.append_rows(chunk)
+        """
+        findings = lint(code, path=self.LOOP, select={"REPRO-A110"})
+        assert rule_ids(findings) == ["REPRO-A110"]
+        assert ".append_rows" in findings[0].message
+
+    def test_shipped_grouping_loop_is_clean(self):
+        import repro.relational.vectorized as module
+
+        shipped = inspect.getsource(module)
+        assert "def fold_groups(" in shipped
+        findings = lint_source(shipped, self.LOOP, select={"REPRO-A110", "REPRO-A106"})
+        assert findings == []
 
     def test_other_modules_exempt(self):
         code = """

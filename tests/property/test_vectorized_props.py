@@ -102,6 +102,12 @@ def test_groupby_matches_row_engine(rows, chunk_size, keys):
         AggregateSpec("mean", "Y", "my"),
         AggregateSpec("min", "X", "mn"),
         AggregateSpec("max", "Y", "mx"),
+        AggregateSpec("median", "X", "md"),
+        AggregateSpec("var", "Y", "vy"),
+        AggregateSpec("std", "X", "sd"),
+        AggregateSpec("count_distinct", "K", "dk"),
+        AggregateSpec("quantile_25", "Y", "q25"),
+        AggregateSpec("weighted_avg", "X", "wx", weight="Y"),
     ]
     vec = VecGroupBy(VecScan(rel, chunk_size=chunk_size), keys, specs)
     assert vec.rows() == list(GroupBy(rel, keys, specs))

@@ -2,24 +2,30 @@
 
 import pytest
 
-from repro.core.errors import QueryError
+from repro.core.errors import QueryError, SchemaError
 from repro.obs.tracer import Tracer
-from repro.relational.aggregates import AggregateSpec, GroupBy
+from repro.relational.aggregates import (
+    AGGREGATES,
+    AggregateSpec,
+    GroupBy,
+    group_by_schema,
+    resolve_aggregate,
+)
 from repro.relational.catalog import Catalog
 from repro.relational.expressions import col
 from repro.relational.planner import plan
 from repro.relational.relation import Relation, StoredRelation
 from repro.relational.schema import Schema, category, measure
 from repro.relational.sharded import (
-    MERGEABLE_FUNCS,
     ShardedGroupBy,
     ShardExecutor,
     get_executor,
+    is_mergeable,
     is_sharded_source,
 )
 from repro.relational.sql import parse
-from repro.relational.types import NA, DataType
-from repro.relational.vectorized import VectorOperator
+from repro.relational.types import NA, DataType, is_na
+from repro.relational.vectorized import VecGroupBy, VecScan, VectorOperator
 from repro.storage.sharded import ShardedTransposedFile
 
 
@@ -113,6 +119,25 @@ class TestPlannerLowering:
         expected = list(plan(parse(text), row_catalog, use_vectorized=False))
         assert sorted(map(repr, got)) == sorted(map(repr, expected))
 
+    @pytest.mark.parametrize("use_vectorized", [True, False])
+    @pytest.mark.parametrize("table", ["t", "ts"])
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "SELECT G, weighted_avg(X, NOPE) AS w FROM {} GROUP BY G",
+            "SELECT G, sum(X) AS s FROM {} WHERE NOPE > 1 GROUP BY G",
+        ],
+    )
+    def test_unknown_column_rejected_at_plan_time(self, text, table, use_vectorized):
+        # Used to plan and fail only while iterating — on the sharded path
+        # from inside the worker, naming the pruned scan's schema.
+        catalog = Catalog()
+        catalog.register(Relation("t", sample_schema(), sample_rows()))
+        catalog.register(sharded_relation(name="ts"))
+        full_schema = r"no attribute 'NOPE'; schema has \['G', 'X', 'Y'\]"
+        with pytest.raises(SchemaError, match=full_schema):
+            plan(parse(text.format(table)), catalog, use_vectorized=use_vectorized)
+
     def test_var_matches_two_pass_within_tolerance(self):
         rows = sample_rows()
         stored = sharded_relation(rows)
@@ -183,9 +208,46 @@ class TestShardedGroupByOperator:
         assert root.attrs["shards"] == 4
 
     def test_mergeable_funcs_frozen(self):
-        assert {"count", "sum", "avg", "min", "max", "var", "std"} <= MERGEABLE_FUNCS
+        assert all(map(is_mergeable, ("count", "sum", "avg", "min", "max", "var", "std")))
         # Sketch partials lifted the last two single-stream stragglers.
-        assert {"median", "count_distinct"} <= MERGEABLE_FUNCS
+        assert all(map(is_mergeable, ("median", "count_distinct", "quantile_90")))
+        # count(*) needs no partial object: every group carries its size.
+        assert is_mergeable("count_star")
+        assert not is_mergeable("mode")
+
+
+@pytest.mark.parametrize("func", sorted(AGGREGATES) + ["quantile_25"])
+def test_a_table_row_is_a_whole_aggregate(func):
+    """Adding a row to the aggregate table is the whole job of adding one:
+    the schema check accepts it, the vectorized engine equals the row
+    reference exactly, and a row with a partial factory gives that answer
+    at every shard count (the sketch partials are exact at this scale:
+    unit centroids, sparse registers; power sums round in the last bits)."""
+    found = resolve_aggregate(func)
+    spec = AggregateSpec(
+        func,
+        "X" if found.arity else None,
+        "out",
+        weight="Y" if found.arity == 2 else None,
+    )
+    rows = sample_rows()
+    rel = Relation("t", sample_schema(), rows)
+    assert group_by_schema(rel.schema, ["G"], [spec]).names == ["G", "out"]
+    want = VecGroupBy(VecScan(rel, chunk_size=7), ["G"], [spec]).rows()
+    assert want == list(GroupBy(rel, ["G"], [spec]))
+    assert is_mergeable(func) == (found.arity == 0 or found.partial is not None)
+    if not is_mergeable(func):
+        return
+    for shards in (1, 2, 4):
+        stored = sharded_relation(rows, shards=shards)
+        executor = ShardExecutor(stored.storage, mode="serial")
+        got = list(ShardedGroupBy(stored, ["G"], [spec], executor=executor))
+        assert [key for key, _ in got] == [key for key, _ in want]
+        for (_, live), (_, exact) in zip(got, want):
+            if is_na(exact):
+                assert is_na(live)
+            else:
+                assert live == pytest.approx(exact, rel=1e-9)
 
 
 class TestProcessMode:
