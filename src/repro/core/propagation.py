@@ -23,6 +23,7 @@ from repro.metadata.management import ManagementDatabase
 from repro.obs.tracer import NULL_TRACER, AbstractTracer
 from repro.relational.types import is_na
 from repro.summary.policies import ConsistencyPolicy
+from repro.views.history import Operation
 from repro.views.view import ConcreteView
 
 
@@ -264,6 +265,25 @@ class UpdatePropagator:
         """
         return self.propagate(attribute, Delta.coalesce(deltas), rows)
 
+    def propagate_operations(
+        self, operations: Sequence[Operation], inverse: bool = False
+    ) -> PropagationReport:
+        """Bring the Summary Database up to date with logged operations.
+
+        The entry for live writes, undo (``inverse``) and WAL replay:
+        operations group by attribute in first-seen order, their rows
+        concatenate and their deltas coalesce, so each touched attribute
+        costs one sweep.  No operations, no sweep.
+        """
+        deltas: dict[str, list[Delta]] = {}
+        rows: dict[str, list[int]] = {}
+        for operation in operations:
+            deltas.setdefault(operation.attribute, []).append(operation.delta(inverse))
+            rows.setdefault(operation.attribute, []).extend(operation.rows)
+        return self.propagate_all(
+            {name: Delta.coalesce(burst) for name, burst in deltas.items()}, rows
+        )
+
     def propagate_all(
         self,
         deltas: dict[str, Delta],
@@ -272,6 +292,17 @@ class UpdatePropagator:
         """Propagate several attributes' deltas, merging the reports."""
         rows_by_attr = rows_by_attr or {}
         combined = PropagationReport()
+        if len(deltas) > 1:
+            # A row-wise maintainer rebuilds each old row from the view,
+            # which already holds the new value of *every* attribute the
+            # action wrote: sound for one changed input of a fitted model,
+            # not for two — those entries go stale instead.
+            summary = self.view.summary
+            for attribute in deltas:
+                for entry in summary.entries_mentioning(attribute):
+                    changed = sum(name in deltas for name in entry.key.attributes)
+                    if changed > 1 and summary.mark_stale(entry):
+                        combined.invalidations += 1
         for attribute, delta in deltas.items():
             combined.merge(
                 self.propagate(attribute, delta, rows_by_attr.get(attribute, ()))

@@ -5,24 +5,27 @@ An :class:`AnalystSession` is the paper's Figure 3 in motion: every
 using the (function, attribute) search argument; a hit returns the cached
 result (subject to the analyst's accuracy policy), a miss computes over the
 view, inserts the result — with a live incremental maintainer where finite
-differencing provides one — and returns it (SS3.2).  Updates flow through
-the predicate-update machinery and the propagation pipeline; ``undo``
-reverses logged operations and propagates the inverse deltas so cached
-results stay exact.
+differencing provides one — and returns it (SS3.2).
+
+Every write is the same three steps: a :mod:`repro.views.updates` entry
+point mutates the view and records :class:`~repro.views.history.Operation`
+objects in its history; those operations are logged as one WAL transaction;
+and :meth:`~repro.core.propagation.UpdatePropagator.propagate_operations`
+brings the Summary Database up to date with them.  ``undo`` pops operations
+off the history instead of recording them and propagates their inverse, so
+cached results stay exact.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
 from repro.core.errors import FunctionError
 from repro.core.propagation import PropagationReport, UpdatePropagator
-from repro.incremental.differencing import Delta
 from repro.obs.tracer import NULL_TRACER, AbstractTracer
 from repro.metadata.management import ManagementDatabase
 from repro.relational.expressions import Expr
-from repro.relational.types import is_na
 from repro.stats import correlation as corr
 from repro.stats.models import IncrementalLinearRegression
 from repro.stats.regression import OLSModel, model_from_summary
@@ -30,8 +33,12 @@ from repro.stats.sampling import sample_column
 from repro.summary.abstract import DatabaseAbstract, Inference, InferenceKind
 from repro.summary.entries import SummaryEntry
 from repro.summary.policies import ConsistencyPolicy
-from repro.views.history import OpKind
-from repro.views.updates import apply_update, invalidate_rows, invalidate_where, update_rows
+from repro.views.updates import (
+    apply_update,
+    invalidate_rows,
+    invalidate_where,
+    update_rows,
+)
 from repro.views.view import ConcreteView
 
 if TYPE_CHECKING:
@@ -364,29 +371,19 @@ class AnalystSession:
         description: str = "",
     ) -> PropagationReport:
         """UPDATE ... WHERE with full cache propagation."""
-        self.stats.updates += 1
         with self.tracer.span("update", attributes=sorted(assignments)):
-            mark = len(self.view.history)
-            deltas = apply_update(
-                self.view, predicate, assignments, description=description
+            return self._write(
+                apply_update, predicate, assignments, description=description
             )
-            self._log_since(mark)
-            rows = self._rows_from_history(len(deltas))
-            return self.propagator.propagate_all(deltas, rows)
 
     def update_cells(
         self, attribute: str, row_values: Sequence[tuple[int, Any]], description: str = ""
     ) -> PropagationReport:
         """Point-update specific cells with propagation."""
-        self.stats.updates += 1
         with self.tracer.span("update_cells", attribute=attribute):
-            mark = len(self.view.history)
-            delta = update_rows(
-                self.view, attribute, row_values, description=description
+            return self._write(
+                update_rows, attribute, row_values, description=description
             )
-            self._log_since(mark)
-            rows = [row for row, _ in row_values]
-            return self.propagator.propagate(attribute, delta, rows)
 
     def mark_invalid(
         self,
@@ -395,71 +392,50 @@ class AnalystSession:
         rows: Sequence[int] | None = None,
         description: str = "mark invalid",
     ) -> PropagationReport:
-        """Mark suspicious values as NA (SS3.1), with propagation.
+        """Mark suspicious values as NA (SS3.1), with propagation."""
+        if predicate is None and rows is None:
+            raise FunctionError("mark_invalid needs a predicate or row list")
+        with self.tracer.span("mark_invalid", attribute=attribute):
+            if predicate is not None:
+                return self._write(
+                    invalidate_where, predicate, attribute, description
+                )
+            return self._write(invalidate_rows, rows, attribute, description)
 
-        The changed rows come straight from the invalidation call — never
-        from the history log, whose last operation is unrelated when the
-        predicate matched nothing.
+    def _write(
+        self, mutate: Callable[..., Any], *args: Any, **kwargs: Any
+    ) -> PropagationReport:
+        """The tail every write shares: mutate the view, log, propagate.
+
+        What ``mutate`` (a :mod:`repro.views.updates` entry point) recorded
+        in the history is the action: one WAL transaction — its commit
+        fsync is the durability point, so it precedes any change to the
+        Summary Database — and one propagation.  An action that changed no
+        cell logs and propagates nothing.
         """
         self.stats.updates += 1
-        with self.tracer.span("mark_invalid", attribute=attribute):
-            mark = len(self.view.history)
-            if predicate is not None:
-                delta, changed_rows = invalidate_where(
-                    self.view, predicate, attribute, description
-                )
-            elif rows is not None:
-                delta, changed_rows = invalidate_rows(
-                    self.view, rows, attribute, description
-                )
-            else:
-                raise FunctionError("mark_invalid needs a predicate or row list")
-            self._log_since(mark)
-            return self.propagator.propagate(attribute, delta, changed_rows)
-
-    def _log_since(self, mark: int) -> None:
-        """Write the operations recorded since ``mark`` to the WAL.
-
-        One call is one WAL transaction (begin -> ops -> commit+fsync); the
-        fsync on the commit frame is the durability point, so it happens
-        *before* propagation touches the Summary Database.
-        """
-        if self.durability is None:
-            return
+        mark = len(self.view.history)
+        mutate(self.view, *args, **kwargs)
         operations = self.view.history.operations()[mark:]
-        self.durability.log_operations(
-            self.view.name, operations, session_id=self.session_id
-        )
-
-    def _rows_from_history(self, op_count: int) -> dict[str, list[int]]:
-        """Rows touched per attribute over the last ``op_count`` operations.
-
-        Several operations in the window may touch the same attribute, so
-        row lists merge (order-preserving, deduplicated) rather than the
-        later operation replacing the earlier one's rows.
-        """
-        operations = self.view.history.operations()[-op_count:] if op_count else []
-        merged: dict[str, dict[int, None]] = {}
-        for op in operations:
-            rows = merged.setdefault(op.attribute, {})
-            for change in op.changes:
-                rows[change.row] = None
-        return {attribute: list(rows) for attribute, rows in merged.items()}
+        if self.durability is not None:
+            self.durability.log_operations(
+                self.view.name, operations, session_id=self.session_id
+            )
+        return self.propagator.propagate_operations(operations)
 
     # -- undo --------------------------------------------------------------------------
 
     def undo(self, count: int = 1) -> PropagationReport:
         """Undo the last ``count`` operations, propagating inverse deltas.
 
-        The Summary Database stays exact: each undone operation's (new ->
-        old) transitions are fed through the same rule pipeline as a
-        forward update.  Inverse deltas coalesce per attribute, so a large
-        undo costs one clustered sweep (one ``apply_batch`` per live
-        maintainer) per touched attribute instead of one per operation.
+        The Summary Database stays exact: the undone operations' (new ->
+        old) transitions go through the same sweep as a forward write,
+        coalesced per attribute, so a large undo costs one clustered sweep
+        per touched attribute instead of one per operation.
         """
         self.stats.undos += 1
         with self.tracer.span("undo", count=count):
-            undone = self.view.history.undo_last(self.view.relation, count)
+            undone = self.view.history.undo_last(self.view, count)
             if self.durability is not None:
                 self.durability.log_undo(
                     self.view.name,
@@ -467,28 +443,7 @@ class AnalystSession:
                     versions=[op.version for op in undone],
                     session_id=self.session_id,
                 )
-            inverses: dict[str, list[Delta]] = {}
-            rows_by_attr: dict[str, list[int]] = {}
-            for operation in undone:
-                if operation.kind is OpKind.ADD_COLUMN:
-                    continue
-                # The relation was reverted; mirror the storage copy too.
-                for change in operation.changes:
-                    self.view.mirror_cell(change.row, operation.attribute, change.old)
-                inverses.setdefault(operation.attribute, []).append(
-                    Delta(updates=[(c.new, c.old) for c in operation.changes])
-                )
-                rows_by_attr.setdefault(operation.attribute, []).extend(
-                    c.row for c in operation.changes
-                )
-            combined = PropagationReport()
-            for attribute, deltas in inverses.items():
-                combined.merge(
-                    self.propagator.propagate_batch(
-                        attribute, deltas, rows_by_attr[attribute]
-                    )
-                )
-            return combined
+            return self.propagator.propagate_operations(undone, inverse=True)
 
     # -- convenience ----------------------------------------------------------------
 

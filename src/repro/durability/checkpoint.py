@@ -40,12 +40,9 @@ from typing import Any
 from repro.core.errors import DurabilityError, SummaryError
 from repro.durability.faults import FaultInjector, write_atomically
 from repro.metadata.persistence import (
-    attribute_from_dict,
-    attribute_to_dict,
     history_to_dict,
     management_to_dict,
-    value_from_jsonable,
-    value_to_jsonable,
+    view_to_record,
 )
 from repro.incremental.sketches import (
     CountMinSketch,
@@ -55,7 +52,6 @@ from repro.incremental.sketches import (
     TDigest,
 )
 from repro.obs.tracer import NULL_TRACER, AbstractTracer
-from repro.relational.schema import Schema
 from repro.stats.models import IncrementalLinearRegression
 from repro.summary.entries import decode_result, encode_result
 
@@ -86,12 +82,7 @@ def snapshot_dbms(dbms: Any) -> dict:
         view = dbms.registry.get(name)
         record: dict[str, Any] = {
             "name": view.name,
-            "owner": view.owner,
-            "schema": [attribute_to_dict(attr) for attr in view.schema.attributes],
-            "rows": [
-                [value_to_jsonable(value) for value in row]
-                for row in view.relation
-            ],
+            **view_to_record(view),
             "summary": _summary_to_list(view.summary),
         }
         if name not in registered:
@@ -105,11 +96,6 @@ def snapshot_dbms(dbms: Any) -> dict:
         "management": management_to_dict(dbms.management),
         "views": views,
     }
-
-
-def schema_from_snapshot(columns: list[dict]) -> Schema:
-    """Rebuild a view schema from its snapshot record."""
-    return Schema([attribute_from_dict(col) for col in columns])
 
 
 def _summary_to_list(summary: Any) -> list[dict]:
@@ -210,11 +196,6 @@ def restore_summary_entries(
             summary.mark_stale(entry, pending=record.get("pending", 0))
         restored += 1
     return restored
-
-
-def rows_from_snapshot(rows: list[list[Any]]) -> list[tuple[Any, ...]]:
-    """Decode a snapshot's row block back to NA-aware tuples."""
-    return [tuple(value_from_jsonable(cell) for cell in row) for row in rows]
 
 
 class Checkpointer:

@@ -28,13 +28,13 @@ from pathlib import Path
 from typing import Any, Sequence
 
 from repro.core.errors import DurabilityError
-from repro.durability.checkpoint import Checkpointer, snapshot_dbms
+from repro.durability.checkpoint import Checkpointer
 from repro.durability.faults import FaultInjector
 from repro.durability.wal import WriteAheadLog, ensure_directory
 from repro.metadata.persistence import (
     definition_to_dict,
     operation_to_dict,
-    value_to_jsonable,
+    view_to_record,
 )
 from repro.obs.tracer import NULL_TRACER, AbstractTracer
 from repro.views.history import Operation
@@ -110,24 +110,7 @@ class DurabilityManager:
 
     def log_view_created(self, view: Any) -> None:
         """Make a freshly materialized/derived/adopted view durable."""
-        record: dict[str, Any] = {
-            "t": "view",
-            "view": view.name,
-            "owner": view.owner,
-            "schema": [
-                {
-                    "name": attr.name,
-                    "dtype": attr.dtype.name,
-                    "role": attr.role.value,
-                    "codebook": attr.codebook,
-                }
-                for attr in view.schema.attributes
-            ],
-            "rows": [
-                [value_to_jsonable(value) for value in row]
-                for row in view.relation
-            ],
-        }
+        record = {"t": "view", "view": view.name, **view_to_record(view)}
         if view.definition is not None:
             record["definition"] = definition_to_dict(view.definition)
         self._log_transaction(view.name, [record])
@@ -254,12 +237,6 @@ class DurabilityManager:
         path = self.checkpointer.write(self._dbms)
         self.wal.truncate()
         return path
-
-    def snapshot(self) -> dict:
-        """The bound DBMS's snapshot dict (without writing it)."""
-        if self._dbms is None:
-            raise DurabilityError("no DBMS bound")
-        return snapshot_dbms(self._dbms)
 
     def close(self) -> None:
         """Release the WAL append handle."""

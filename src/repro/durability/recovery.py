@@ -7,15 +7,16 @@ durability directory in three phases:
    Management Database, every concrete view's rows, and every Summary
    Database's entries (maintainers detached; see
    :mod:`repro.durability.checkpoint`).
-2. **Replay** — committed WAL transactions are re-applied *in log order*.
-   Update operations go through the same machinery as live updates: cells
-   are written, the operation is restored into the view's history under its
-   original version, and the delta is pushed through
-   :class:`~repro.core.propagation.UpdatePropagator` so summary entries are
-   maintained **incrementally from the log** rather than recomputed by
-   rescanning the view.  Undo records re-run
-   :meth:`~repro.views.history.UpdateHistory.undo_last` and propagate the
-   inverse deltas, mirroring a live session's undo.
+2. **Replay** — committed WAL transactions are re-applied *in log order*,
+   each one as the analyst action it was, through the code the live
+   session runs: :func:`repro.views.updates.replay_operation` writes every
+   logged operation of the transaction back (cells, then the history entry
+   under its original version), and one
+   :meth:`~repro.core.propagation.UpdatePropagator.propagate_operations`
+   call maintains the summary entries **incrementally from the log**
+   rather than by rescanning the view.  An undo record runs
+   :meth:`~repro.views.history.UpdateHistory.undo_last` against the view and
+   propagates the inverse.
 3. **Tail handling** — the first torn or corrupt frame ends the trusted
    log; the file is truncated back to that trusted prefix (so the new
    manager's appends stay reachable to future scans), an uncommitted
@@ -45,29 +46,21 @@ import os
 from dataclasses import dataclass, field
 
 from repro.core.dbms import StatisticalDBMS
-from repro.core.propagation import UpdatePropagator
-from repro.durability.checkpoint import (
-    Checkpointer,
-    restore_summary_entries,
-    rows_from_snapshot,
-    schema_from_snapshot,
-)
+from repro.durability.checkpoint import Checkpointer, restore_summary_entries
 from repro.durability.faults import FaultInjector
 from repro.durability.manager import WAL_NAME, DurabilityManager
 from repro.durability.wal import WriteAheadLog
-from repro.incremental.differencing import Delta
 from repro.metadata.management import ManagementDatabase
 from repro.metadata.persistence import (
     definition_from_dict,
     history_from_dict,
     management_from_dict,
     operation_from_dict,
-    value_from_jsonable,
+    view_from_record,
 )
 from repro.obs.tracer import NULL_TRACER, AbstractTracer
-from repro.relational.relation import Relation
-from repro.summary.summarydb import SummaryDatabase
-from repro.views.history import UpdateHistory
+from repro.views.history import Operation
+from repro.views.updates import replay_operation
 from repro.views.view import ConcreteView
 
 
@@ -85,6 +78,11 @@ class RecoveryReport:
     torn_tail: bool = False
     tail_bytes_truncated: int = 0
     warnings: list[str] = field(default_factory=list)
+
+    def discard(self, warning: str, records: int = 1) -> None:
+        """Count ``records`` log records as not replayed, and say why."""
+        self.warnings.append(warning)
+        self.records_discarded += records
 
     def summary(self) -> str:
         """One-line human rendering (the shell prints this)."""
@@ -136,7 +134,7 @@ def recover(
 
     if snapshot is not None:
         for record in snapshot.get("views", []):
-            _restore_view(dbms, record, sink)
+            _restore_view(dbms, record)
 
     scan = WriteAheadLog(manager.directory / WAL_NAME, tracer=sink).scan()
     report.torn_tail = scan.torn_tail
@@ -159,9 +157,9 @@ def recover(
     if report.records_discarded:
         sink.add("recovery.discarded", report.records_discarded)
     for txn in committed:
-        _replay_transaction(dbms, txn, report, sink)
+        _replay_transaction(dbms, txn, report)
         report.transactions_committed += 1
-    _discard_tail(dbms, tail, report, sink)
+    _discard_tail(dbms, tail, report)
 
     manager.resume_from_txn(max_txn + 1)
     report.views = dbms.registry.names()
@@ -171,18 +169,11 @@ def recover(
 # -- snapshot restoration ----------------------------------------------------
 
 
-def _restore_view(dbms: StatisticalDBMS, record: dict, tracer: AbstractTracer) -> None:
+def _restore_view(dbms: StatisticalDBMS, record: dict) -> None:
     name = record["name"]
-    schema = schema_from_snapshot(record["schema"])
-    relation = Relation(name, schema, rows_from_snapshot(record["rows"]))
     registered = name in dbms.management.view_names()
-    view = ConcreteView(
-        name=name,
-        relation=relation,
-        definition=dbms.management.view_definition(name) if registered else None,
-        owner=record.get("owner", "analyst"),
-        summary=SummaryDatabase(view_name=name, tracer=tracer),
-    )
+    definition = dbms.management.view_definition(name) if registered else None
+    view = view_from_record(name, record, definition, dbms.tracer)
     if registered:
         # The management snapshot holds the authoritative history object;
         # the view must share it (exactly as registration wires it live).
@@ -214,31 +205,28 @@ def _group_transactions(
         max_txn = max(max_txn, txn if isinstance(txn, int) else 0)
         if kind == "begin":
             if open_txn is not None:
-                report.warnings.append(
-                    f"transaction {open_txn.txn} has no commit record; discarded"
+                report.discard(
+                    f"transaction {open_txn.txn} has no commit record; discarded",
+                    records=1 + len(open_txn.records),
                 )
-                report.records_discarded += 1 + len(open_txn.records)
             open_txn = _Transaction(txn=txn, view=record.get("view", ""))
         elif kind == "commit":
             if open_txn is None or open_txn.txn != txn:
-                report.warnings.append(
+                report.discard(
                     f"duplicate or orphan commit for transaction {txn}; skipped"
                 )
-                report.records_discarded += 1
             else:
                 committed.append(open_txn)
                 open_txn = None
         elif kind in ("op", "undo", "view", "drop"):
             if open_txn is None or open_txn.txn != txn:
-                report.warnings.append(
+                report.discard(
                     f"{kind} record outside its transaction ({txn}); skipped"
                 )
-                report.records_discarded += 1
             else:
                 open_txn.records.append(record)
         else:
-            report.warnings.append(f"unknown record type {kind!r}; skipped")
-            report.records_discarded += 1
+            report.discard(f"unknown record type {kind!r}; skipped")
     return committed, open_txn, max_txn
 
 
@@ -246,111 +234,87 @@ def _group_transactions(
 
 
 def _replay_transaction(
-    dbms: StatisticalDBMS,
-    txn: _Transaction,
-    report: RecoveryReport,
-    tracer: AbstractTracer,
+    dbms: StatisticalDBMS, txn: _Transaction, report: RecoveryReport
 ) -> None:
+    """Replay one committed transaction — one analyst action — as live:
+
+    every operation of the action is written before any is propagated."""
+    written: dict[str, list[Operation]] = {}
     for record in txn.records:
         kind = record["t"]
         if kind == "view":
-            _replay_view_created(dbms, record, report, tracer)
+            _replay_view_created(dbms, record, report)
         elif kind == "drop":
             _replay_drop(dbms, record, report)
-        elif kind == "op":
-            _replay_operation(dbms, record, report, tracer)
         elif kind == "undo":
-            _replay_undo(dbms, record, report, tracer)
+            _replay_undo(dbms, record, report)
+        elif kind == "op":
+            operation = _replay_operation(dbms, record, report)
+            if operation is not None:
+                written.setdefault(record["view"], []).append(operation)
+    for name, operations in written.items():
+        _propagate(dbms, dbms.registry.get(name), operations)
 
 
 def _replay_view_created(
-    dbms: StatisticalDBMS,
-    record: dict,
-    report: RecoveryReport,
-    tracer: AbstractTracer,
+    dbms: StatisticalDBMS, record: dict, report: RecoveryReport
 ) -> None:
     name = record["view"]
     if name in dbms.registry.names():
-        report.warnings.append(f"view {name!r} already exists; creation skipped")
-        report.records_discarded += 1
+        report.discard(f"view {name!r} already exists; creation skipped")
         return
-    schema = schema_from_snapshot(record["schema"])
-    relation = Relation(
-        name,
-        schema,
-        [tuple(value_from_jsonable(cell) for cell in row) for row in record["rows"]],
-    )
     definition = (
         definition_from_dict(record["definition"]) if "definition" in record else None
     )
-    view = ConcreteView(
-        name=name,
-        relation=relation,
-        definition=definition,
-        owner=record.get("owner", "analyst"),
-        summary=SummaryDatabase(view_name=name, tracer=tracer),
-    )
+    view = view_from_record(name, record, definition, dbms.tracer)
     dbms.registry.register(view)
     if definition is not None and name not in dbms.management.view_names():
         dbms.management.register_view(definition, view.history)
-    tracer.add("recovery.replayed")
+    dbms.tracer.add("recovery.replayed")
 
 
 def _replay_drop(dbms: StatisticalDBMS, record: dict, report: RecoveryReport) -> None:
     name = record["view"]
     if name not in dbms.registry.names():
-        report.warnings.append(f"drop of unknown view {name!r}; skipped")
-        report.records_discarded += 1
+        report.discard(f"drop of unknown view {name!r}; skipped")
         return
     dbms.registry.unregister(name)
     if name in dbms.management.view_names():
         dbms.management.drop_view(name)
 
 
-def _replay_operation(
-    dbms: StatisticalDBMS,
-    record: dict,
-    report: RecoveryReport,
-    tracer: AbstractTracer,
-) -> None:
+def _known_view(
+    dbms: StatisticalDBMS, record: dict, what: str, report: RecoveryReport
+) -> ConcreteView | None:
     name = record["view"]
     if name not in dbms.registry.names():
-        report.warnings.append(
-            f"operation for unknown view {name!r}; skipped"
-        )
-        report.records_discarded += 1
-        return
-    view = dbms.registry.get(name)
+        report.discard(f"{what} for unknown view {name!r}; skipped")
+        return None
+    return dbms.registry.get(name)
+
+
+def _replay_operation(
+    dbms: StatisticalDBMS, record: dict, report: RecoveryReport
+) -> Operation | None:
+    """Write one logged operation back; the transaction propagates it."""
+    view = _known_view(dbms, record, "operation", report)
+    if view is None:
+        return None
     operation = operation_from_dict(record["op"])
     if operation.version <= view.history.version:
-        report.warnings.append(
-            f"duplicate operation v{operation.version} for view {name!r}; skipped"
+        report.discard(
+            f"duplicate operation v{operation.version} for view {view.name!r}; skipped"
         )
-        report.records_discarded += 1
-        return
-    rows = []
-    for change in operation.changes:
-        view.set_value(change.row, operation.attribute, change.new)
-        rows.append(change.row)
-    view.history.restore(operation)
-    delta = Delta(updates=[(c.old, c.new) for c in operation.changes])
-    _propagator_for(dbms, view).propagate(operation.attribute, delta, rows)
+        return None
     report.operations_replayed += 1
-    tracer.add("recovery.replayed")
+    dbms.tracer.add("recovery.replayed")
+    return replay_operation(view, operation)
 
 
-def _replay_undo(
-    dbms: StatisticalDBMS,
-    record: dict,
-    report: RecoveryReport,
-    tracer: AbstractTracer,
-) -> None:
-    name = record["view"]
-    if name not in dbms.registry.names():
-        report.warnings.append(f"undo for unknown view {name!r}; skipped")
-        report.records_discarded += 1
+def _replay_undo(dbms: StatisticalDBMS, record: dict, report: RecoveryReport) -> None:
+    view = _known_view(dbms, record, "undo", report)
+    if view is None:
         return
-    view = dbms.registry.get(name)
     count = int(record.get("count", 1))
     versions = record.get("versions")
     if versions:
@@ -362,65 +326,49 @@ def _replay_undo(
         # rename and the WAL truncation) — replaying it again would
         # revert an older committed operation.
         count = len(versions)
-        tail = [op.version for op in view.history.operations()[-count:]]
-        if list(reversed(tail)) != list(versions):
-            report.warnings.append(
-                f"undo of versions {versions} on view {name!r} already "
+        if view.history.tail_versions(count) != list(versions):
+            report.discard(
+                f"undo of versions {versions} on view {view.name!r} already "
                 f"reflected in the checkpoint; skipped"
             )
-            report.records_discarded += 1
             return
     if count < 1 or count > len(view.history):
-        report.warnings.append(
-            f"undo of {count} operation(s) on view {name!r} with "
+        report.discard(
+            f"undo of {count} operation(s) on view {view.name!r} with "
             f"{len(view.history)} logged; skipped"
         )
-        report.records_discarded += 1
         return
-    undone = view.history.undo_last(view.relation, count)
-    propagator = _propagator_for(dbms, view)
-    inverses: dict[str, list[Delta]] = {}
-    rows_by_attr: dict[str, list[int]] = {}
-    for operation in undone:
-        inverses.setdefault(operation.attribute, []).append(
-            Delta(updates=[(c.new, c.old) for c in operation.changes])
-        )
-        rows_by_attr.setdefault(operation.attribute, []).extend(
-            c.row for c in operation.changes
-        )
-    for attribute, deltas in inverses.items():
-        propagator.propagate_batch(attribute, deltas, rows_by_attr[attribute])
+    _propagate(dbms, view, view.history.undo_last(view, count), inverse=True)
     report.undos_replayed += 1
-    tracer.add("recovery.replayed")
+    dbms.tracer.add("recovery.replayed")
 
 
-def _propagator_for(dbms: StatisticalDBMS, view: ConcreteView) -> UpdatePropagator:
-    return UpdatePropagator(
-        dbms.management,
-        view,
-        dbms.management.policy_for(view.owner, view.name),
-        tracer=dbms.tracer,
-    )
+def _propagate(
+    dbms: StatisticalDBMS,
+    view: ConcreteView,
+    operations: list[Operation],
+    inverse: bool = False,
+) -> None:
+    """Maintain the summary as the view owner's own session would."""
+    session = dbms.session(view.name, analyst=view.owner)
+    session.propagator.propagate_operations(operations, inverse)
 
 
 # -- torn-tail handling ------------------------------------------------------
 
 
 def _discard_tail(
-    dbms: StatisticalDBMS,
-    tail: _Transaction | None,
-    report: RecoveryReport,
-    tracer: AbstractTracer,
+    dbms: StatisticalDBMS, tail: _Transaction | None, report: RecoveryReport
 ) -> None:
     if tail is None:
         return
     report.torn_tail = True
-    report.records_discarded += 1 + len(tail.records)
-    report.warnings.append(
+    report.discard(
         f"transaction {tail.txn} was never committed; "
-        f"{len(tail.records)} record(s) discarded"
+        f"{len(tail.records)} record(s) discarded",
+        records=1 + len(tail.records),
     )
-    tracer.add("recovery.discarded", 1 + len(tail.records))
+    dbms.tracer.add("recovery.discarded", 1 + len(tail.records))
     # Conservatively distrust cached results over the attributes the dying
     # transaction mentioned: the data never changed (its writes were
     # discarded with the tail), but recomputation-on-next-lookup is cheap
@@ -433,4 +381,4 @@ def _discard_tail(
         if attribute:
             report.entries_marked_stale += view.summary.invalidate_attribute(attribute)
     if report.entries_marked_stale:
-        tracer.add("recovery.stale_marked", report.entries_marked_stale)
+        dbms.tracer.add("recovery.stale_marked", report.entries_marked_stale)

@@ -126,10 +126,6 @@ VIEW_MUTATION_ALLOWED = (
     # routes a cell write to the owning shard's transposed file, exactly
     # as relation.py delegates to its backing file.
     "storage/sharded.py",
-    # WAL replay re-applies logged cell changes; the operations already
-    # carry their history records, so routing through views.updates would
-    # double-log them.
-    "durability/recovery.py",
 )
 
 RULE_WORKSPACE_IO = rule(
@@ -220,7 +216,6 @@ SHARD_FORBIDDEN_NAMES = frozenset({"ConcreteView", "SummaryDatabase"})
 SHARD_WRITE_ATTRS = frozenset(
     {
         "set_value",
-        "mirror_cell",
         "append_row",
         "append_rows",
         "add_derived_column",

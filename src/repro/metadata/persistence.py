@@ -27,9 +27,11 @@ from repro.metadata.codebook import CodeBook
 from repro.metadata.management import ManagementDatabase
 from repro.metadata.rules import RuleKind
 from repro.metadata.subject import ROOT
+from repro.obs.tracer import AbstractTracer
 from repro.relational import expressions as ex
 from repro.relational.aggregates import AggregateSpec
-from repro.relational.schema import Attribute, AttributeRole
+from repro.relational.relation import Relation
+from repro.relational.schema import Attribute, AttributeRole, Schema
 from repro.relational.types import NA, DataType, is_na
 from repro.summary.policies import (
     ConsistencyPolicy,
@@ -38,6 +40,8 @@ from repro.summary.policies import (
     PrecisePolicy,
     TolerantPolicy,
 )
+from repro.summary.summarydb import SummaryDatabase
+from repro.views.history import CellChange, OpKind, Operation, UpdateHistory
 from repro.views.materialize import (
     AggregateNode,
     DefNode,
@@ -47,7 +51,7 @@ from repro.views.materialize import (
     SourceNode,
     ViewDefinition,
 )
-from repro.views.history import CellChange, OpKind, Operation, UpdateHistory
+from repro.views.view import ConcreteView
 
 # -- scalar values (NA-aware) ---------------------------------------------------
 
@@ -313,9 +317,13 @@ def operation_to_dict(op: Operation) -> dict:
 
 def operation_from_dict(data: dict) -> Operation:
     """Inverse of :func:`operation_to_dict`."""
+    try:
+        kind = OpKind(data["kind"])
+    except ValueError:
+        raise MetadataError(f"unknown operation kind {data['kind']!r}") from None
     return Operation(
         version=data["version"],
-        kind=OpKind(data["kind"]),
+        kind=kind,
         attribute=data["attribute"],
         description=data.get("description", ""),
         changes=tuple(
@@ -353,13 +361,46 @@ def history_from_dict(data: dict) -> UpdateHistory:
     """
     history = UpdateHistory(data["view_name"])
     for op in data["operations"]:
-        restored = operation_from_dict(op)
-        history._operations.append(restored)
-        history._next_version = restored.version + 1
+        history.restore(operation_from_dict(op))
     history._next_version = max(
         history._next_version, data.get("next_version", history._next_version)
     )
     return history
+
+
+# -- views ------------------------------------------------------------------------------
+
+
+def view_to_record(view: ConcreteView) -> dict[str, Any]:
+    """A view's owner, schema and rows: the body the WAL's ``view`` frame
+
+    and a checkpoint's view record share (each adds its own name key)."""
+    return {
+        "owner": view.owner,
+        "schema": [attribute_to_dict(attr) for attr in view.schema.attributes],
+        "rows": [[value_to_jsonable(value) for value in row] for row in view.relation],
+    }
+
+
+def view_from_record(
+    name: str,
+    record: dict[str, Any],
+    definition: ViewDefinition | None,
+    tracer: AbstractTracer,
+) -> ConcreteView:
+    """Inverse of :func:`view_to_record`; history and summary start empty."""
+    relation = Relation(
+        name,
+        Schema([attribute_from_dict(column) for column in record["schema"]]),
+        [tuple(value_from_jsonable(cell) for cell in row) for row in record["rows"]],
+    )
+    return ConcreteView(
+        name=name,
+        relation=relation,
+        definition=definition,
+        owner=record.get("owner", "analyst"),
+        summary=SummaryDatabase(view_name=name, tracer=tracer),
+    )
 
 
 # -- policies ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ snapshots (:mod:`repro.relational.sharded`).
 Workers are read-only by construction: lint rule REPRO-A110 forbids this
 module, and the one hosting the loop, from importing the view/summary
 layers (``repro.views``, ``repro.summary``, ``repro.concurrency``) or
-calling their write APIs (``set_value``/``mirror_cell``/``append_row``/...).
+calling their write APIs (``set_value``/``append_row``/``mark_stale``/...).
 All mutation and all cross-shard state lives in the coordinating process.
 
 Requests ship :class:`~repro.relational.expressions.Expr` trees, not

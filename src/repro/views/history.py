@@ -13,11 +13,15 @@ O(cells changed), never a view rescan.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Any, Sequence
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any, Sequence
 
 from repro.core.errors import HistoryError
+from repro.incremental.differencing import Delta
 from repro.relational.relation import Relation
+
+if TYPE_CHECKING:
+    from repro.views.view import ConcreteView
 
 
 class OpKind(enum.Enum):
@@ -25,7 +29,6 @@ class OpKind(enum.Enum):
 
     UPDATE = "update"
     INVALIDATE = "invalidate"
-    ADD_COLUMN = "add_column"
 
 
 @dataclass(frozen=True)
@@ -39,7 +42,9 @@ class CellChange:
 
 @dataclass(frozen=True)
 class Operation:
-    """One entry of a view's update history."""
+    """One entry of a view's update history — what the WAL logs, what
+
+    propagation consumes (:attr:`rows`, :meth:`delta`), what undo inverts."""
 
     version: int
     kind: OpKind
@@ -51,6 +56,19 @@ class Operation:
     def cells_changed(self) -> int:
         """Number of cells this operation touched."""
         return len(self.changes)
+
+    @property
+    def rows(self) -> list[int]:
+        """The row index of every change, in change order."""
+        return [change.row for change in self.changes]
+
+    def delta(self, inverse: bool = False) -> Delta:
+        """The (old, new) transitions as an update burst, or the (new, old)
+
+        burst that undoes this operation."""
+        if inverse:
+            return Delta(updates=[(c.new, c.old) for c in self.changes])
+        return Delta(updates=[(c.old, c.new) for c in self.changes])
 
 
 class UpdateHistory:
@@ -148,13 +166,16 @@ class UpdateHistory:
 
     # -- undo / rollback ----------------------------------------------------------
 
-    def undo_last(self, relation: Relation, count: int = 1) -> list[Operation]:
+    def undo_last(
+        self, relation: "Relation | ConcreteView", count: int = 1
+    ) -> list[Operation]:
         """Reverse the last ``count`` operations against ``relation``.
 
-        Returns the undone operations (newest first).  Cost is proportional
-        to the cells those operations changed.  The version counter does
-        not move backwards: the undone versions stay burned, and the next
-        recorded operation gets a strictly greater version.
+        Returns the undone operations (newest first).  Given the view
+        itself, each write is its ``set_value``, so the stored mirror and
+        the copy-on-write epochs follow.  Cost is proportional to the cells
+        changed.  The version counter does not move backwards: the undone
+        versions stay burned.
         """
         if count < 1:
             raise HistoryError(f"count must be >= 1, got {count}")
@@ -165,7 +186,8 @@ class UpdateHistory:
         undone: list[Operation] = []
         for _ in range(count):
             operation = self._operations.pop()
-            self._apply_inverse(relation, operation)
+            for change in operation.changes:
+                relation.set_value(change.row, operation.attribute, change.old)
             undone.append(operation)
         return undone
 
@@ -180,16 +202,6 @@ class UpdateHistory:
             return []
         return self.undo_last(relation, to_undo)
 
-    def _apply_inverse(self, relation: Relation, operation: Operation) -> None:
-        if operation.kind in (OpKind.UPDATE, OpKind.INVALIDATE):
-            for change in operation.changes:
-                relation.set_value(change.row, operation.attribute, change.old)
-        elif operation.kind is OpKind.ADD_COLUMN:
-            raise HistoryError(
-                "cannot undo a column addition through the cell log; "
-                "drop the derived column instead"
-            )
-
     # -- replay (publishing clean data, SS3.2) -----------------------------------
 
     def replay_onto(self, relation: Relation) -> int:
@@ -202,8 +214,6 @@ class UpdateHistory:
         """
         cells = 0
         for operation in self._operations:
-            if operation.kind is OpKind.ADD_COLUMN:
-                continue
             for change in operation.changes:
                 relation.set_value(change.row, operation.attribute, change.new)
                 cells += 1

@@ -1,29 +1,68 @@
-"""Predicate-driven view updates (paper SS4.1).
+"""The one write path of a concrete view (paper SS4.1).
 
 "We envision that the analyst will specify an update to the data set by
 using a predicate in a similar manner to what is currently done in
 relational systems.  Thus, the operation specifies the attributes affected
 and the nature of the update."
 
-:func:`apply_update` runs ``SET attr = value/expr WHERE predicate`` against
-a concrete view, records the operation (with old values) in the history,
-and returns per-attribute :class:`~repro.incremental.differencing.Delta`
-objects for the propagation pipeline.  :func:`invalidate_where` is the
-marking-invalid special case (new value = NA, SS3.1).
+Each step is written once here: :func:`matching_rows` decides which rows a
+predicate names; one cell-writing loop stores the new values, captures the
+old ones and hands the :class:`~repro.views.history.Operation` to the
+view's history — recorded under the next version for a live write, restored
+under its own for WAL replay (:func:`replay_operation`).  The operation is
+what callers log and propagate; the deltas returned are its ``delta()``.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from repro.core.errors import ViewError
 from repro.incremental.differencing import Delta
 from repro.relational.expressions import Expr
 from repro.relational.types import NA
-from repro.views.history import CellChange, OpKind
+from repro.views.history import CellChange, Operation, OpKind
 from repro.views.view import ConcreteView
 
 Assignment = Any  # a constant, an Expr, or a callable(row) -> value
+
+
+def matching_rows(view: ConcreteView, predicate: Expr | None) -> list[int]:
+    """Indexes of the rows ``predicate`` selects (every row for ``None``)."""
+    if predicate is None:
+        return list(range(len(view)))
+    test = predicate.bind(view.schema)
+    return [i for i, row in enumerate(view.relation) if test(row)]
+
+
+def _write_cells(
+    view: ConcreteView,
+    attr: str,
+    cells: Iterable[tuple[int, Any]],
+    kind: OpKind = OpKind.UPDATE,
+    description: str = "",
+    logged: Operation | None = None,
+) -> Operation | None:
+    """Write (row, new value) cells of one attribute as one operation:
+
+    a newly recorded one (``None`` if no cell was written), or ``logged``
+    restored under its own version."""
+    view.schema.index_of(attr)  # validate
+    changes = [
+        CellChange(row=row, old=view.set_value(row, attr, new), new=new)
+        for row, new in cells
+    ]
+    if logged is not None:
+        return view.history.restore(logged)
+    if not changes:
+        return None
+    return view.history.record(kind, attr, changes, description=description)
+
+
+def replay_operation(view: ConcreteView, operation: Operation) -> Operation:
+    """Re-apply a logged operation, keeping its version (WAL replay)."""
+    cells = [(change.row, change.new) for change in operation.changes]
+    return _write_cells(view, operation.attribute, cells, logged=operation)
 
 
 def apply_update(
@@ -35,34 +74,26 @@ def apply_update(
     """UPDATE view SET ... WHERE predicate.
 
     ``assignments`` maps attribute name to a constant, an expression over
-    the row, or a Python callable receiving the row tuple.  Returns one
-    delta per updated attribute (old/new pairs), for the update propagator.
+    the row, or a Python callable receiving the row tuple.  Records one
+    operation per attribute that changed and returns its delta.
     """
     if not assignments:
         raise ViewError("update requires at least one assignment")
     schema = view.schema
     for attr in assignments:
         schema.index_of(attr)  # validate
-    test = predicate.bind(schema) if predicate is not None else None
-    matched_rows = [
-        i for i, row in enumerate(view.relation) if test is None or test(row)
-    ]
+    rows = matching_rows(view, predicate)
     deltas: dict[str, Delta] = {}
     for attr, assignment in assignments.items():
         value_fn = _as_value_fn(assignment, schema)
-        changes: list[CellChange] = []
-        delta = Delta()
-        for row_index in matched_rows:
-            row = view.relation.row(row_index)
-            new_value = value_fn(row)
-            old_value = view.set_value(row_index, attr, new_value)
-            changes.append(CellChange(row=row_index, old=old_value, new=new_value))
-            delta.updates.append((old_value, new_value))
-        if changes:
-            view.history.record(
-                OpKind.UPDATE, attr, changes, description=description
-            )
-            deltas[attr] = delta
+        operation = _write_cells(
+            view,
+            attr,
+            ((row, value_fn(view.relation.row(row))) for row in rows),
+            description=description,
+        )
+        if operation is not None:
+            deltas[attr] = operation.delta()
     return deltas
 
 
@@ -73,16 +104,8 @@ def update_rows(
     description: str = "",
 ) -> Delta:
     """Point-update specific (row, new_value) pairs of one attribute."""
-    view.schema.index_of(attr)
-    changes: list[CellChange] = []
-    delta = Delta()
-    for row_index, new_value in row_values:
-        old_value = view.set_value(row_index, attr, new_value)
-        changes.append(CellChange(row=row_index, old=old_value, new=new_value))
-        delta.updates.append((old_value, new_value))
-    if changes:
-        view.history.record(OpKind.UPDATE, attr, changes, description=description)
-    return delta
+    operation = _write_cells(view, attr, row_values, description=description)
+    return operation.delta() if operation is not None else Delta()
 
 
 def update_rows_by_shard(
@@ -132,11 +155,9 @@ def invalidate_where(
 
     This is the SS3.1 operation for suspicious observations: "the value
     must be marked as invalid -- 'missing value' in the statistics
-    vernacular".  Returns the delta *and* the matched row indexes — callers
-    must not reconstruct the rows from the history, which records no
-    operation when the predicate matched nothing.
+    vernacular".  Returns the delta and the matched row indexes.
     """
-    return _invalidate(view, predicate=predicate, rows=None, attr=attr, description=description)
+    return invalidate_rows(view, matching_rows(view, predicate), attr, description)
 
 
 def invalidate_rows(
@@ -147,33 +168,14 @@ def invalidate_rows(
 ) -> tuple[Delta, list[int]]:
     """Mark specific rows' values of ``attr`` as NA, logged.
 
-    Returns (delta, changed rows), mirroring :func:`invalidate_where`.
+    Returns (delta, changed rows); nothing is recorded for no rows.
     """
-    return _invalidate(view, predicate=None, rows=rows, attr=attr, description=description)
-
-
-def _invalidate(
-    view: ConcreteView,
-    predicate: Expr | None,
-    rows: Sequence[int] | None,
-    attr: str,
-    description: str,
-) -> tuple[Delta, list[int]]:
-    schema = view.schema
-    schema.index_of(attr)
-    if rows is None:
-        assert predicate is not None
-        test = predicate.bind(schema)
-        rows = [i for i, row in enumerate(view.relation) if test(row)]
-    changes: list[CellChange] = []
-    delta = Delta()
-    for row_index in rows:
-        old_value = view.set_value(row_index, attr, NA)
-        changes.append(CellChange(row=row_index, old=old_value, new=NA))
-        delta.updates.append((old_value, NA))
-    if changes:
-        view.history.record(OpKind.INVALIDATE, attr, changes, description=description)
-    return delta, list(rows)
+    operation = _write_cells(
+        view, attr, ((row, NA) for row in rows), OpKind.INVALIDATE, description
+    )
+    if operation is None:
+        return Delta(), []
+    return operation.delta(), operation.rows
 
 
 def _as_value_fn(assignment: Assignment, schema: Any) -> Callable[[tuple], Any]:

@@ -152,21 +152,6 @@ class ConcreteView:
             self.storage.set_value(row, index, value)
         return old
 
-    def mirror_cell(self, row: int, attr: str, value: Any) -> None:
-        """Write one cell through to the stored mirror *only*.
-
-        For callers (undo) whose in-memory relation has already been
-        reverted by the history machinery: the transposed file must follow
-        suit without touching the relation again.  Storage-level no-op for
-        attributes that are memory-only (derived columns) or when there is
-        no mirror — but the copy-on-write epoch still advances, because
-        the relation cell *did* change (undo reverted it directly).
-        """
-        self._bump_epoch(attr)
-        if self.storage is not None and attr in self._stored_attrs():
-            index = self._stored_attrs().index(attr)
-            self.storage.set_value(row, index, value)
-
     def add_derived_column(self, derivation: Derivation, dtype: DataType = DataType.FLOAT) -> None:
         """Attach a derived column (not mirrored to storage).
 

@@ -10,7 +10,6 @@ from repro.metadata.management import ManagementDatabase
 from repro.relational.expressions import col
 from repro.relational.relation import Relation
 from repro.relational.types import is_na
-from repro.views.history import CellChange, OpKind
 from repro.views.view import ConcreteView
 from repro.workloads.census import generate_microdata
 
@@ -143,37 +142,75 @@ class TestUpdatePropagation:
 
 
 class TestRowsFromHistoryMerge:
-    """Regression: several operations in one update window may touch the
-    same attribute; their row lists must merge instead of the later
-    operation silently replacing the earlier one's rows."""
+    """Regression: several operations in one action may touch the same
+    attribute; propagation must see *all* their rows — a later operation
+    silently replacing the earlier one's rows left derived cells and
+    row-wise model maintainers behind."""
 
     def test_rows_merge_across_operations(self, session):
-        history = session.view.history
-        history.record(
-            OpKind.UPDATE, "AGE", [CellChange(1, 30, 31), CellChange(2, 40, 41)]
-        )
-        history.record(
-            OpKind.UPDATE, "AGE", [CellChange(2, 41, 42), CellChange(5, 50, 51)]
-        )
-        assert session._rows_from_history(2) == {"AGE": [1, 2, 5]}
+        from repro.incremental.derived import LocalDerivation
+
+        view = session.view
+        view.add_derived_column(LocalDerivation("AGE_X2", col("AGE") * 2))
+        session.update_cells("AGE", [(1, 31), (2, 41)])
+        session.update_cells("AGE", [(5, 51)])
+        recomputed = view.derived.derivation("AGE_X2").stats.cell_recomputes
+        # One action, two operations on AGE: every row of both reaches the
+        # derived-column recompute.
+        report = session.undo(2)
+        assert report.attributes == ["AGE"]
+        assert report.derived_columns_touched == ["AGE_X2"]
+        assert view.derived.derivation("AGE_X2").stats.cell_recomputes == recomputed + 3
+        ages, doubled = view.relation.column("AGE"), view.relation.column("AGE_X2")
+        for row in (1, 2, 5):
+            assert doubled[row] == 2 * ages[row]
 
     def test_merge_keeps_other_attributes(self, session):
-        history = session.view.history
-        history.record(OpKind.UPDATE, "AGE", [CellChange(0, 1, 2)])
-        history.record(OpKind.UPDATE, "INCOME", [CellChange(3, 1.0, 2.0)])
-        history.record(OpKind.UPDATE, "AGE", [CellChange(7, 1, 2)])
-        assert session._rows_from_history(3) == {"AGE": [0, 7], "INCOME": [3]}
+        names = ("INCOME", "AGE", "YEARS_EDUCATION")
+        session.fit_model(names[0], names[1:])
+        session.update_cells("AGE", [(0, 33)])
+        session.update_cells("HOURS_WORKED", [(3, 12.0)])
+        session.update_cells("AGE", [(7, 44), (9, 55)])
+        # AGE, HOURS_WORKED, AGE in one action: the model's row-wise
+        # maintainer is fed rows 7, 9 *and* 0, and stays warm and exact.
+        report = session.undo(3)
+        assert report.attributes == ["AGE", "HOURS_WORKED"]
+        entry = session.view.summary.peek("ols_model", names)
+        assert not entry.stale
+        warm = session.fit_model(names[0], names[1:])
+        session.view.summary.mark_stale(entry)
+        refit = session.fit_model(names[0], names[1:])
+        assert warm.coefficients == pytest.approx(refit.coefficients, rel=1e-6)
+
+    def test_two_changed_inputs_of_one_model_refit(self, session):
+        """An action that rewrites two inputs of a fitted model cannot be
+        replayed row-wise (the view already holds both new values), so the
+        model goes stale instead of serving a silently wrong fit."""
+        names = ("INCOME", "AGE", "YEARS_EDUCATION")
+        session.fit_model(names[0], names[1:])
+        session.update(
+            col("AGE") > 60, {"INCOME": col("INCOME") * 1.5, "AGE": col("AGE") - 3}
+        )
+        assert session.view.summary.peek("ols_model", names).stale
+        served = session.fit_model(names[0], names[1:])
+        session.view.summary.mark_stale(session.view.summary.peek("ols_model", names))
+        refit = session.fit_model(names[0], names[1:])
+        assert served.coefficients == pytest.approx(refit.coefficients)
 
 
 class TestMarkInvalidRows:
-    """Regression: mark_invalid's changed rows come from the invalidation
-    call itself, never from the history log's last entry (which is an
-    unrelated operation — or absent — when the predicate matches no rows)."""
+    """Regression: a mark_invalid that matches no rows records nothing, so
+    it logs and propagates nothing — in particular not the rows of whatever
+    unrelated operation the history log happens to end with."""
 
     def test_no_match_on_pristine_view(self, session):
+        session.compute_pair("pearson", "AGE", "INCOME")
         report = session.mark_invalid("AGE", predicate=col("AGE") > 10_000)
-        assert report.attributes == ["AGE"]
+        assert report.attributes == [] and report.entries_visited == 0
         assert len(session.view.history) == 0
+        # Nothing changed, so nothing went stale (and a recovered system,
+        # which replays only logged operations, agrees).
+        assert not session.view.summary.peek("pearson", ("AGE", "INCOME")).stale
 
     def test_no_match_ignores_unrelated_history(self, session):
         from repro.incremental.derived import LocalDerivation

@@ -92,6 +92,18 @@ class TestViewMutation:
         findings = lint(self.CODE, path="src/repro/views/view.py")
         assert findings == []
 
+    def test_flagged_in_wal_replay(self):
+        """Recovery re-applies logged operations through views.updates;
+        a cell-writing loop of its own would be a second write path."""
+        code = """
+        def replay(view, operation):
+            for change in operation.changes:
+                view.set_value(change.row, operation.attribute, change.new)
+            view.history.restore(operation)
+        """
+        findings = lint(code, path="src/repro/durability/recovery.py")
+        assert rule_ids(findings) == ["REPRO-A103"]
+
 
 class TestCacheBypass:
     def test_stale_result_maintainer_writes_flagged(self):

@@ -168,6 +168,13 @@ def test_history_operations_survive_na_and_order():
     assert restored.operations_since(1)[0].attribute == "b"
 
 
+def test_unknown_operation_kind_is_rejected_by_name():
+    record = operation_to_dict(UpdateHistory("v").record(OpKind.UPDATE, "x", []))
+    record["kind"] = "add_column"
+    with pytest.raises(MetadataError, match="add_column"):
+        operation_from_dict(record)
+
+
 def test_restore_rejects_version_regressions():
     from repro.core.errors import HistoryError
 

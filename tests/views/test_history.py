@@ -44,6 +44,14 @@ class TestRecording:
         )
         assert op.cells_changed == 2
 
+    def test_rows_and_delta_derive_from_the_changes(self):
+        op = UpdateHistory("v").record(
+            OpKind.UPDATE, "x", [CellChange(4, 1.0, 2.0), CellChange(1, 3.0, 4.0)]
+        )
+        assert op.rows == [4, 1]
+        assert op.delta().updates == [(1.0, 2.0), (3.0, 4.0)]
+        assert op.delta(inverse=True).updates == [(2.0, 1.0), (4.0, 3.0)]
+
 
 class TestUndo:
     def test_undo_restores_values(self):
@@ -86,13 +94,6 @@ class TestUndo:
         history = UpdateHistory("v")
         with pytest.raises(HistoryError):
             history.undo_last(make_relation(), 0)
-
-    def test_undo_add_column_rejected(self):
-        history = UpdateHistory("v")
-        relation = make_relation()
-        history.record(OpKind.ADD_COLUMN, "derived", [])
-        with pytest.raises(HistoryError, match="column addition"):
-            history.undo_last(relation, 1)
 
 
 class TestVersionMonotonicity:
@@ -156,8 +157,3 @@ class TestReplay:
         assert cells == 2
         assert second_copy.row(2)[0] == 99.0
         assert second_copy.row(3)[1] == -1.0
-
-    def test_replay_skips_column_ops(self):
-        history = UpdateHistory("v")
-        history.record(OpKind.ADD_COLUMN, "d", [])
-        assert history.replay_onto(make_relation()) == 0
