@@ -174,13 +174,7 @@ class DerivedColumnManager:
         for base in derivation.depends_on:
             self.relation.schema.index_of(base)  # validate
         attribute = Attribute(derivation.name, dtype, AttributeRole.DERIVED)
-        values = derivation.initial_values(self.relation)
-        new_schema = self.relation.schema.extend(attribute)
-        rows = [
-            old + (value,) for old, value in zip(self.relation, values)
-        ]
-        self.relation.schema = new_schema
-        self.relation._rows = rows
+        self.relation.append_column(attribute, derivation.initial_values(self.relation))
         self._derivations[derivation.name] = derivation
 
     def on_base_change(self, attr: str, rows: Sequence[int]) -> list[str]:

@@ -62,7 +62,7 @@ class Catalog:
     # -- indexes -------------------------------------------------------------
 
     def register_index(self, relation: str, attribute: str, index: Any) -> None:
-        """Attach a secondary index on (relation, attribute)."""
+        """Let the planner use ``index`` (``relation.index_on(attribute)``)."""
         self.get(relation)
         self._indexes[(relation, attribute)] = index
 

@@ -1,74 +1,123 @@
-"""Secondary attribute indexes for selective queries.
+"""Secondary attribute indexes for selective queries and predicate updates.
 
 The paper wants materialized views to grow "auxiliary storage structures
 such as indices" when reference patterns justify them (SS2.3) — the
 :class:`~repro.views.advisor.AccessAdvisor` recommends them, and this
 module provides them: an :class:`AttributeIndex` maps attribute values to
 row positions (hash part) and keeps a sorted key list for range predicates
-(the informational queries of SS2.6, where indexes beat scans).
+(the informational queries of SS2.6 and the cleaning predicates of SS3.1,
+where indexes beat scans).
 
-Indexes are snapshots of the relation at build time; after updates the
-owner rebuilds them (``stale_for`` detects drift by row count).  The
-planner (:mod:`repro.relational.planner`) uses a registered index for
-equality and BETWEEN conjuncts on a query's base table.
+An index belongs to the relation it indexes:
+:meth:`~repro.relational.relation.Relation.index_on` builds it on first use
+and the relation's own writes keep it exact, so the planner (for attributes
+registered in the catalog) and the update path
+(:func:`repro.views.updates.matching_rows`) read the same object, through
+the same :func:`index_access`.
 """
 
 from __future__ import annotations
 
-import bisect
-from typing import Any, Iterator, Sequence
+from bisect import bisect_left, bisect_right, insort
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
 
-from repro.core.errors import CatalogError
-from repro.relational.expressions import Between, Col, Compare, Const, Expr
-from repro.relational.relation import Relation
+from repro.relational.expressions import And, Between, Col, Compare, Const, Expr
 from repro.relational.schema import Schema
 from repro.relational.types import is_na
 
+if TYPE_CHECKING:
+    from repro.relational.relation import Relation
+
+_OPEN: Any = object()  # an absent range bound
+
 
 class AttributeIndex:
-    """value -> row positions, with sorted keys for ranges."""
+    """value -> row positions of one attribute, with sorted keys for ranges.
 
-    def __init__(self, attribute: str, rows_indexed: int) -> None:
+    NA and NaN cells are not indexed: no equality or range predicate
+    selects them.  A value one row holds maps to that row number itself, a
+    shared value to the ascending list of its rows, so a unique key column
+    (the usual target of a point update) costs no list per row.
+    """
+
+    def __init__(self, attribute: str, values: Iterable[Any]) -> None:
         self.attribute = attribute
-        self.rows_indexed = rows_indexed
-        self._buckets: dict[Any, list[int]] = {}
+        self._buckets: dict[Any, int | list[int]] = {}
+        # Built by the first range query, then kept ordered as buckets come
+        # and go; ``None`` again if the keys stop being mutually comparable.
         self._sorted_keys: list[Any] | None = None
+        for row, value in enumerate(values):
+            self.add(row, value)
 
     @classmethod
     def build(cls, relation: Relation, attribute: str) -> "AttributeIndex":
-        """One pass over the relation builds the index."""
-        index = cls(attribute, rows_indexed=len(relation))
-        for position, value in enumerate(relation.column(attribute)):
-            if is_na(value):
-                continue
-            index._buckets.setdefault(value, []).append(position)
-        return index
+        """The relation's own maintained index on ``attribute``."""
+        return relation.index_on(attribute)
 
     @property
     def distinct_values(self) -> int:
         """Number of indexed distinct values."""
         return len(self._buckets)
 
-    def lookup(self, value: Any) -> list[int]:
-        """Row positions holding exactly ``value``."""
-        return list(self._buckets.get(value, ()))
+    def add(self, row: int, value: Any) -> None:
+        """Index ``row`` as holding ``value`` (the owning relation's call)."""
+        if is_na(value):
+            return
+        held = self._buckets.get(value)
+        if held is None:
+            self._buckets[value] = row
+            if self._sorted_keys is not None:
+                try:
+                    insort(self._sorted_keys, value)
+                except TypeError:
+                    self._sorted_keys = None
+        elif isinstance(held, list):
+            insort(held, row)
+        else:
+            self._buckets[value] = [held, row] if held < row else [row, held]
 
-    def range(self, lo: Any, hi: Any) -> list[int]:
-        """Row positions with lo <= value <= hi, in row order."""
+    def discard(self, row: int, value: Any) -> None:
+        """Forget that ``row`` holds ``value``."""
+        if is_na(value):
+            return
+        held = self._buckets[value]
+        if isinstance(held, list):
+            del held[bisect_left(held, row)]
+            if len(held) == 1:
+                self._buckets[value] = held[0]
+            return
+        del self._buckets[value]
+        if self._sorted_keys is not None:
+            del self._sorted_keys[bisect_left(self._sorted_keys, value)]
+
+    def lookup(self, value: Any) -> list[int]:
+        """Row positions holding exactly ``value``, in row order."""
+        held = self._buckets.get(value)
+        if held is None:
+            return []
+        return list(held) if isinstance(held, list) else [held]
+
+    def range(
+        self, lo: Any = _OPEN, hi: Any = _OPEN, lo_open: bool = False, hi_open: bool = False
+    ) -> list[int]:
+        """Row positions with lo <= value <= hi, in row order.
+
+        An omitted bound is unbounded, an ``_open`` one excludes the bound
+        itself.  Raises :class:`TypeError` when a bound, or the keys among
+        themselves, cannot be ordered.
+        """
         if self._sorted_keys is None:
             self._sorted_keys = sorted(self._buckets)
         keys = self._sorted_keys
-        start = bisect.bisect_left(keys, lo)
-        end = bisect.bisect_right(keys, hi)
-        rows: list[int] = []
-        for key in keys[start:end]:
-            rows.extend(self._buckets[key])
-        rows.sort()
-        return rows
+        below = bisect_right if lo_open else bisect_left
+        above = bisect_left if hi_open else bisect_right
+        start = 0 if lo is _OPEN else below(keys, lo)
+        end = len(keys) if hi is _OPEN else above(keys, hi)
+        return sorted(row for key in keys[start:end] for row in self.lookup(key))
 
     def stale_for(self, relation: Relation) -> bool:
-        """Whether the relation has visibly drifted since the build."""
-        return len(relation) != self.rows_indexed
+        """Whether this object is not (or no longer) ``relation``'s index."""
+        return relation.indexes.get(self.attribute) is not self
 
 
 class IndexScan:
@@ -105,27 +154,78 @@ class IndexScan:
         return list(iter(self))
 
 
+def conjuncts(predicate: Expr) -> list[Expr]:
+    """The operands of a (nested) conjunction, left to right."""
+    if isinstance(predicate, And):
+        return conjuncts(predicate.left) + conjuncts(predicate.right)
+    return [predicate]
+
+
+def combine(predicates: Sequence[Expr]) -> Expr | None:
+    """The conjunction of ``predicates``; ``None`` for none."""
+    combined: Expr | None = None
+    for predicate in predicates:
+        combined = predicate if combined is None else And(combined, predicate)
+    return combined
+
+
+#: comparison -> (the same comparison with its operands swapped, how an
+#: index answers ``col <op> constant``).
+_COMPARISONS: dict[str, tuple[str, Callable[[AttributeIndex, Any], list[int]]]] = {
+    "=": ("=", AttributeIndex.lookup),
+    "<": (">", lambda index, c: index.range(hi=c, hi_open=True)),
+    "<=": (">=", lambda index, c: index.range(hi=c)),
+    ">": ("<", lambda index, c: index.range(lo=c, lo_open=True)),
+    ">=": ("<=", lambda index, c: index.range(lo=c)),
+}
+
+
 def match_indexable_conjunct(
-    conjunct: Expr, indexes: dict[str, AttributeIndex]
+    conjunct: Expr, index_for: Callable[[str], AttributeIndex | None]
 ) -> tuple[AttributeIndex, list[int]] | None:
-    """If ``conjunct`` is `col = const` or `col BETWEEN lo AND hi` over an
+    """(index, ascending row positions) when an index answers ``conjunct``
 
-    indexed attribute, return (index, row positions); else None."""
-    if isinstance(conjunct, Compare) and conjunct.op == "=":
-        column, constant = _col_const(conjunct)
-        if column is not None and column in indexes:
-            return indexes[column], indexes[column].lookup(constant)
-    if isinstance(conjunct, Between) and isinstance(conjunct.child, Col):
-        column = conjunct.child.name
-        if column in indexes:
-            return indexes[column], indexes[column].range(conjunct.lo, conjunct.hi)
+    exactly as a scan of the relation would, else ``None``.
+
+    Answerable: ``col = const``, ``col < <= > >= const`` (either operand
+    order) and ``col BETWEEN lo AND hi`` where ``index_for(col)`` is an
+    index.  The rest is the scan's to decide, errors included: other nodes
+    and operands, NA/NaN bounds, and whatever raises :class:`TypeError` on
+    the way (an unhashable constant or cell, a bound the keys cannot be
+    ordered against).
+    """
+    if isinstance(conjunct, Compare) and conjunct.op in _COMPARISONS:
+        left, right = conjunct.left, conjunct.right
+        flipped, answer = _COMPARISONS[conjunct.op]
+        if isinstance(left, Const):
+            left, right, answer = right, left, _COMPARISONS[flipped][1]
+        if not (isinstance(left, Col) and isinstance(right, Const)):
+            return None
+        column, bounds = left.name, (right.value,)
+    elif isinstance(conjunct, Between) and isinstance(conjunct.child, Col):
+        column, bounds = conjunct.child.name, (conjunct.lo, conjunct.hi)
+        answer = AttributeIndex.range
+    else:
+        return None
+    if any(is_na(bound) or isinstance(bound, Expr) for bound in bounds):
+        return None
+    try:
+        index = index_for(column)
+        return None if index is None else (index, answer(index, *bounds))
+    except TypeError:
+        return None
+
+
+def index_access(
+    predicate: Expr, index_for: Callable[[str], AttributeIndex | None]
+) -> tuple[AttributeIndex, list[int], Expr | None] | None:
+    """Serve the first indexable conjunct of ``predicate`` from its index:
+
+    (index, the rows it delivers, the residual predicate to evaluate on
+    those rows only), or ``None`` when no conjunct is indexable."""
+    parts = conjuncts(predicate)
+    for position, conjunct in enumerate(parts):
+        matched = match_indexable_conjunct(conjunct, index_for)
+        if matched is not None:
+            return *matched, combine(parts[:position] + parts[position + 1 :])
     return None
-
-
-def _col_const(comparison: Compare) -> tuple[str | None, Any]:
-    left, right = comparison.left, comparison.right
-    if isinstance(left, Col) and isinstance(right, Const):
-        return left.name, right.value
-    if isinstance(right, Col) and isinstance(left, Const):
-        return right.name, left.value
-    return None, None

@@ -7,9 +7,10 @@ The plan shape is fixed — scan -> (pushed selections) -> join -> selection
   pushed below the join;
 * equi-joins always use :class:`HashJoin` (the parser only produces
   equality join conditions);
-* a registered :class:`~repro.relational.index.AttributeIndex` on the base
-  table serves an equality/BETWEEN conjunct (join-free queries), the
-  remaining conjuncts running as a residual filter;
+* the base table's :class:`~repro.relational.index.AttributeIndex` on an
+  attribute registered in the catalog serves an equality, one-sided range
+  or BETWEEN conjunct (join-free queries), the remaining conjuncts running
+  as a residual filter;
 * a join-free query over a chunk-capable source (in-memory relation or
   transposed-file backing) runs on the vectorized engine
   (:mod:`repro.relational.vectorized`): the scan is pruned to the columns
@@ -32,6 +33,13 @@ from repro.core.errors import QueryError
 from repro.relational import expressions as ex
 from repro.relational.aggregates import AggregateSpec, GroupBy
 from repro.relational.catalog import Catalog
+from repro.relational.index import (
+    AttributeIndex,
+    IndexScan,
+    combine,
+    conjuncts,
+    index_access,
+)
 from repro.relational.operators import (
     HashJoin,
     Limit,
@@ -42,21 +50,6 @@ from repro.relational.operators import (
 )
 from repro.relational.relation import Relation, StoredRelation
 from repro.relational.sql import Query, SelectItem, parse
-
-
-def _conjuncts(pred: ex.Expr) -> list[ex.Expr]:
-    if isinstance(pred, ex.And):
-        return _conjuncts(pred.left) + _conjuncts(pred.right)
-    return [pred]
-
-
-def _combine(preds: list[ex.Expr]) -> ex.Expr | None:
-    if not preds:
-        return None
-    combined = preds[0]
-    for p in preds[1:]:
-        combined = ex.And(combined, p)
-    return combined
 
 
 def plan(query: Query, catalog: Catalog, use_vectorized: bool = True) -> Any:
@@ -77,7 +70,7 @@ def plan(query: Query, catalog: Catalog, use_vectorized: bool = True) -> Any:
         if where is not None:
             left_cols = set(left.schema.names)
             right_cols = set(right.schema.names)
-            for conjunct in _conjuncts(where):
+            for conjunct in conjuncts(where):
                 used = conjunct.columns()
                 if used <= left_cols:
                     pushed_left.append(conjunct)
@@ -86,16 +79,16 @@ def plan(query: Query, catalog: Catalog, use_vectorized: bool = True) -> Any:
                 else:
                     kept.append(conjunct)
         probe = (
-            _try_pruned_probe(query, left, right, _combine(pushed_left))
+            _try_pruned_probe(query, left, right, combine(pushed_left))
             if use_vectorized
             else None
         )
         if probe is not None:
             left = probe
         elif pushed_left:
-            left = Select(left, _combine(pushed_left))
+            left = Select(left, combine(pushed_left))
         if pushed_right and query.join.how == "inner":
-            right = Select(right, _combine(pushed_right))
+            right = Select(right, combine(pushed_right))
         elif pushed_right:
             # A left join must keep unmatched left rows, so right-side
             # predicates cannot be pushed below it; filter after the join.
@@ -107,7 +100,7 @@ def plan(query: Query, catalog: Catalog, use_vectorized: bool = True) -> Any:
             right_keys=query.join.right_keys,
             how=query.join.how,
         )
-        where = _combine(kept)
+        where = combine(kept)
 
     pipeline: Any = left
     if where is not None and query.join is None:
@@ -304,27 +297,19 @@ def _try_index_access(
     Only applies when the pipeline is still the base relation (no pushed
     selections wrap it) and the relation supports positional access.
     """
-    from repro.relational.index import AttributeIndex, IndexScan, match_indexable_conjunct
-    from repro.relational.relation import Relation as _Relation
-
-    if not isinstance(pipeline, _Relation):
+    if not isinstance(pipeline, Relation):
         return pipeline, where
-    indexes: dict[str, AttributeIndex] = {}
-    for attribute in pipeline.schema.names:
+
+    def registered(attribute: str) -> AttributeIndex | None:
         found = catalog.index_for(table, attribute)
         if isinstance(found, AttributeIndex) and not found.stale_for(pipeline):
-            indexes[attribute] = found
-    if not indexes:
+            return found
+        return None
+
+    access = index_access(where, registered)
+    if access is None:
         return pipeline, where
-    conjuncts = _conjuncts(where)
-    for position, conjunct in enumerate(conjuncts):
-        matched = match_indexable_conjunct(conjunct, indexes)
-        if matched is None:
-            continue
-        index, rows = matched
-        residual = _combine(conjuncts[:position] + conjuncts[position + 1 :])
-        return IndexScan(pipeline, index, rows, residual), None
-    return pipeline, where
+    return IndexScan(pipeline, *access), None
 
 
 def _grouped_output_names(select: list[SelectItem], group_by: list[str]) -> list[str]:

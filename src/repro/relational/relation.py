@@ -5,6 +5,12 @@ A :class:`Relation` is an in-memory flat file (schema + rows).  A
 storage structure (heap file or transposed file), so iterating it performs
 accounted I/O.  Relational operators accept anything exposing ``.schema``
 and row iteration, so the two interoperate freely.
+
+Every change to a :class:`Relation`'s rows is one of its methods, so it
+owns the bookkeeping that must follow each one: its attribute indexes
+(:meth:`~Relation.index_on` — SS2.3's auxiliary structures, built on first
+use and exact ever after) and the per-attribute write epochs that tell the
+MVCC publish path which columns changed.
 """
 
 from __future__ import annotations
@@ -14,6 +20,7 @@ from typing import Any, Iterable, Iterator, Sequence
 import numpy as np
 
 from repro.core.errors import SchemaError, StorageError
+from repro.relational.index import AttributeIndex
 from repro.relational.schema import Attribute, Schema
 from repro.relational.types import NA, DataType, is_na
 from repro.storage.heapfile import HeapFile
@@ -41,6 +48,10 @@ class Relation:
         self.name = name
         self.schema = schema
         self._rows: list[tuple[Any, ...]] = []
+        #: The live indexes by attribute; :meth:`index_on` gets or builds one.
+        self.indexes: dict[str, AttributeIndex] = {}
+        #: Cell writes seen per attribute (absent = never written).
+        self.epochs: dict[str, int] = {}
         if rows is not None:
             for row in rows:
                 if validate:
@@ -63,8 +74,11 @@ class Relation:
         """Append a row; returns its position."""
         if validate:
             self.schema.validate_row(row)
+        position = len(self._rows)
         self._rows.append(tuple(row))
-        return len(self._rows) - 1
+        for attr in list(self.indexes):
+            self._reindex(attr, position, NA, row[self.schema.index_of(attr)])
+        return position
 
     def set_value(self, row: int, attr: str, value: Any) -> Any:
         """Point-update one cell; returns the old value."""
@@ -73,11 +87,48 @@ class Relation:
         items = list(self._rows[row])
         items[index] = value
         self._rows[row] = tuple(items)
+        self.epochs[attr] = self.epochs.get(attr, 0) + 1
+        if self.indexes:
+            self._reindex(attr, row, old, value)
         return old
 
     def delete_row(self, index: int) -> tuple[Any, ...]:
-        """Remove and return the row at ``index``."""
+        """Remove and return the row at ``index``; later rows move up, so
+
+        the indexes are dropped (and rebuilt on next use), not renumbered."""
+        self.indexes.clear()
         return self._rows.pop(index)
+
+    def append_column(self, attribute: Attribute, values: Sequence[Any]) -> None:
+        """Add ``attribute`` as the last column, one value per row; row
+
+        positions and the other columns, hence the indexes, are untouched."""
+        rows = [row + (value,) for row, value in zip(self._rows, values, strict=True)]
+        self.schema = self.schema.extend(attribute)
+        self._rows = rows
+        self.epochs[attribute.name] = 1
+
+    # -- indexes -------------------------------------------------------------
+
+    def index_on(self, attr: str) -> AttributeIndex:
+        """The maintained index on ``attr``, built (one pass) on first use."""
+        index = self.indexes.get(attr)
+        if index is None:
+            index = self.indexes[attr] = AttributeIndex(attr, self.column(attr))
+        return index
+
+    def _reindex(self, attr: str, row: int, old: Any, new: Any) -> None:
+        """Carry a cell's change from ``old`` (NA: a new row) to ``new`` into
+
+        ``attr``'s index, if it has one."""
+        index = self.indexes.get(attr)
+        if index is None:
+            return
+        try:
+            index.discard(row, old)
+            index.add(row, new)
+        except TypeError:  # an unhashable cell: no longer indexable
+            del self.indexes[attr]
 
     # -- column access ---------------------------------------------------------
 

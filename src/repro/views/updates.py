@@ -6,8 +6,10 @@ relational systems.  Thus, the operation specifies the attributes affected
 and the nature of the update."
 
 Each step is written once here: :func:`matching_rows` decides which rows a
-predicate names; one cell-writing loop stores the new values, captures the
-old ones and hands the :class:`~repro.views.history.Operation` to the
+predicate names, from the relation's maintained attribute index (SS2.3)
+where a conjunct is indexable; one cell-writing loop stores the new values
+through ``Relation.set_value`` (which keeps those indexes exact), captures
+the old ones and hands the :class:`~repro.views.history.Operation` to the
 view's history — recorded under the next version for a live write, restored
 under its own for WAL replay (:func:`replay_operation`).  The operation is
 what callers log and propagate; the deltas returned are its ``delta()``.
@@ -20,6 +22,7 @@ from typing import Any, Callable, Iterable, Mapping, Sequence
 from repro.core.errors import ViewError
 from repro.incremental.differencing import Delta
 from repro.relational.expressions import Expr
+from repro.relational.index import index_access
 from repro.relational.types import NA
 from repro.views.history import CellChange, Operation, OpKind
 from repro.views.view import ConcreteView
@@ -28,11 +31,27 @@ Assignment = Any  # a constant, an Expr, or a callable(row) -> value
 
 
 def matching_rows(view: ConcreteView, predicate: Expr | None) -> list[int]:
-    """Indexes of the rows ``predicate`` selects (every row for ``None``)."""
+    """Indexes of the rows ``predicate`` selects, ascending (every row for
+
+    ``None``).  The first conjunct an index of the relation can answer
+    (:func:`~repro.relational.index.index_access`, built on first use)
+    delivers the candidates and the rest of the predicate runs on those
+    rows only; with no such conjunct the predicate runs on every row.  Same
+    rows either way — but a residual no row can evaluate raises only if a
+    candidate reaches it.
+    """
+    relation = view.relation
     if predicate is None:
-        return list(range(len(view)))
-    test = predicate.bind(view.schema)
-    return [i for i, row in enumerate(view.relation) if test(row)]
+        return list(range(len(relation)))
+    access = index_access(predicate, relation.index_on)
+    if access is None:
+        test = predicate.bind(view.schema)
+        return [i for i, row in enumerate(relation) if test(row)]
+    _, candidates, residual = access
+    if residual is None:
+        return candidates
+    keep = residual.bind(view.schema)
+    return [i for i in candidates if keep(relation.row(i))]
 
 
 def _write_cells(

@@ -5,7 +5,8 @@ is private to a single user ...  Associated with each view is a Summary
 Database" (SS3.2).  A :class:`ConcreteView` bundles the materialized
 relation, its Summary Database, its update history, its derived-column
 manager, and an optional transposed-file mirror on simulated disk so
-column scans are charged realistic I/O.
+column scans are charged realistic I/O.  The relation owns its attribute
+indexes and write epochs; the view adds the mirror write-through.
 """
 
 from __future__ import annotations
@@ -69,12 +70,6 @@ class ConcreteView:
         self.summary = summary or SummaryDatabase(view_name=name)
         self.history = UpdateHistory(view_name=name)
         self.derived = DerivedColumnManager(relation)
-        #: Per-attribute copy-on-write epochs.  Every cell write bumps the
-        #: touched attribute's counter, so the MVCC publish path
-        #: (:mod:`repro.concurrency.mvcc`) can share unchanged column
-        #: chunks between consecutive published versions instead of
-        #: re-copying the whole view.  Attributes never written stay at 0.
-        self.epochs: dict[str, int] = {}
         if storage is not None and len(storage) == 0:
             storage.append_rows(list(relation))
 
@@ -92,6 +87,15 @@ class ConcreteView:
     def version(self) -> int:
         """Current update-history version."""
         return self.history.version
+
+    @property
+    def epochs(self) -> dict[str, int]:
+        """Per-attribute copy-on-write epochs: the relation's own count of
+
+        cell writes (update, undo, replay, derived recompute alike), by which
+        the MVCC publish path (:mod:`repro.concurrency.mvcc`) shares unchanged
+        column chunks between versions.  Never-written attributes are absent."""
+        return self.relation.epochs
 
     def __repr__(self) -> str:
         return (
@@ -145,7 +149,6 @@ class ConcreteView:
         """Point-update one cell (writes through to storage); returns the
 
         old value.  Use :mod:`repro.views.updates` for logged updates."""
-        self._bump_epoch(attr)
         old = self.relation.set_value(row, attr, value)
         if self.storage is not None and attr in self._stored_attrs():
             index = self._stored_attrs().index(attr)
@@ -160,10 +163,6 @@ class ConcreteView:
         are added to the data set".
         """
         self.derived.add(derivation, dtype=dtype)
-        self._bump_epoch(derivation.name)
-
-    def _bump_epoch(self, attr: str) -> None:
-        self.epochs[attr] = self.epochs.get(attr, 0) + 1
 
     def _stored_attrs(self) -> list[str]:
         # The mirror was created from the materialization schema; derived

@@ -20,12 +20,15 @@ from repro.concurrency import (
 )
 from repro.core.dbms import StatisticalDBMS
 from repro.core.errors import SnapshotError
+from repro.incremental.derived import LocalDerivation
 from repro.relational.expressions import col
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema, measure
 from repro.server import AnalystServer, ServerClient, ServerThread
 from repro.server.protocol import write_frame_sync
+from repro.views.history import CellChange, Operation, OpKind
 from repro.views.materialize import SourceNode, ViewDefinition
+from repro.views.updates import replay_operation
 
 
 def build_coordinator(tracer=None):
@@ -283,6 +286,38 @@ class TestCopyOnWrite:
         # The undo bumped y's epoch: no stale share of the pre-undo chunk.
         assert restored.columns["y"] != touched.columns["y"]
         assert restored.columns["y"] == tuple(float(i * 2) for i in range(10))
+
+    @pytest.mark.parametrize("how", ["update", "undo", "replay"])
+    def test_derived_cells_are_published_with_the_write_that_recomputed_them(self, how):
+        # The recompute of a derived cell is a write like any other: it is
+        # counted where it happens (Relation.set_value), so the version
+        # published after it cannot share the predecessor's derived column.
+        coord = build_coordinator()
+        coord.dbms.view("v").add_derived_column(LocalDerivation("double", col("y") * 2))
+        with coord.read("r", "v") as snap:
+            assert (snap.column("y")[3], snap.column("double")[3]) == (6.0, 12.0)
+        with coord.write("w", "v") as session:
+            session.update(col("x") == 3.0, {"y": 10.0})
+        expected = (10.0, 20.0)
+        if how == "undo":
+            with coord.write("w", "v") as session:
+                session.undo(1)
+            expected = (6.0, 12.0)
+        elif how == "replay":
+            with coord.write("w", "v") as session:
+                logged = Operation(
+                    version=session.view.version + 1,
+                    kind=OpKind.UPDATE,
+                    attribute="y",
+                    changes=(CellChange(row=3, old=10.0, new=-4.0),),
+                )
+                replayed = replay_operation(session.view, logged)
+                session.propagator.propagate_operations([replayed])
+            expected = (-4.0, -8.0)
+        with coord.read("r", "v") as snap:
+            assert (snap.column("y")[3], snap.column("double")[3]) == expected
+        view = coord.dbms.view("v")
+        assert (view.relation.row(3)[1], view.relation.row(3)[2]) == expected
 
 
 class TestVersionMemo:

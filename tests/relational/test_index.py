@@ -2,12 +2,15 @@
 
 import pytest
 
+from repro.core.errors import ExpressionError
 from repro.relational.catalog import Catalog
-from repro.relational.expressions import col
+from repro.relational.expressions import Const, col
 from repro.relational.index import AttributeIndex, IndexScan, match_indexable_conjunct
 from repro.relational.planner import execute, plan
+from repro.relational.relation import Relation
+from repro.relational.schema import Schema, measure
 from repro.relational.sql import parse
-from repro.relational.types import NA
+from repro.relational.types import NA, DataType
 from repro.workloads.census import generate_microdata
 
 
@@ -38,9 +41,6 @@ class TestAttributeIndex:
         assert index.lookup(999) == []
 
     def test_na_rows_not_indexed(self):
-        from repro.relational.relation import Relation
-        from repro.relational.schema import Schema, measure
-
         relation = Relation("r", Schema([measure("x")]), [(1.0,), (NA,), (1.0,)])
         index = AttributeIndex.build(relation, "x")
         assert index.lookup(1.0) == [0, 2]
@@ -53,11 +53,124 @@ class TestAttributeIndex:
         expected = sorted(i for i, a in enumerate(ages) if 30 <= a <= 40)
         assert rows == expected
 
+    def test_build_returns_the_relations_own_index(self, micro):
+        index = AttributeIndex.build(micro, "AGE")
+        assert index is micro.index_on("AGE") is AttributeIndex.build(micro, "AGE")
+        assert micro.indexes == {"AGE": index}
+
     def test_staleness(self, micro):
+        # Stale means "no longer the relation's index": an insert is
+        # maintained, a delete shifts positions and drops the index.
         index = AttributeIndex.build(micro, "AGE")
         assert not index.stale_for(micro)
         micro.insert(micro.row(0), validate=False)
+        assert not index.stale_for(micro)
+        assert index.stale_for(micro.copy())
+        micro.delete_row(0)
         assert index.stale_for(micro)
+        assert not micro.index_on("AGE").stale_for(micro)
+
+    def test_one_sided_ranges(self, micro):
+        index = AttributeIndex.build(micro, "AGE")
+        ages = micro.column("AGE")
+        for kwargs, keep in (
+            ({"hi": 30, "hi_open": True}, lambda a: a < 30),
+            ({"hi": 30}, lambda a: a <= 30),
+            ({"lo": 30, "lo_open": True}, lambda a: a > 30),
+            ({"lo": 30}, lambda a: a >= 30),
+        ):
+            assert index.range(**kwargs) == [i for i, a in enumerate(ages) if keep(a)]
+
+
+def small_relation():
+    schema = Schema([measure("k", DataType.INT), measure("v", DataType.FLOAT)])
+    return Relation("r", schema, [(1, 10.0), (2, 20.0), (3, 30.0)])
+
+
+def assert_exact(relation):
+    """Every live index holds what a fresh build over the rows would."""
+    for attribute, index in relation.indexes.items():
+        fresh = AttributeIndex(attribute, relation.column(attribute))
+        assert index._buckets == fresh._buckets, attribute
+        if index._sorted_keys is not None:
+            assert index._sorted_keys == sorted(fresh._buckets), attribute
+
+
+class TestMaintenance:
+    """The relation keeps its indexes exact across its own writes."""
+
+    def test_cell_update_of_the_indexed_attribute(self):
+        # At the parent commit the index was a build-time snapshot: WHERE
+        # k = 2 returned the row now holding 9, WHERE k = 9 nothing.
+        relation = small_relation()
+        catalog = Catalog()
+        catalog.register(relation, "r")
+        catalog.register_index("r", "k", AttributeIndex.build(relation, "k"))
+        relation.set_value(1, "k", 9)
+        assert isinstance(plan(parse("SELECT * FROM r WHERE k = 9"), catalog), IndexScan)
+        assert list(execute("SELECT * FROM r WHERE k = 2", catalog)) == []
+        assert list(execute("SELECT * FROM r WHERE k = 9", catalog)) == [(9, 20.0)]
+        assert list(execute("SELECT v FROM r WHERE k > 2", catalog)) == [(20.0,), (30.0,)]
+        assert_exact(relation)
+
+    def test_shared_values_and_na_transitions(self):
+        relation = small_relation()
+        index = relation.index_on("k")
+        index.range(0, 10)  # build the sorted keys so they are maintained too
+        relation.set_value(0, "k", 3)  # joins row 2's bucket, ahead of it
+        assert index.lookup(3) == [0, 2]
+        relation.set_value(2, "k", NA)  # leaves it; NA is not indexed
+        assert index.lookup(3) == [0] and index.distinct_values == 2
+        relation.set_value(2, "k", 1)  # back from NA, a new smallest key
+        assert index.range(hi=2) == [1, 2]
+        relation.set_value(1, "v", 99.0)  # another attribute: untouched
+        assert_exact(relation)
+
+    def test_insert_is_indexed(self):
+        relation = small_relation()
+        index = relation.index_on("k")
+        position = relation.insert((2, 40.0))
+        assert index.lookup(2) == [1, position]
+        assert not index.stale_for(relation)
+        assert_exact(relation)
+
+    def test_delete_row_drops_the_indexes(self):
+        relation = small_relation()
+        catalog = Catalog()
+        catalog.register(relation, "r")
+        catalog.register_index("r", "k", AttributeIndex.build(relation, "k"))
+        relation.delete_row(0)
+        assert relation.indexes == {}
+        pipeline = plan(parse("SELECT * FROM r WHERE k = 3"), catalog)
+        assert not isinstance(pipeline, IndexScan)
+        assert list(pipeline) == [(3, 30.0)]
+        assert relation.index_on("k").lookup(3) == [1]  # rebuilt on the new positions
+
+    def test_appended_column_keeps_indexes_valid(self):
+        relation = small_relation()
+        index = relation.index_on("k")
+        relation.append_column(measure("w"), [1.0, 2.0, 3.0])
+        assert relation.row(1) == (2, 20.0, 2.0)
+        assert not index.stale_for(relation) and index.lookup(2) == [1]
+        assert relation.epochs["w"] > 0
+        assert relation.index_on("w").lookup(3.0) == [2]
+
+    def test_unhashable_cell_drops_the_index(self):
+        relation = small_relation()
+        index = relation.index_on("k")
+        relation.set_value(1, "k", [2])  # what a JSON client can send
+        assert index.stale_for(relation)
+        assert match_indexable_conjunct(col("k") == 3, relation.index_on) is None
+
+    def test_unorderable_key_suspends_ranges_only(self):
+        relation = small_relation()
+        index = relation.index_on("k")
+        assert index.range(lo=2) == [1, 2]
+        relation.set_value(0, "k", "one")
+        assert index.lookup("one") == [0] and index.lookup(2) == [1]
+        assert match_indexable_conjunct(col("k") > 2, relation.index_on) is None
+        relation.set_value(0, "k", 1)
+        assert index.range(lo=2) == [1, 2]
 
 
 class TestIndexScan:
@@ -96,7 +209,7 @@ class TestPlannerIntegration:
         assert pipeline.rows_fetched < len(micro) / 2
 
     def test_stale_index_not_used(self, micro, indexed_catalog):
-        micro.insert(micro.row(0), validate=False)  # drift
+        micro.delete_row(0)  # positions shift: the relation drops its indexes
         pipeline = plan(parse("SELECT * FROM micro WHERE REGION = 5"), indexed_catalog)
         assert not isinstance(pipeline, IndexScan)
 
@@ -125,11 +238,57 @@ class TestPlannerIntegration:
 class TestMatching:
     def test_reversed_equality(self, micro):
         indexes = {"REGION": AttributeIndex.build(micro, "REGION")}
-        from repro.relational.expressions import Const
-
-        matched = match_indexable_conjunct(Const(5) == col("REGION"), indexes)
+        matched = match_indexable_conjunct(Const(5) == col("REGION"), indexes.get)
         assert matched is not None
 
     def test_inequality_not_matched(self, micro):
         indexes = {"REGION": AttributeIndex.build(micro, "REGION")}
-        assert match_indexable_conjunct(col("REGION") > 5, indexes) is None
+        assert match_indexable_conjunct(col("REGION") != 5, indexes.get) is None
+        assert match_indexable_conjunct(col("AGE") > 5, indexes.get) is None
+
+    @pytest.mark.parametrize(
+        "conjunct, keep",
+        [
+            (col("AGE") > 60, lambda a: a > 60),
+            (col("AGE") >= 60, lambda a: a >= 60),
+            (col("AGE") < 25, lambda a: a < 25),
+            (col("AGE") <= 25, lambda a: a <= 25),
+            (Const(60) < col("AGE"), lambda a: a > 60),
+            (Const(60) <= col("AGE"), lambda a: a >= 60),
+            (Const(25) > col("AGE"), lambda a: a < 25),
+            (Const(25) >= col("AGE"), lambda a: a <= 25),
+            (col("AGE") > 60.5, lambda a: a > 60.5),
+        ],
+    )
+    def test_one_sided_comparisons_map_onto_ranges(self, micro, conjunct, keep):
+        _, rows = match_indexable_conjunct(conjunct, micro.index_on)
+        assert rows == [i for i, a in enumerate(micro.column("AGE")) if keep(a)]
+
+    @pytest.mark.parametrize(
+        "conjunct",
+        [
+            col("AGE") == NA,
+            col("AGE") > float("nan"),
+            col("AGE").between(NA, 30),
+            col("AGE") == [30],
+            col("AGE") > "thirty",
+            col("AGE") > None,
+            col("AGE") > col("REGION"),
+            col("AGE") + 1 > 30,
+            (col("AGE") > 30) | (col("AGE") < 20),
+            ~(col("AGE") > 30),
+            col("AGE").is_na(),
+            col("AGE").is_in([30, 31]),
+        ],
+    )
+    def test_left_to_the_scan(self, micro, conjunct):
+        assert match_indexable_conjunct(conjunct, micro.index_on) is None
+
+    def test_a_rejected_comparison_still_raises(self, micro):
+        # The index cannot order 'thirty' against its keys, so the scan
+        # decides — and rejects the comparison as it always did.
+        catalog = Catalog()
+        catalog.register(micro, "micro")
+        catalog.register_index("micro", "AGE", micro.index_on("AGE"))
+        with pytest.raises(ExpressionError, match="cannot compare"):
+            list(plan(parse("SELECT * FROM micro WHERE AGE > 'thirty'"), catalog))
