@@ -7,13 +7,15 @@ the snapshot is written to ``checkpoint.json.tmp``, fsynced, then renamed
 over ``checkpoint.json`` with :func:`os.replace`, so a crash at any point
 leaves either the old snapshot or the new one, never a half-written mix.
 
-What a snapshot holds:
+The snapshot is one compact JSON document, written and read by the one
+document codec (:func:`repro.metadata.persistence.dumps` / ``loads``;
+``python -m json.tool checkpoint.json`` gives a human view).  It holds:
 
 * the Management Database (view definitions, histories, rules, code books,
   policies, the SUBJECT graph) via
   :func:`repro.metadata.persistence.management_to_dict`;
-* every concrete view's rows and schema (cell values through the NA-aware
-  ``value_to_jsonable`` codec);
+* every concrete view's schema and cells, as ``"columns"`` in schema order
+  (a format-1 snapshot's ``"rows"`` load through the same ``view_from_record``);
 * every view's Summary Database entries — results serialized with the
   varying-length encoding of :mod:`repro.summary.entries` (hex-armoured),
   plus freshness state and the kind/epsilon accuracy metadata.  Sketch and
@@ -32,18 +34,12 @@ paper treats it as an archival input that is reloaded, not recovered
 
 from __future__ import annotations
 
-import json
 import os
 from pathlib import Path
 from typing import Any
 
-from repro.core.errors import DurabilityError, SummaryError
+from repro.core.errors import DurabilityError, MetadataError, SummaryError
 from repro.durability.faults import FaultInjector, write_atomically
-from repro.metadata.persistence import (
-    history_to_dict,
-    management_to_dict,
-    view_to_record,
-)
 from repro.incremental.sketches import (
     CountMinSketch,
     HeavyHitterSketch,
@@ -51,12 +47,19 @@ from repro.incremental.sketches import (
     ReservoirSample,
     TDigest,
 )
+from repro.metadata.persistence import (
+    dumps,
+    history_to_dict,
+    loads,
+    management_to_dict,
+    view_to_record,
+)
 from repro.obs.tracer import NULL_TRACER, AbstractTracer
 from repro.stats.models import IncrementalLinearRegression
 from repro.summary.entries import decode_result, encode_result
 
 CHECKPOINT_NAME = "checkpoint.json"
-SNAPSHOT_FORMAT = 1
+SNAPSHOT_FORMAT = 2
 
 #: Maintainer families with durable, mergeable state: ``sketch_kind`` tag
 #: -> class with ``to_state``/``from_state``.  Anything outside this table
@@ -225,27 +228,30 @@ class Checkpointer:
         the snapshot's authority.
         """
         self.directory.mkdir(parents=True, exist_ok=True)
-        payload = json.dumps(snapshot_dbms(dbms), indent=1).encode("utf-8")
+        payload = dumps(snapshot_dbms(dbms))
         write_atomically(self.faults, self.path, payload)
         self.tracer.add("checkpoint.write")
         self.tracer.add("checkpoint.bytes", len(payload))
         return self.path
 
     def load(self) -> dict | None:
-        """Read the current snapshot, or ``None`` when none exists."""
+        """Read the current snapshot (``None`` if absent); a non-snapshot raises."""
         try:
             raw = self.path.read_bytes()
         except FileNotFoundError:
             return None
+        what = f"checkpoint {self.path}"
         try:
-            snapshot = json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            snapshot = loads(raw)
+        except MetadataError as exc:
+            raise DurabilityError(f"{what} is unreadable: {exc}") from exc
+        if not isinstance(snapshot, dict):
+            raise DurabilityError(f"{what} is not a snapshot: not a JSON object")
+        if snapshot.get("format") not in (1, SNAPSHOT_FORMAT):  # 1: cells as "rows"
             raise DurabilityError(
-                f"checkpoint {self.path} is unreadable: {exc}"
-            ) from exc
-        if snapshot.get("format") != SNAPSHOT_FORMAT:
-            raise DurabilityError(
-                f"checkpoint {self.path} has unsupported format "
-                f"{snapshot.get('format')!r} (expected {SNAPSHOT_FORMAT})"
+                f"{what} has unsupported format {snapshot.get('format')!r}"
             )
+        for key, kind in (("management", dict), ("views", list)):
+            if not isinstance(snapshot.get(key), kind):
+                raise DurabilityError(f"{what} has no {key!r} {kind.__name__}")
         return snapshot

@@ -24,6 +24,7 @@ from __future__ import annotations
 import itertools
 import os
 import threading
+import weakref
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -71,7 +72,7 @@ class DurabilityManager:
         self.checkpointer = Checkpointer(
             self.directory, faults=self.faults, tracer=self.tracer
         )
-        self._dbms: Any = None
+        self._dbms: weakref.ref[Any] | None = None
         # Transaction ids come from an itertools.count: under the GIL a
         # bare ``next()`` is atomic, so concurrent sessions logging through
         # the same manager never collide on a txn id even before the
@@ -93,8 +94,8 @@ class DurabilityManager:
     # -- binding -----------------------------------------------------------
 
     def bind(self, dbms: Any) -> None:
-        """Attach the DBMS whose state :meth:`checkpoint` snapshots."""
-        self._dbms = dbms
+        """Attach, weakly (it owns this manager), the DBMS to checkpoint."""
+        self._dbms = weakref.ref(dbms)
 
     @property
     def wal_path(self) -> Path:
@@ -111,6 +112,8 @@ class DurabilityManager:
     def log_view_created(self, view: Any) -> None:
         """Make a freshly materialized/derived/adopted view durable."""
         record = {"t": "view", "view": view.name, **view_to_record(view)}
+        record["rows"] = list(view.relation)  # the frame's cells stay row-major
+        del record["columns"]
         if view.definition is not None:
             record["definition"] = definition_to_dict(view.definition)
         self._log_transaction(view.name, [record])
@@ -230,11 +233,12 @@ class DurabilityManager:
 
     def checkpoint(self) -> Path:
         """Snapshot the bound DBMS atomically and truncate the log."""
-        if self._dbms is None:
+        dbms = self._dbms() if self._dbms is not None else None
+        if dbms is None:
             raise DurabilityError(
                 "no DBMS bound; pass this manager as StatisticalDBMS(durability=...)"
             )
-        path = self.checkpointer.write(self._dbms)
+        path = self.checkpointer.write(dbms)
         self.wal.truncate()
         return path
 

@@ -133,8 +133,8 @@ def recover(
     dbms = StatisticalDBMS(management=management, tracer=sink, durability=manager)
 
     if snapshot is not None:
-        for record in snapshot.get("views", []):
-            _restore_view(dbms, record)
+        for record in snapshot["views"]:
+            _restore_view(dbms, record, f"checkpoint {checkpointer.path}")
 
     scan = WriteAheadLog(manager.directory / WAL_NAME, tracer=sink).scan()
     report.torn_tail = scan.torn_tail
@@ -169,11 +169,11 @@ def recover(
 # -- snapshot restoration ----------------------------------------------------
 
 
-def _restore_view(dbms: StatisticalDBMS, record: dict) -> None:
+def _restore_view(dbms: StatisticalDBMS, record: dict, origin: str) -> None:
     name = record["name"]
     registered = name in dbms.management.view_names()
     definition = dbms.management.view_definition(name) if registered else None
-    view = view_from_record(name, record, definition, dbms.tracer)
+    view = view_from_record(name, record, definition, dbms.tracer, origin)
     if registered:
         # The management snapshot holds the authoritative history object;
         # the view must share it (exactly as registration wires it live).
@@ -266,7 +266,8 @@ def _replay_view_created(
     definition = (
         definition_from_dict(record["definition"]) if "definition" in record else None
     )
-    view = view_from_record(name, record, definition, dbms.tracer)
+    origin = f"log {dbms.durability.wal_path}" if dbms.durability else "log"
+    view = view_from_record(name, record, definition, dbms.tracer, origin)
     dbms.registry.register(view)
     if definition is not None and name not in dbms.management.view_names():
         dbms.management.register_view(definition, view.history)

@@ -17,8 +17,9 @@ Frame format (little-endian)::
 ``length`` is the payload byte count and ``crc32`` its checksum
 (:func:`zlib.crc32`), so a scan detects both a torn tail (file ends inside
 a frame) and bit rot (checksum mismatch) without trusting anything beyond
-the frame header.  Payloads are JSON objects; cell values go through the
-NA-aware :func:`repro.metadata.persistence.value_to_jsonable` codec.
+the frame header.  Payloads are JSON objects written and read by the one
+document codec, :func:`repro.metadata.persistence.dumps` / ``loads`` (NA
+cells travel as ``{"__na__": true}``).
 
 Record types (the ``t`` key)::
 
@@ -39,16 +40,16 @@ needs.  Counter names: ``wal.append``, ``wal.fsync``.
 
 from __future__ import annotations
 
-import json
 import os
 import struct
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Iterator
 
-from repro.core.errors import DurabilityError
+from repro.core.errors import DurabilityError, MetadataError
 from repro.durability.faults import FaultInjector, FaultyFile
+from repro.metadata.persistence import dumps, loads
 from repro.obs.tracer import NULL_TRACER, AbstractTracer
 
 _FRAME_HEADER = struct.Struct("<II")
@@ -101,9 +102,7 @@ class WriteAheadLog:
 
     def append(self, record: dict, sync: bool = False) -> None:
         """Frame and append one record; ``sync`` makes it an fsync point."""
-        payload = json.dumps(record, separators=(",", ":")).encode("utf-8")
-        frame = _FRAME_HEADER.pack(len(payload), zlib.crc32(payload)) + payload
-        self._writer().write(frame)
+        self._writer().write(frame_record(record))
         self.tracer.add("wal.append")
         if sync:
             self.sync()
@@ -233,8 +232,8 @@ class WriteAheadLog:
                 )
                 break
             try:
-                record = json.loads(payload.decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+                record = loads(payload)
+            except MetadataError as exc:
                 result.torn_tail = True
                 result.warnings.append(
                     f"undecodable record at byte {pos}: {exc}"
@@ -259,8 +258,8 @@ class WriteAheadLog:
 
 
 def frame_record(record: dict) -> bytes:
-    """Encode one record as a standalone frame (test/tooling helper)."""
-    payload = json.dumps(record, separators=(",", ":")).encode("utf-8")
+    """Encode one record as a frame: header, then the codec's payload."""
+    payload = dumps(record)
     return _FRAME_HEADER.pack(len(payload), zlib.crc32(payload)) + payload
 
 

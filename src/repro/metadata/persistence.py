@@ -11,6 +11,10 @@ all of it through plain JSON-able dictionaries:
 * update histories with NA-aware cell values,
 * code books, policies, rule overrides, and the SUBJECT graph.
 
+:func:`dumps` / :func:`loads` are the one document codec of every durable
+artefact (checkpoint, log frame): compact JSON whose C encoder and decoder
+meet NA themselves, with no pass over the cells before or after.
+
 Functions themselves are code; only *names* are persisted and resolved
 against the registry on load (custom functions must be re-registered by
 the application before loading, mirroring how 1982 systems reloaded
@@ -22,7 +26,7 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from repro.core.errors import MetadataError
+from repro.core.errors import DurabilityError, MetadataError, SchemaError
 from repro.metadata.codebook import CodeBook
 from repro.metadata.management import ManagementDatabase
 from repro.metadata.rules import RuleKind
@@ -32,7 +36,7 @@ from repro.relational import expressions as ex
 from repro.relational.aggregates import AggregateSpec
 from repro.relational.relation import Relation
 from repro.relational.schema import Attribute, AttributeRole, Schema
-from repro.relational.types import NA, DataType, is_na
+from repro.relational.types import NA, DataType, NAType, is_na
 from repro.summary.policies import (
     ConsistencyPolicy,
     InvalidatePolicy,
@@ -84,6 +88,29 @@ def result_to_jsonable(value: Any) -> Any:
     if isinstance(value, (tuple, list)):
         return [result_to_jsonable(item) for item in value]
     return value_to_jsonable(value)
+
+
+# -- the document codec -------------------------------------------------------------
+# The two hooks above, run by the C encoder and decoder only where JSON has no form.
+
+_ENCODER = json.JSONEncoder(separators=(",", ":"), default=value_to_jsonable)
+_DECODER = json.JSONDecoder(
+    object_hook=value_from_jsonable,
+    parse_constant=lambda text: NA if text == "NaN" else float(text),
+)
+
+
+def dumps(document: Any) -> bytes:
+    """Compact UTF-8 JSON; NA is written as its record, a float NaN as ``NaN``."""
+    return _ENCODER.encode(document).encode("utf-8")
+
+
+def loads(raw: bytes) -> Any:
+    """Inverse of :func:`dumps` (``NaN`` reads as NA); raises MetadataError."""
+    try:
+        return _DECODER.decode(raw.decode("utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError both
+        raise MetadataError(f"not a JSON document: {exc}") from exc
 
 
 # -- schema attributes ---------------------------------------------------------------
@@ -372,13 +399,20 @@ def history_from_dict(data: dict) -> UpdateHistory:
 
 
 def view_to_record(view: ConcreteView) -> dict[str, Any]:
-    """A view's owner, schema and rows: the body the WAL's ``view`` frame
+    """A view's owner, schema and cells: one list per attribute, as they are.
 
-    and a checkpoint's view record share (each adds its own name key)."""
+    A type census per column refuses what :func:`value_to_jsonable` refuses
+    per cell (a list, say, would be written as an array and come back one)."""
+    relation = view.relation
+    columns = [relation.column(name) for name in relation.schema.names]
+    for column in columns:
+        for kind in set(map(type, column)):
+            if not issubclass(kind, (int, float, str, type(None), NAType)):
+                raise MetadataError(f"cannot persist value of type {kind.__name__}")
     return {
         "owner": view.owner,
-        "schema": [attribute_to_dict(attr) for attr in view.schema.attributes],
-        "rows": [[value_to_jsonable(value) for value in row] for row in view.relation],
+        "schema": [attribute_to_dict(attr) for attr in relation.schema.attributes],
+        "columns": columns,
     }
 
 
@@ -387,13 +421,24 @@ def view_from_record(
     record: dict[str, Any],
     definition: ViewDefinition | None,
     tracer: AbstractTracer,
+    origin: str,
 ) -> ConcreteView:
-    """Inverse of :func:`view_to_record`; history and summary start empty."""
-    relation = Relation(
-        name,
-        Schema([attribute_from_dict(column) for column in record["schema"]]),
-        [tuple(value_from_jsonable(cell) for cell in row) for row in record["rows"]],
-    )
+    """Inverse of :func:`view_to_record`; history and summary start empty.
+
+    Also reads the ``"rows"`` of the log's ``view`` frame and of a format-1
+    checkpoint.  A malformed record raises, naming ``origin`` (its file)."""
+    try:
+        schema = Schema([attribute_from_dict(column) for column in record["schema"]])
+        columns = record.get("columns")
+        if columns is None:
+            rows = record["rows"]
+        elif len(columns) == len(schema):
+            rows = zip(*columns, strict=True)  # strict: never cut to the shortest
+        else:
+            raise ValueError(f"{len(columns)} columns for {len(schema)} attributes")
+        relation = Relation(name, schema, rows)
+    except (KeyError, TypeError, ValueError, AttributeError, SchemaError) as exc:
+        raise DurabilityError(f"{origin}: view {name!r} is malformed: {exc!r}") from exc
     return ConcreteView(
         name=name,
         relation=relation,

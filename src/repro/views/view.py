@@ -121,9 +121,11 @@ class ConcreteView:
 
         Reads from memory: maintainer regeneration passes are counted by
         the maintainers themselves, and the stored mirror serves the
-        I/O-accounting benchmarks.
+        I/O-accounting benchmarks.  It holds the relation, not the view:
+        maintainers live in the view's summary, and that would be a cycle.
         """
-        return lambda: self.relation.column(attr)
+        relation = self.relation
+        return lambda: relation.column(attr)
 
     def rows_provider(
         self, attributes: Sequence[str]
@@ -136,11 +138,12 @@ class ConcreteView:
         :meth:`column_provider`.
         """
         names = tuple(attributes)
+        relation = self.relation
         for name in names:
-            self.relation.schema.index_of(name)  # validate eagerly
+            relation.schema.index_of(name)  # validate eagerly
 
         def provide() -> list[tuple[Any, ...]]:
-            columns = [self.relation.column(name) for name in names]
+            columns = [relation.column(name) for name in names]
             return list(zip(*columns)) if columns else []
 
         return provide

@@ -21,6 +21,7 @@ recover and are reported as degraded with the recovery warnings attached.
 from __future__ import annotations
 
 import shutil
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -94,7 +95,8 @@ class ManagedView:
         view_name: str,
         recovery: RecoveryReport | None = None,
     ) -> None:
-        self.workspace = workspace
+        # Weak: the workspace holds its handles; a strong way back is a cycle.
+        self.workspace: Workspace = weakref.proxy(workspace)
         self.space_id = space_id
         self.directory = directory
         self.dbms = dbms

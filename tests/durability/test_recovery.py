@@ -1,15 +1,23 @@
 """Recovery unit tests: checkpoint + replay semantics, counters, anomalies."""
 
+import gc
+import json
 import math
+import shutil
+import weakref
+from pathlib import Path
 
 import pytest
 
 from repro.core.dbms import StatisticalDBMS
 from repro.core.errors import DurabilityError
-from repro.durability.checkpoint import Checkpointer
+from repro.durability.checkpoint import SNAPSHOT_FORMAT, Checkpointer
 from repro.durability.manager import DurabilityManager
 from repro.durability.recovery import recover
+from repro.incremental.sketches import TDigest
+from repro.metadata.persistence import dumps, loads
 from repro.obs.tracer import Tracer
+from repro.relational.types import NA
 from repro.views.materialize import SourceNode, ViewDefinition
 
 from tests.durability.helpers import durable_dbms, people_relation
@@ -305,3 +313,160 @@ def test_checkpoint_write_is_atomic_under_fault(tmp_path):
     assert dbms.durability.checkpoint_path.read_bytes() == before
     recovered, _ = recover(tmp_path)
     assert recovered.view("v1").relation.row(1)[1] == 50.0  # from the WAL
+
+
+# -- a file that parses but is not a snapshot --------------------------------
+
+
+def _checkpointed_document(tmp_path):
+    """A real two-attribute snapshot, as the document it decodes to."""
+    dbms = durable_dbms(tmp_path, rows=4)
+    dbms.checkpoint()
+    dbms.durability.close()
+    return loads(dbms.durability.checkpoint_path.read_bytes())
+
+
+def _drop(key):
+    def damage(document):
+        del document["views"][0][key]
+
+    return damage
+
+
+def _set_columns(columns):
+    def damage(document):
+        document["views"][0]["columns"] = columns
+
+    return damage
+
+
+@pytest.mark.parametrize(
+    "text, defect",
+    [
+        ("[]", "not a JSON object"),
+        ('"checkpoint"', "not a JSON object"),
+        ('{"format": 2}', "'management'"),
+        ('{"format": 1, "management": {}}', "'views'"),
+        ('{"format": 2, "management": {}, "views": {}}', "'views'"),
+    ],
+)
+def test_a_document_that_is_not_a_snapshot_names_the_file(tmp_path, text, defect):
+    path = Checkpointer(tmp_path).path
+    path.write_text(text)
+    with pytest.raises(DurabilityError, match=defect) as raised:
+        recover(tmp_path)
+    assert str(path) in str(raised.value)
+
+
+@pytest.mark.parametrize(
+    "damage, defect",
+    [
+        (_drop("schema"), "KeyError..schema"),
+        (_drop("columns"), "KeyError..rows"),
+        (_set_columns([[0, 1, 2, 3]]), "1 columns for 2 attributes"),
+        (_set_columns([[0, 1, 2, 3], [0.0], [1.0]]), "3 columns for 2 attributes"),
+        (_set_columns([[0, 1, 2, 3], [0.0, 1.0, 2.0]]), "shorter than argument 1"),
+        (_set_columns([[0, 1, 2], [0.0, 1.0, 2.0, 3.0]]), "longer than argument 1"),
+        (_set_columns([[0, 1, 2, 3], 7]), "TypeError"),
+    ],
+)
+def test_a_malformed_view_record_names_the_file_and_the_defect(
+    tmp_path, damage, defect
+):
+    """Ragged columns are the hazard of the columnar form: a bare ``zip``
+
+    would truncate every column to the shortest and recover a wrong view."""
+    document = _checkpointed_document(tmp_path)
+    damage(document)
+    path = Checkpointer(tmp_path).path
+    path.write_bytes(dumps(document))
+    with pytest.raises(DurabilityError, match=defect) as raised:
+        recover(tmp_path)
+    assert str(path) in str(raised.value) and "'v1'" in str(raised.value)
+
+
+# -- format 1 -----------------------------------------------------------------
+
+FORMAT1 = Path(__file__).parent / "fixtures" / "format1"
+FORMAT1_ROWS = [
+    (0, 100.0, "r0é"), (1, 1.5, "r1é"), (2, NA, "r2é"), (3, NA, "r3é"),
+    (4, 6.0, "r4é"), (5, 7.5, NA), (6, 9.0, "r6é"), (7, NA, "r7é"),
+    (8, 12.0, "r8é"), (9, 13.5, "r9é"),
+]  # fmt: skip
+
+
+def _assert_format1_state(dbms):
+    view = dbms.view("v1")
+    assert list(view.relation) == FORMAT1_ROWS
+    assert [type(cell) for row in view.relation for cell in row] == [
+        type(cell) for row in FORMAT1_ROWS for cell in row
+    ]
+    assert [op.version for op in view.history.operations()] == [1, 3]
+    assert view.history.tail_versions(1) == [3]
+    assert view.history is dbms.management.view_history("v1")
+    assert view.history._next_version == 5  # 2 and 4 were undone: burned
+    mean = view.summary.peek("mean", "x")
+    assert not mean.stale and mean.result == pytest.approx(149.5 / 7)
+    median = view.summary.peek("approx_median", "x")
+    assert not median.stale and median.kind == "sketch" and median.result == 9.0
+    assert isinstance(median.maintainer, TDigest) and median.maintainer.value == 9.0
+
+
+def test_a_format_1_directory_recovers_and_is_rewritten_as_format_2(tmp_path):
+    """The fixture was written by the last commit whose snapshots were
+
+    format 1 (pretty-printed ``"rows"``): a checkpoint holding NA cells, a
+    history with a burned version, a ``mean`` and a t-digest entry, then a
+    log with an update to NA and an update undone (see its README)."""
+    for name in ("checkpoint.json", "log.wal"):
+        shutil.copy(FORMAT1 / name, tmp_path)
+    assert json.loads((tmp_path / "checkpoint.json").read_text())["format"] == 1
+
+    dbms, report = recover(tmp_path)
+    assert report.checkpoint_loaded and not report.warnings
+    assert (report.operations_replayed, report.undos_replayed) == (2, 1)
+    _assert_format1_state(dbms)
+
+    dbms.checkpoint()
+    dbms.durability.close()
+    document = json.loads((tmp_path / "checkpoint.json").read_text())
+    assert document["format"] == SNAPSHOT_FORMAT == 2
+    assert "rows" not in document["views"][0]
+    assert document["views"][0]["columns"][0] == list(range(10))
+    again, report = recover(tmp_path)
+    assert report.checkpoint_loaded and report.transactions_committed == 0
+    _assert_format1_state(again)
+
+
+# -- memory -------------------------------------------------------------------
+
+
+def test_a_released_dbms_is_freed_without_the_cycle_collector(tmp_path):
+    """``Workspace.recover_all`` drops one recovered DBMS per view: its rows
+
+    must go when the last reference does, not when a gen-2 collection runs."""
+    dbms = durable_dbms(tmp_path)
+    session = dbms.session("v1")
+    session.compute("median", "x")
+    session.compute("approx_distinct", "x")  # restored with a column provider
+    session.fit_model("x", ["id"])  # maintained through a rows provider
+    dbms.checkpoint()
+    session.update_cells("x", [(0, 100.0)])
+    dbms.durability.close()
+    del dbms, session
+
+    gc.collect()
+    gc.disable()
+    try:
+        recovered, _ = recover(tmp_path)
+        recovered.session("v1").update_cells("x", [(1, 50.0)])
+        view = recovered.view("v1")
+        probes = [
+            weakref.ref(obj)
+            for obj in (recovered, view, view.relation, view.summary)
+        ]
+        recovered.durability.close()
+        del recovered, view
+        assert [probe() for probe in probes] == [None] * 4
+    finally:
+        gc.enable()

@@ -9,20 +9,26 @@ empty histories, burned (undone) version numbers, and JSON transport.
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.errors import MetadataError
 from repro.metadata.persistence import (
+    dumps,
     history_from_dict,
     history_to_dict,
+    loads,
     operation_from_dict,
     operation_to_dict,
     value_from_jsonable,
     value_to_jsonable,
+    view_to_record,
 )
 from repro.relational.relation import Relation
 from repro.relational.schema import Attribute, Schema
 from repro.relational.types import NA, DataType, is_na
 from repro.views.history import CellChange, OpKind, UpdateHistory
+from repro.views.view import ConcreteView
 
 
 def through_json(data):
@@ -182,3 +188,90 @@ def test_restore_rejects_version_regressions():
     operation = history.record(OpKind.UPDATE, "x", [])
     with pytest.raises(HistoryError):
         history.restore(operation)  # v1 <= current high-water mark
+
+
+# -- the document codec -------------------------------------------------------
+
+cells = st.one_of(
+    st.integers(-(2**80), 2**80),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([-0.0, 2.0**53 + 2, float("inf"), float("-inf"), float("nan")]),
+    st.text(max_size=8),
+    st.booleans(),
+    st.none(),
+    st.just(NA),
+)
+
+
+@given(st.lists(st.lists(cells, max_size=12), max_size=5))
+@settings(max_examples=300, deadline=None)
+def test_columns_round_trip_cell_by_cell_in_value_and_type(columns):
+    """What a checkpoint does to a view's cells: the columns go to the C
+
+    encoder as they are and come back equal and of the same type (a float
+    NaN as NA), in the bytes a ``value_to_jsonable`` pass per cell gives."""
+    raw = dumps({"columns": columns})
+    restored = loads(raw)["columns"]
+    assert [len(column) for column in restored] == [len(c) for c in columns]
+    for column, back in zip(columns, restored):
+        for cell, got in zip(column, back):
+            if is_na(cell):
+                assert got is NA
+            else:  # repr tells -0.0 from 0.0 and 1 from True
+                assert type(got) is type(cell) and repr(got) == repr(cell)
+    if not any(isinstance(c, float) and c != c for column in columns for c in column):
+        per_cell = [[value_to_jsonable(c) for c in column] for column in columns]
+        assert raw == json.dumps(
+            {"columns": per_cell}, separators=(",", ":")
+        ).encode("utf-8")
+
+
+def test_the_named_edge_cells_survive_the_codec():
+    edge = [2**70, True, 1, 1.0, float("inf"), float("-inf"), float("nan"), NA, None]
+    back = loads(dumps(edge))
+    assert back[:6] == edge[:6]
+    assert [type(cell) for cell in back[:6]] == [int, bool, int, float, float, float]
+    assert back[6] is NA and back[7] is NA and back[8] is None
+
+
+def test_dumps_refuses_what_json_has_no_form_for_and_loads_what_is_not_json():
+    with pytest.raises(MetadataError, match="cannot persist value of type object"):
+        dumps({"cell": object()})
+    with pytest.raises(MetadataError, match="not a JSON document"):
+        loads(b"{ torn")
+    with pytest.raises(MetadataError, match="not a JSON document"):
+        loads(b"\xff\xfe")
+
+
+@pytest.mark.parametrize("cell", [[1, 2], (1, 2), {"a": 1}, {1}, 1 + 2j, b"raw"])
+def test_view_record_refuses_a_cell_that_would_not_come_back_as_it_was(cell):
+    """The per-column type census keeps ``value_to_jsonable``'s refusals: a
+
+    list or tuple cell must not be written as a JSON array."""
+    schema = Schema([Attribute("id", DataType.INT), Attribute("x", DataType.FLOAT)])
+    relation = Relation("v", schema, [[0, 1.0], [1, NA], [2, None]])
+    view = ConcreteView("v", relation)
+    assert view_to_record(view)["columns"] == [[0, 1, 2], [1.0, NA, None]]
+    relation.set_value(1, "x", cell)
+    with pytest.raises(MetadataError, match="cannot persist value of type"):
+        view_to_record(view)
+
+
+def test_view_record_accepts_the_subclasses_the_per_cell_check_accepted():
+    import enum
+
+    import numpy as np
+
+    class Code(enum.IntEnum):
+        MALE = 1
+
+    schema = Schema([Attribute("x", DataType.FLOAT)])
+    relation = Relation("v", schema, [[np.float64(2.5)], [Code.MALE], [True]])
+    assert [value_to_jsonable(row[0]) for row in relation] == [2.5, 1, True]
+    record = loads(dumps(view_to_record(ConcreteView("v", relation))))
+    assert record["columns"] == [[2.5, 1, True]]
+    relation.set_value(0, "x", np.int64(3))  # not an int: refused then, and now
+    with pytest.raises(MetadataError, match="int64"):
+        value_to_jsonable(relation.row(0)[0])
+    with pytest.raises(MetadataError, match="int64"):
+        view_to_record(ConcreteView("v", relation))

@@ -8,6 +8,7 @@ tails as degraded-but-recovered, and brings every undamaged view back.
 
 from __future__ import annotations
 
+from repro.metadata.persistence import dumps, loads
 from repro.workspace.manifest import manifest_path
 from repro.workspace.space import Workspace
 
@@ -104,3 +105,29 @@ def test_second_sweep_after_repair_is_clean(tmp_path):
     second = ws.recover_all()
     assert set(second.quarantined) == set(first.quarantined)
     assert second.degraded == {}  # tails were truncated, damage healed
+
+
+def test_a_snapshot_with_ragged_columns_is_quarantined_by_name(tmp_path):
+    """Valid JSON, wrong shape: one column a cell short.  Zipping it bare
+
+    would recover the view a row short; it is refused, and named."""
+    ws = Workspace(tmp_path)
+    ids = [
+        ws.create(full_definition(), tiny_relation(), {"wave": wave}).space_id
+        for wave in range(8)
+    ]
+    ws.close_all()
+    checkpoint = tmp_path / ids[3] / "checkpoint.json"
+    document = loads(checkpoint.read_bytes())
+    assert len(document["views"][0]["columns"][1]) == 12
+    document["views"][0]["columns"][1].pop()
+    checkpoint.write_bytes(dumps(document))
+
+    report = Workspace(tmp_path).recover_all()
+
+    assert set(report.quarantined) == {ids[3]}
+    reason = report.quarantined[ids[3]]
+    assert reason.startswith("DurabilityError") and str(checkpoint) in reason
+    assert "shorter than argument" in reason
+    assert sorted(report.succeeded) == sorted(set(ids) - {ids[3]})
+    assert report.degraded == {}

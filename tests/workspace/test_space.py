@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
 from repro.core.errors import WorkspaceError
@@ -196,3 +199,30 @@ class TestBulkAndDrop:
         assert cold.ids() == [good.space_id]
         assert bad.directory.name in cold.index.quarantined
         assert cold.describe()["quarantined"]
+
+
+class TestRelease:
+    def test_released_views_are_freed_without_the_cycle_collector(self, tmp_path):
+        """A sweep drops one recovered DBMS per view, and a workspace may be
+
+        dropped with views open: neither may wait for a gen-2 collection."""
+        ws = Workspace(tmp_path)
+        for wave in range(3):
+            session = ws.create(full_definition(), tiny_relation(), {"w": wave}).session()
+            session.compute("median", "x")
+            session.update_cells("x", [(wave, -1.0)])
+        ws.close_all()
+        gc.collect()
+        gc.disable()
+        try:
+            ws = Workspace(tmp_path)
+            assert len(ws.recover_all().succeeded) == 3  # released one by one
+            views, _ = ws.open_many(ws.ids())
+            views[0].session().update_cells("x", [(5, 2.0)])
+            views[0].checkpoint()
+            assert views[0].workspace.index.get(views[0].space_id) is not None
+            probes = [weakref.ref(obj) for obj in (ws, views[0].dbms, views[1].view)]
+            del ws, views  # dropped open, not closed
+            assert [probe() for probe in probes] == [None] * 3
+        finally:
+            gc.enable()
