@@ -23,7 +23,10 @@ run persists ``BENCH_e19.json`` (with the server's ``server.*`` /
 per-level ``c{n}_lock_wait`` / ``c{n}_snapshot_violations`` and split
 ``c{n}_read_p95_ms`` / ``c{n}_write_p95_ms`` metrics) at the repo root.
 
-Noise control (the levels are gated on monotone throughput through 8):
+Noise control (levels through 8 are gated on monotone throughput, but
+only while they fit the host's cores — past ``os.cpu_count()`` the clients
+time-share the cores with the server and a closed loop reads lower for
+that reason alone; the structural asserts run at every level):
 every level through 8 issues the same total request volume, each level
 runs :data:`TRIALS` times keeping the best-throughput trial, and a
 warmup client touches each query combination once so the measured run
@@ -69,7 +72,8 @@ WRITE_EVERY = 5  # 1 write per 5 requests = 20% writes
 MAX_WORKERS = 8
 #: Consecutive levels through 8 must not regress by more than this factor
 #: (scheduling jitter aside, MVCC read scaling is monotone to the core
-#: count; the strict check happens on the committed BENCH_e19.json).
+#: count — so only levels within ``os.cpu_count()`` are compared; the
+#: strict check happens on the committed BENCH_e19.json).
 MONOTONE_SLACK = 0.85
 JSON_PATH = Path(__file__).resolve().parents[1] / "BENCH_e19.json"
 
@@ -250,17 +254,24 @@ def test_e19_concurrent_sessions(tmp_path):
         assert counters.get("mvcc.publish", 0) > 0
         assert counters.get("mvcc.pin", 0) > 0
         assert "txn.snapshot_violation" not in counters
+    # Throughput through 8 analysts must not regress (the old read-lock
+    # path fell off a cliff at 8); slack absorbs scheduler jitter.  Past
+    # the core count a lower reading is oversubscription (four clients on
+    # two cores: 0.77-0.85x of two), so the gate stops there.
+    cores = os.cpu_count() or 1
+    gated = [r for r in results if r["concurrency"] <= min(8, cores)]
     table.note(
         "MVCC v2: reads pin published versions lock-free; writes "
         "serialize + group-commit (the overall p95 is the durable-write "
         "tail, see read_p95_ms for the lock-free read path)"
     )
+    table.note(
+        f"monotone-throughput gate on levels {[r['concurrency'] for r in gated]} "
+        f"(<= min(8, {cores} cores)); every level ran the structural asserts"
+    )
     report_table(table)
 
-    # Throughput through 8 analysts must not regress (the old read-lock
-    # path fell off a cliff at 8); slack absorbs scheduler jitter.
-    through_8 = [r for r in results if r["concurrency"] <= 8]
-    for prev, nxt in zip(through_8, through_8[1:]):
+    for prev, nxt in zip(gated, gated[1:]):
         assert nxt["throughput_rps"] >= MONOTONE_SLACK * prev["throughput_rps"], (
             f"throughput regressed {prev['concurrency']}->"
             f"{nxt['concurrency']} analysts: "

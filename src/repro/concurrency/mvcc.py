@@ -38,6 +38,9 @@ Reads go through MVCC instead:
   snapshot.  Steady-state reads of previously-seen statistics therefore
   never compute: they hit the snapshot (the wire server serves them
   inline on its event loop).
+* **One pinned compute.**  :meth:`SnapshotReader.compute` is the pinned
+  side of the Figure-3 loop for every row of the function catalogue
+  (:mod:`repro.metadata.functions`), whatever its arity.
 
 Mutating a published :class:`ViewVersion` outside this module — or
 writing the Summary Database's cache structures around its sanctioned
@@ -52,11 +55,10 @@ constructed here): ``mvcc.publish``, ``mvcc.publish_noop``, ``mvcc.pin``,
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from repro.concurrency.tracing import make_latch
-from repro.core.errors import FunctionError, SchemaError, SnapshotError
-from repro.core.session import PAIR_FUNCTIONS
+from repro.core.errors import SchemaError, SnapshotError
 from repro.obs.tracer import NULL_TRACER, AbstractTracer
 from repro.views.view import ConcreteView
 
@@ -422,56 +424,41 @@ class SnapshotReader:
 
     def column(self, attribute: str) -> list[Any]:
         """One frozen column's values."""
+        self._attribute(attribute)
+        return list(self.pinned.columns[attribute])
+
+    def _attribute(self, name: str) -> Any:
         try:
-            return list(self.pinned.columns[attribute])
+            return self.pinned.attributes[name]
         except KeyError:
             raise SchemaError(
                 f"view {self.pinned.view_name!r} has no attribute "
-                f"{attribute!r} in the pinned version"
+                f"{name!r} in the pinned version"
             ) from None
 
-    def compute(self, function: str, attribute: str) -> Any:
-        """Compute (or fetch) one function over one frozen column."""
-        key = (function, (attribute,))
+    def compute(self, function: str, attribute: str | Sequence[str]) -> Any:
+        """Compute (or fetch) one function over frozen columns.
+
+        ``attribute`` is one name, or a multi-attribute function's names
+        in key order.  The pinned counterpart of the live session's
+        ``compute``: probe the publication snapshot and the version's
+        memo; on a miss pass the catalogue row's check, register the key
+        for writer warming, evaluate over the frozen columns and memoize.
+        """
+        attributes = (attribute,) if isinstance(attribute, str) else tuple(attribute)
+        key = (function, attributes)
         hit, value = self.pinned.cached(key)
         if hit:
             self._tracer.add("mvcc.memo_hit")
             return value
         fn = self._management.functions.get(function)
-        attr = self.pinned.attributes.get(attribute)
-        if attr is None:
-            raise SchemaError(
-                f"view {self.pinned.view_name!r} has no attribute "
-                f"{attribute!r} in the pinned version"
-            )
-        if not fn.applicable_to(attr):
-            raise FunctionError(
-                f"{function!r} on {attribute!r} is not meaningful: the "
-                f"attribute is a {attr.role.value} "
-                "(paper SS3.2: summary values of encoded categories make no sense)"
-            )
-        values = list(self.pinned.columns[attribute])
+        fn.check(attributes, self._attribute)
         if self._on_miss is not None:
             self._on_miss(key)
-        return self.pinned.memoize(key, fn.compute(values))
-
-    def compute_pair(self, function: str, a: str, b: str) -> Any:
-        """Compute (or fetch) a two-column function over frozen columns."""
-        key = (function, (a, b))
-        hit, value = self.pinned.cached(key)
-        if hit:
-            self._tracer.add("mvcc.memo_hit")
-            return value
-        try:
-            fn = PAIR_FUNCTIONS[function]
-        except KeyError:
-            raise FunctionError(
-                f"unknown pair function {function!r}; "
-                f"choose from {sorted(PAIR_FUNCTIONS)}"
-            ) from None
-        if self._on_miss is not None:
-            self._on_miss(key)
-        return self.pinned.memoize(key, fn(self.column(a), self.column(b)))
+        # The evaluator reads the frozen tuples themselves: it cleans into
+        # its own list, and could not mutate a published column if it tried.
+        columns = self.pinned.columns
+        return self.pinned.memoize(key, fn.compute(*[columns[name] for name in attributes]))
 
     def __repr__(self) -> str:
         return f"SnapshotReader({self.pinned!r})"

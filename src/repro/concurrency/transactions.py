@@ -262,15 +262,8 @@ class TransactionCoordinator:
         if chain is None:
             return
         for key in chain.demanded():
-            function, attrs = key
             try:
-                if len(attrs) == 1:
-                    session.compute(function, attrs[0])
-                elif len(attrs) == 2:
-                    session.compute_pair(function, attrs[0], attrs[1])
-                else:
-                    chain.drop_demand(key)
-                    continue
+                session.compute(*key)
             except ReproError:
                 chain.drop_demand(key)
                 continue

@@ -104,31 +104,21 @@ class UpdatePropagator:
         traced = self.tracer.enabled
         report.summary_pages_touched += summary.pages_for_attribute(attribute)
 
-        # 1. Entries whose primary attribute is the updated one: the
+        # 1. One-attribute entries over the updated attribute: the
         #    clustered sweep, with per-function rules.
         for entry in summary.entries_for_attribute(attribute):
-            if entry.key.function.startswith("__"):
+            if entry.key.function.startswith("__") or len(entry.key.attributes) > 1:
                 # Annotations and other non-function entries carry no
-                # maintenance semantics (SS3.2's verbal descriptions).
+                # maintenance semantics (SS3.2's verbal descriptions);
+                # multi-attribute entries are swept in step 2.
                 continue
             report.entries_visited += 1
-            if len(entry.key.attributes) > 1:
-                # Multi-attribute results never follow single-column
-                # rules: fitted models with row-wise maintainers stay
-                # warm; anything else (correlations) has no per-column
-                # incremental form here — invalidate.
-                if self._try_rowwise(entry, attribute, delta, rows):
-                    report.incremental_updates += 1
-                    if traced:
-                        span.add(f"rule.{entry.key.function}.rowwise")
-                elif summary.mark_stale(entry, pending=delta.size):
-                    report.invalidations += 1
-                continue
             try:
                 rule = self.management.rules.rule_for(entry.key.function)
             except Exception:
-                # Entries cached outside the function registry (e.g. the
-                # crosstab tables of compute_crosstab) just go stale.
+                # An entry a caller inserted directly, under a name the
+                # catalogue does not know, has no rule: it goes stale
+                # (degraded and labelled, never silently kept).
                 if summary.mark_stale(entry, pending=delta.size):
                     report.invalidations += 1
                 continue
@@ -151,11 +141,14 @@ class UpdatePropagator:
                 if outcome.marked_stale:
                     span.add(f"rule.{function}.invalidate")
 
-        # 2. Entries that merely mention the attribute (secondary input of a
-        #    multi-attribute result): keep warm when row-wise, else
-        #    invalidate.
+        # 2. Multi-attribute entries with the attribute anywhere in their
+        #    key.  A column delta cannot drive their rule: a catalogue row
+        #    with a row-wise maintainer (the fitted model) is replayed row
+        #    by row and stays warm; the rest (correlations, cross
+        #    tabulations) have no incremental form and invalidate, as
+        #    their rule says.
         for entry in summary.entries_mentioning(attribute):
-            if entry.key.primary_attribute == attribute:
+            if len(entry.key.attributes) == 1:
                 continue
             report.entries_visited += 1
             if self._try_rowwise(entry, attribute, delta, rows):

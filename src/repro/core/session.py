@@ -1,11 +1,17 @@
 """Analyst sessions: the cached compute / update / undo loop.
 
-An :class:`AnalystSession` is the paper's Figure 3 in motion: every
-``compute(function, attribute)`` first searches the view's Summary Database
-using the (function, attribute) search argument; a hit returns the cached
-result (subject to the analyst's accuracy policy), a miss computes over the
-view, inserts the result — with a live incremental maintainer where finite
-differencing provides one — and returns it (SS3.2).
+An :class:`AnalystSession` is the paper's Figure 3 in motion, written
+once: every ``compute(function, attribute | attributes)`` resolves the
+function's row in the Management Database's catalogue
+(:mod:`repro.metadata.functions`), passes the row's check (attribute
+count, existence, SS3.2 applicability), then searches the view's Summary
+Database using the (function, attributes) search argument; a hit returns
+the cached result subject to the analyst's accuracy policy — whatever the
+key's arity — and a miss computes over the view, inserts the result with a
+live incremental maintainer where the row has one, and returns it (SS3.2).
+``compute_pair``, ``fit_model`` and ``compute_crosstab`` are presenters
+over that one loop: they name a catalogue row and shape its cached tuple
+for the analyst.
 
 Every write is the same three steps: a :mod:`repro.views.updates` entry
 point mutates the view and records :class:`~repro.views.history.Operation`
@@ -24,10 +30,10 @@ from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 from repro.core.errors import FunctionError
 from repro.core.propagation import PropagationReport, UpdatePropagator
 from repro.obs.tracer import NULL_TRACER, AbstractTracer
+from repro.metadata.functions import StatFunction
 from repro.metadata.management import ManagementDatabase
 from repro.relational.expressions import Expr
-from repro.stats import correlation as corr
-from repro.stats.models import IncrementalLinearRegression
+from repro.stats.crosstab import CrossTab, crosstab_from_summary
 from repro.stats.regression import OLSModel, model_from_summary
 from repro.stats.sampling import sample_column
 from repro.summary.abstract import DatabaseAbstract, Inference, InferenceKind
@@ -43,14 +49,6 @@ from repro.views.view import ConcreteView
 
 if TYPE_CHECKING:
     from repro.durability.manager import DurabilityManager
-
-#: Two-column functions cached under (function, (a, b)) keys; they have no
-#: single-column incremental form, so their rule is invalidation.
-PAIR_FUNCTIONS: dict[str, Callable[[Sequence[Any], Sequence[Any]], Any]] = {
-    "pearson": corr.pearson,
-    "spearman": corr.spearman,
-    "covariance": corr.covariance,
-}
 
 
 @dataclass
@@ -108,12 +106,14 @@ class AnalystSession:
     def compute(
         self,
         function: str,
-        attribute: str,
+        attribute: str | Sequence[str],
         sample: float | None = None,
         seed: int = 0,
         force: bool = False,
     ) -> Any:
-        """Compute (or fetch) one function over one attribute.
+        """Compute (or fetch) one function over one attribute, or over the
+
+        attributes of a multi-attribute function in key order.
 
         ``sample`` computes on a random fraction instead (uncached — it is
         the preliminary-responsiveness path of SS2.2).  ``force`` bypasses
@@ -121,120 +121,93 @@ class AnalystSession:
         category attributes (SS3.2).
         """
         with self.tracer.span("compute", function=function, attribute=attribute):
-            return self._compute(function, attribute, sample, seed, force)
+            self.stats.queries += 1
+            fn = self.management.functions.get(function)
+            attributes = (attribute,) if isinstance(attribute, str) else tuple(attribute)
+            fn.check(attributes, self.view.schema.attribute, force)
+            if sample is not None:
+                self.stats.sampled_queries += 1
+                return fn.compute(*self._columns(attributes, sample, seed))
+            summary = self.view.summary
+            entry = summary.lookup(function, attributes)
+            if entry is not None:
+                self.stats.cache_hits += 1
+                value, _ = self.policy.on_lookup(summary, entry, self._recompute)
+                return value
+            return self._insert(fn, attributes, self._columns(attributes)).result
 
-    def _compute(
-        self,
-        function: str,
-        attribute: str,
-        sample: float | None,
-        seed: int,
-        force: bool,
-    ) -> Any:
-        self.stats.queries += 1
-        fn = self.management.functions.get(function)
-        attr = self.view.schema.attribute(attribute)
-        if not force and not fn.applicable_to(attr):
-            raise FunctionError(
-                f"{function!r} on {attribute!r} is not meaningful: the "
-                f"attribute is a {attr.role.value} "
-                "(paper SS3.2: summary values of encoded categories make no sense)"
-            )
+    def _columns(
+        self, attributes: Sequence[str], sample: float | None = None, seed: int = 0
+    ) -> list[list[Any]]:
+        columns = [self.view.column(name) for name in attributes]
         if sample is not None:
-            self.stats.sampled_queries += 1
-            values = sample_column(self.view.column(attribute), sample, seed=seed)
-            self.stats.rows_scanned += len(values)
-            return fn.compute(values)
-        entry = self.view.summary.lookup(function, attribute)
-        if entry is not None:
-            self.stats.cache_hits += 1
-            value, _ = self.policy.on_lookup(
-                self.view.summary, entry, self._recompute_callback()
-            )
-            return value
-        values = self.view.column(attribute)
-        self.stats.rows_scanned += len(values)
-        result = fn.compute(values)
+            # One seed draws one set of row indices, so the columns of a
+            # multi-attribute function stay aligned.
+            columns = [sample_column(column, sample, seed=seed) for column in columns]
+        self.stats.rows_scanned += sum(map(len, columns))
+        return columns
+
+    def _insert(
+        self, fn: StatFunction, attributes: tuple[str, ...], columns: list[list[Any]]
+    ) -> SummaryEntry:
+        """Compute over ``columns`` and insert the result, with a live
+
+        maintainer where the catalogue row has an incremental form."""
+        result = fn.compute(*columns)
         maintainer = None
         if fn.is_incremental:
-            maintainer = fn.make_maintainer(self.view.column_provider(attribute))
-        self.view.summary.insert(
-            function,
-            attribute,
+            maintainer = fn.make_maintainer(
+                self.view.column_provider(attributes[0])
+                if len(attributes) == 1
+                else self.view.rows_provider(attributes)
+            )
+        return self.view.summary.insert(
+            fn.name,
+            attributes,
             result,
             maintainer=maintainer,
-            compute_cost_rows=len(values),
+            compute_cost_rows=len(columns[0]),
             version=self.view.version,
             kind=fn.summary_kind,
             epsilon=fn.epsilon,
         )
-        return result
+
+    def _recompute(self, entry: SummaryEntry) -> Any:
+        """The recompute callback every consistency policy is handed."""
+        fn = self.management.functions.get(entry.key.function)
+        attributes = entry.key.attributes
+        columns = self._columns(attributes)
+        summary = self.view.summary
+        if fn.is_incremental and len(attributes) > 1:
+            # Row-wise maintainers are built only here: the propagator
+            # feeds live ones, and no update rule rebuilds a lost one as
+            # IncrementalRule.apply does for a single column.  So a refit
+            # overwrites the entry through insert(), the sanctioned way to
+            # replace result and maintainer together (REPRO-A104), and the
+            # superseded entry the policy holds is refreshed to match.
+            result = self._insert(fn, attributes, columns).result
+            return summary.refresh(entry, result, version=self.view.version)
+        summary.refresh(entry, fn.compute(*columns), version=self.view.version)
+        if entry.maintainer is not None:
+            entry.maintainer.initialize(columns[0])
+        return entry.result
 
     def compute_pair(self, function: str, a: str, b: str) -> Any:
-        """Compute (or fetch) a two-column function (pearson/spearman/...)."""
-        self.stats.queries += 1
-        try:
-            fn = PAIR_FUNCTIONS[function]
-        except KeyError:
-            raise FunctionError(
-                f"unknown pair function {function!r}; "
-                f"choose from {sorted(PAIR_FUNCTIONS)}"
-            ) from None
-        entry = self.view.summary.lookup(function, (a, b))
-        if entry is not None:
-            self.stats.cache_hits += 1
-            if entry.stale:
-                self.view.summary.refresh(
-                    entry,
-                    fn(self.view.column(a), self.view.column(b)),
-                    version=self.view.version,
-                )
-                self.view.summary.stats.recomputations += 1
-                self.stats.rows_scanned += 2 * len(self.view)
-            return entry.result
-        col_a, col_b = self.view.column(a), self.view.column(b)
-        self.stats.rows_scanned += len(col_a) + len(col_b)
-        result = fn(col_a, col_b)
-        self.view.summary.insert(
-            function, (a, b), result, compute_cost_rows=len(col_a), version=self.view.version
-        )
-        return result
+        """Compute (or fetch) a two-attribute function (the correlations)."""
+        return self.compute(function, (a, b))
 
     def fit_model(self, response: str, predictors: Sequence[str]) -> OLSModel:
         """Fit (or fetch) an OLS model cached as a ``model`` summary entry.
 
         The fit registers under ``("ols_model", (response, *predictors))``
-        with a live :class:`IncrementalLinearRegression` maintainer, so a
-        cell update to any input column replays row-wise through the
-        propagation pipeline and later calls serve warm coefficients
-        without a refit.  Inserts/deletes (and policies that defer
-        maintenance) invalidate instead; a stale hit refits once.
+        with a live row-wise maintainer, so a cell update to any input
+        column replays through the propagation pipeline and later calls
+        serve warm coefficients without a refit.  Inserts/deletes (and
+        policies that defer maintenance) invalidate instead; a stale hit
+        refits once.
         """
-        self.stats.queries += 1
-        names = (response, *tuple(predictors))
-        entry = self.view.summary.lookup("ols_model", names)
-        if entry is not None:
-            self.stats.cache_hits += 1
-            if not entry.stale:
-                return model_from_summary(response, predictors, entry.result)
-            self.view.summary.stats.recomputations += 1
-        provider = self.view.rows_provider(names)
-        maintainer = IncrementalLinearRegression(k=len(predictors))
-        rows = provider()
-        self.stats.rows_scanned += len(rows) * len(names)
-        maintainer.initialize(rows)
-        # insert() overwrites a stale entry wholesale, replacing both the
-        # result and the dead maintainer in one sanctioned write.
-        self.view.summary.insert(
-            "ols_model",
-            names,
-            maintainer.value,
-            maintainer=maintainer,
-            compute_cost_rows=len(rows),
-            version=self.view.version,
-            kind="model",
-        )
-        return model_from_summary(response, predictors, maintainer.value)
+        value = self.compute("ols_model", (response, *predictors))
+        return model_from_summary(response, predictors, value)
 
     def annotate(self, attribute: str, text: str) -> None:
         """Attach a verbal description to an attribute (paper SS3.2).
@@ -263,7 +236,7 @@ class AnalystSession:
         row_attr: str,
         col_attr: str,
         weight_attr: str | None = None,
-    ) -> Any:
+    ) -> CrossTab:
         """Compute (or fetch) a cross tabulation, cached in the Summary DB.
 
         This is the summary-table facility the paper compares against the
@@ -273,45 +246,10 @@ class AnalystSession:
         any input attribute invalidates the cached table).  Labels are
         stringified for storage.
         """
-        import numpy as np
-
-        from repro.stats.crosstab import CrossTab, crosstab
-
-        self.stats.queries += 1
         attributes = (row_attr, col_attr) + ((weight_attr,) if weight_attr else ())
-        entry = self.view.summary.lookup("crosstab", attributes)
-        if entry is not None and not entry.stale:
-            self.stats.cache_hits += 1
-            row_labels, col_labels, flat = entry.result
-            table = np.array(flat, dtype=float).reshape(len(row_labels), len(col_labels))
-            return CrossTab(row_labels, col_labels, table, row_name=row_attr, col_name=col_attr)
-        built = crosstab(
-            relation=self.view.relation,
-            row_attr=row_attr,
-            col_attr=col_attr,
-            weight_attr=weight_attr,
+        return crosstab_from_summary(
+            row_attr, col_attr, self.compute("crosstab", attributes)
         )
-        self.stats.rows_scanned += len(self.view) * (3 if weight_attr else 2)
-        stringified = CrossTab(
-            [str(r) for r in built.row_labels],
-            [str(c) for c in built.col_labels],
-            built.table,
-            row_name=row_attr,
-            col_name=col_attr,
-        )
-        result = (
-            list(stringified.row_labels),
-            list(stringified.col_labels),
-            [float(v) for v in stringified.table.ravel()],
-        )
-        self.view.summary.insert(
-            "crosstab",
-            attributes,
-            result,
-            compute_cost_rows=len(self.view),
-            version=self.view.version,
-        )
-        return stringified
 
     def test_independence(
         self, row_attr: str, col_attr: str, weight_attr: str | None = None
@@ -346,21 +284,6 @@ class AnalystSession:
             value,
             derivation="computed over the view",
         )
-
-    def _recompute_callback(self) -> Callable[[SummaryEntry], Any]:
-        def recompute(entry: SummaryEntry) -> Any:
-            fn = self.management.functions.get(entry.key.function)
-            attribute = entry.key.primary_attribute
-            values = self.view.column(attribute)
-            self.stats.rows_scanned += len(values)
-            self.view.summary.refresh(
-                entry, fn.compute(values), version=self.view.version
-            )
-            if entry.maintainer is not None:
-                entry.maintainer.initialize(values)
-            return entry.result
-
-        return recompute
 
     # -- updates -------------------------------------------------------------------
 

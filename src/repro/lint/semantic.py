@@ -115,10 +115,26 @@ def _finding(rule_spec: Any, obj: Any, message: str) -> Finding:
     )
 
 
-def _sample_values() -> list[Any]:
+def _sample_values(arity: int = 1) -> list[Any]:
+    """The sample as what a maintainer of that arity consumes: one column's
+    values, or row tuples led by those values (the catalogue's convention)."""
     from repro.relational.types import NA
 
-    return [NA if v is None else v for v in _SAMPLE]
+    return [_observation(NA if v is None else v, i, arity) for i, v in enumerate(_SAMPLE)]
+
+
+def _observation(lead: Any, position: int, arity: int) -> Any:
+    """``lead`` itself, or a row whose other components are fixed by its
+    position (and not collinear with the sample)."""
+    if arity == 1:
+        return lead
+    return (lead, *(float(position * (j + 2) % 5 + j) for j in range(1, arity)))
+
+
+def _evaluate(function: Any, observations: list[Any]) -> Any:
+    """Batch-evaluate over observations: one column per attribute."""
+    columns = [observations] if function.arity == 1 else zip(*observations)
+    return function.compute(*(list(column) for column in columns))
 
 
 def check_registry_coherence(registry: Any, rules: Any) -> Iterator[Finding]:
@@ -173,7 +189,7 @@ def check_live_maintainers(registry: Any, rules: Any) -> Iterator[Finding]:
             continue
         if not function.is_incremental:
             continue  # REPRO-S001 already reports this
-        values = _sample_values()
+        values = _sample_values(function.arity)
         try:
             maintainer = function.make_maintainer(lambda: list(values))
         except Exception as exc:
@@ -202,17 +218,22 @@ def _drive_maintainer(
 ) -> Finding | None:
     from repro.relational.types import NA
 
+    arity = function.arity
+    # The sample's own observations led by 4.0 and 5.5, and the latter's
+    # twin under the (x, NA) invalidation update.
+    gone, old = (_observation(v, _SAMPLE.index(v), arity) for v in (4.0, 5.5))
+    new = _observation(NA, _SAMPLE.index(5.5), arity)
     try:
-        values.append(2.0)
-        maintainer.on_insert(2.0)
-        values.append(7.5)
-        maintainer.on_insert(7.5)
-        values.remove(4.0)
-        maintainer.on_delete(4.0)
-        values[values.index(5.5)] = NA  # the (x, NA) invalidation update
-        maintainer.on_update(5.5, NA)
+        for lead in (2.0, 7.5):
+            fresh = _observation(lead, len(values), arity)
+            values.append(fresh)
+            maintainer.on_insert(fresh)
+        values.remove(gone)
+        maintainer.on_delete(gone)
+        values[values.index(old)] = new
+        maintainer.on_update(old, new)
         live = maintainer.value
-        batch = function.compute(list(values))
+        batch = _evaluate(function, values)
     except Exception as exc:
         return _finding(
             RULE_LIVE_MAINTAINER,
@@ -361,9 +382,9 @@ def check_invalidation_paths(registry: Any, rules: Any) -> Iterator[Finding]:
 
     for name in _checked_names(registry):
         function = registry.get(name)
-        values = _sample_values()
+        values = _sample_values(function.arity)
         try:
-            result = function.compute(list(values))
+            result = _evaluate(function, values)
         except Exception as exc:
             yield _finding(
                 RULE_INVALIDATION,

@@ -1,18 +1,29 @@
-"""The statistical function registry.
+"""The function catalogue: one row per cacheable statistical function.
 
 The Management Database holds "the functions that are applied to [the
-data]" (SS3.2).  A :class:`StatFunction` descriptor records how to compute
-a function over a column, what kind of result it produces (the Summary
-Database stores "results of significantly different types"), whether an
-incremental form exists (and how to build it), and which attribute roles it
-is meaningful for — "computing the median (or any summary values) of the
-AGE_GROUP attribute in Figure 1 does not make sense.  Thus, the system will
-have to rely on meta-data to decide for which attributes summary
-information should be computed" (SS3.2).
+data]" (SS3.2), and "for each function we must retrieve from the Management
+Database the list of rules" (SS4.1) — so every result the Summary Database
+caches is named by a :class:`StatFunction` row here, and the row decides
+everything the name decides: how many attributes the function is asked of,
+its batch evaluator, the kind of result (the Summary Database stores
+"results of significantly different types"), its incremental form if any
+(which also picks the default update rule: incremental, else invalidation),
+the ``kind``/``epsilon`` its entries are stamped with, and the attribute
+roles it is meaningful for — "computing the median (or any summary values)
+of the AGE_GROUP attribute in Figure 1 does not make sense.  Thus, the
+system will have to rely on meta-data to decide for which attributes
+summary information should be computed" (SS3.2).
 
-Parameterized quantiles resolve dynamically: ``quantile_95`` is the 95th
-percentile, with a :class:`repro.incremental.order_stats.QuantileWindow`
-maintainer.
+One convention covers every arity: a one-attribute row's ``compute`` takes
+that column's values and its maintainer consumes values; an n-attribute
+row's (correlations, the OLS model, cross tabulations) takes one column per
+attribute, in key order, and its maintainer consumes row tuples — so
+callers always evaluate ``fn.compute(*columns)``.
+
+Parameterized rows are synthesized on demand (``quantile_95`` is the 95th
+percentile with a :class:`repro.incremental.order_stats.QuantileWindow`
+maintainer, ``heavy_hitters_3`` a top-3 sketch) and memoized apart from the
+registered ones, so the catalogue's listing does not depend on query history.
 """
 
 from __future__ import annotations
@@ -47,8 +58,12 @@ from repro.incremental.sketches import (
 )
 from repro.relational.schema import Attribute, AttributeRole
 from repro.relational.types import is_na, quantile_fraction
+from repro.stats import correlation as corr
 from repro.stats import descriptive as desc
+from repro.stats.crosstab import crosstab_summary
 from repro.stats.histogram import build_histogram
+from repro.stats.models import IncrementalLinearRegression
+from repro.stats.regression import ols_summary
 
 
 class ResultKind(enum.Enum):
@@ -67,10 +82,12 @@ MaintainerFactory = Callable[[ValuesProvider], IncrementalComputation]
 
 @dataclass(frozen=True)
 class StatFunction:
-    """Descriptor of one cacheable statistical function."""
+    """One catalogue row: everything a cacheable function's name decides."""
 
     name: str
-    compute: Callable[[Sequence[Any]], Any]
+    compute: Callable[..., Any]
+    """Batch evaluator over one column of values per attribute."""
+
     result_kind: ResultKind
     maintainer_factory: MaintainerFactory | None = None
     numeric_only: bool = True
@@ -82,6 +99,14 @@ class StatFunction:
     epsilon: float | None = None
     """Documented accuracy bound for ``sketch`` results (None = exact)."""
 
+    arity: int = 1
+    """Attributes the function is asked of (the length of its summary key)."""
+
+    optional_attributes: int | None = 0
+    """How many more it accepts (a cross tabulation's weight), ``None`` for any
+
+    number (a model's predictors)."""
+
     @property
     def is_incremental(self) -> bool:
         """Whether finite differencing (or a manual scheme) maintains it."""
@@ -91,8 +116,43 @@ class StatFunction:
         """Build and initialize the incremental form for current data."""
         if self.maintainer_factory is None:
             raise FunctionError(f"function {self.name!r} has no incremental form")
-        maintainer = self.maintainer_factory(provider)
-        return maintainer
+        return self.maintainer_factory(provider)
+
+    def check(
+        self,
+        attributes: Sequence[str],
+        attribute_of: Callable[[str], Attribute],
+        force: bool = False,
+    ) -> None:
+        """Reject a request this function cannot serve over ``attributes``.
+
+        The one gate both read paths (live session, pinned snapshot) pass
+        before touching data: the count must fit the row's arity; every
+        name must exist (``attribute_of``, the schema's or the pinned
+        version's lookup, raises its own ``SchemaError``); and, unless
+        ``force``, each attribute's role must suit the function (SS3.2).
+        """
+        extra = len(attributes) - self.arity
+        if extra < 0 or (
+            self.optional_attributes is not None and extra > self.optional_attributes
+        ):
+            takes = str(self.arity)
+            if self.optional_attributes is None:
+                takes += " or more"
+            elif self.optional_attributes:
+                takes += f" to {self.arity + self.optional_attributes}"
+            raise FunctionError(
+                f"function {self.name!r} takes {takes} attribute(s), "
+                f"got {len(attributes)}"
+            )
+        for name in attributes:
+            attribute = attribute_of(name)
+            if not force and not self.applicable_to(attribute):
+                raise FunctionError(
+                    f"{self.name!r} on {name!r} is not meaningful: the "
+                    f"attribute is a {attribute.role.value} "
+                    "(paper SS3.2: summary values of encoded categories make no sense)"
+                )
 
     def applicable_to(self, attribute: Attribute) -> bool:
         """Whether summary information of this function makes sense for
@@ -109,13 +169,6 @@ class StatFunction:
 def _initialized(maintainer: IncrementalComputation, provider: ValuesProvider) -> IncrementalComputation:
     maintainer.initialize(provider())
     return maintainer
-
-
-def _window_factory(cls: Any, *args: Any) -> MaintainerFactory:
-    def factory(provider: ValuesProvider) -> IncrementalComputation:
-        return cls(*args, provider) if args else cls(provider)
-
-    return factory
 
 
 def _simple_factory(cls: Any) -> MaintainerFactory:
@@ -193,6 +246,9 @@ class FunctionRegistry:
         self._functions: dict[str, StatFunction] = {}
         for function in _default_functions():
             self._functions[function.name] = function
+        #: Rows synthesized by :meth:`get`, kept out of :meth:`names` and
+        #: every listing built on it.
+        self._synthesized: dict[str, StatFunction] = {}
 
     def register(self, function: StatFunction) -> None:
         """Add or replace a function definition."""
@@ -211,7 +267,7 @@ class FunctionRegistry:
 
     def get(self, name: str) -> StatFunction:
         """Resolve a function, synthesizing quantile_XX on demand."""
-        found = self._functions.get(name)
+        found = self._functions.get(name) or self._synthesized.get(name)
         if found is not None:
             return found
         q = quantile_fraction(name)
@@ -222,12 +278,12 @@ class FunctionRegistry:
                 result_kind=ResultKind.SCALAR,
                 maintainer_factory=lambda provider: QuantileWindow(q, provider),
             )
-            self._functions[name] = function
+            self._synthesized[name] = function
             return function
         match = _HEAVY_HITTERS_RE.match(name)
         if match and int(match.group(1)) >= 1:
             function = _heavy_hitters_function(name, int(match.group(1)))
-            self._functions[name] = function
+            self._synthesized[name] = function
             return function
         raise FunctionError(
             f"unknown statistical function {name!r}; known: {self.names()}"
@@ -338,6 +394,36 @@ def _default_functions() -> list[StatFunction]:
             summary_kind="sketch",
         ),
         _heavy_hitters_function("heavy_hitters", 10),
+        # -- n-attribute rows: one column per attribute, row-tuple maintainers --
+        # Not numeric_only: a rank correlation of ordinal codes, a model on
+        # dummy-coded categories and a table of categories are meaningful.
+        *(
+            StatFunction(name, fn, ResultKind.SCALAR, None, numeric_only=False, arity=2)
+            for name, fn in (
+                ("pearson", corr.pearson),
+                ("spearman", corr.spearman),
+                ("covariance", corr.covariance),
+            )
+        ),
+        StatFunction(
+            "ols_model",  # (response, predictor, ...) -> (n, r2, residual std, b0, b1, ...)
+            ols_summary,
+            ResultKind.VECTOR,
+            _simple_factory(IncrementalLinearRegression),
+            numeric_only=False,
+            summary_kind="model",
+            arity=2,
+            optional_attributes=None,
+        ),
+        StatFunction(
+            "crosstab",  # (row, column[, weight]) -> (row labels, column labels, cells)
+            crosstab_summary,
+            ResultKind.TABLE,
+            None,
+            numeric_only=False,
+            arity=2,
+            optional_attributes=1,
+        ),
     ]
 
 

@@ -179,9 +179,10 @@ def _power_sums(name: str) -> Callable[[], IncrementalComputation]:
     return functools.partial(AlgebraicForm, DEFINITIONS[name])
 
 
-#: The one name -> aggregate table of the SQL path: the row, vectorized and
-#: sharded group-by operators, their output schema and the planner's
-#: sharded lowering all read it, so adding an aggregate is adding a row.
+#: The one name -> aggregate table of the SQL path: the parser, the row,
+#: vectorized and sharded group-by operators, their output schema and the
+#: planner's sharded lowering all read it, so adding an aggregate is adding
+#: a row.
 AGGREGATES: dict[str, Aggregate] = {
     "count": Aggregate(agg_count, integer=True, partial=IncrementalCount),
     "count_star": Aggregate(agg_count_star, arity=0, integer=True),

@@ -14,7 +14,9 @@ join" (SS2.4).  This module gives the reproduction a declarative surface:
     LIMIT 10
 
 Supported: SELECT list with ``*``, columns, ``expr AS alias``, aggregates
-(COUNT/SUM/AVG/MIN/MAX/MEDIAN/STD/VAR/COUNT(DISTINCT x)/WEIGHTED_AVG(v, w));
+(every row of :data:`repro.relational.aggregates.AGGREGATES` by its name —
+COUNT/SUM/AVG/MIN/MAX/MEDIAN/STD/VAR/WEIGHTED_AVG(v, w) — plus
+QUANTILE_NN, COUNT(*), COUNT(DISTINCT x) and the synonym MEAN);
 one optional [LEFT] JOIN with conjunctive equality conditions; WHERE with
 comparisons, AND/OR/NOT, IN, BETWEEN, IS NA; GROUP BY with HAVING (over
 the aggregate output columns); ORDER BY [DESC]; LIMIT.  The IR is planned into operators by :mod:`repro.relational.planner`.
@@ -28,7 +30,7 @@ from typing import Any
 
 from repro.core.errors import QueryError
 from repro.relational import expressions as ex
-from repro.relational.types import quantile_fraction
+from repro.relational.aggregates import AGGREGATES, resolve_aggregate
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>\d+\.\d+|\.\d+|\d+)"
@@ -44,9 +46,13 @@ _KEYWORDS = {
     "IS", "NA", "NULL", "HAVING", "LEFT",
 }
 
-_AGG_NAMES = {
-    "COUNT", "SUM", "AVG", "MEAN", "MIN", "MAX", "MEDIAN", "STD", "VAR",
-    "WEIGHTED_AVG",
+#: SQL spellings that are not themselves names of :data:`AGGREGATES` rows:
+#: one synonym, and the two argument forms of COUNT that have rows of their
+#: own.  Every other aggregate is called by its row's name.
+_SPELLINGS = {
+    "mean": "avg",
+    "count(*)": "count_star",
+    "count(distinct)": "count_distinct",
 }
 
 
@@ -224,11 +230,9 @@ def _parse_select_item(t: _Tokenizer) -> SelectItem:
     if t.accept_op("*"):
         return SelectItem(kind="star")
     tok = t.peek()
-    if tok and tok[0] == "name" and (
-        tok[1].upper() in _AGG_NAMES or tok[1].upper().startswith("QUANTILE_")
-    ):
+    if tok and tok[0] == "name" and tok[1].lower() not in ex.Func._FNS:
         after = t.tokens[t.pos + 1] if t.pos + 1 < len(t.tokens) else None
-        if after == ("op", "("):
+        if after == ("op", "("):  # a call that is no scalar function
             return _parse_aggregate(t)
     expr = _parse_additive(t)
     alias = None
@@ -243,50 +247,37 @@ def _parse_select_item(t: _Tokenizer) -> SelectItem:
 
 def _parse_aggregate(t: _Tokenizer) -> SelectItem:
     func = t.expect_name().upper()
+    name = _SPELLINGS.get(func.lower(), func.lower())
+    found = resolve_aggregate(name)  # synthesizes quantile_NN rows
+    if found is None:
+        if func.startswith("QUANTILE_"):
+            raise QueryError(
+                f"malformed quantile aggregate {func!r}; use QUANTILE_NN "
+                "with NN in 0..99"
+            )
+        raise QueryError(
+            f"unknown aggregate function {func!r}; known: "
+            f"{sorted(row.upper() for row in AGGREGATES)} and QUANTILE_NN"
+        )
     t.expect_op("(")
     distinct = bool(t.accept_kw("DISTINCT"))
     attr: str | None = None
     weight: str | None = None
     if t.accept_op("*"):
-        if func != "COUNT":
-            raise QueryError(f"{func}(*) is not supported")
+        form = "(*)"
     else:
+        form = "(distinct)" if distinct else ""
         attr = t.expect_name()
-        if func == "WEIGHTED_AVG":
+        if found.arity == 2:
             t.expect_op(",")
             weight = t.expect_name()
     t.expect_op(")")
+    resolved = _SPELLINGS.get(name + form, name)
+    if attr is None and resolved == name:
+        raise QueryError(f"{func}(*) is not supported")
     alias = None
     if t.accept_kw("AS"):
         alias = t.expect_name()
-    func_map = {
-        "COUNT": "count_distinct" if distinct else ("count" if attr else "count_star"),
-        "SUM": "sum",
-        "AVG": "avg",
-        "MEAN": "avg",
-        "MIN": "min",
-        "MAX": "max",
-        "MEDIAN": "median",
-        "STD": "std",
-        "VAR": "var",
-        "WEIGHTED_AVG": "weighted_avg",
-    }
-    if func.startswith("QUANTILE_"):
-        # QUANTILE_75(x) — the 75th percentile, lowered like MEDIAN.
-        resolved = func.lower()
-        if quantile_fraction(resolved) is None:
-            raise QueryError(
-                f"malformed quantile aggregate {func!r}; use QUANTILE_NN "
-                "with NN in 0..99"
-            )
-    else:
-        try:
-            resolved = func_map[func]
-        except KeyError:
-            raise QueryError(
-                f"unknown aggregate function {func!r}; known: "
-                f"{sorted(func_map)} and QUANTILE_NN"
-            ) from None
     if alias is None:
         alias = f"{resolved}_{attr}" if attr else resolved
     return SelectItem(

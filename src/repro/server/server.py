@@ -464,12 +464,8 @@ class AnalystServer:
         with self.coordinator.read(
             sid, view_name, timeout_s=self._remaining(deadline)
         ) as reader:
-            if len(attrs) == 2:
-                value = reader.compute_pair(function, attrs[0], attrs[1])
-            else:
-                value = reader.compute(function, attrs[0])
             return {
-                "value": result_to_jsonable(value),
+                "value": result_to_jsonable(reader.compute(function, attrs)),
                 "version": reader.version,
             }
 

@@ -160,3 +160,27 @@ def crosstab(
     for (r, c), w in cells.items():
         table[r_index[r], c_index[c]] = w
     return CrossTab(row_labels, col_labels, table, row_name=row_name, col_name=col_name)
+
+
+def crosstab_summary(
+    rows: Sequence[Any], cols: Sequence[Any], weights: Sequence[Any] | None = None
+) -> tuple[list[str], list[str], list[float]]:
+    """A cross tabulation of two columns as the Summary Database stores it:
+
+    ``(row labels, column labels, cells)``, labels stringified, the table
+    flattened row-major."""
+    built = crosstab(zip(rows, cols), weights)
+    return (
+        [str(r) for r in built.row_labels],
+        [str(c) for c in built.col_labels],
+        [float(v) for v in built.table.ravel()],
+    )
+
+
+def crosstab_from_summary(
+    row_attr: str, col_attr: str, value: tuple[list[str], list[str], list[float]]
+) -> CrossTab:
+    """Rebuild the :class:`CrossTab` from :func:`crosstab_summary`'s tuple."""
+    row_labels, col_labels, cells = value
+    table = np.array(cells, dtype=float).reshape(len(row_labels), len(col_labels))
+    return CrossTab(row_labels, col_labels, table, row_name=row_attr, col_name=col_attr)

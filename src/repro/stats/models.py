@@ -78,10 +78,28 @@ class IncrementalLinearRegression(IncrementalComputation):
     sketch_kind = "linreg"
     supports_row_updates = True
 
-    def __init__(self, k: int) -> None:
-        if k < 1:
-            raise StatisticsError("OLS needs at least one predictor")
+    def __init__(self, k: int = 0) -> None:
+        if k < 0:
+            raise StatisticsError(f"predictor count cannot be negative, got {k}")
+        #: Predictor count; 0 until the first row folded (or partial
+        #: merged) sizes the model — a provider of row tuples names no
+        #: width, and an empty one has no row to ask.
         self.k = k
+        self.reset()
+
+    def _fit_width(self, width: int) -> None:
+        """Size an unsized model to its first row; reject any other width."""
+        if self.k:
+            raise StatisticsError(
+                f"model row needs {self.k + 1} components (y, x1..x{self.k}), "
+                f"got {width}"
+            )
+        if width < 2:
+            raise StatisticsError(
+                "model row needs a response and at least one predictor, "
+                f"got {width} component(s)"
+            )
+        self.k = width - 1
         self.reset()
 
     def reset(self) -> None:
@@ -100,11 +118,10 @@ class IncrementalLinearRegression(IncrementalComputation):
         gram = self._gram
         moment = self._moment
         for row in values:
-            if len(row) != self.k + 1:
-                raise StatisticsError(
-                    f"model row needs {self.k + 1} components (y, x1..x{self.k}), "
-                    f"got {len(row)}"
-                )
+            if len(row) != self.k + 1 or not self.k:
+                self._fit_width(len(row))
+                gram = self._gram
+                moment = self._moment
             if any(is_na(v) for v in row):
                 continue  # complete-case analysis
             y = float(row[0])
@@ -200,6 +217,10 @@ class IncrementalLinearRegression(IncrementalComputation):
         }
 
     def merge_partial(self, state: Any) -> None:
+        if not state["k"]:
+            return  # an unsized sibling has seen no row
+        if not self.k:
+            self._fit_width(state["k"] + 1)
         if state["k"] != self.k:
             raise StatisticsError(
                 f"cannot merge regressions with {state['k']} and {self.k} predictors"

@@ -52,27 +52,24 @@ class OLSModel:
         )
 
 
+def ols_summary(response: Sequence[Any], *predictors: Sequence[Any]) -> tuple[float, ...]:
+    """One-shot fit of a column on one or more others, skipping rows with
+
+    any NA, as the flat tuple the Summary Database stores:
+    :attr:`repro.stats.models.IncrementalLinearRegression.value`."""
+    if not predictors:
+        raise StatisticsError("OLS needs at least one predictor")
+    model = IncrementalLinearRegression(k=len(predictors))
+    model.absorb(zip(response, *predictors))
+    return model.value
+
+
 def fit_ols(
     relation: Relation, response: str, predictors: Sequence[str]
 ) -> OLSModel:
     """Fit y ~ 1 + X by least squares, skipping rows with any NA."""
-    if not predictors:
-        raise StatisticsError("OLS needs at least one predictor")
-    y_col = relation.column(response)
-    x_cols = [relation.column(p) for p in predictors]
-    model = IncrementalLinearRegression(k=len(predictors))
-    model.absorb(
-        (y, *(col[i] for col in x_cols)) for i, y in enumerate(y_col)
-    )
-    fit = model.fit()
-    return OLSModel(
-        predictors=tuple(predictors),
-        response=response,
-        coefficients=np.asarray(fit["coefficients"]),
-        r_squared=fit["r_squared"],
-        residual_std=fit["residual_std"],
-        n_used=fit["n_used"],
-    )
+    columns = [relation.column(name) for name in (response, *predictors)]
+    return model_from_summary(response, predictors, ols_summary(*columns))
 
 
 def model_from_summary(

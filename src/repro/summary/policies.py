@@ -65,8 +65,10 @@ class ConsistencyPolicy:
         entry: SummaryEntry,
         recompute: Recompute,
     ) -> tuple[Any, bool]:
-        """Produce the value to serve; returns (value, was_stale)."""
-        if entry.stale or entry.pending_updates > 0:
+        """Produce the value to serve; returns (value, was_stale).
+
+        The default is the exact policies': recompute a stale entry first."""
+        if entry.stale:
             recompute(entry)
             db.stats.recomputations += 1
         return entry.result, False
@@ -102,12 +104,6 @@ class PrecisePolicy(ConsistencyPolicy):
             entry.pending_updates += delta.size
         return outcome
 
-    def on_lookup(self, db, entry, recompute):  # noqa: D102
-        if entry.stale:
-            recompute(entry)
-            db.stats.recomputations += 1
-        return entry.result, False
-
 
 class InvalidatePolicy(ConsistencyPolicy):
     """The SS4.3 fallback: invalidate on update, recompute on demand."""
@@ -121,12 +117,6 @@ class InvalidatePolicy(ConsistencyPolicy):
             db.stats.invalidations += 1
         entry.pending_updates += delta.size
         return RuleOutcome(kind=RuleKind.INVALIDATE, marked_stale=True)
-
-    def on_lookup(self, db, entry, recompute):  # noqa: D102
-        if entry.stale:
-            recompute(entry)
-            db.stats.recomputations += 1
-        return entry.result, False
 
 
 class PeriodicPolicy(ConsistencyPolicy):
@@ -157,14 +147,10 @@ class PeriodicPolicy(ConsistencyPolicy):
         return RuleOutcome(kind=rule.kind)
 
     def on_lookup(self, db, entry, recompute):  # noqa: D102
-        if entry.stale:
-            recompute(entry)
-            db.stats.recomputations += 1
-            return entry.result, False
-        if entry.pending_updates > 0:
+        if not entry.stale and entry.pending_updates > 0:
             db.stats.stale_served += 1
             return entry.result, True
-        return entry.result, False
+        return super().on_lookup(db, entry, recompute)
 
 
 class TolerantPolicy(ConsistencyPolicy):

@@ -7,6 +7,7 @@ teardown (``coordinator.release``), which must make an in-flight read's
 own exit-time unpin a harmless no-op.
 """
 
+import random
 import sys
 import threading
 import time
@@ -19,8 +20,9 @@ from repro.concurrency import (
     TransactionCoordinator,
 )
 from repro.core.dbms import StatisticalDBMS
-from repro.core.errors import SnapshotError
+from repro.core.errors import FunctionError, SchemaError, SnapshotError
 from repro.incremental.derived import LocalDerivation
+from repro.metadata.functions import ResultKind, StatFunction
 from repro.relational.expressions import col
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema, measure
@@ -344,3 +346,83 @@ class TestVersionMemo:
             hit, value = snap.pinned.cached(("mean", ("x",)))
             assert hit
             assert snap.compute("mean", "x") == pytest.approx(value)
+
+
+class TestOneCataloguePinnedCompute:
+    """The pinned reader has one ``compute``: whatever the catalogue row's
+    arity, the same probe -> check -> demand -> evaluate -> memoize path."""
+
+    def test_wrong_attribute_count_says_so(self):
+        coord = build_coordinator()
+        with coord.read("s1", "v") as snap:
+            with pytest.raises(
+                FunctionError, match=r"'pearson' takes 2 attribute\(s\), got 1"
+            ):
+                snap.compute("pearson", "x")
+            with pytest.raises(
+                FunctionError, match=r"'mean' takes 1 attribute\(s\), got 2"
+            ):
+                snap.compute("mean", ("x", "y"))
+            with pytest.raises(FunctionError, match="2 or more"):
+                snap.compute("ols_model", ("x",))
+            with pytest.raises(FunctionError, match="2 to 3"):
+                snap.compute("crosstab", ("x", "y", "x", "y"))
+            # An unknown name still lists the known ones, all of them rows.
+            with pytest.raises(FunctionError, match="known:.*ols_model.*pearson"):
+                snap.compute("mutual_information", ("x", "y"))
+            with pytest.raises(SchemaError, match="pinned version"):
+                snap.compute("pearson", ("x", "nope"))
+        # Nothing a check rejected was registered for writer warming.
+        assert coord.chain("s1", "v").demanded() == []
+
+    def test_evaluators_read_the_frozen_tuples(self):
+        coord = build_coordinator()
+        seen = []
+        coord.dbms.management.functions.register(
+            StatFunction("probe", lambda values: seen.append(values), ResultKind.SCALAR)
+        )
+        with coord.read("s1", "v") as snap:
+            snap.compute("probe", "x")
+            (values,) = seen
+            assert values is snap.pinned.columns["x"]  # no per-miss copy
+            assert isinstance(values, tuple)  # ... and nothing to mutate
+            assert isinstance(snap.column("x"), list)  # the wire shape stays
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_live_and_pinned_agree_at_every_publication(self, seed):
+        """A seeded update/undo stream; one key of each arity."""
+        rng = random.Random(seed)
+        coord = build_coordinator()
+        keys = [
+            ("mean", ("y",)),
+            ("pearson", ("x", "y")),
+            ("ols_model", ("y", "x")),
+            ("crosstab", ("x", "y", "y")),
+        ]
+
+        def close(a, b):
+            if isinstance(a, (list, tuple)):
+                return len(a) == len(b) and all(map(close, a, b))
+            return a == (pytest.approx(b, rel=1e-9, abs=1e-9) if isinstance(b, float) else b)
+
+        depth = 0
+        for _ in range(25):
+            with coord.write("w", "v") as session:
+                if depth and rng.random() < 0.3:
+                    session.undo()
+                    depth -= 1
+                else:
+                    cell = (rng.randrange(10), float(rng.randint(-50, 50)))
+                    session.update_cells("y", [cell])
+                    depth += 1
+            with coord.read("r", "v") as snap:
+                assert snap.version == session.view.version
+                for function, attributes in keys:
+                    live = session.compute(function, attributes)
+                    pinned = snap.compute(function, attributes)
+                    assert close(pinned, live), (function, snap.version)
+        # Every key a reader missed on is warmed by the writer from then
+        # on, so the head publishes all four, whatever their arity.
+        chain = coord.chain("w", "v")
+        assert sorted(chain.demanded()) == sorted(keys)
+        assert set(keys) <= set(chain.head().summary)

@@ -8,8 +8,8 @@ from repro.core.errors import FunctionError
 from repro.core.session import AnalystSession
 from repro.metadata.management import ManagementDatabase
 from repro.relational.expressions import col
-from repro.relational.relation import Relation
 from repro.relational.types import is_na
+from repro.summary.policies import InvalidatePolicy, PrecisePolicy, TolerantPolicy
 from repro.views.view import ConcreteView
 from repro.workloads.census import generate_microdata
 
@@ -24,6 +24,18 @@ def session():
 
 def true_column(session, attr):
     return [v for v in session.view.relation.column(attr) if not is_na(v)]
+
+
+def recomputed(session, key):
+    """The catalogue row's batch evaluator over the view as it stands."""
+    function = session.management.functions.get(key[0])
+    return function.compute(*(session.view.relation.column(a) for a in key[1]))
+
+
+def close(a, b):
+    if isinstance(a, (list, tuple)):
+        return len(a) == len(b) and all(map(close, a, b))
+    return a == (pytest.approx(b, rel=1e-9) if isinstance(b, float) else b)
 
 
 class TestCachedCompute:
@@ -82,6 +94,26 @@ class TestCachedCompute:
         with pytest.raises(FunctionError):
             session.compute_pair("mutual_information", "AGE", "INCOME")
 
+    def test_wrong_attribute_count_says_so(self, session):
+        with pytest.raises(FunctionError, match=r"'pearson' takes 2 attribute\(s\), got 1"):
+            session.compute("pearson", "INCOME")
+        with pytest.raises(FunctionError, match=r"'mean' takes 1 attribute\(s\), got 2"):
+            session.compute_pair("mean", "AGE", "INCOME")
+        with pytest.raises(FunctionError, match="2 or more"):
+            session.fit_model("INCOME", [])
+        assert len(session.view.summary) == 0
+
+    def test_compute_takes_a_key_of_any_arity(self, session):
+        pair = session.compute_pair("pearson", "INCOME", "YEARS_EDUCATION")
+        assert session.compute("pearson", ("INCOME", "YEARS_EDUCATION")) == pair
+        assert session.compute("mean", ("INCOME",)) == session.compute("mean", "INCOME")
+        assert session.stats.cache_hits == 2
+        # A sample draws one set of rows for every column of the key.
+        sampled = session.compute(
+            "pearson", ("INCOME", "YEARS_EDUCATION"), sample=0.5, seed=3
+        )
+        assert sampled == pytest.approx(pair, abs=0.1)
+
     def test_summary_of_block(self, session):
         block = session.summary_of("INCOME")
         assert set(block) >= {"count", "min", "max", "mean", "std", "median"}
@@ -139,6 +171,49 @@ class TestUpdatePropagation:
                 session.view.relation.column("YEARS_EDUCATION"),
             )
         )
+
+
+class TestAccuracyPolicyOnEveryArity:
+    """SS3.2's accuracy preference governs a hit on any entry: the loop asks
+    ``policy.on_lookup`` whatever the key's arity."""
+
+    KEYS = [
+        ("mean", ("INCOME",)),
+        ("pearson", ("INCOME", "YEARS_EDUCATION")),
+        ("crosstab", ("SEX", "RACE", "INCOME")),
+        ("ols_model", ("INCOME", "AGE", "YEARS_EDUCATION")),
+    ]
+
+    def session_with(self, policy):
+        relation = generate_microdata(500, seed=11, bad_value_rate=0.0)
+        return AnalystSession(
+            ManagementDatabase(), ConcreteView("v", relation), policy=policy
+        )
+
+    @pytest.mark.parametrize("key", KEYS, ids=lambda key: key[0])
+    def test_tolerant_serves_stale_within_its_bound(self, key):
+        session = self.session_with(TolerantPolicy(max_staleness=5))
+        stats = session.cache_stats
+        before = session.compute(*key)
+        session.update_cells("INCOME", [(0, 1.0)])
+        scanned = session.stats.rows_scanned
+        assert session.compute(*key) == before  # one pending update: served
+        assert (stats.stale_served, stats.recomputations) == (1, 0)
+        assert session.stats.rows_scanned == scanned
+        session.update_cells("INCOME", [(i, 2.0 * i) for i in range(1, 6)])
+        after = session.compute(*key)  # six pending: past the bound
+        assert (stats.stale_served, stats.recomputations) == (1, 1)
+        assert after != before
+        assert close(after, recomputed(session, key))
+
+    @pytest.mark.parametrize("policy", [PrecisePolicy, InvalidatePolicy])
+    @pytest.mark.parametrize("key", KEYS, ids=lambda key: key[0])
+    def test_exact_policies_return_the_recomputed_value(self, key, policy):
+        session = self.session_with(policy())
+        session.compute(*key)
+        session.update_cells("INCOME", [(0, 1.0), (3, 77_000.0)])
+        assert close(session.compute(*key), recomputed(session, key))
+        assert session.cache_stats.stale_served == 0
 
 
 class TestRowsFromHistoryMerge:

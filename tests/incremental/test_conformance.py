@@ -3,9 +3,11 @@
 An :class:`~repro.incremental.differencing.IncrementalComputation` writes
 its arithmetic once, in ``fold(values, sign)``; batch evaluation, shard
 partials and finite differencing are all derived from it.  So one suite
-covers every maintainer there is — each ``FunctionRegistry`` entry with a
-maintainer factory, each ``make_partial`` spec, and the OLS model — and
-checks the only thing that matters: after any interleaving of ``fold(+)``,
+covers every maintainer there is — each ``FunctionRegistry`` row with a
+maintainer factory, whatever its arity (a one-attribute row is fed values,
+an n-attribute row such as the OLS model row tuples), and each
+``make_partial`` spec — and checks the only thing that matters: after
+any interleaving of ``fold(+)``,
 ``fold(-)``, ``merge_partial`` and a 1-tuple ``apply_batch`` (the four ways
 production reaches the arithmetic), the maintained value equals the
 function's batch ``compute`` over the resulting multiset — exactly, or
@@ -52,6 +54,14 @@ def draw_row(rng: random.Random, lo: int) -> Any:
     return (NA if rng.random() < 0.1 else y, x1, x2)
 
 
+#: Observation width -> (how to draw one, a single non-NA observation).
+OBSERVATIONS: dict[int, tuple[Callable[[random.Random, int], Any], Any]] = {
+    1: (draw_scalar, 5.0),
+    2: (draw_pair, (5.0, 2.0)),
+    3: (draw_row, (1.0, 2.0, 3.0)),
+}
+
+
 def same(live: Any, expected: Any) -> bool:
     if is_na(live) or is_na(expected):
         return is_na(live) and is_na(expected)
@@ -76,14 +86,31 @@ class Subject:
 
 
 class Registered(Subject):
-    def __init__(self, name: str) -> None:
-        self.function = FunctionRegistry().get(name)
+    """A catalogue row's maintainer, fed what the row's arity says it
+
+    consumes; ``bare`` builds the maintainer without the row's factory (the
+    explicitly sized model ``fit_ols`` and checkpoint restore construct)."""
+
+    def __init__(
+        self, name: str, bare: Callable[[], IncrementalComputation] | None = None
+    ) -> None:
+        self.function = function = FunctionRegistry().get(name)
+        self.bare = bare
+        # A variadic row is exercised one attribute past its minimum.
+        width = function.arity + (function.optional_attributes is None)
+        self.draw, self.one = OBSERVATIONS[width]  # type: ignore[assignment]
 
     def make(self, provider: Provider) -> IncrementalComputation:
-        return self.function.make_maintainer(provider)
+        if self.bare is None:
+            return self.function.make_maintainer(provider)
+        maintainer = self.bare()
+        maintainer.fold(provider())
+        return maintainer
 
     def check(self, maintainer: Any, data: list[Any]) -> None:
         name = self.function.name
+        if name == "ols_model":
+            return check_regression(maintainer, data)
         live = maintainer.value
         clean = sorted(v for v in data if not is_na(v))
         if name == "mode":  # ties are broken arbitrarily on both sides
@@ -125,8 +152,7 @@ class ShardPartial(Subject):
         weight = "w" if func == "weighted_avg" else None
         self.spec = AggregateSpec(func, "x", func, weight=weight)
         if weight:
-            self.draw = draw_pair  # type: ignore[assignment]
-            self.one = (5.0, 2.0)
+            self.draw, self.one = OBSERVATIONS[2]  # type: ignore[assignment]
 
     def make(self, provider: Provider) -> IncrementalComputation:
         partial = make_partial(self.spec)
@@ -145,30 +171,23 @@ class ShardPartial(Subject):
         assert same(live, found.evaluate(data)), self.spec.func
 
 
-class Regression(Subject):
-    draw = staticmethod(draw_row)
-    one = (1.0, 2.0, 3.0)
-
-    def make(self, provider: Provider) -> IncrementalComputation:
-        model = IncrementalLinearRegression(k=2)
-        model.fold(provider())
-        return model
-
-    def check(self, maintainer: Any, data: list[Any]) -> None:
-        rows = [row for row in data if not any(is_na(v) for v in row)]
-        assert maintainer.n_used == len(rows)
-        if len(rows) <= 3:
-            with pytest.raises(StatisticsError):
-                maintainer.value
-            return
-        design = np.array([[1.0, *row[1:]] for row in rows])
-        try:
-            live = maintainer.coefficients()
-        except StatisticsError:  # collinear draw: lstsq agrees it is rank-deficient
-            assert np.linalg.matrix_rank(design) < 3
-            return
-        expected = np.linalg.lstsq(design, np.array([row[0] for row in rows]), rcond=None)[0]
-        assert live == pytest.approx(list(expected), rel=1e-7, abs=1e-7)
+def check_regression(maintainer: Any, data: list[Any]) -> None:
+    rows = [row for row in data if not any(is_na(v) for v in row)]
+    assert maintainer.n_used == len(rows)
+    if len(rows) <= 3:
+        with pytest.raises(StatisticsError):
+            maintainer.value
+        return
+    design = np.array([[1.0, *row[1:]] for row in rows])
+    try:
+        live = maintainer.value
+    except StatisticsError:  # collinear draw: lstsq agrees it is rank-deficient
+        assert np.linalg.matrix_rank(design) < 3
+        return
+    expected = np.linalg.lstsq(design, np.array([row[0] for row in rows]), rcond=None)[0]
+    assert live[3:] == pytest.approx(list(expected), rel=1e-7, abs=1e-7)
+    # ... and the maintained tuple is the row's own batch evaluator's.
+    assert same(live, FunctionRegistry().get("ols_model").compute(*zip(*data)))
 
 
 def subjects() -> dict[str, Subject]:
@@ -181,7 +200,9 @@ def subjects() -> dict[str, Subject]:
         "weighted_avg", "median", "quantile_75", "count_distinct",
     ):
         found[f"partial:{func}"] = ShardPartial(func)
-    found["model:ols"] = Regression()
+    found["model:ols"] = Registered(
+        "ols_model", bare=lambda: IncrementalLinearRegression(k=2)
+    )
     return found
 
 
@@ -247,8 +268,8 @@ EXACT = sorted(
     for name in SUBJECTS
     if name.split(":")[1]
     in {"count", "na_count", "sum", "mean", "avg", "var", "std", "min", "max",
-        "weighted_avg", "rms", "skewness", "cv"}
-) + ["model:ols"]
+        "weighted_avg", "rms", "skewness", "cv", "ols", "ols_model"}
+)
 
 
 @pytest.mark.parametrize("name", EXACT)

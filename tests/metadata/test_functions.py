@@ -48,6 +48,84 @@ class TestResolution:
         assert registry.get("always_seven").compute([1]) == 7.0
 
 
+    def test_synthesis_leaves_every_listing_alone(self):
+        """``names()`` is the registered rows: what a client has asked for
+        must not change it, nor the listings and error text built on it."""
+        from repro.metadata.management import ManagementDatabase
+
+        management = ManagementDatabase()
+        registry = management.functions
+        names, rules, described = (
+            registry.names(), management.rules.describe(), management.describe()
+        )
+        with pytest.raises(FunctionError) as before:
+            registry.get("kurtosis")
+        for name in ("quantile_95", "heavy_hitters_3", "quantile_95"):
+            assert registry.get(name).name == name
+        assert registry.get("quantile_95") is registry.get("quantile_95")  # memoized
+        assert "quantile_95" in registry and "heavy_hitters_3" in registry
+        assert registry.names() == names
+        assert management.rules.describe() == rules
+        assert management.describe() == described
+        with pytest.raises(FunctionError) as after:
+            registry.get("kurtosis")
+        assert str(after.value) == str(before.value)
+
+    @pytest.mark.parametrize("first", ["register", "synthesize"])
+    def test_registered_name_wins_over_synthesis(self, registry, first):
+        from repro.metadata.functions import StatFunction
+
+        mine = StatFunction("quantile_95", lambda values: -1.0, ResultKind.SCALAR)
+        if first == "synthesize":
+            assert registry.get("quantile_95").compute(list(range(101))) == 95.0
+        registry.register(mine)
+        assert registry.get("quantile_95") is mine
+        assert "quantile_95" in registry.names()
+
+
+class TestArity:
+    def test_every_cached_kind_is_a_row(self, registry):
+        for name in ("pearson", "spearman", "covariance"):
+            row = registry.get(name)
+            assert (row.arity, row.optional_attributes) == (2, 0)
+            assert not row.is_incremental  # hence InvalidateRule by default
+        model = registry.get("ols_model")
+        assert (model.arity, model.optional_attributes) == (2, None)
+        assert model.is_incremental and model.summary_kind == "model"
+        table = registry.get("crosstab")
+        assert (table.arity, table.optional_attributes) == (2, 1)
+
+    def test_an_n_attribute_row_takes_one_column_per_attribute(self, registry):
+        ys = [2.0 * x + 1.0 for x in DATA]
+        assert registry.get("pearson").compute(DATA, ys) == pytest.approx(1.0)
+        fit = registry.get("ols_model").compute(ys, DATA)
+        assert fit[0] == 6.0 and fit[3:] == pytest.approx((1.0, 2.0))
+        # ... and its maintainer consumes row tuples, sized by the first.
+        rows = list(zip(ys, DATA))
+        maintainer = registry.get("ols_model").make_maintainer(lambda: rows)
+        assert maintainer.value == pytest.approx(fit)
+        labels = registry.get("crosstab").compute("aab", "xyx", [1.0, 2.0, 4.0])
+        assert labels == (["a", "b"], ["x", "y"], [1.0, 2.0, 4.0, 0.0])
+
+    def test_check_is_count_then_existence_then_role(self, registry):
+        from repro.core.errors import SchemaError
+        from repro.relational.schema import Schema
+
+        schema = Schema(
+            [measure("SALARY", DataType.FLOAT), category("AGE_GROUP", DataType.CATEGORY)]
+        )
+        median = registry.get("median")
+        median.check(("SALARY",), schema.attribute)
+        with pytest.raises(FunctionError, match=r"takes 1 attribute\(s\), got 0"):
+            median.check((), schema.attribute)
+        with pytest.raises(SchemaError):
+            median.check(("NOPE",), schema.attribute)
+        with pytest.raises(FunctionError, match="not meaningful"):
+            median.check(("AGE_GROUP",), schema.attribute)
+        median.check(("AGE_GROUP",), schema.attribute, force=True)
+        registry.get("crosstab").check(("AGE_GROUP", "AGE_GROUP", "SALARY"), schema.attribute)
+
+
 class TestComputation:
     @pytest.mark.parametrize(
         "name,expected",

@@ -78,3 +78,41 @@ class TestDescribe:
 
         mdb = ManagementDatabase(force_rule_mode=RuleKind.INVALIDATE)
         assert mdb.rules.describe()["mean"] == "invalidate"
+
+
+class TestTheCatalogueIsTheWholeTruth:
+    """SS4.1: "for each function we must retrieve from the Management
+    Database the list of rules" — so everything a session caches must be
+    named by a catalogue row, whichever public method cached it."""
+
+    def test_every_cached_entry_resolves_to_a_row_and_a_rule(self):
+        from repro.core.session import AnalystSession
+        from repro.views.view import ConcreteView
+        from repro.workloads.census import generate_microdata
+
+        mdb = ManagementDatabase()
+        view = ConcreteView("v", generate_microdata(300, seed=5, bad_value_rate=0.0))
+        session = AnalystSession(mdb, view)
+        session.compute("median", "INCOME")
+        session.compute("quantile_90", "INCOME")
+        session.compute_pair("spearman", "INCOME", "AGE")
+        session.fit_model("INCOME", ["AGE", "YEARS_EDUCATION"])
+        session.compute_crosstab("SEX", "RACE")
+        session.compute_crosstab("SEX", "RACE", weight_attr="INCOME")
+        session.annotate("INCOME", "top-coded at 250k")
+        cached = [e for e in view.summary.entries() if not e.key.function.startswith("__")]
+        assert len(cached) == 6
+        for entry in cached:
+            row = mdb.functions.get(entry.key.function)
+            row.check(entry.key.attributes, view.schema.attribute)  # arity fits
+            rule = mdb.rules.rule_for(entry.key.function)
+            assert (entry.kind, entry.epsilon) == (row.summary_kind, row.epsilon)
+            assert (entry.maintainer is not None) == row.is_incremental
+            assert rule.kind.value == mdb.rules.describe().get(
+                entry.key.function, "incremental"  # quantile_NN is synthesized
+            )
+        listed = mdb.rules.describe()
+        assert {n: listed[n] for n in ("pearson", "spearman", "covariance", "crosstab")} == {
+            n: "invalidate" for n in ("pearson", "spearman", "covariance", "crosstab")
+        }
+        assert listed["ols_model"] == "incremental"

@@ -40,6 +40,24 @@ class TestParser:
         q = parse("SELECT COUNT(DISTINCT x) FROM t")
         assert q.select[0].agg_func == "count_distinct"
 
+    def test_an_aggregate_is_whatever_the_table_resolves(self):
+        q = parse("SELECT g, Quantile_75(x), MEAN(x), median(x) AS m FROM t GROUP BY g")
+        assert [(i.agg_func, i.alias) for i in q.select[1:]] == [
+            ("quantile_75", "quantile_75_x"), ("avg", "avg_x"), ("median", "m"),
+        ]
+        with pytest.raises(QueryError, match=r"malformed quantile aggregate 'QUANTILE_7X'"):
+            parse("SELECT g, QUANTILE_7X(x) FROM t GROUP BY g")
+        with pytest.raises(
+            QueryError,
+            match=r"unknown aggregate function 'RMS'; known: \['AVG', 'COUNT', "
+            r".*'WEIGHTED_AVG'\] and QUANTILE_NN",
+        ):
+            parse("SELECT g, RMS(x) FROM t GROUP BY g")
+        with pytest.raises(QueryError, match=r"SUM\(\*\) is not supported"):
+            parse("SELECT SUM(*) FROM t")
+        # Scalar functions are still expressions, not aggregates.
+        assert parse("SELECT LOG(x) AS lx FROM t").select[0].kind == "expr"
+
     def test_join_clause(self):
         q = parse("SELECT * FROM a JOIN b ON x = y AND u = v")
         assert q.join.table == "b"
@@ -108,6 +126,58 @@ class TestExecution:
         )
         assert len(r) == 2
         assert r.row(0)[0] == "F"  # women outnumber men in Figure 1
+
+    def test_a_row_added_to_the_table_is_the_whole_job(self, monkeypatch):
+        """Parser, planner and all three group-by operators read one table."""
+        import functools
+        import math
+
+        from repro.incremental.differencing import DEFINITIONS, AlgebraicForm
+        from repro.relational.aggregates import AGGREGATES, Aggregate, GroupBy
+        from repro.relational.relation import Relation, StoredRelation
+        from repro.relational.schema import Schema, category, measure
+        from repro.relational.sharded import ShardedGroupBy
+        from repro.relational.vectorized import VecGroupBy
+        from repro.storage.sharded import ShardedTransposedFile
+
+        def rms(values):
+            clean = [v for v in values if v is not NA]
+            return math.sqrt(sum(v * v for v in clean) / len(clean)) if clean else NA
+
+        monkeypatch.setitem(
+            AGGREGATES,
+            "rms",
+            Aggregate(rms, partial=functools.partial(AlgebraicForm, DEFINITIONS["rms"])),
+        )
+        # Shard workers in another process would import their own table.
+        monkeypatch.setattr("repro.relational.sharded.os.cpu_count", lambda: 1)
+        schema = Schema([category("g", DataType.STR), measure("x")])
+        rows = [(f"g{i % 3}", NA if i % 7 == 3 else float(i % 11)) for i in range(40)]
+        text = "SELECT g, RMS(x) AS r, COUNT(*) AS n FROM t GROUP BY g"
+        memory, sharded = Catalog(), Catalog()
+        memory.register(Relation("t", schema, rows))
+        storage = ShardedTransposedFile(schema.types, shards=2, name="t")
+        sharded.register(StoredRelation.load("t", schema, rows, storage))
+
+        def operators(op):
+            while op is not None:
+                yield type(op)
+                op = getattr(op, "child", None)
+
+        results = []
+        for cat, vectorized, operator in (
+            (memory, False, GroupBy),
+            (memory, True, VecGroupBy),
+            (sharded, True, ShardedGroupBy),
+        ):
+            pipeline = plan(parse(text), cat, use_vectorized=vectorized)
+            assert operator in operators(pipeline)
+            results.append(list(pipeline))
+        want = sorted(results[0])
+        assert [key for key, _, _ in want] == ["g0", "g1", "g2"]
+        for got in results[1:]:
+            assert [(k, n) for k, _, n in sorted(got)] == [(k, n) for k, _, n in want]
+            assert [r for _, r, _ in sorted(got)] == pytest.approx([r for _, r, _ in want])
 
     def test_weighted_avg(self, catalog):
         r = execute(

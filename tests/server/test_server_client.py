@@ -178,6 +178,26 @@ class TestErrors:
             client.call(op, **params)
         assert (warm.value.code, str(warm.value)) == ("protocol", str(cold.value))
 
+    def test_wrong_attribute_count_says_so(self, client):
+        """A well-formed query of the wrong arity is the catalogue's error,
+        in both directions — not "unknown function"."""
+        with pytest.raises(ServerError) as exc:
+            client.query("v", "pearson", "x")
+        assert exc.value.code == "FunctionError"
+        assert "function 'pearson' takes 2 attribute(s), got 1" in str(exc.value)
+        with pytest.raises(ServerError) as exc:
+            client.query("v", "mean", attributes=["x", "y"])
+        assert exc.value.code == "FunctionError"
+        assert "function 'mean' takes 1 attribute(s), got 2" in str(exc.value)
+        # An unknown name still lists the known ones — every cached kind.
+        with pytest.raises(ServerError) as exc:
+            client.query("v", "mutual_information", attributes=["x", "y"])
+        assert exc.value.code == "FunctionError"
+        assert "'pearson'" in str(exc.value) and "'ols_model'" in str(exc.value)
+        # Two-attribute catalogue rows other than correlations are served.
+        table = client.query("v", "crosstab", attributes=["x", "y"])["value"]
+        assert table[0] == [repr(float(i)) for i in range(10)]
+
     def test_non_numeric_timeout_is_protocol_error(self, client):
         with pytest.raises(ServerError) as exc:
             client.call("query", view="v", function="mean", attribute="x", timeout_s="soon")
