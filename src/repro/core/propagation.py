@@ -7,31 +7,33 @@ Database the list of rules that specify the actions to be applied in order
 to obtain the new value."
 
 :class:`UpdatePropagator` executes exactly that pipeline for one concrete
-view: per updated attribute it sweeps the attribute's clustered summary
-entries, applies each entry's rule under the analyst's consistency policy,
-cascades to dependent derived columns, and invalidates summary entries over
-those derived columns (the regenerate-the-vector rule of SS3.2).
+view, and the unit it propagates is the analyst's logged action.  Per
+updated attribute it sweeps the attribute's clustered summary entries and
+every entry over several attributes the action reached, applies each
+entry's rule under the analyst's consistency policy — a one-attribute entry
+fed the attribute's (old, new) values, an n-attribute entry (correlation,
+cross tabulation, fitted model) the action's (old row, new row) tuples over
+its key, once per action — cascades to dependent derived columns, and
+invalidates summary entries over those derived columns (the
+regenerate-the-vector rule of SS3.2).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Any, Mapping, Sequence
 
+from repro.core.errors import RuleError
 from repro.incremental.differencing import Delta
 from repro.metadata.management import ManagementDatabase
 from repro.obs.tracer import NULL_TRACER, AbstractTracer
-from repro.relational.types import is_na
 from repro.summary.policies import ConsistencyPolicy
 from repro.views.history import Operation
 from repro.views.view import ConcreteView
 
-
-def _na_safe_equal(a: Any, b: Any) -> bool:
-    """Equality where NA == NA and NA never equals a value."""
-    if is_na(a) or is_na(b):
-        return is_na(a) and is_na(b)
-    return a == b
+#: What one analyst action changed: attribute -> (its delta, the row of each
+#: update), in the order the action first wrote the attributes.
+Action = Mapping[str, tuple[Delta, Sequence[int]]]
 
 
 @dataclass
@@ -85,82 +87,82 @@ class UpdatePropagator:
         attribute: str,
         delta: Delta,
         rows: Sequence[int] = (),
+        action: Action | None = None,
     ) -> PropagationReport:
-        """Propagate one attribute's delta through rules and derivations."""
+        """Propagate one attribute's delta through rules and derivations.
+
+        ``action`` is the whole action this sweep is one attribute's share
+        of; it defaults to this call's own arguments.
+        """
         with self.tracer.span(
             "propagate", attribute=attribute, delta_size=delta.size
         ) as span:
-            return self._propagate(span, attribute, delta, rows)
+            return self._propagate(span, attribute, action or {attribute: (delta, rows)})
 
-    def _propagate(
-        self,
-        span: Any,
-        attribute: str,
-        delta: Delta,
-        rows: Sequence[int],
-    ) -> PropagationReport:
+    def _propagate(self, span: Any, attribute: str, action: Action) -> PropagationReport:
+        delta, rows = action[attribute]
         report = PropagationReport(attributes=[attribute])
-        summary = self.view.summary
+        view = self.view
+        summary = view.summary
         traced = self.tracer.enabled
         report.summary_pages_touched += summary.pages_for_attribute(attribute)
 
-        # 1. One-attribute entries over the updated attribute: the
-        #    clustered sweep, with per-function rules.
-        for entry in summary.entries_for_attribute(attribute):
-            if entry.key.function.startswith("__") or len(entry.key.attributes) > 1:
+        # 1. What the attribute feeds: its one-attribute entries (the
+        #    clustered sweep) take the column delta; an entry over several
+        #    attributes takes the action's row delta, in the sweep of the
+        #    first attribute of its key the action wrote — once per action.
+        entries = [
+            entry
+            for entry in summary.entries_for_attribute(attribute)
+            if len(entry.key.attributes) == 1
+        ]
+        for entry in summary.entries_mentioning(attribute):
+            names = entry.key.attributes
+            if len(names) > 1 and attribute == next(n for n in action if n in names):
+                entries.append(entry)
+        column_provider = view.column_provider(attribute)
+        for entry in entries:
+            function, names = entry.key.function, entry.key.attributes
+            if function.startswith("__"):
                 # Annotations and other non-function entries carry no
-                # maintenance semantics (SS3.2's verbal descriptions);
-                # multi-attribute entries are swept in step 2.
+                # maintenance semantics (SS3.2's verbal descriptions).
                 continue
             report.entries_visited += 1
+            was_fresh = not entry.stale
             try:
-                rule = self.management.rules.rule_for(entry.key.function)
+                rule = self.management.rules.rule_for(function)
+                if len(names) == 1:
+                    entry_delta, provider = delta, column_provider
+                else:
+                    entry_delta = self._row_delta(names, action)
+                    provider = view.rows_provider(names)
             except Exception:
-                # An entry a caller inserted directly, under a name the
-                # catalogue does not know, has no rule: it goes stale
+                # A caller inserted the entry directly under a name the
+                # catalogue does not know, or handed over a delta no row
+                # delta can be composed from: the entry goes stale and its
+                # maintainer, which missed this change, goes with it
                 # (degraded and labelled, never silently kept).
+                summary.detach_maintainer(entry)
                 if summary.mark_stale(entry, pending=delta.size):
                     report.invalidations += 1
                 continue
-            outcome = self.policy.on_update(
-                summary,
-                entry,
-                delta,
-                rule,
-                self.view.column_provider(attribute),
-            )
+            outcome = self.policy.on_update(summary, entry, entry_delta, rule, provider)
             report.incremental_updates += 1 if outcome.incremental_changes else 0
             report.recomputations += 1 if outcome.recomputed else 0
             report.invalidations += 1 if outcome.marked_stale else 0
             if traced:
-                function = entry.key.function
                 if outcome.incremental_changes:
                     span.add(f"rule.{function}.incremental")
                 if outcome.recomputed:
                     span.add(f"rule.{function}.recompute")
                 if outcome.marked_stale:
                     span.add(f"rule.{function}.invalidate")
+                if was_fresh and entry.stale:
+                    span.add(f"summary.stale.{function}")
 
-        # 2. Multi-attribute entries with the attribute anywhere in their
-        #    key.  A column delta cannot drive their rule: a catalogue row
-        #    with a row-wise maintainer (the fitted model) is replayed row
-        #    by row and stays warm; the rest (correlations, cross
-        #    tabulations) have no incremental form and invalidate, as
-        #    their rule says.
-        for entry in summary.entries_mentioning(attribute):
-            if len(entry.key.attributes) == 1:
-                continue
-            report.entries_visited += 1
-            if self._try_rowwise(entry, attribute, delta, rows):
-                report.incremental_updates += 1
-                if traced:
-                    span.add(f"rule.{entry.key.function}.rowwise")
-            elif summary.mark_stale(entry, pending=delta.size):
-                report.invalidations += 1
-
-        # 3. Cascade to derived columns (SS3.2's derived-data rules), then
+        # 2. Cascade to derived columns (SS3.2's derived-data rules), then
         #    invalidate the summary information computed over them.
-        touched = self.view.derived.on_base_change(attribute, list(rows))
+        touched = view.derived.on_base_change(attribute, list(rows))
         report.derived_columns_touched.extend(touched)
         for derived_name in touched:
             for entry in summary.entries_mentioning(derived_name):
@@ -178,70 +180,37 @@ class UpdatePropagator:
         span.add("invalidations", report.invalidations)
         return report
 
-    def _try_rowwise(
-        self,
-        entry: Any,
-        attribute: str,
-        delta: Delta,
-        rows: Sequence[int],
-    ) -> bool:
-        """Feed a pure update burst row-wise to a multi-attribute maintainer.
+    def _row_delta(self, names: tuple[str, ...], action: Action) -> Delta:
+        """The action as (old row, new row) updates over ``names``.
 
-        Fitted-model entries (``supports_row_updates``) consume
-        observations as whole rows, so a cell update on one of their
-        attributes can be replayed as ``on_update(old_row, new_row)``
-        instead of invalidating the fit.  Applies only when the burst is
-        updates-only, each update aligns with a known row index, and the
-        consistency policy wants maintainers kept warm.  Any surprise
-        (misalignment, maintainer failure) falls back to the sanctioned
-        stale path — never a silently wrong fit.
+        The view holds every value the action wrote, so a touched row's new
+        tuple is read from it; its old tuple differs in the cells the
+        action changed, each by the *first* old value the action recorded
+        for it.  Two changed inputs of one entry, a burst naming a row
+        twice and a multi-operation undo are therefore exact by
+        construction.  Raises :class:`RuleError` when a changed attribute's
+        delta is not cell-aligned (inserts, deletes, or no row per update).
         """
-        summary = self.view.summary
-        maintainer = entry.maintainer
-        if (
-            maintainer is None
-            or entry.stale
-            or not getattr(maintainer, "supports_row_updates", False)
-            or not getattr(self.policy, "keeps_maintainers_warm", True)
-        ):
-            return False
-        if delta.inserts or delta.deletes or not delta.updates:
-            return False
-        if len(delta.updates) != len(rows):
-            return False
-        names = entry.key.attributes
-        if attribute not in names:
-            return False
-        position = names.index(attribute)
-        columns = [self.view.column(name) for name in names]
-        pairs: list[tuple[tuple[Any, ...], tuple[Any, ...]]] = []
-        for (old_value, new_value), row in zip(delta.updates, rows):
-            if not 0 <= row < len(columns[position]):
-                return False
-            current = [column[row] for column in columns]
-            seen = current[position]
-            # The view already holds the new value; verify alignment
-            # (repeated rows in one burst would break the old-row
-            # reconstruction, so bail to the stale path instead).
-            if not _na_safe_equal(seen, new_value):
-                return False
-            new_row = tuple(current)
-            old_row = tuple(
-                old_value if i == position else value
-                for i, value in enumerate(current)
-            )
-            pairs.append((old_row, new_row))
-        try:
-            for old_row, new_row in pairs:
-                maintainer.on_update(old_row, new_row)
-            result = maintainer.value
-            summary.refresh(entry, result, version=self.view.version)
-        except Exception:
-            # A maintainer that failed mid-burst holds poisoned state;
-            # drop it and let the caller's stale path take over.
-            summary.detach_maintainer(entry)
-            return False
-        return True
+        first_old: dict[int, dict[int, Any]] = {}
+        for name, (delta, rows) in action.items():
+            positions = [i for i, other in enumerate(names) if other == name]
+            if not positions:
+                continue
+            if delta.inserts or delta.deletes or len(delta.updates) != len(rows):
+                raise RuleError(f"the delta to {name!r} names no row per changed cell")
+            for row, (old, _) in zip(rows, delta.updates):
+                cells = first_old.setdefault(row, {})
+                for position in positions:
+                    cells.setdefault(position, old)
+        relation = self.view.relation
+        columns = [relation.schema.index_of(name) for name in names]
+        updates = []
+        for row, cells in first_old.items():
+            current = relation.row(row)
+            new_row = tuple(current[column] for column in columns)
+            old_row = tuple(cells.get(i, value) for i, value in enumerate(new_row))
+            updates.append((old_row, new_row))
+        return Delta(updates=updates)
 
     def propagate_batch(
         self,
@@ -263,41 +232,38 @@ class UpdatePropagator:
     ) -> PropagationReport:
         """Bring the Summary Database up to date with logged operations.
 
-        The entry for live writes, undo (``inverse``) and WAL replay:
-        operations group by attribute in first-seen order, their rows
-        concatenate and their deltas coalesce, so each touched attribute
-        costs one sweep.  No operations, no sweep.
+        The entry for live writes, undo (``inverse``: the undone operations,
+        newest first) and WAL replay: operations group by attribute in
+        first-seen order, their bursts and rows concatenate, so each touched
+        attribute costs one sweep.  No operations, no sweep.
         """
-        deltas: dict[str, list[Delta]] = {}
-        rows: dict[str, list[int]] = {}
+        deltas: dict[str, Delta] = {}
+        rows_by_attr: dict[str, list[int]] = {}
         for operation in operations:
-            deltas.setdefault(operation.attribute, []).append(operation.delta(inverse))
-            rows.setdefault(operation.attribute, []).extend(operation.rows)
-        return self.propagate_all(
-            {name: Delta.coalesce(burst) for name, burst in deltas.items()}, rows
-        )
+            updates, rows = operation.delta(inverse).updates, operation.rows
+            if inverse:
+                # Newest change first, the order undo restored the cells in:
+                # the first value a burst names for a cell is then always the
+                # one the view held before the action.
+                updates.reverse()
+                rows.reverse()
+            deltas.setdefault(operation.attribute, Delta()).updates.extend(updates)
+            rows_by_attr.setdefault(operation.attribute, []).extend(rows)
+        return self.propagate_all(deltas, rows_by_attr)
 
     def propagate_all(
         self,
         deltas: dict[str, Delta],
         rows_by_attr: dict[str, Sequence[int]] | None = None,
     ) -> PropagationReport:
-        """Propagate several attributes' deltas, merging the reports."""
+        """Propagate one action's deltas to several attributes, merging the
+
+        per-attribute sweeps' reports."""
         rows_by_attr = rows_by_attr or {}
+        action = {
+            name: (delta, rows_by_attr.get(name, ())) for name, delta in deltas.items()
+        }
         combined = PropagationReport()
-        if len(deltas) > 1:
-            # A row-wise maintainer rebuilds each old row from the view,
-            # which already holds the new value of *every* attribute the
-            # action wrote: sound for one changed input of a fitted model,
-            # not for two — those entries go stale instead.
-            summary = self.view.summary
-            for attribute in deltas:
-                for entry in summary.entries_mentioning(attribute):
-                    changed = sum(name in deltas for name in entry.key.attributes)
-                    if changed > 1 and summary.mark_stale(entry):
-                        combined.invalidations += 1
-        for attribute, delta in deltas.items():
-            combined.merge(
-                self.propagate(attribute, delta, rows_by_attr.get(attribute, ()))
-            )
+        for attribute, (delta, rows) in action.items():
+            combined.merge(self.propagate(attribute, delta, rows, action))
         return combined

@@ -175,21 +175,16 @@ class AnalystSession:
     def _recompute(self, entry: SummaryEntry) -> Any:
         """The recompute callback every consistency policy is handed."""
         fn = self.management.functions.get(entry.key.function)
-        attributes = entry.key.attributes
-        columns = self._columns(attributes)
-        summary = self.view.summary
-        if fn.is_incremental and len(attributes) > 1:
-            # Row-wise maintainers are built only here: the propagator
-            # feeds live ones, and no update rule rebuilds a lost one as
-            # IncrementalRule.apply does for a single column.  So a refit
-            # overwrites the entry through insert(), the sanctioned way to
-            # replace result and maintainer together (REPRO-A104), and the
-            # superseded entry the policy holds is refreshed to match.
-            result = self._insert(fn, attributes, columns).result
-            return summary.refresh(entry, result, version=self.view.version)
-        summary.refresh(entry, fn.compute(*columns), version=self.view.version)
+        columns = self._columns(entry.key.attributes)
+        self.view.summary.refresh(
+            entry, fn.compute(*columns), version=self.view.version
+        )
         if entry.maintainer is not None:
-            entry.maintainer.initialize(columns[0])
+            # Values for one attribute, row tuples for n (the catalogue's
+            # convention).
+            entry.maintainer.initialize(
+                columns[0] if len(columns) == 1 else zip(*columns)
+            )
         return entry.result
 
     def compute_pair(self, function: str, a: str, b: str) -> Any:
@@ -200,11 +195,11 @@ class AnalystSession:
         """Fit (or fetch) an OLS model cached as a ``model`` summary entry.
 
         The fit registers under ``("ols_model", (response, *predictors))``
-        with a live row-wise maintainer, so a cell update to any input
-        column replays through the propagation pipeline and later calls
-        serve warm coefficients without a refit.  Inserts/deletes (and
-        policies that defer maintenance) invalidate instead; a stale hit
-        refits once.
+        with a live maintainer over row tuples, so an action that rewrites
+        any of its input columns reaches it as (old row, new row) updates
+        through the propagation pipeline and later calls serve warm
+        coefficients without a refit.  Policies that defer maintenance
+        invalidate instead; a stale hit refits once.
         """
         value = self.compute("ols_model", (response, *predictors))
         return model_from_summary(response, predictors, value)

@@ -77,8 +77,10 @@ RULE_INVALIDATION = rule(
     layer="semantic",
     rationale=(
         "the SS4.3 fallback must always work: InvalidateRule must mark the "
-        "entry stale and the computed result must be encodable so the "
-        "Summary Database can store and account for it"
+        "entry stale, every other rule the repository can hand out for the "
+        "function must leave it fresh, at the function's own arity, and the "
+        "computed result must be encodable so the Summary Database can "
+        "store and account for it"
     ),
 )
 
@@ -375,14 +377,18 @@ def check_computation_protocol() -> Iterator[Finding]:
 
 
 def check_invalidation_paths(registry: Any, rules: Any) -> Iterator[Finding]:
-    """REPRO-S006: the SS4.3 fallback works for every cacheable result."""
+    """REPRO-S006: the SS4.3 fallback works for every cacheable result, and
+
+    so does every other rule an override could give it — each driven through
+    ``apply`` with an entry key, a delta and a provider of the row's arity."""
     from repro.incremental.differencing import Delta
-    from repro.metadata.rules import InvalidateRule
+    from repro.metadata.rules import RuleKind
     from repro.summary.entries import SummaryEntry, SummaryKey, encode_result
 
     for name in _checked_names(registry):
         function = registry.get(name)
-        values = _sample_values(function.arity)
+        arity = function.arity
+        values = _sample_values(arity)
         try:
             result = _evaluate(function, values)
         except Exception as exc:
@@ -402,28 +408,34 @@ def check_invalidation_paths(registry: Any, rules: Any) -> Iterator[Finding]:
                 f"{name!r} produced a result the Summary Database cannot "
                 f"encode ({type(result).__name__}): {exc}",
             )
-        entry = SummaryEntry(
-            key=SummaryKey(function=name, attributes=("x",)), result=result
-        )
-        try:
-            outcome = InvalidateRule(function).apply(
-                entry, Delta(updates=[(1.0, 2.0)]), lambda: list(values)
-            )
-        except Exception as exc:
-            yield _finding(
-                RULE_INVALIDATION,
-                function.compute,
-                f"InvalidateRule.apply failed for {name!r}: "
-                f"{type(exc).__name__}: {exc}",
-            )
-            continue
-        if not entry.stale or not outcome.marked_stale:
-            yield _finding(
-                RULE_INVALIDATION,
-                function.compute,
-                f"invalidating a {name!r} entry did not mark it stale "
-                f"(stale={entry.stale}, marked_stale={outcome.marked_stale})",
-            )
+        key = SummaryKey(function=name, attributes=tuple(f"x{i}" for i in range(arity)))
+        # The provider already holds the update the delta describes.
+        delta = Delta(updates=[(_observation(3.0, 0, arity), values[0])])
+        for kind in RuleKind:
+            try:
+                update_rule = rules.rule_for(name, kind)
+            except Exception:
+                continue  # REPRO-S001 territory
+            label = f"{type(update_rule).__name__}.apply"
+            entry = SummaryEntry(key=key, result=result)
+            try:
+                outcome = update_rule.apply(entry, delta, lambda: list(values))
+            except Exception as exc:
+                yield _finding(
+                    RULE_INVALIDATION,
+                    function.compute,
+                    f"{label} failed for {name!r}: {type(exc).__name__}: {exc}",
+                )
+                continue
+            invalidates = update_rule.kind is RuleKind.INVALIDATE
+            if entry.stale != invalidates or outcome.marked_stale != invalidates:
+                yield _finding(
+                    RULE_INVALIDATION,
+                    function.compute,
+                    f"{label} left a {name!r} entry "
+                    f"{'stale' if entry.stale else 'fresh'} "
+                    f"(marked_stale={outcome.marked_stale})",
+                )
 
 
 def _all_subclasses(cls: type) -> list[type]:

@@ -2,8 +2,11 @@
 
 "In addition to rules defining how a function is to be recomputed we
 propose to store rules that describe how derived data is to be updated"
-(SS3.2).  A rule says what happens to one Summary Database entry when the
-attribute it summarizes changes:
+(SS3.2).  A rule says what happens to one Summary Database entry when an
+attribute it summarizes changes — whatever the entry's arity: the delta
+holds (old, new) values and the provider yields values for a one-attribute
+entry, (old row, new row) tuples and row tuples over the key's attributes
+for an n-attribute one (the catalogue's convention):
 
 * :class:`IncrementalRule` — apply the finite-differencing delta to the
   entry's live maintainer (SS4.2);
@@ -24,14 +27,15 @@ import enum
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Iterable
 
-from repro.core.errors import RuleError, StatisticsError
+from repro.core.errors import RuleError
 from repro.incremental.differencing import Delta
 from repro.metadata.functions import FunctionRegistry, StatFunction
 
 if TYPE_CHECKING:  # runtime import would cycle through repro.summary
     from repro.summary.entries import SummaryEntry
 
-#: Zero-argument provider of an attribute's current values.
+#: Zero-argument provider of an entry's current observations: one
+#: attribute's values, or row tuples over the attributes of its key.
 ValuesProvider = Callable[[], Iterable[Any]]
 
 
@@ -77,27 +81,30 @@ class IncrementalRule(UpdateRule):
         self.function = function
 
     def apply(self, entry: "SummaryEntry", delta: Delta, values_provider: ValuesProvider) -> RuleOutcome:
-        if entry.maintainer is None:
-            # make_maintainer returns an initialized (or lazily
-            # self-initializing) computation reflecting the *current* data,
-            # which already includes this delta — do not apply it twice.
-            entry.maintainer = self.function.make_maintainer(values_provider)
-            entry.result = entry.maintainer.value
-            entry.stale = False
-            return RuleOutcome(kind=self.kind, recomputed=True)
         try:
-            entry.result = entry.maintainer.apply_batch((delta,))
-        except StatisticsError:
+            if entry.maintainer is None:
+                # make_maintainer returns an initialized (or lazily
+                # self-initializing) computation reflecting the *current*
+                # data, which already includes this delta — do not apply it
+                # twice.
+                entry.maintainer = self.function.make_maintainer(values_provider)
+                entry.result = entry.maintainer.value
+                outcome = RuleOutcome(kind=self.kind, recomputed=True)
+            else:
+                entry.result = entry.maintainer.apply_batch((delta,))
+                outcome = RuleOutcome(kind=self.kind, incremental_changes=delta.size)
+        except Exception:
             # The delta does not match what the maintainer tracks (a
-            # removal of a value it never saw).  The view has already
-            # changed and the sweep must reach the remaining entries, so
-            # drop the poisoned maintainer and fall back to SS4.3: stale
-            # now, recomputed on the next lookup — never silently wrong.
+            # removal of a value it never saw, a mistyped cell, a design
+            # gone rank-deficient).  The view has already changed and the
+            # sweep must reach the remaining entries, whatever was raised:
+            # drop the poisoned maintainer and fall back to SS4.3 — stale
+            # now, recomputed on the next lookup, never silently wrong.
             entry.maintainer = None
             entry.stale = True
             return RuleOutcome(kind=self.kind, marked_stale=True)
         entry.stale = False
-        return RuleOutcome(kind=self.kind, incremental_changes=delta.size)
+        return outcome
 
 
 class RegenerateRule(UpdateRule):
@@ -109,7 +116,11 @@ class RegenerateRule(UpdateRule):
         self.function = function
 
     def apply(self, entry: "SummaryEntry", delta: Delta, values_provider: ValuesProvider) -> RuleOutcome:
-        entry.result = self.function.compute(list(values_provider()))
+        columns = [list(values_provider())]
+        width = len(entry.key.attributes)
+        if width > 1:  # row tuples: one column per attribute, in key order
+            columns = [[row[i] for row in columns[0]] for i in range(width)]
+        entry.result = self.function.compute(*columns)
         entry.stale = False
         return RuleOutcome(kind=self.kind, recomputed=True)
 
@@ -151,10 +162,12 @@ class RuleRepository:
         self.registry.get(function_name)  # validate
         self._overrides[function_name] = kind
 
-    def rule_for(self, function_name: str) -> UpdateRule:
-        """The rule governing entries of this function."""
+    def rule_for(self, function_name: str, kind: RuleKind | None = None) -> UpdateRule:
+        """The rule governing entries of this function — or, given ``kind``,
+
+        the one :meth:`set_rule` with that kind would make it."""
         function = self.registry.get(function_name)
-        kind = self.force_mode or self._overrides.get(function_name)
+        kind = kind or self.force_mode or self._overrides.get(function_name)
         if kind is None:
             kind = (
                 RuleKind.INCREMENTAL

@@ -76,7 +76,6 @@ class IncrementalLinearRegression(IncrementalComputation):
     """
 
     sketch_kind = "linreg"
-    supports_row_updates = True
 
     def __init__(self, k: int = 0) -> None:
         if k < 0:

@@ -21,6 +21,12 @@ Four policies cover the design space the paper sketches:
   more than ``max_staleness`` updates are pending ("a change of one or two
   values has very little effect on the value of the median"), recomputing
   only past the bound.
+
+A policy decides for every cached entry alike — scalar, pair, table or
+model: the propagator hands it the entry's Management-Database rule and a
+delta of the entry's own arity, so whether a fitted model is maintained per
+update or refitted on demand is the analyst's wish, not a property of the
+model.
 """
 
 from __future__ import annotations
@@ -42,12 +48,6 @@ class ConsistencyPolicy:
 
     name: str = "abstract"
 
-    #: Whether the propagator may feed row-wise updates to multi-attribute
-    #: maintainers (fitted models) instead of invalidating them.  Policies
-    #: that deliberately defer work (invalidate, tolerant) say no — their
-    #: contract is to *not* pay per-update maintenance cost.
-    keeps_maintainers_warm: bool = True
-
     def on_update(
         self,
         db: SummaryDatabase,
@@ -56,7 +56,9 @@ class ConsistencyPolicy:
         rule: UpdateRule,
         values_provider: ValuesProvider,
     ) -> RuleOutcome:
-        """React to a delta on the entry's attribute."""
+        """React to a delta on the entry's attribute(s): (old, new) values
+
+        for a one-attribute entry, (old row, new row) tuples for the rest."""
         raise NotImplementedError
 
     def on_lookup(
@@ -109,7 +111,6 @@ class InvalidatePolicy(ConsistencyPolicy):
     """The SS4.3 fallback: invalidate on update, recompute on demand."""
 
     name = "invalidate"
-    keeps_maintainers_warm = False
 
     def on_update(self, db, entry, delta, rule, values_provider):  # noqa: D102
         if not entry.stale:
@@ -157,7 +158,6 @@ class TolerantPolicy(ConsistencyPolicy):
     """Serve stale values while pending updates stay within a bound."""
 
     name = "tolerant"
-    keeps_maintainers_warm = False
 
     def __init__(self, max_staleness: int = 5) -> None:
         if max_staleness < 0:

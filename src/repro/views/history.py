@@ -171,9 +171,11 @@ class UpdateHistory:
     ) -> list[Operation]:
         """Reverse the last ``count`` operations against ``relation``.
 
-        Returns the undone operations (newest first).  Given the view
-        itself, each write is its ``set_value``, so the stored mirror and
-        the copy-on-write epochs follow.  Cost is proportional to the cells
+        Returns the undone operations (newest first); each operation's
+        changes are restored newest first too, so a cell written twice ends
+        at the value it held before the operation.  Given the view itself,
+        each write is its ``set_value``, so the stored mirror and the
+        copy-on-write epochs follow.  Cost is proportional to the cells
         changed.  The version counter does not move backwards: the undone
         versions stay burned.
         """
@@ -186,7 +188,7 @@ class UpdateHistory:
         undone: list[Operation] = []
         for _ in range(count):
             operation = self._operations.pop()
-            for change in operation.changes:
+            for change in reversed(operation.changes):
                 relation.set_value(change.row, operation.attribute, change.old)
             undone.append(operation)
         return undone

@@ -1,5 +1,6 @@
 """Tests for analyst sessions: the cached compute/update/undo loop."""
 
+import random
 import statistics
 
 import pytest
@@ -258,19 +259,109 @@ class TestRowsFromHistoryMerge:
         assert warm.coefficients == pytest.approx(refit.coefficients, rel=1e-6)
 
     def test_two_changed_inputs_of_one_model_refit(self, session):
-        """An action that rewrites two inputs of a fitted model cannot be
-        replayed row-wise (the view already holds both new values), so the
-        model goes stale instead of serving a silently wrong fit."""
+        """An action that rewrites two inputs of a fitted model reaches it
+        as one (old row, new row) delta — each old cell the first value the
+        action recorded for it — so the model stays warm and equals a
+        forced refit."""
         names = ("INCOME", "AGE", "YEARS_EDUCATION")
         session.fit_model(names[0], names[1:])
-        session.update(
+        report = session.update(
             col("AGE") > 60, {"INCOME": col("INCOME") * 1.5, "AGE": col("AGE") - 3}
         )
-        assert session.view.summary.peek("ols_model", names).stale
+        assert report.incremental_updates == 1 and report.recomputations == 0
+        assert not session.view.summary.peek("ols_model", names).stale
         served = session.fit_model(names[0], names[1:])
         session.view.summary.mark_stale(session.view.summary.peek("ols_model", names))
         refit = session.fit_model(names[0], names[1:])
-        assert served.coefficients == pytest.approx(refit.coefficients)
+        assert served.coefficients == pytest.approx(refit.coefficients, rel=1e-8)
+
+
+class TestUndoOfARepeatedCell:
+    """Regression: an operation that wrote one cell twice is undone newest
+    change first — to the value the cell held before the operation, not to
+    its intermediate one — and the cache follows the view."""
+
+    def test_cached_mean_and_warm_model_equal_recompute(self, session):
+        names = ("INCOME", "AGE", "YEARS_EDUCATION")
+        view = session.view
+        before = view.relation.row(0)
+        session.compute("mean", "INCOME")
+        session.fit_model(names[0], names[1:])
+        session.update_cells("INCOME", [(0, 10.0), (0, 20.0)])
+        session.update_cells("AGE", [(0, 91), (3, 18), (0, 92)])
+        report = session.undo(2)
+        assert view.relation.row(0) == before
+        assert report.incremental_updates == 2 and report.invalidations == 0
+        mean, model = (view.summary.peek(*key) for key in (("mean", "INCOME"), ("ols_model", names)))
+        assert not mean.stale and not model.stale
+        assert close(mean.result, recomputed(session, ("mean", ("INCOME",))))
+        assert model.result == pytest.approx(
+            recomputed(session, ("ols_model", names)), rel=1e-8
+        )
+
+
+class TestMaintenanceEqualsReEvaluation:
+    """The contract for every arity at once: after any action of a seeded
+    stream — two-input predicate updates, bursts naming a row twice, NA
+    marks, undos — every fresh entry equals its catalogue row evaluated over
+    the view, and the fitted model stays fresh without ever being refitted."""
+
+    KEYS = [
+        ("mean", ("y",)),
+        ("median", ("x1",)),
+        ("pearson", ("y", "x1")),
+        ("crosstab", ("g", "h", "y")),
+        ("ols_model", ("y", "x1", "x2")),
+    ]
+    ROWS = 60
+    STEPS = 240
+
+    def test_seeded_action_stream(self):
+        from repro.obs.tracer import Tracer
+        from repro.relational.relation import Relation
+        from repro.relational.schema import Schema, category, measure
+        from repro.relational.types import DataType
+        from tests.action_stream import action_stream, apply
+
+        rng = random.Random("maintenance-equals-re-evaluation")
+        schema = Schema(
+            [measure("id", DataType.INT), category("g"), category("h")]
+            + [measure(name) for name in ("y", "x1", "x2")]
+        )
+        rows = [
+            (i, i % 3, rng.randrange(2), *(round(rng.uniform(-60, 60), 3) for _ in "yxx"))
+            for i in range(self.ROWS)
+        ]
+        tracer = Tracer()
+        session = AnalystSession(
+            ManagementDatabase(),
+            ConcreteView("v", Relation("v", schema, rows)),
+            policy=PrecisePolicy(),
+            tracer=tracer,
+        )
+        for key in self.KEYS:
+            session.compute(*key)
+        model = session.view.summary.peek(*self.KEYS[-1])
+        maintainer = model.maintainer
+        stream = action_stream(rng, ("y", "x1", "x2"), self.ROWS, self.STEPS)
+        for number, step in enumerate(stream):
+            apply(session, step)
+            for key in self.KEYS:
+                entry = session.view.summary.peek(*key)
+                if entry is model:
+                    assert entry.result == pytest.approx(
+                        recomputed(session, key), rel=1e-8
+                    ), (number, step)
+                elif not entry.stale:
+                    assert close(entry.result, recomputed(session, key)), (number, step, key)
+            assert not model.stale and model.maintainer is maintainer, (number, step)
+            if number % 10 == 9:  # the analyst looks: stale entries recompute
+                for key in self.KEYS:
+                    assert close(session.compute(*key), recomputed(session, key))
+        assert tracer.total("rule.ols_model.incremental") > self.STEPS // 2
+        assert tracer.total("rule.ols_model.recompute") == 0
+        assert tracer.total("rule.ols_model.invalidate") == 0
+        assert tracer.total("summary.refresh.ols_model") == 0
 
 
 class TestMarkInvalidRows:

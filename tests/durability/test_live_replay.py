@@ -30,6 +30,7 @@ from repro.relational.relation import Relation
 from repro.relational.schema import Attribute, Schema
 from repro.relational.types import DataType
 from repro.views.materialize import SourceNode, ViewDefinition
+from tests.action_stream import action_stream, apply
 
 ROWS = 48
 BASE = ("id", "x", "y", "z", "w")
@@ -66,7 +67,7 @@ def warm(session):
     session.compute("mean", "w2")
     session.compute_pair("pearson", "x", "z")
     session.fit_model(MODEL[0], MODEL[1:])
-    session.fit_model("w", ["y"])  # one input per action: stays row-wise warm
+    session.fit_model("w", ["y"])
 
 
 def half_stream(rng):
@@ -94,18 +95,6 @@ def half_stream(rng):
     ]
     rng.shuffle(blocks)
     return [step for block in blocks for step in block]
-
-
-def apply(session, step):
-    kind = step[0]
-    if kind == "update":
-        session.update(step[1], step[2])
-    elif kind == "cells":
-        session.update_cells(step[1], step[2])
-    elif kind == "invalid":
-        session.mark_invalid(step[1], predicate=step[2], rows=step[3])
-    else:
-        session.undo(step[1])
 
 
 def picture(dbms, attributes):
@@ -209,3 +198,50 @@ def test_replay_behind_a_checkpoint(tmp_path, seed, mid_stream):
         for name in epochs
         if epochs[name] != at_checkpoint.get(name, 0)
     }
+
+
+STREAM_STEPS = 200
+
+
+@pytest.mark.parametrize("checkpoint_after", [0, STREAM_STEPS // 2, STREAM_STEPS])
+def test_the_action_stream_recovers_as_it_ran(tmp_path, checkpoint_after):
+    """The maintenance = re-evaluation stream (two-input predicate updates,
+    bursts naming a row twice, NA marks, undos): replayed from the WAL behind
+    a snapshot, in part or not at all, it leaves the rows, the stale set and
+    every fresh value — the never-refitted model included — as live."""
+    rng = random.Random("live-replay-stream")
+    dbms = build(tmp_path, rng)
+    session = dbms.session("v1")
+    warm(session)
+    for number, step in enumerate(action_stream(rng, "xyz", ROWS, STREAM_STEPS)):
+        if number == checkpoint_after:
+            dbms.checkpoint()
+        apply(session, step)
+    if checkpoint_after == STREAM_STEPS:
+        dbms.checkpoint()
+    assert not dbms.view("v1").summary.peek("ols_model", MODEL).stale
+
+    recovered, report = recover(tmp_path)
+    assert report.checkpoint_loaded and not report.warnings
+    names = dbms.view("v1").schema.names
+    assert_same(picture(dbms, names), picture(recovered, names))
+
+
+def test_undo_of_a_repeated_cell_replays_as_live(tmp_path):
+    """One burst writes a cell twice and is undone: the log replays to the
+    value the cell held before the burst, and to the same summary."""
+    rng = random.Random("live-replay-repeated-cell")
+    dbms = build(tmp_path, rng)
+    session = dbms.session("v1")
+    warm(session)
+    dbms.checkpoint()
+    before = dbms.view("v1").relation.row(0)
+    session.update_cells("x", [(0, 10.0), (5, 1.0), (0, 20.0)])
+    session.undo(1)
+    assert dbms.view("v1").relation.row(0) == before
+
+    recovered, report = recover(tmp_path)
+    assert report.undos_replayed == 1 and not report.warnings
+    names = dbms.view("v1").schema.names
+    assert_same(picture(dbms, names), picture(recovered, names))
+    assert not recovered.view("v1").summary.peek("ols_model", MODEL).stale

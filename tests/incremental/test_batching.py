@@ -195,3 +195,34 @@ class TestPropagateBatch:
         assert report.invalidations == 6
         # The median window degrades to provider-served reads instead.
         assert not view.summary.peek("median", "x").stale
+
+    def test_mistyped_cell_goes_stale_and_the_sweep_finishes(self):
+        """A cell no maintainer can fold (text in a numeric column) raises
+        ``ValueError``, not ``StatisticsError``; the view has changed and the
+        operation is logged all the same, so whatever a maintainer raises it
+        is dropped, its entry goes stale and the sweep reaches the rest —
+        one-attribute entries and the fitted model alike."""
+        from repro.core.session import AnalystSession
+
+        relation = Relation(
+            "v",
+            Schema([measure("y"), measure("x1")]),
+            [(2.0 * i + (i % 3), float(i)) for i in range(12)],
+        )
+        session = AnalystSession(ManagementDatabase(), ConcreteView("v", relation))
+        keys = [("mean", ("x1",)), ("min", ("x1",)), ("ols_model", ("y", "x1"))]
+        for key in keys:
+            session.compute(*key)
+
+        report = session.update_cells("x1", [(0, "abc")])
+
+        assert relation.row(0)[1] == "abc" and len(session.view.history) == 1
+        assert report.entries_visited == 3
+        for key in keys:
+            entry = session.view.summary.peek(*key)
+            assert entry.stale and entry.maintainer is None, key
+        assert report.invalidations == session.cache_stats.invalidations == 3
+        # Put right, everything recomputes from the view.
+        session.undo()
+        assert session.compute("min", "x1") == 0.0
+        assert session.fit_model("y", ["x1"]).n_used == 12

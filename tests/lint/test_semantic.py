@@ -238,6 +238,54 @@ class TestInvalidationPaths:
         )
 
 
+    def test_every_rule_is_driven_at_the_rows_arity(self, registry):
+        """A regenerate path that evaluates an n-attribute row over one
+        column (``pearson() missing ... 'b'``) is reported for each such row
+        — and only for them."""
+        from repro.metadata.rules import RegenerateRule, RuleKind, RuleOutcome
+
+        class OneColumnRegenerate(RegenerateRule):
+            def apply(self, entry, delta, values_provider):
+                entry.result = self.function.compute(list(values_provider()))
+                entry.stale = False
+                return RuleOutcome(kind=self.kind, recomputed=True)
+
+        class Repo(RuleRepository):
+            def rule_for(self, function_name, kind=None):
+                found = super().rule_for(function_name, kind)
+                if isinstance(found, RegenerateRule):
+                    return OneColumnRegenerate(found.function)
+                return found
+
+        findings = list(check_invalidation_paths(registry, Repo(registry)))
+        assert rule_ids(findings) == {"REPRO-S006"}
+        broken = {name for name in registry.names() if registry.get(name).arity > 1}
+        assert broken >= {"pearson", "crosstab", "ols_model"}
+        for name in registry.names():
+            reported = [f for f in findings if repr(name) in f.message]
+            assert bool(reported) == (name in broken), name
+            assert all("OneColumnRegenerate.apply failed" in f.message for f in reported)
+        # The default wiring's answer for the same rows under each override.
+        assert {
+            RuleRepository(registry).rule_for("pearson", kind).kind for kind in RuleKind
+        } == {RuleKind.REGENERATE, RuleKind.INVALIDATE}
+
+    def test_a_rule_that_leaves_the_wrong_freshness_is_reported(self, registry):
+        from repro.metadata.rules import InvalidateRule, RuleOutcome
+
+        class Forgetful(InvalidateRule):
+            def apply(self, entry, delta, values_provider):
+                return RuleOutcome(kind=self.kind, marked_stale=True)  # entry untouched
+
+        class Repo(RuleRepository):
+            def rule_for(self, function_name, kind=None):
+                found = super().rule_for(function_name, kind)
+                return Forgetful(found.function) if isinstance(found, InvalidateRule) else found
+
+        findings = list(check_invalidation_paths(registry, Repo(registry)))
+        assert findings and all("Forgetful.apply left" in f.message for f in findings)
+
+
 class TestRunner:
     def test_default_package_wiring_clean(self):
         assert run_semantic_checks() == []

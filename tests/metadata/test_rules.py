@@ -48,6 +48,30 @@ class TestIncrementalRule:
         assert entry.maintainer is not None
         assert entry.result == pytest.approx(2.0)
 
+    def test_rebuilds_a_lost_model_maintainer_from_row_tuples(self, registry):
+        rows = [(2.0 * i + (i % 3), float(i)) for i in range(8)]
+        fn = registry.get("ols_model")
+        entry = SummaryEntry(key=SummaryKey("ols_model", ("y", "x")), result=None)
+        outcome = IncrementalRule(fn).apply(entry, Delta(), lambda: rows)
+        assert outcome.recomputed and not entry.stale
+        assert entry.result == pytest.approx(fn.compute(*zip(*rows)))
+        # Fed (old row, new row) updates from then on.
+        old, rows[3] = rows[3], (11.0, 3.0)
+        outcome = IncrementalRule(fn).apply(
+            entry, Delta(updates=[(old, rows[3])]), lambda: rows
+        )
+        assert outcome.incremental_changes == 1
+        assert entry.result == pytest.approx(fn.compute(*zip(*rows)))
+
+    def test_whatever_a_maintainer_raises_the_entry_goes_stale(self, registry):
+        fn = registry.get("min")
+        entry = make_entry("min", result=1.0)
+        entry.maintainer = fn.make_maintainer(lambda: [1.0, 2.0])
+        outcome = IncrementalRule(fn).apply(
+            entry, Delta(updates=[(1.0, "abc")]), lambda: ["abc", 2.0]
+        )
+        assert outcome.marked_stale and entry.stale and entry.maintainer is None
+
     def test_rejects_non_incremental_function(self, registry):
         with pytest.raises(RuleError, match="no incremental form"):
             IncrementalRule(registry.get("trimmed_mean"))
@@ -62,6 +86,18 @@ class TestRegenerateRule:
         assert outcome.recomputed
         assert entry.result == 3.0
         assert not entry.stale
+
+
+    def test_recomputes_an_entry_over_several_attributes(self, registry):
+        rows = [(1.0, 2.0), (2.0, 1.0), (3.0, 5.0)]
+        entry = SummaryEntry(key=SummaryKey("pearson", ("a", "b")), result=None)
+        rule = RegenerateRule(registry.get("pearson"))
+        assert rule.apply(entry, Delta(), lambda: rows).recomputed
+        assert entry.result == registry.get("pearson").compute(*map(list, zip(*rows)))
+        # No rows: still one (empty) column per attribute of the key.
+        table = SummaryEntry(key=SummaryKey("crosstab", ("a", "b")), result=None)
+        RegenerateRule(registry.get("crosstab")).apply(table, Delta(), lambda: [])
+        assert table.result == ([], [], [])
 
 
 class TestInvalidateRule:
@@ -94,6 +130,12 @@ class TestRepository:
         repo.set_rule("mean", RuleKind.REGENERATE)
         assert repo.rule_for("mean").kind is RuleKind.REGENERATE
         assert repo.rule_for("sum").kind is RuleKind.INCREMENTAL
+
+    def test_rule_under_a_named_override(self, registry):
+        repo = RuleRepository(registry)
+        assert repo.rule_for("mean", RuleKind.INVALIDATE).kind is RuleKind.INVALIDATE
+        assert repo.rule_for("pearson", RuleKind.INCREMENTAL).kind is RuleKind.REGENERATE
+        assert repo.rule_for("mean").kind is RuleKind.INCREMENTAL  # nothing installed
 
     def test_override_validates_function(self, registry):
         repo = RuleRepository(registry)

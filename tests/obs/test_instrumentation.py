@@ -55,8 +55,15 @@ class TestSummaryCounters:
         tracer = Tracer()
         session = make_session(tracer)
         session.compute_pair("pearson", "x", "x")
+        session.compute("trimmed_mean", "x")
         session.update_cells("x", [(0, 99.0)])
         assert tracer.total("summary.stale.pearson") == 1
+        # One event, one name, whichever layer sent the entry stale — and
+        # only on the fresh -> stale transition.
+        assert tracer.total("summary.stale.trimmed_mean") == 1
+        session.update_cells("x", [(1, 98.0)])
+        assert tracer.total("summary.stale.pearson") == 1
+        assert tracer.total("summary.stale.trimmed_mean") == 1
 
 
 class TestPropagationSpans:
@@ -72,6 +79,23 @@ class TestPropagationSpans:
         assert propagate.counters["entries_visited"] == 2
         assert propagate.counters["rule.mean.incremental"] == 1
         assert propagate.counters["incremental_updates"] == 2
+
+    def test_rule_counters_have_one_shape_whatever_the_arity(self):
+        tracer = Tracer()
+        schema = Schema([measure(name) for name in ("y", "x1", "x2")])
+        rows = [(2.0 * i + i % 3, float(i), float((3 * i) % 7)) for i in range(30)]
+        view = ConcreteView("v", Relation("v", schema, rows))
+        session = AnalystSession(ManagementDatabase(), view, tracer=tracer)
+        session.compute("mean", "x1")
+        session.compute_pair("pearson", "y", "x1")
+        session.fit_model("y", ["x1", "x2"])
+        session.update_cells("x1", [(4, 9.5)])
+        counters = tracer.find("propagate").counters
+        assert counters["rule.mean.incremental"] == 1
+        assert counters["rule.ols_model.incremental"] == 1
+        assert counters["rule.pearson.invalidate"] == 1
+        assert not [name for name in counters if name.endswith(".rowwise")]
+        assert counters["incremental_updates"] == 2 and counters["invalidations"] == 1
 
     def test_session_spans_nest(self):
         tracer = Tracer()

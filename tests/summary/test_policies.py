@@ -139,6 +139,75 @@ class TestTolerant:
             TolerantPolicy(max_staleness=-1)
 
 
+class TestEveryArityUnderOnePolicy:
+    """The analyst's accuracy wish governs the write side of an entry over
+    several attributes as it does a one-attribute one: a correlation and a
+    MAD over the same attribute (both governed by the invalidate rule) age
+    in step, and a fitted model is maintained exactly when a mean is."""
+
+    @staticmethod
+    def session(policy):
+        from repro.core.session import AnalystSession
+        from repro.metadata.management import ManagementDatabase
+        from repro.relational.relation import Relation
+        from repro.relational.schema import Schema, measure
+        from repro.views.view import ConcreteView
+
+        rows = [(float(i), 3.0 * i + (i % 4), float((5 * i) % 7)) for i in range(30)]
+        schema = Schema([measure("x"), measure("y"), measure("z")])
+        view = ConcreteView("v", Relation("v", schema, rows))
+        return AnalystSession(ManagementDatabase(), view, policy=policy)
+
+    @pytest.mark.parametrize(
+        "policy", [PeriodicPolicy(3), TolerantPolicy(5)], ids=lambda p: p.name
+    )
+    def test_a_pair_entry_ages_like_a_scalar_one(self, policy):
+        session = self.session(policy)
+        stats = session.cache_stats
+        keys = [("mad", ("y",)), ("pearson", ("y", "x"))]
+        for key in keys:
+            session.compute(*key)
+        for step in range(4):
+            session.update_cells("y", [(step, -10.0 * step)])
+            scalar, pair = (session.view.summary.peek(*key) for key in keys)
+            assert (pair.stale, pair.pending_updates) == (
+                scalar.stale,
+                scalar.pending_updates,
+            ), step
+            if step % 2:  # the analyst looks: both are served the same way
+                moves = []
+                for key in keys:
+                    before = (stats.stale_served, stats.recomputations)
+                    session.compute(*key)
+                    after = (stats.stale_served, stats.recomputations)
+                    moves.append((after[0] - before[0], after[1] - before[1]))
+                assert moves[0] == moves[1], step
+
+    @pytest.mark.parametrize(
+        "policy, maintained",
+        [
+            (PrecisePolicy(), True),
+            (PeriodicPolicy(3), True),
+            (InvalidatePolicy(), False),
+            (TolerantPolicy(5), False),
+        ],
+        ids=lambda value: getattr(value, "name", None),
+    )
+    def test_a_model_is_maintained_exactly_when_a_mean_is(self, policy, maintained):
+        session = self.session(policy)
+        stats = session.cache_stats
+        session.compute("mean", "y")
+        session.fit_model("y", ["x", "z"])
+        report = session.update_cells("y", [(2, 50.0)])
+        mean = session.view.summary.peek("mean", "y")
+        model = session.view.summary.peek("ols_model", ("y", "x", "z"))
+        assert model.stale == mean.stale == (not maintained)
+        assert model.pending_updates == mean.pending_updates
+        assert report.incremental_updates == (2 if maintained else 0)
+        # The cache's own counter sees the model like the mean.
+        assert stats.incremental_updates == report.incremental_updates
+
+
 class TestFactory:
     def test_make_policy(self):
         assert make_policy("precise").name == "precise"

@@ -75,6 +75,19 @@ class TestUndo:
         history.undo_last(relation, 2)
         assert relation.row(0)[0] == 0.0
 
+    def test_undo_of_one_operation_naming_a_cell_twice(self):
+        """Regression: changes are restored newest first, so the cell ends
+        at the value it held before the operation, not its intermediate one."""
+        history = UpdateHistory("v")
+        relation = make_relation()
+        changes = [
+            CellChange(row=0, old=relation.set_value(0, "x", new), new=new)
+            for new in (10.0, 20.0)
+        ]
+        history.record(OpKind.UPDATE, "x", changes)
+        history.undo_last(relation, 1)
+        assert relation.row(0)[0] == 0.0
+
     def test_undo_partial(self):
         history = UpdateHistory("v")
         relation = make_relation()
