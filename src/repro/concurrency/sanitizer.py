@@ -184,7 +184,10 @@ class LockOrderSanitizer:
         under an explicit total order, which raw-edge :meth:`inversions`
         checks at real resource granularity instead.
         """
-        closure = _transitive_closure(set(static_edges))
+        # Imported here so importing repro.concurrency never loads the linter.
+        from repro.lint.concurrency import transitive_closure
+
+        closure = transitive_closure(static_edges)
         violations = []
         for a, b in sorted(self.class_edges()):
             if a != b and (b, a) in closure:
@@ -212,24 +215,6 @@ class LockOrderSanitizer:
             else:
                 missed.append(site)
         return hit, missed
-
-
-def _transitive_closure(edges: set[tuple[str, str]]) -> set[tuple[str, str]]:
-    reach: dict[str, set[str]] = {}
-    for a, b in edges:
-        reach.setdefault(a, set()).add(b)
-        reach.setdefault(b, set())
-    changed = True
-    while changed:
-        changed = False
-        for node, direct in reach.items():
-            expanded = set(direct)
-            for nxt in direct:
-                expanded |= reach.get(nxt, set())
-            if expanded != direct:
-                reach[node] = expanded
-                changed = True
-    return {(a, b) for a, targets in reach.items() for b in targets}
 
 
 class SanitizedLatch:

@@ -8,13 +8,19 @@ Three layers share one findings engine:
   differencable algebraic definitions, the full maintainer protocol, and
   a working invalidation path for every cacheable result;
 * **AST** (``REPRO-Axxx``) — parses the sources and enforces codebase
-  invariants: no view-row mutation outside the logged-update layer, no
-  cache-entry writes that bypass the rule repository, no mutable default
-  arguments, no bare ``except:``, and ``__all__`` lists that match reality;
+  invariants, one table row per rule: no mutable default arguments, no
+  bare ``except:``, ``__all__`` lists that match reality, and "only
+  module X may touch Y" — no view-row mutation outside the logged-update
+  layer, no cache-entry writes that bypass the rule repository, no
+  row-wise ``bind`` in vectorized chunk loops, no ``Tracer`` built on a
+  hot path, no WAL/checkpoint or workspace-manifest file access outside
+  their packages, no lock constructed outside the concurrency layer, and
+  no view/summary mutation reachable from shard workers;
 * **concurrency** (``REPRO-C2xx``) — builds a project-wide call graph and
   lock model, then reports lock-order cycles, unbounded lock waits on
   request paths, unguarded acquires, shared-state writes that escape
-  their latch, and blocking calls on the event loop.  The same model
+  their latch, blocking calls on the event loop, and writes to published
+  MVCC versions or the summary cache around their APIs.  The same model
   feeds the runtime :class:`~repro.concurrency.sanitizer.
   LockOrderSanitizer` cross-check.
 

@@ -21,6 +21,15 @@ def _split_ids(raw: str | None) -> set[str] | None:
     return {part.strip() for part in raw.split(",") if part.strip()} or None
 
 
+def _escape_data(value: str) -> str:
+    return value.replace("%", "%25").replace("\r", "%0D").replace("\n", "%0A")
+
+
+def _escape_property(value: str) -> str:
+    # A property value also may not contain the separators ',' and ':'.
+    return _escape_data(value).replace(":", "%3A").replace(",", "%2C")
+
+
 def render_github_annotation(finding: Finding) -> str:
     """One finding as a GitHub Actions workflow command.
 
@@ -29,17 +38,9 @@ def render_github_annotation(finding: Finding) -> str:
     percent-escaped per the workflow-command spec.
     """
     level = "error" if finding.severity is Severity.ERROR else "warning"
-    message = (
-        finding.message.replace("%", "%25")
-        .replace("\r", "%0D")
-        .replace("\n", "%0A")
-    )
-    title = finding.rule_id.replace("%", "%25").replace(",", "%2C").replace(
-        ":", "%3A"
-    )
     return (
-        f"::{level} file={finding.path},line={finding.line},"
-        f"title={title}::{message}"
+        f"::{level} file={_escape_property(finding.path)},line={finding.line},"
+        f"title={_escape_property(finding.rule_id)}::{_escape_data(finding.message)}"
     )
 
 

@@ -4,13 +4,16 @@ Unlike the per-file AST passes (layer 2), these checks need the whole
 tree at once: a deadlock is a property of the *interprocedural* lock-order
 graph, not of any one acquisition site.  The analyzer builds
 
-1. a **class/type index** — every class, its methods, its attribute types
-   (inferred from ``__init__`` assignments and parameter annotations), and
-   its *latch attributes* (anything assigned from ``make_latch()`` /
-   ``threading.Lock`` / ``Condition``, or whose name says latch/mutex);
-2. a **call graph** — calls resolved through ``self``, inferred receiver
-   types, module imports, and (as a guarded fallback) project-unique
-   method names;
+1. a **class/type index** — one sweep over class and function headers
+   collects every class, its methods, its attribute types (inferred from
+   ``self.X = ...`` assignments and parameter annotations), its *latch
+   attributes* (anything assigned from ``make_latch()`` /
+   ``threading.Lock`` / ``Condition``, or whose name says latch/mutex),
+   and every function name — no body is walked for calls or locks;
+2. a **call graph** — a second sweep walks every function body against
+   that index, resolving calls through ``self``, inferred receiver types,
+   module imports, and (as a guarded fallback) project-unique method
+   names;
 3. a **lock model** — every acquisition site, classified to a canonical
    key: ``lock:<resource>`` for :class:`~repro.concurrency.locks.
    LockManager` resources (string-literal resources keep their name,
@@ -51,8 +54,9 @@ C206      a published MVCC ``ViewVersion`` mutated outside
 The model is also exported for the runtime cross-check: the
 :class:`~repro.concurrency.sanitizer.LockOrderSanitizer` records actual
 acquisition order during stress tests and compares it against
-:meth:`ConcurrencyModel.lock_order_edges` (inversions) and
-:meth:`ConcurrencyModel.instrumented_sites` (coverage).
+:meth:`ConcurrencyModel.lock_order_edges` (inversions, through
+:func:`transitive_closure`) and :meth:`ConcurrencyModel.instrumented_sites`
+(coverage).
 """
 
 from __future__ import annotations
@@ -60,9 +64,9 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from repro.lint.findings import Finding, Severity, rule
+from repro.lint.findings import Finding, RuleSpec, Severity, rule
 
 RULE_LOCK_CYCLE = rule(
     "REPRO-C201",
@@ -287,8 +291,11 @@ COORDINATOR_RECEIVER_HINTS = frozenset({"coordinator"})
 SERVER_HANDLER_NAMES = frozenset({"_execute", "_handshake_result", "_stats"})
 SERVER_HANDLER_PREFIX = "_op_"
 
-#: Module-qualified (or attribute) call names that block outright.
-BLOCKING_CALL_NAMES = frozenset({"fsync", "sleep"})
+#: Calls that block outright: callee name -> the module it must come from
+#: (None: any receiver).  A bare callee is first resolved through its
+#: module's ``from ... import`` map, so ``from time import sleep; sleep(1)``
+#: is ``time.sleep`` while an ``asyncio.sleep`` is not.
+BLOCKING_CALL_NAMES: dict[str, str | None] = {"fsync": None, "sleep": "time"}
 
 
 # -- model dataclasses --------------------------------------------------------
@@ -309,11 +316,10 @@ class LockSite:
     def instrumented(self) -> bool:
         """Whether the runtime sanitizer can observe this site.
 
-        Manager sites report through :class:`LockManager`; latch sites are
-        observable only when the latch came from ``make_latch`` (the
-        injectable seam) — conservatively approximated here as latches
-        whose key does not name a double-underscore-private structure of
-        the concurrency internals.
+        Manager sites only: every :class:`LockManager` acquisition reports
+        to an installed sanitizer.  Latch sites are never counted — a latch
+        reports only when it came from a named ``make_latch``, which the
+        static model does not distinguish from a plain mutex.
         """
         return self.kind == "manager"
 
@@ -327,6 +333,7 @@ class _Call:
     held: tuple[object, ...]  # str keys and _CallHold placeholders
     awaited: bool
     resolved: tuple[str, ...] = ()
+    blocking: bool = False  # blocks outright (BLOCKING_CALL_NAMES, waits)
 
 
 @dataclass(frozen=True)
@@ -400,7 +407,6 @@ class ConcurrencyModel:
 
     functions: dict[str, FunctionInfo] = field(default_factory=dict)
     classes: dict[str, ClassInfo] = field(default_factory=dict)  # qualname
-    class_by_name: dict[str, list[str]] = field(default_factory=dict)
     edges: dict[tuple[str, str], tuple[str, int, str]] = field(
         default_factory=dict
     )  # (a, b) -> (path, line, via-function)
@@ -431,6 +437,30 @@ def module_of(module_path: str) -> str:
     if parts and parts[-1] == "__init__":
         parts = parts[:-1]
     return ".".join(parts) or module_path
+
+
+def transitive_closure(edges: Iterable[tuple[str, str]]) -> set[tuple[str, str]]:
+    """Every ``(a, b)`` such that ``b`` is reachable from ``a`` by edges.
+
+    A node on a cycle reaches itself; the static analyzer's C201 pass and
+    the runtime sanitizer's :meth:`static_violations` share this one
+    closure.
+    """
+    reach: dict[str, set[str]] = {}
+    for a, b in edges:
+        reach.setdefault(a, set()).add(b)
+        reach.setdefault(b, set())
+    changed = True
+    while changed:
+        changed = False
+        for node, direct in reach.items():
+            expanded = set(direct)
+            for nxt in direct:
+                expanded |= reach[nxt]
+            if expanded != direct:
+                reach[node] = expanded
+                changed = True
+    return {(a, b) for a, targets in reach.items() for b in targets}
 
 
 def _attr_chain(expr: ast.expr) -> list[str] | None:
@@ -491,177 +521,6 @@ def _held_keys(held: tuple[object, ...]) -> tuple[str, ...]:
     return tuple(k for k in held if isinstance(k, str))
 
 
-# -- pass 1: per-file extraction ----------------------------------------------
-
-
-class _ModuleExtractor(ast.NodeVisitor):
-    """Collect classes, functions, and their lock behaviour for one file."""
-
-    def __init__(self, shown: str, module_path: str, tree: ast.Module) -> None:
-        self.shown = shown
-        self.module_path = module_path.replace("\\", "/")
-        self.module = module_of(self.module_path)
-        self.tree = tree
-        self.functions: dict[str, FunctionInfo] = {}
-        self.classes: dict[str, ClassInfo] = {}
-        self.imports: dict[str, str] = {}  # local name -> "module.attr"
-        self._class_stack: list[ClassInfo] = []
-
-    def extract(self) -> None:
-        for node in self.tree.body:
-            if isinstance(node, ast.ImportFrom) and node.module:
-                for alias in node.names:
-                    if alias.name != "*":
-                        self.imports[alias.asname or alias.name] = (
-                            f"{node.module}.{alias.name}"
-                        )
-        self.visit(self.tree)
-
-    # -- structure ---------------------------------------------------------
-
-    def visit_ClassDef(self, node: ast.ClassDef) -> None:
-        bases = []
-        for base in node.bases:
-            chain = _attr_chain(base)
-            if chain:
-                bases.append(chain[-1])
-        info = ClassInfo(
-            name=node.name,
-            qualname=f"{self.module}.{node.name}",
-            module=self.module,
-            path=self.shown,
-            bases=tuple(bases),
-        )
-        self.classes[info.qualname] = info
-        self._class_stack.append(info)
-        self.generic_visit(node)
-        self._class_stack.pop()
-
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        self._function(node, is_async=False)
-
-    def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
-        self._function(node, is_async=True)
-
-    def _function(
-        self, node: ast.FunctionDef | ast.AsyncFunctionDef, is_async: bool
-    ) -> None:
-        cls = self._class_stack[-1] if self._class_stack else None
-        qualname = (
-            f"{cls.qualname}.{node.name}" if cls else f"{self.module}.{node.name}"
-        )
-        if qualname in self.functions:  # overload/redefinition: keep first
-            return
-        info = FunctionInfo(
-            qualname=qualname,
-            name=node.name,
-            cls=cls.qualname if cls else None,
-            path=self.shown,
-            module_path=self.module_path,
-            line=node.lineno,
-            is_async=is_async,
-        )
-        self.functions[qualname] = info
-        if cls is not None:
-            cls.methods.setdefault(node.name, qualname)
-            self._harvest_attr_types(cls, node)
-        _FunctionWalker(self, info, cls, node).walk()
-        # Nested defs become their own FunctionInfos (visited separately).
-        for sub in ast.walk(node):
-            if sub is not node and isinstance(
-                sub, (ast.FunctionDef, ast.AsyncFunctionDef)
-            ):
-                sub_qual = f"{qualname}.<local>.{sub.name}"
-                if sub_qual not in self.functions:
-                    sub_info = FunctionInfo(
-                        qualname=sub_qual,
-                        name=sub.name,
-                        cls=cls.qualname if cls else None,
-                        path=self.shown,
-                        module_path=self.module_path,
-                        line=sub.lineno,
-                        is_async=isinstance(sub, ast.AsyncFunctionDef),
-                    )
-                    self.functions[sub_qual] = sub_info
-                    _FunctionWalker(self, sub_info, cls, sub).walk()
-
-    # -- attribute types / latch attrs -------------------------------------
-
-    def _harvest_attr_types(
-        self, cls: ClassInfo, node: ast.FunctionDef | ast.AsyncFunctionDef
-    ) -> None:
-        param_types = _param_annotations(node)
-        for stmt in ast.walk(node):
-            target: ast.expr | None = None
-            value: ast.expr | None = None
-            ann: ast.expr | None = None
-            if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
-                target, value = stmt.targets[0], stmt.value
-            elif isinstance(stmt, ast.AnnAssign):
-                target, value, ann = stmt.target, stmt.value, stmt.annotation
-            if (
-                not isinstance(target, ast.Attribute)
-                or not isinstance(target.value, ast.Name)
-                or target.value.id != "self"
-            ):
-                continue
-            attr = target.attr
-            inferred = self._infer_value_class(value, param_types)
-            if inferred is None and ann is not None:
-                inferred = next(iter(_ann_class_names(ann)), None)
-            if inferred and attr not in cls.attr_types:
-                cls.attr_types[attr] = inferred
-            if self._is_latch_value(value) or any(
-                marker in attr.lower() for marker in LATCH_NAME_MARKERS
-            ):
-                cls.latch_attrs.add(attr)
-            # Condition(self._mutex) aliases the condition to its mutex.
-            if (
-                isinstance(value, ast.Call)
-                and isinstance(value.func, (ast.Name, ast.Attribute))
-                and (
-                    value.func.id
-                    if isinstance(value.func, ast.Name)
-                    else value.func.attr
-                )
-                == "Condition"
-                and value.args
-            ):
-                chain = _attr_chain(value.args[0])
-                if chain and chain[0] == "self" and len(chain) == 2:
-                    cls.latch_alias[attr] = chain[1]
-
-    def _infer_value_class(
-        self, value: ast.expr | None, param_types: dict[str, str]
-    ) -> str | None:
-        if value is None:
-            return None
-        if isinstance(value, ast.Call):
-            chain = _attr_chain(value.func)
-            if chain:
-                return chain[-1][0].isupper() and chain[-1] or None
-        if isinstance(value, ast.Name):
-            return param_types.get(value.id)
-        if isinstance(value, ast.BoolOp):  # x or Fallback(...)
-            for operand in value.values:
-                found = self._infer_value_class(operand, param_types)
-                if found:
-                    return found
-        if isinstance(value, ast.IfExp):
-            for operand in (value.body, value.orelse):
-                found = self._infer_value_class(operand, param_types)
-                if found:
-                    return found
-        return None
-
-    @staticmethod
-    def _is_latch_value(value: ast.expr | None) -> bool:
-        if not isinstance(value, ast.Call):
-            return False
-        chain = _attr_chain(value.func)
-        return bool(chain) and chain[-1] in LATCH_FACTORIES
-
-
 def _param_annotations(
     node: ast.FunctionDef | ast.AsyncFunctionDef,
 ) -> dict[str, str]:
@@ -677,7 +536,207 @@ def _param_annotations(
     return types
 
 
-# -- pass 1b: function body walk ----------------------------------------------
+def _definitions(
+    node: ast.AST, module: str, owner: str | None = None
+) -> Iterator[tuple[ast.ClassDef | ast.FunctionDef | ast.AsyncFunctionDef, str | None]]:
+    """Classes and functions outside function bodies, in source order.
+
+    Each comes with the qualname of its innermost enclosing class (None
+    at module level).  Function bodies are not entered: their nested
+    defs belong to the function (see :func:`_extract_module`).
+    """
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield child, owner
+        elif isinstance(child, ast.ClassDef):
+            yield child, owner
+            yield from _definitions(child, module, f"{module}.{child.name}")
+        elif not isinstance(child, ast.expr):
+            yield from _definitions(child, module, owner)
+
+
+# -- sweep 1: the project index -----------------------------------------------
+
+
+class _Index:
+    """Sweep 1: every class (methods, attribute types, latches) and function name.
+
+    Built from definitions and the ``self.X = ...`` assignments of
+    methods only; sweep 2 (:func:`_extract_module`) resolves method calls,
+    receiver types and imported functions against the finished index.
+    """
+
+    def __init__(self, parsed: Sequence[tuple[str, str, ast.Module]]) -> None:
+        self.classes: dict[str, ClassInfo] = {}
+        self.functions: set[str] = set()
+        for shown, module_path, tree in parsed:
+            self._add_module(shown, module_of(module_path), tree)
+        self._by_name: dict[str, ClassInfo] = {}
+        self._methods: dict[str, list[str]] = {}
+        for cls in self.classes.values():
+            self._by_name.setdefault(cls.name, cls)
+            for name, qualname in cls.methods.items():
+                self._methods.setdefault(name, []).append(qualname)
+
+    def _add_module(self, shown: str, module: str, tree: ast.Module) -> None:
+        seen: set[str] = set()  # overload/redefinition: the first one counts
+        for node, owner in _definitions(tree, module):
+            if isinstance(node, ast.ClassDef):
+                bases = [chain[-1] for chain in map(_attr_chain, node.bases) if chain]
+                qualname = f"{module}.{node.name}"
+                self.classes[qualname] = ClassInfo(
+                    name=node.name,
+                    qualname=qualname,
+                    module=module,
+                    path=shown,
+                    bases=tuple(bases),
+                )
+                continue
+            qualname = f"{owner or module}.{node.name}"
+            if qualname in seen:
+                continue
+            seen.add(qualname)
+            if owner is not None:
+                cls = self.classes[owner]
+                cls.methods.setdefault(node.name, qualname)
+                _harvest_attr_types(cls, node)
+        self.functions |= seen
+
+    def class_named(self, name: str, module: str) -> ClassInfo | None:
+        """Class ``name`` as seen from ``module``: its own, else the first."""
+        return self.classes.get(f"{module}.{name}") or self._by_name.get(name)
+
+    def method(self, class_name: str, method: str) -> tuple[str, ...]:
+        """``class_name.method``, searched through the bases breadth first."""
+        seen: set[str] = set()
+        queue = [class_name]
+        while queue:
+            name = queue.pop(0)
+            if name in seen:
+                continue
+            seen.add(name)
+            cls = self._by_name.get(name)
+            if cls is None:
+                continue
+            if method in cls.methods:
+                return (cls.methods[method],)
+            queue.extend(cls.bases)
+        return ()
+
+    def unique_method(self, method: str) -> tuple[str, ...]:
+        """The project's one method of this name, if exactly one exists."""
+        quals = self._methods.get(method, [])
+        return tuple(quals) if len(quals) == 1 else ()
+
+
+def _harvest_attr_types(
+    cls: ClassInfo, node: ast.FunctionDef | ast.AsyncFunctionDef
+) -> None:
+    param_types = _param_annotations(node)
+    for stmt in ast.walk(node):
+        target: ast.expr | None = None
+        value: ast.expr | None = None
+        ann: ast.expr | None = None
+        if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
+            target, value = stmt.targets[0], stmt.value
+        elif isinstance(stmt, ast.AnnAssign):
+            target, value, ann = stmt.target, stmt.value, stmt.annotation
+        if (
+            not isinstance(target, ast.Attribute)
+            or not isinstance(target.value, ast.Name)
+            or target.value.id != "self"
+        ):
+            continue
+        attr = target.attr
+        inferred = _infer_value_class(value, param_types)
+        if inferred is None and ann is not None:
+            inferred = next(iter(_ann_class_names(ann)), None)
+        if inferred and attr not in cls.attr_types:
+            cls.attr_types[attr] = inferred
+        chain = _attr_chain(value.func) if isinstance(value, ast.Call) else None
+        if (chain and chain[-1] in LATCH_FACTORIES) or any(
+            marker in attr.lower() for marker in LATCH_NAME_MARKERS
+        ):
+            cls.latch_attrs.add(attr)
+        # Condition(self._mutex) aliases the condition to its mutex.
+        if isinstance(value, ast.Call) and chain and chain[-1] == "Condition" and value.args:
+            mutex = _attr_chain(value.args[0])
+            if mutex and mutex[0] == "self" and len(mutex) == 2:
+                cls.latch_alias[attr] = mutex[1]
+
+
+def _infer_value_class(
+    value: ast.expr | None, param_types: dict[str, str]
+) -> str | None:
+    if value is None:
+        return None
+    if isinstance(value, ast.Call):
+        chain = _attr_chain(value.func)
+        if chain:
+            return chain[-1][0].isupper() and chain[-1] or None
+    if isinstance(value, ast.Name):
+        return param_types.get(value.id)
+    if isinstance(value, ast.BoolOp):  # x or Fallback(...)
+        for operand in value.values:
+            found = _infer_value_class(operand, param_types)
+            if found:
+                return found
+    if isinstance(value, ast.IfExp):
+        for operand in (value.body, value.orelse):
+            found = _infer_value_class(operand, param_types)
+            if found:
+                return found
+    return None
+
+
+# -- sweep 2: function bodies -------------------------------------------------
+
+
+@dataclass
+class _Module:
+    """The file sweep 2 is walking."""
+
+    name: str
+    imports: dict[str, str]  # local name -> "module.attr"
+    functions: dict[str, FunctionInfo]  # extracted so far, in source order
+
+
+def _extract_module(
+    index: _Index, shown: str, module_path: str, tree: ast.Module
+) -> dict[str, FunctionInfo]:
+    """Walk every function of one file (nested defs as ``<local>`` ones)."""
+    module_path = module_path.replace("\\", "/")
+    mod = _Module(module_of(module_path), {}, {})
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module:
+            for alias in node.names:
+                if alias.name != "*":
+                    mod.imports[alias.asname or alias.name] = (
+                        f"{node.module}.{alias.name}"
+                    )
+    for node, owner in _definitions(tree, mod.name):
+        qualname = f"{owner or mod.name}.{node.name}"
+        if isinstance(node, ast.ClassDef) or qualname in mod.functions:
+            continue
+        cls = index.classes[owner] if owner is not None else None
+        for sub in ast.walk(node):
+            if not isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            sub_qual = qualname if sub is node else f"{qualname}.<local>.{sub.name}"
+            if sub_qual in mod.functions:
+                continue
+            info = FunctionInfo(
+                qualname=sub_qual,
+                name=sub.name,
+                cls=owner,
+                path=shown,
+                module_path=module_path,
+                line=sub.lineno,
+                is_async=isinstance(sub, ast.AsyncFunctionDef),
+            )
+            mod.functions[sub_qual] = info
+            _FunctionWalker(index, mod, info, cls, sub).walk()
+    return mod.functions
 
 
 @dataclass(frozen=True)
@@ -696,11 +755,13 @@ class _FunctionWalker:
 
     def __init__(
         self,
-        mod: _ModuleExtractor,
+        index: _Index,
+        mod: _Module,
         info: FunctionInfo,
         cls: ClassInfo | None,
         node: ast.FunctionDef | ast.AsyncFunctionDef,
     ) -> None:
+        self.index = index
         self.mod = mod
         self.info = info
         self.cls = cls
@@ -831,9 +892,28 @@ class _FunctionWalker:
                 held=tuple(held),
                 awaited=id(expr) in self._awaited,
                 resolved=resolved,
+                blocking=self._blocking(expr.func),
             )
         )
         return resolved
+
+    def _blocking(self, callee: ast.expr) -> bool:
+        chain = _attr_chain(callee)
+        if not chain:
+            return False
+        if len(chain) == 1 and chain[0] in self.mod.imports:
+            chain = self.mod.imports[chain[0]].split(".")
+        name = chain[-1]
+        if name in BLOCKING_CALL_NAMES:
+            source = BLOCKING_CALL_NAMES[name]
+            return source is None or chain[0] == source
+        if name == "result" and any("future" in part.lower() for part in chain[:-1]):
+            return True
+        return name in ("wait", "join") and any(
+            marker in part.lower()
+            for part in chain[:-1]
+            for marker in ("thread", "event", "ticket", "done")
+        )
 
     # -- acquisition recognition -------------------------------------------
 
@@ -858,7 +938,9 @@ class _FunctionWalker:
             return None
         method = expr.func.attr
         receiver = expr.func.value
-        if method in MANAGER_ACQUIRE_METHODS and self._is_manager(receiver):
+        if method in MANAGER_ACQUIRE_METHODS and self._receiver_is(
+            receiver, "LockManager", MANAGER_RECEIVER_HINTS
+        ):
             res_idx, timeout_idx = MANAGER_ACQUIRE_METHODS[method]
             resource = expr.args[res_idx] if len(expr.args) > res_idx else None
             return _Acq(
@@ -868,7 +950,9 @@ class _FunctionWalker:
                 _timeout_present(expr, timeout_idx),
                 bare_call=method == "acquire",
             )
-        if method in COORDINATOR_CONTEXTS and self._is_coordinator(receiver):
+        if method in COORDINATOR_CONTEXTS and self._receiver_is(
+            receiver, "TransactionCoordinator", COORDINATOR_RECEIVER_HINTS
+        ):
             res_idx, timeout_idx, result, holds = COORDINATOR_CONTEXTS[method]
             resource = (
                 expr.args[res_idx]
@@ -903,35 +987,14 @@ class _FunctionWalker:
         attr = self.cls.latch_alias.get(attr, attr)
         return f"latch:{self.cls.name}.{attr}"
 
-    def _is_manager(self, receiver: ast.expr) -> bool:
-        if self._infer_type(receiver) == "LockManager":
+    def _receiver_is(
+        self, receiver: ast.expr, class_name: str, hints: frozenset[str]
+    ) -> bool:
+        """Whether a call's receiver is a ``class_name`` (typed or by name)."""
+        if self._infer_type(receiver) == class_name:
             return True
         chain = _attr_chain(receiver)
-        if chain:
-            if chain[-1] in MANAGER_RECEIVER_HINTS:
-                return True
-            if (
-                chain == ["self"]
-                and self.cls is not None
-                and self.cls.name == "LockManager"
-            ):
-                return True
-        return False
-
-    def _is_coordinator(self, receiver: ast.expr) -> bool:
-        if self._infer_type(receiver) == "TransactionCoordinator":
-            return True
-        chain = _attr_chain(receiver)
-        if chain:
-            if chain[-1] in COORDINATOR_RECEIVER_HINTS:
-                return True
-            if (
-                chain == ["self"]
-                and self.cls is not None
-                and self.cls.name == "TransactionCoordinator"
-            ):
-                return True
-        return False
+        return bool(chain) and chain[-1] in hints
 
     # -- type inference -----------------------------------------------------
 
@@ -943,18 +1006,10 @@ class _FunctionWalker:
         if isinstance(expr, ast.Attribute):
             base = self._infer_type(expr.value)
             if base is not None:
-                cls = self._class_named(base)
+                cls = self.index.class_named(base, self.mod.name)
                 if cls is not None:
                     return cls.attr_types.get(expr.attr)
         return None
-
-    def _class_named(self, name: str) -> ClassInfo | None:
-        # Same-module classes first; globals are resolved in pass 2, but a
-        # local match is authoritative enough for extraction-time needs.
-        for cls in self.mod.classes.values():
-            if cls.name == name:
-                return cls
-        return _GLOBAL_CLASS_LOOKUP(name) if _GLOBAL_CLASS_LOOKUP else None
 
     def _harvest_locals(self, stmt: ast.stmt) -> None:
         if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
@@ -977,27 +1032,22 @@ class _FunctionWalker:
 
     def _resolve(self, func: ast.expr) -> tuple[str, ...]:
         if isinstance(func, ast.Name):
-            local = f"{self.mod.module}.{func.id}"
+            # A same-module function resolves only once extracted, i.e.
+            # when it is defined above the caller.
+            local = f"{self.mod.name}.{func.id}"
             if local in self.mod.functions:
                 return (local,)
             imported = self.mod.imports.get(func.id)
-            if imported and _GLOBAL_FUNCTION_EXISTS and _GLOBAL_FUNCTION_EXISTS(
-                imported
-            ):
-                return (imported,)
-            return ()
+            return (imported,) if imported in self.index.functions else ()
         if not isinstance(func, ast.Attribute):
             return ()
-        method = func.attr
         receiver_type = self._infer_type(func.value)
         if receiver_type is not None:
-            resolved = _resolve_method(receiver_type, method)
-            if resolved:
-                return resolved
-            return ()  # typed receiver without the method: foreign class
-        if method in NOISY_METHOD_NAMES or _GLOBAL_METHOD_LOOKUP is None:
+            # A typed receiver without the method is a foreign class: ().
+            return self.index.method(receiver_type, func.attr)
+        if func.attr in NOISY_METHOD_NAMES:
             return ()
-        return _GLOBAL_METHOD_LOOKUP(method)
+        return self.index.unique_method(func.attr)
 
     def _record_site(
         self, acq: _Acq, guarded: bool, held: tuple[object, ...]
@@ -1018,14 +1068,12 @@ class _FunctionWalker:
         for hold in held:
             if isinstance(hold, _CallHold):
                 # Edges from the context-call's acquisitions are expanded
-                # in pass 2 once may_acquire is known.
+                # once may_acquire is known.
                 self.info.local_edges.append(
                     (f"@call:{'|'.join(hold.qualnames)}", acq.key, acq.line)
                 )
 
     def _record_mutations(self, stmt: ast.stmt, held: tuple[object, ...]) -> None:
-        if not self.info.module_path.replace("\\", "/").rpartition("/")[0]:
-            pass
         targets: list[ast.expr] = []
         if isinstance(stmt, ast.Assign):
             targets = list(stmt.targets)
@@ -1123,33 +1171,7 @@ def _self_attr_of(target: ast.expr, direct_only: bool = False) -> str | None:
     return None
 
 
-# Globals bridging extraction (per-file) and resolution (project-wide).
-# Set for the duration of analyze_files; None outside it.
-_GLOBAL_CLASS_LOOKUP = None
-_GLOBAL_METHOD_LOOKUP = None
-_GLOBAL_FUNCTION_EXISTS = None
-
-
-def _resolve_method(class_name: str, method: str) -> tuple[str, ...]:
-    if _GLOBAL_CLASS_LOOKUP is None:
-        return ()
-    seen: set[str] = set()
-    queue = [class_name]
-    while queue:
-        name = queue.pop(0)
-        if name in seen:
-            continue
-        seen.add(name)
-        cls = _GLOBAL_CLASS_LOOKUP(name)
-        if cls is None:
-            continue
-        if method in cls.methods:
-            return (cls.methods[method],)
-        queue.extend(cls.bases)
-    return ()
-
-
-# -- pass 2: project-wide analysis --------------------------------------------
+# -- project-wide analysis ----------------------------------------------------
 
 
 def analyze_files(
@@ -1157,11 +1179,10 @@ def analyze_files(
 ) -> ConcurrencyModel:
     """Build the project concurrency model from (shown, module_path, source).
 
-    Runs two extraction sweeps: the first builds the class/type index, the
-    second (with global lookups installed) resolves calls against it.
+    Runs two sweeps: the first indexes classes, attribute types and
+    function names; the second walks every function body against that
+    index.
     """
-    global _GLOBAL_CLASS_LOOKUP, _GLOBAL_METHOD_LOOKUP, _GLOBAL_FUNCTION_EXISTS
-    model = ConcurrencyModel()
     parsed: list[tuple[str, str, ast.Module]] = []
     for shown, module_path, source in files:
         try:
@@ -1169,57 +1190,10 @@ def analyze_files(
         except SyntaxError:
             continue  # the AST layer already reports REPRO-A100
         parsed.append((shown, module_path, tree))
-
-    # Sweep 1: classes + attribute types + function names only.  The
-    # results go into *local* snapshots the lookups close over — sweep 2
-    # rebuilds the model's own maps, which therefore must not back the
-    # lookups mid-rebuild.
-    index_classes: dict[str, ClassInfo] = {}
-    index_by_name: dict[str, list[str]] = {}
-    index_functions: set[str] = set()
+    index = _Index(parsed)
+    model = ConcurrencyModel(classes=index.classes)
     for shown, module_path, tree in parsed:
-        extractor = _ModuleExtractor(shown, module_path, tree)
-        extractor.extract()
-        index_classes.update(extractor.classes)
-        index_functions.update(extractor.functions)
-    for qualname, cls in index_classes.items():
-        index_by_name.setdefault(cls.name, []).append(qualname)
-
-    def class_lookup(name: str) -> ClassInfo | None:
-        quals = index_by_name.get(name)
-        if quals:
-            return index_classes[quals[0]]
-        return None
-
-    # Method index for unique-name fallback resolution.
-    method_index: dict[str, list[str]] = {}
-    for cls in index_classes.values():
-        for mname, fq in cls.methods.items():
-            method_index.setdefault(mname, []).append(fq)
-
-    def method_lookup(name: str) -> tuple[str, ...]:
-        quals = method_index.get(name, [])
-        return tuple(quals) if len(quals) == 1 else ()
-
-    def function_exists(qualname: str) -> bool:
-        return qualname in index_functions
-
-    # Sweep 2: full extraction with lookups live.
-    _GLOBAL_CLASS_LOOKUP = class_lookup
-    _GLOBAL_METHOD_LOOKUP = method_lookup
-    _GLOBAL_FUNCTION_EXISTS = function_exists
-    try:
-        for shown, module_path, tree in parsed:
-            extractor = _ModuleExtractor(shown, module_path, tree)
-            extractor.extract()
-            model.classes.update(extractor.classes)
-            model.functions.update(extractor.functions)
-        for qualname, cls in model.classes.items():
-            model.class_by_name.setdefault(cls.name, []).append(qualname)
-    finally:
-        _GLOBAL_CLASS_LOOKUP = None
-        _GLOBAL_METHOD_LOOKUP = None
-        _GLOBAL_FUNCTION_EXISTS = None
+        model.functions.update(_extract_module(index, shown, module_path, tree))
 
     _compute_may_acquire(model)
     _expand_edges(model)
@@ -1280,15 +1254,11 @@ def _expand_edges(model: ConcurrencyModel) -> None:
 
 
 def _compute_may_block(model: ConcurrencyModel) -> None:
-    blocked: set[str] = set()
-    for q, fn in model.functions.items():
-        if fn.sites:
-            blocked.add(q)
-            continue
-        for call in fn.calls:
-            if _lexically_blocking(call.callee):
-                blocked.add(q)
-                break
+    blocked = {
+        q
+        for q, fn in model.functions.items()
+        if fn.sites or any(call.blocking for call in fn.calls)
+    }
     changed = True
     while changed:
         changed = False
@@ -1303,47 +1273,36 @@ def _compute_may_block(model: ConcurrencyModel) -> None:
     model.may_block = blocked
 
 
-def _lexically_blocking(callee: ast.expr) -> bool:
-    chain = _attr_chain(callee)
-    if not chain:
-        return False
-    name = chain[-1]
-    if name == "fsync":
-        return True
-    if name == "sleep" and chain[0] == "time":
-        return True
-    if name == "result" and any("future" in part.lower() for part in chain[:-1]):
-        return True
-    if name in ("wait", "join") and any(
-        marker in part.lower()
-        for part in chain[:-1]
-        for marker in ("thread", "event", "ticket", "done")
-    ):
-        return True
-    return False
-
-
 # -- rule passes ---------------------------------------------------------------
 
 
-def _check_cycles(model: ConcurrencyModel) -> None:
-    graph: dict[str, set[str]] = {}
-    for a, b in model.edges:
-        graph.setdefault(a, set()).add(b)
-        graph.setdefault(b, set())
-    for component in _strongly_connected(graph):
-        is_cycle = len(component) > 1 or any(
-            node in graph.get(node, ()) for node in component
+def _report(
+    model: ConcurrencyModel, spec: RuleSpec, path: str, line: int, message: str
+) -> None:
+    model.findings.append(
+        Finding(
+            rule_id=spec.rule_id,
+            path=path,
+            line=line,
+            message=message,
+            severity=spec.severity,
         )
-        if not is_cycle:
+    )
+
+
+def _check_cycles(model: ConcurrencyModel) -> None:
+    closure = transitive_closure(model.edges)
+    reported: set[str] = set()
+    for node in sorted(a for a, b in closure if a == b):
+        if node in reported:
             continue
+        # Mutually reachable nodes: the cycle's whole component.
+        component = {b for a, b in closure if a == node and (b, node) in closure}
+        reported |= component
         keys = sorted(component)
-        witness_edges = [
-            (a, b)
-            for (a, b) in model.edges
-            if a in component and b in component
-        ]
-        witness_edges.sort()
+        witness_edges = sorted(
+            (a, b) for (a, b) in model.edges if a in component and b in component
+        )
         path, line, via = model.edges[witness_edges[0]]
         detail = "; ".join(
             f"{a} -> {b} at {model.edges[(a, b)][0]}:{model.edges[(a, b)][1]}"
@@ -1361,68 +1320,7 @@ def _check_cycles(model: ConcurrencyModel) -> None:
                 + " -> ".join(keys + [keys[0]])
                 + f" ({detail})"
             )
-        model.findings.append(
-            Finding(
-                rule_id=RULE_LOCK_CYCLE.rule_id,
-                path=path,
-                line=line,
-                message=message,
-                severity=RULE_LOCK_CYCLE.severity,
-            )
-        )
-
-
-def _strongly_connected(graph: dict[str, set[str]]) -> list[set[str]]:
-    """Tarjan's SCC, iteratively."""
-    index: dict[str, int] = {}
-    low: dict[str, int] = {}
-    on_stack: set[str] = set()
-    stack: list[str] = []
-    counter = [0]
-    components: list[set[str]] = []
-
-    for root in graph:
-        if root in index:
-            continue
-        work: list[tuple[str, list[str], int]] = [
-            (root, sorted(graph.get(root, ())), 0)
-        ]
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            node, successors, pointer = work.pop()
-            advanced = False
-            while pointer < len(successors):
-                nxt = successors[pointer]
-                pointer += 1
-                if nxt not in index:
-                    work.append((node, successors, pointer))
-                    index[nxt] = low[nxt] = counter[0]
-                    counter[0] += 1
-                    stack.append(nxt)
-                    on_stack.add(nxt)
-                    work.append((nxt, sorted(graph.get(nxt, ())), 0))
-                    advanced = True
-                    break
-                if nxt in on_stack:
-                    low[node] = min(low[node], index[nxt])
-            if advanced:
-                continue
-            if low[node] == index[node]:
-                component: set[str] = set()
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    component.add(member)
-                    if member == node:
-                        break
-                components.append(component)
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-    return components
+        _report(model, RULE_LOCK_CYCLE, path, line, message)
 
 
 def _handler_functions(model: ConcurrencyModel) -> set[str]:
@@ -1464,19 +1362,15 @@ def _check_timeouts(model: ConcurrencyModel) -> None:
             continue
         for site in fn.sites:
             if site.kind == "manager" and not site.has_timeout:
-                model.findings.append(
-                    Finding(
-                        rule_id=RULE_UNBOUNDED_WAIT.rule_id,
-                        path=site.path,
-                        line=site.line,
-                        message=(
-                            f"acquisition of {site.key} in {q} passes no "
-                            "timeout but is reachable from a server request "
-                            "handler; bound the wait with the request's "
-                            "remaining deadline (timeout_s=...)"
-                        ),
-                        severity=RULE_UNBOUNDED_WAIT.severity,
-                    )
+                _report(
+                    model,
+                    RULE_UNBOUNDED_WAIT,
+                    site.path,
+                    site.line,
+                    f"acquisition of {site.key} in {q} passes no "
+                    "timeout but is reachable from a server request "
+                    "handler; bound the wait with the request's "
+                    "remaining deadline (timeout_s=...)",
                 )
 
 
@@ -1484,19 +1378,15 @@ def _check_guards(model: ConcurrencyModel) -> None:
     for q, fn in sorted(model.functions.items()):
         for site in fn.sites:
             if not site.guarded:
-                model.findings.append(
-                    Finding(
-                        rule_id=RULE_UNGUARDED_ACQUIRE.rule_id,
-                        path=site.path,
-                        line=site.line,
-                        message=(
-                            f"{site.key} acquired in {q} without a "
-                            "guaranteed release: use a with statement, or "
-                            "follow the acquire immediately with "
-                            "try/finally-release"
-                        ),
-                        severity=RULE_UNGUARDED_ACQUIRE.severity,
-                    )
+                _report(
+                    model,
+                    RULE_UNGUARDED_ACQUIRE,
+                    site.path,
+                    site.line,
+                    f"{site.key} acquired in {q} without a "
+                    "guaranteed release: use a with statement, or "
+                    "follow the acquire immediately with "
+                    "try/finally-release",
                 )
 
 
@@ -1558,21 +1448,17 @@ def _check_escapes(model: ConcurrencyModel) -> None:
             if not locked_count or not unlocked:
                 continue
             for mutation in unlocked:
-                model.findings.append(
-                    Finding(
-                        rule_id=RULE_ESCAPED_STATE.rule_id,
-                        path=cls.path if cls else "",
-                        line=mutation.line,
-                        message=(
-                            f"attribute self.{attr} of "
-                            f"{cls.name if cls else cls_qual} is mutated "
-                            f"here ({mutation.function}) outside any lock "
-                            f"scope, but {locked_count} other write(s) hold "
-                            "a latch — either every writer takes the latch "
-                            "or none does"
-                        ),
-                        severity=RULE_ESCAPED_STATE.severity,
-                    )
+                _report(
+                    model,
+                    RULE_ESCAPED_STATE,
+                    cls.path if cls else "",
+                    mutation.line,
+                    f"attribute self.{attr} of "
+                    f"{cls.name if cls else cls_qual} is mutated "
+                    f"here ({mutation.function}) outside any lock "
+                    f"scope, but {locked_count} other write(s) hold "
+                    "a latch — either every writer takes the latch "
+                    "or none does",
                 )
 
 
@@ -1603,21 +1489,17 @@ def _check_version_mutations(model: ConcurrencyModel) -> None:
         for mutation in fn.object_mutations:
             target = ".".join(mutation.chain) or mutation.owner_type or "?"
             if mutation.owner_type == "ViewVersion" and not may_mutate_versions:
-                model.findings.append(
-                    Finding(
-                        rule_id=RULE_VERSION_MUTATION.rule_id,
-                        path=fn.path,
-                        line=mutation.line,
-                        message=(
-                            f"published ViewVersion mutated here "
-                            f"({mutation.function} writes {target}"
-                            f"{'.' + mutation.attr if mutation.attr else ''}): "
-                            "version objects are immutable once published — "
-                            "only repro.concurrency.mvcc may touch them; "
-                            "writers must publish a new version instead"
-                        ),
-                        severity=RULE_VERSION_MUTATION.severity,
-                    )
+                _report(
+                    model,
+                    RULE_VERSION_MUTATION,
+                    fn.path,
+                    mutation.line,
+                    f"published ViewVersion mutated here "
+                    f"({mutation.function} writes {target}"
+                    f"{'.' + mutation.attr if mutation.attr else ''}): "
+                    "version objects are immutable once published — "
+                    "only repro.concurrency.mvcc may touch them; "
+                    "writers must publish a new version instead",
                 )
             elif (
                 mutation.attr in SUMMARY_CACHE_ATTRS
@@ -1627,22 +1509,18 @@ def _check_version_mutations(model: ConcurrencyModel) -> None:
                     or "summary" in mutation.chain
                 )
             ):
-                model.findings.append(
-                    Finding(
-                        rule_id=RULE_VERSION_MUTATION.rule_id,
-                        path=fn.path,
-                        line=mutation.line,
-                        message=(
-                            f"SummaryDatabase cache structure "
-                            f"{mutation.attr} written directly here "
-                            f"({mutation.function} writes {target}): go "
-                            "through insert/refresh/mark_stale, or "
-                            "snapshot_fresh for the MVCC publish capture "
-                            "— direct writes bypass the latch and every "
-                            "pinned snapshot"
-                        ),
-                        severity=RULE_VERSION_MUTATION.severity,
-                    )
+                _report(
+                    model,
+                    RULE_VERSION_MUTATION,
+                    fn.path,
+                    mutation.line,
+                    f"SummaryDatabase cache structure "
+                    f"{mutation.attr} written directly here "
+                    f"({mutation.function} writes {target}): go "
+                    "through insert/refresh/mark_stale, or "
+                    "snapshot_fresh for the MVCC publish capture "
+                    "— direct writes bypass the latch and every "
+                    "pinned snapshot",
                 )
 
 
@@ -1665,22 +1543,18 @@ def _check_async_blocking(model: ConcurrencyModel) -> None:
                         "block"
                     )
                     break
-            if reason is None and _lexically_blocking(call.callee):
+            if reason is None and call.blocking:
                 chain = _attr_chain(call.callee) or ["<call>"]
                 reason = f"direct blocking call {'.'.join(chain)}(...)"
             if reason is not None:
-                model.findings.append(
-                    Finding(
-                        rule_id=RULE_BLOCKING_IN_ASYNC.rule_id,
-                        path=fn.path,
-                        line=call.line,
-                        message=(
-                            f"async function {fn.name} {reason}; the event "
-                            "loop must never block — await it via an "
-                            "executor (loop.run_in_executor)"
-                        ),
-                        severity=RULE_BLOCKING_IN_ASYNC.severity,
-                    )
+                _report(
+                    model,
+                    RULE_BLOCKING_IN_ASYNC,
+                    fn.path,
+                    call.line,
+                    f"async function {fn.name} {reason}; the event "
+                    "loop must never block — await it via an "
+                    "executor (loop.run_in_executor)",
                 )
 
 

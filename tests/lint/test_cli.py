@@ -99,6 +99,18 @@ def test_github_format_escapes_reserved_characters():
     rendered = render_github_annotation(finding)
     assert "\n" not in rendered
     assert "%0A" in rendered and "%25" in rendered
+    # The file= property is escaped like title=: ',' and ':' separate
+    # properties and would otherwise split the path.
+    odd_path = Finding(
+        rule_id="REPRO-A101",
+        path="pkg,a:b.py",
+        line=1,
+        message="m",
+        severity=Severity.ERROR,
+    )
+    assert render_github_annotation(odd_path).startswith(
+        "::error file=pkg%2Ca%3Ab.py,line=1,title=REPRO-A101::"
+    )
 
 
 def test_unknown_rule_is_usage_error(capsys):

@@ -30,11 +30,15 @@ def test_ast_layer_alone_is_clean():
         targets=[PACKAGE_ROOT], semantic_checks=False, concurrency_checks=False
     )
     assert report.clean, [f.render() for f in report.findings]
+    # Clean without excuses: a new suppression comment in src/ would
+    # otherwise slip past every gate.
+    assert report.suppressed == 0
 
 
 def test_semantic_layer_alone_is_clean():
     report = run_lint(ast_checks=False, concurrency_checks=False)
     assert report.clean, [f.render() for f in report.findings]
+    assert report.suppressed == 0
 
 
 def test_concurrency_layer_alone_is_clean():

@@ -400,6 +400,32 @@ class TestC205BlockingInAsync:
         )
         assert findings == []
 
+    @pytest.mark.parametrize(
+        "imported, call, flagged",
+        [
+            ("from time import sleep", "sleep(0.1)", True),
+            ("from asyncio import sleep", "await sleep(0.1)", False),
+        ],
+    )
+    def test_bare_imported_callee_resolves_through_its_import(
+        self, imported, call, flagged
+    ):
+        findings = lint_sources(
+            (
+                "server/loop.py",
+                f"""
+                {imported}
+
+                class Service:
+                    async def handle(self, request):
+                        {call}
+                        return request
+                """,
+            ),
+            select={"REPRO-C205"},
+        )
+        assert rule_ids(findings) == ({"REPRO-C205"} if flagged else set())
+
 
 class TestC206VersionMutation:
     """Published MVCC versions and the summary cache are write-protected."""
