@@ -13,9 +13,10 @@ Reads go through MVCC instead:
   end of each write transaction *while still holding the view lock* (the
   publication point); readers pin the latest version and never touch the
   view lock or the summary latch again.
-* **Copy-on-write columns.**  Publication captures column values per
-  attribute, but shares the frozen chunk with the predecessor version
-  whenever the attribute's epoch (:attr:`ConcreteView.epochs`) is
+* **Copy-on-write columns.**  The working copy is column-major (one
+  vector per attribute), so publication freezes a changed attribute with
+  one C-level tuple copy of its vector, and shares the predecessor's
+  tuple whenever the attribute's epoch (:attr:`ConcreteView.epochs`) is
   unchanged — an update touching one attribute copies one column, not
   the whole view.
 * **Bounded reclamation.**  Versions are reference-counted by reader
@@ -154,8 +155,8 @@ def _capture_parts(
 
     Caller must hold the view's lock (writer exit and first-read
     bootstrap both do), or otherwise guarantee no writer is mid-flight.
-    Column chunks whose copy-on-write epoch matches the predecessor's are
-    shared by reference instead of re-copied.
+    A column whose copy-on-write epoch matches the predecessor's is shared
+    by reference; any other is one tuple copy of the relation's vector.
     """
     names = list(view.schema.names)
     epochs = {name: view.epochs.get(name, 0) for name in names}
@@ -166,13 +167,12 @@ def _capture_parts(
         if (
             prev is not None
             and prev.epochs.get(name) == epochs[name]
-            and name in prev.columns
             and len(prev.columns[name]) == row_count
         ):
             columns[name] = prev.columns[name]
             shared += 1
         else:
-            columns[name] = tuple(view.column(name))
+            columns[name] = view.relation.frozen_column(name)
             copied += 1
     if tracer.enabled:
         if shared:

@@ -62,11 +62,6 @@ class SessionStats:
     updates: int = 0
     undos: int = 0
 
-    @property
-    def full_computations(self) -> int:
-        """Queries that had to touch the view."""
-        return self.queries - self.cache_hits
-
 
 class AnalystSession:
     """One analyst working against one concrete view."""

@@ -101,17 +101,12 @@ def read_csv(
                 dtype = DataType.CATEGORY
         attributes.append(Attribute(column_name, dtype, role))
     schema = Schema(attributes)
-    rows = []
     global_na = tuple(na_tokens)
-    for row in raw_rows:
-        parsed = []
-        for raw, attr in zip(row, schema):
-            if raw in global_na:
-                parsed.append(NA)
-            else:
-                parsed.append(_parse_cell(raw, attr.dtype))
-        rows.append(tuple(parsed))
-    return Relation(name, schema, rows, validate=True)
+    parsed = [
+        [NA if raw in global_na else _parse_cell(raw, attr.dtype) for raw in column]
+        for column, attr in zip(columns, schema)
+    ]
+    return Relation(name, schema, zip(*parsed), validate=True)
 
 
 def write_csv(relation: Relation, target: str | TextIO, na_token: str = "NA") -> int:

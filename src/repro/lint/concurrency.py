@@ -1032,10 +1032,8 @@ class _FunctionWalker:
 
     def _resolve(self, func: ast.expr) -> tuple[str, ...]:
         if isinstance(func, ast.Name):
-            # A same-module function resolves only once extracted, i.e.
-            # when it is defined above the caller.
-            local = f"{self.mod.name}.{func.id}"
-            if local in self.mod.functions:
+            local = f"{self.mod.name}.{func.id}"  # above or below the caller
+            if local in self.index.functions:
                 return (local,)
             imported = self.mod.imports.get(func.id)
             return (imported,) if imported in self.index.functions else ()

@@ -429,14 +429,10 @@ def view_from_record(
     checkpoint.  A malformed record raises, naming ``origin`` (its file)."""
     try:
         schema = Schema([attribute_from_dict(column) for column in record["schema"]])
-        columns = record.get("columns")
-        if columns is None:
-            rows = record["rows"]
-        elif len(columns) == len(schema):
-            rows = zip(*columns, strict=True)  # strict: never cut to the shortest
+        if "columns" in record:  # from_columns refuses a missing or short column
+            relation = Relation.from_columns(name, schema, record["columns"])
         else:
-            raise ValueError(f"{len(columns)} columns for {len(schema)} attributes")
-        relation = Relation(name, schema, rows)
+            relation = Relation(name, schema, record["rows"])
     except (KeyError, TypeError, ValueError, AttributeError, SchemaError) as exc:
         raise DurabilityError(f"{origin}: view {name!r} is malformed: {exc!r}") from exc
     return ConcreteView(

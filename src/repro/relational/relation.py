@@ -1,6 +1,7 @@
 """Relations: the flat-file data sets of the paper's data model.
 
-A :class:`Relation` is an in-memory flat file (schema + rows).  A
+A :class:`Relation` is an in-memory flat file stored transposed (schema +
+one value list per attribute, SS2.6's verdict applied to memory).  A
 :class:`StoredRelation` has the same interface but keeps its rows in a
 storage structure (heap file or transposed file), so iterating it performs
 accounted I/O.  Relational operators accept anything exposing ``.schema``
@@ -15,6 +16,7 @@ MVCC publish path which columns changed.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -36,7 +38,11 @@ _COLUMNAR = (TransposedFile, ShardedTransposedFile)
 
 
 class Relation:
-    """An in-memory flat file: a schema and a list of row tuples."""
+    """An in-memory flat file stored transposed: one value list per attribute.
+
+    Row access zips the vectors; column access, publication and the
+    vectorized engine's chunk scans copy or slice one vector at C speed.
+    """
 
     def __init__(
         self,
@@ -45,48 +51,69 @@ class Relation:
         rows: Iterable[Sequence[Any]] | None = None,
         validate: bool = False,
     ) -> None:
+        rows = [] if rows is None else list(rows)
+        if validate:
+            for row in rows:
+                schema.validate_row(row)
+        # A ragged row is refused even unvalidated: it would misalign every column
+        # after it.  Census and copies allocate nothing per row, unlike zip(*rows).
+        widths = set(map(len, rows))
+        if widths - {len(schema)} or (rows and not len(schema)):  # rows need a column
+            raise SchemaError(f"rows of {sorted(widths)} fields, schema has {len(schema)}")
         self.name = name
         self.schema = schema
-        self._rows: list[tuple[Any, ...]] = []
+        self._columns = [list(map(itemgetter(i), rows)) for i in range(len(schema))]
         #: The live indexes by attribute; :meth:`index_on` gets or builds one.
         self.indexes: dict[str, AttributeIndex] = {}
         #: Cell writes seen per attribute (absent = never written).
         self.epochs: dict[str, int] = {}
-        if rows is not None:
-            for row in rows:
-                if validate:
-                    schema.validate_row(row)
-                self._rows.append(tuple(row))
+
+    @classmethod
+    def from_columns(
+        cls, name: str, schema: Schema, columns: Sequence[Sequence[Any]]
+    ) -> "Relation":
+        """A relation over one value sequence per attribute, in schema order."""
+        if len(columns) != len(schema):
+            raise SchemaError(f"{len(columns)} columns for {len(schema)} attributes")
+        relation = cls(name, schema)
+        relation._columns = [list(values) for values in columns]
+        if len({len(values) for values in relation._columns}) > 1:
+            try:  # zip's error names the first column of another length
+                list(zip(*relation._columns, strict=True))
+            except ValueError as exc:
+                raise SchemaError(f"columns of unequal length: {exc}") from exc
+        return relation
 
     # -- row access ----------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return len(self._columns[0]) if self._columns else 0
 
     def __iter__(self) -> Iterator[tuple[Any, ...]]:
-        return iter(self._rows)
+        return zip(*self._columns)
 
     def row(self, index: int) -> tuple[Any, ...]:
         """The row at position ``index``."""
-        return self._rows[index]
+        return tuple([values[index] for values in self._columns])
 
     def insert(self, row: Sequence[Any], validate: bool = True) -> int:
         """Append a row; returns its position."""
         if validate:
             self.schema.validate_row(row)
-        position = len(self._rows)
-        self._rows.append(tuple(row))
+        elif len(row) != len(self._columns):
+            raise SchemaError(f"row has {len(row)} fields, schema has {len(self._columns)}")
+        position = len(self)
+        for values, value in zip(self._columns, row):
+            values.append(value)
         for attr in list(self.indexes):
             self._reindex(attr, position, NA, row[self.schema.index_of(attr)])
         return position
 
     def set_value(self, row: int, attr: str, value: Any) -> Any:
         """Point-update one cell; returns the old value."""
-        index = self.schema.index_of(attr)
-        old = self._rows[row][index]
-        items = list(self._rows[row])
-        items[index] = value
-        self._rows[row] = tuple(items)
+        values = self._columns[self.schema.index_of(attr)]
+        old = values[row]
+        values[row] = value
         self.epochs[attr] = self.epochs.get(attr, 0) + 1
         if self.indexes:
             self._reindex(attr, row, old, value)
@@ -97,15 +124,17 @@ class Relation:
 
         the indexes are dropped (and rebuilt on next use), not renumbered."""
         self.indexes.clear()
-        return self._rows.pop(index)
+        return tuple([values.pop(index) for values in self._columns])
 
     def append_column(self, attribute: Attribute, values: Sequence[Any]) -> None:
         """Add ``attribute`` as the last column, one value per row; row
 
         positions and the other columns, hence the indexes, are untouched."""
-        rows = [row + (value,) for row, value in zip(self._rows, values, strict=True)]
+        vector = list(values)
+        if len(vector) != len(self):
+            raise ValueError(f"{len(vector)} values for {len(self)} rows")
         self.schema = self.schema.extend(attribute)
-        self._rows = rows
+        self._columns.append(vector)
         self.epochs[attribute.name] = 1
 
     # -- indexes -------------------------------------------------------------
@@ -114,7 +143,8 @@ class Relation:
         """The maintained index on ``attr``, built (one pass) on first use."""
         index = self.indexes.get(attr)
         if index is None:
-            index = self.indexes[attr] = AttributeIndex(attr, self.column(attr))
+            values = self._columns[self.schema.index_of(attr)]
+            index = self.indexes[attr] = AttributeIndex(attr, values)
         return index
 
     def _reindex(self, attr: str, row: int, old: Any, new: Any) -> None:
@@ -133,9 +163,12 @@ class Relation:
     # -- column access ---------------------------------------------------------
 
     def column(self, name: str) -> list[Any]:
-        """All values of one attribute, in row order (NA included)."""
-        index = self.schema.index_of(name)
-        return [row[index] for row in self._rows]
+        """All values of one attribute, in row order (NA included): a copy."""
+        return self._columns[self.schema.index_of(name)][:]
+
+    def frozen_column(self, name: str) -> tuple[Any, ...]:
+        """An immutable copy of one attribute's values, in one C-level copy."""
+        return tuple(self._columns[self.schema.index_of(name)])
 
     def supports_column_chunks(self) -> bool:
         """In-memory rows can always be served column-wise."""
@@ -147,25 +180,25 @@ class Relation:
         """Stream the selected columns as fixed-size chunks of value lists.
 
         The feed for the vectorized engine; each yielded item holds one
-        value list per requested column, all of the same length.
+        value list per requested column (a slice of its vector), all of the
+        same length.
         """
         if not indexes:
             raise StorageError("scan_column_chunks requires at least one column")
         if chunk_size <= 0:
             raise StorageError(f"chunk_size must be positive, got {chunk_size}")
-        rows = self._rows
-        for start in range(0, len(rows), chunk_size):
-            block = rows[start : start + chunk_size]
-            yield [[row[i] for row in block] for i in indexes]
+        vectors = [self._columns[i] for i in indexes]
+        for start in range(0, len(self), chunk_size):
+            yield [values[start : start + chunk_size] for values in vectors]
 
     def column_array(self, name: str) -> np.ndarray:
         """One numeric column as a float array with NA mapped to NaN."""
         attr = self.schema.attribute(name)
         if not (attr.dtype.is_numeric or attr.dtype is DataType.CATEGORY):
             raise SchemaError(f"attribute {name!r} is not numeric")
-        index = self.schema.index_of(name)
+        values = self._columns[self.schema.index_of(name)]
         return np.array(
-            [float("nan") if is_na(row[index]) else float(row[index]) for row in self._rows],
+            [float("nan") if is_na(value) else float(value) for value in values],
             dtype=float,
         )
 
@@ -176,13 +209,13 @@ class Relation:
         return self
 
     def copy(self, name: str | None = None) -> "Relation":
-        """A deep-enough copy (rows are immutable tuples)."""
-        return Relation(name or self.name, self.schema, self._rows)
+        """An independent copy: each vector copied, the cells shared."""
+        return Relation.from_columns(name or self.name, self.schema, self._columns)
 
     @classmethod
     def from_operator(cls, name: str, op: "RelationLike") -> "Relation":
         """Materialize any schema+rows source into an in-memory relation."""
-        return cls(name, op.schema, iter(op))
+        return op.copy(name) if isinstance(op, Relation) else cls(name, op.schema, iter(op))
 
     def __repr__(self) -> str:
         return f"Relation({self.name!r}, {len(self)} rows, {self.schema!r})"
@@ -190,7 +223,7 @@ class Relation:
     def pretty(self, limit: int = 10) -> str:
         """A fixed-width rendering of the first ``limit`` rows."""
         names = self.schema.names
-        rows = [[_fmt(v) for v in row] for row in self._rows[:limit]]
+        rows = [[_fmt(v) for v in self.row(i)] for i in range(min(limit, len(self)))]
         widths = [
             max(len(name), *(len(r[i]) for r in rows)) if rows else len(name)
             for i, name in enumerate(names)

@@ -32,22 +32,33 @@ from repro.relational.types import is_na
 _RANK_TOL = 1e-10
 
 
-def solve_linear(matrix: Sequence[Sequence[float]], rhs: Sequence[float]) -> list[float]:
+#: Relative to the squared magnitude every folded row carried, the
+#: rounding residue a cancelled insert/delete can leave in the Gram
+#: matrix (a few hundred ulps); a pivot no larger is not rank.
+_ROUND_TOL = 1e-13
+
+
+def solve_linear(
+    matrix: Sequence[Sequence[float]], rhs: Sequence[float], noise: float = 0.0
+) -> list[float]:
     """Solve ``matrix @ x = rhs`` by Gauss–Jordan with partial pivoting.
 
     Raises :class:`StatisticsError` on (near-)singular input — the
-    rank-deficient design case.  Pure Python: used both by the
-    incremental fit and as the test suite's numpy-free reference.
+    rank-deficient design case — and on any pivot no larger than the
+    absolute ``noise`` floor a caller names for rounding residue.  Pure
+    Python: used both by the incremental fit and as the test suite's
+    numpy-free reference.
     """
     k = len(rhs)
     aug = [list(map(float, row)) + [float(rhs[i])] for i, row in enumerate(matrix)]
     scale = max((abs(v) for row in aug for v in row[:k]), default=0.0)
     if scale == 0.0:
         raise StatisticsError("design matrix is rank-deficient")
+    tol = max(_RANK_TOL * scale, noise)
     for col in range(k):
         pivot_row = max(range(col, k), key=lambda r: abs(aug[r][col]))
         pivot = aug[pivot_row][col]
-        if abs(pivot) <= _RANK_TOL * scale:
+        if abs(pivot) <= tol:
             raise StatisticsError("design matrix is rank-deficient")
         aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
         row = aug[col]
@@ -109,6 +120,10 @@ class IncrementalLinearRegression(IncrementalComputation):
         self._gram = [[0.0] * d for _ in range(d)]
         self._moment = [0.0] * d
         self._yty = 0.0
+        # Σ Σ xⱼ² over every row folded in either direction: the magnitude
+        # the Gram matrix has carried, so a delete that cancels an insert
+        # leaves residue judged against it, not against itself.
+        self._mass = 0.0
 
     # -- maintenance ---------------------------------------------------------
 
@@ -132,6 +147,7 @@ class IncrementalLinearRegression(IncrementalComputation):
                     row_i[j] += signed * zj
                 moment[i] += signed * y
             self._yty += sign * y * y
+            self._mass += sum(zj * zj for zj in z[1:])
             self._n += sign
         self._require_tracked(self._n)
 
@@ -161,7 +177,7 @@ class IncrementalLinearRegression(IncrementalComputation):
             for i in range(k)
         ]
         rhs = [moment[j + 1] - n * x_mean[j] * y_mean for j in range(k)]
-        slopes = solve_linear(centered, rhs)
+        slopes = solve_linear(centered, rhs, _ROUND_TOL * self._mass)
         intercept = y_mean - sum(b * m for b, m in zip(slopes, x_mean))
         return [intercept] + slopes
 
@@ -213,6 +229,7 @@ class IncrementalLinearRegression(IncrementalComputation):
             "gram": [list(row) for row in self._gram],
             "moment": list(self._moment),
             "yty": self._yty,
+            "mass": self._mass,
         }
 
     def merge_partial(self, state: Any) -> None:
@@ -231,6 +248,7 @@ class IncrementalLinearRegression(IncrementalComputation):
         for j, v in enumerate(state["moment"]):
             self._moment[j] += v
         self._yty += state["yty"]
+        self._mass += state.get("mass", 0.0)
 
     # -- persistence ---------------------------------------------------------
 

@@ -65,10 +65,6 @@ class StoredSummaryStore:
         self.pool.flush_all()
         return written
 
-    def insert_entry(self, key: SummaryKey, result: object) -> RID:
-        """Append one entry (unclustered position: end of file)."""
-        return self._insert(key, result)
-
     def _insert(self, key: SummaryKey, result: object) -> RID:
         payload = encode_result(result).hex()
         rid = self.heap.insert(

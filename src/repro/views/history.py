@@ -13,6 +13,7 @@ O(cells changed), never a view rescan.
 from __future__ import annotations
 
 import enum
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Sequence
 
@@ -140,7 +141,7 @@ class UpdateHistory:
 
     def operations_since(self, version: int) -> list[Operation]:
         """Operations applied after ``version``."""
-        return [op for op in self._operations if op.version > version]
+        return self._operations[self._cut(version) :]
 
     def operations_upto(self, version: int) -> list[Operation]:
         """Operations at or below ``version``, oldest first.
@@ -152,7 +153,13 @@ class UpdateHistory:
         in-flight reader's picture of the edit log (paper SS3.2 — peers
         consume each other's data-checking work through the history).
         """
-        return [op for op in self._operations if op.version <= version]
+        return self._operations[: self._cut(version)]
+
+    def _cut(self, version: int) -> int:
+        """How many (strictly increasing) logged versions are <= ``version``."""
+        if version >= self.version:
+            return len(self._operations)
+        return bisect_right(self._operations, version, key=lambda op: op.version)
 
     def tail_versions(self, count: int) -> list[int]:
         """The last ``count`` operations' versions, newest first.

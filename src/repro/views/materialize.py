@@ -280,7 +280,7 @@ def materialize(
     """
     before = raw_db.tape.stats.snapshot()
     pipeline = evaluate(definition.root, raw_db)
-    relation = Relation(definition.name, pipeline.schema, iter(pipeline))
+    relation = Relation.from_operator(definition.name, pipeline)
     after = raw_db.tape.stats.snapshot()
     delta = TapeStats(
         mounts=after.mounts - before.mounts,

@@ -141,12 +141,7 @@ class ConcreteView:
         relation = self.relation
         for name in names:
             relation.schema.index_of(name)  # validate eagerly
-
-        def provide() -> list[tuple[Any, ...]]:
-            columns = [relation.column(name) for name in names]
-            return list(zip(*columns)) if columns else []
-
-        return provide
+        return lambda: list(zip(*map(relation.column, names)))
 
     def set_value(self, row: int, attr: str, value: Any) -> Any:
         """Point-update one cell (writes through to storage); returns the

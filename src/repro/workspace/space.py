@@ -40,7 +40,6 @@ from repro.views.sharing import match_canonical
 from repro.workspace.index import IndexEntry, WorkspaceIndex
 from repro.workspace.manifest import (
     ViewManifest,
-    manifest_path,
     read_manifest,
     view_space_id,
     write_manifest,
@@ -147,15 +146,6 @@ class Workspace:
         self._open: dict[str, ManagedView] = {}
 
     # -- identity ------------------------------------------------------------
-
-    def space_id_for(
-        self,
-        source: Relation,
-        definition: ViewDefinition,
-        parameters: dict[str, Any] | None = None,
-    ) -> str:
-        """The content address a create() with these inputs would use."""
-        return view_space_id(source.schema, definition, parameters)
 
     def directory_of(self, space_id: str) -> Path:
         return self.root / space_id
@@ -503,8 +493,3 @@ def _guarded(work: Callable[[Any], Any], item: Any) -> tuple[Any, str | None]:
         return work(item), None
     except Exception as exc:  # aggregated, never propagated
         return None, f"{type(exc).__name__}: {exc}"
-
-
-def workspace_manifest(directory: str | Path) -> ViewManifest:
-    """Convenience: read one view directory's manifest."""
-    return read_manifest(manifest_path(directory).parent)

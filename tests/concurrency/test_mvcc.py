@@ -289,6 +289,26 @@ class TestCopyOnWrite:
         assert restored.columns["y"] != touched.columns["y"]
         assert restored.columns["y"] == tuple(float(i * 2) for i in range(10))
 
+    def test_pinned_columns_stay_frozen_while_the_cell_is_rewritten(self):
+        # Publication copies the relation's live vector; a version that
+        # held the vector itself would change under its pinned reader.
+        coord = build_coordinator()
+        chain = coord.chain("boot", "v")
+        pinned = chain.pin("r1")
+        at_pin = {name: list(values) for name, values in pinned.columns.items()}
+        for step in ("write", "write", "undo", "write"):
+            with coord.write("w", "v") as session:
+                if step == "undo":
+                    session.undo(1)
+                else:
+                    session.update(col("x") == 4.0, {"y": session.view.version + 50.0})
+        assert coord.dbms.view("v").relation.column("y")[4] == chain.latest().columns["y"][4]
+        assert chain.latest().columns["y"][4] != at_pin["y"][4]
+        for name, values in pinned.columns.items():
+            assert type(values) is tuple
+            assert list(values) == at_pin[name]
+        chain.unpin("r1", pinned)
+
     @pytest.mark.parametrize("how", ["update", "undo", "replay"])
     def test_derived_cells_are_published_with_the_write_that_recomputed_them(self, how):
         # The recompute of a derived cell is a write like any other: it is

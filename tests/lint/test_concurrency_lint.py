@@ -44,6 +44,35 @@ INVERTED_PAIR_SOURCE = textwrap.dedent(
     """
 )
 
+#: The inverted pair again, with one side reached through a module-level
+#: function defined below its caller.
+FORWARD_CALL_SOURCE = textwrap.dedent(
+    """
+    import threading
+
+    class Pair:
+        def __init__(self):
+            self.a_latch = threading.Lock()
+            self.b_latch = threading.Lock()
+
+        def forward(self):
+            with self.a_latch:
+                take_b(self)
+
+        def hold_b(self):
+            with self.b_latch:
+                return 1
+
+        def backward(self):
+            with self.b_latch:
+                with self.a_latch:
+                    return 2
+
+    def take_b(pair: Pair):
+        return pair.hold_b()
+    """
+)
+
 
 def lint_sources(*named_sources, select=None):
     """Run only the concurrency layer over (relpath, source) fixtures."""
@@ -72,6 +101,13 @@ class TestC201LockOrderCycles:
         [cycle] = [f for f in findings if f.rule_id == "REPRO-C201"]
         assert "latch:Pair.a_latch" in cycle.message
         assert "latch:Pair.b_latch" in cycle.message
+
+    def test_call_to_a_function_defined_below_is_followed(self):
+        # forward() calls take_b(), defined further down the module, which
+        # takes b_latch: a -> b, against backward()'s b -> a.
+        findings = lint_sources(("pair.py", FORWARD_CALL_SOURCE))
+        [cycle] = [f for f in findings if f.rule_id == "REPRO-C201"]
+        assert "latch:Pair.a_latch -> latch:Pair.b_latch" in cycle.message
 
     def test_consistent_order_is_clean(self):
         source = INVERTED_PAIR_SOURCE.replace(
@@ -837,3 +873,49 @@ class TestRealTreeModel:
             ("REPRO-C201", "transactions.py"),
             ("REPRO-C205", "server.py"),
         ]
+
+    def test_same_module_calls_resolve_whatever_the_definition_order(self):
+        files = [
+            (str(p), str(p), p.read_text(encoding="utf-8"))
+            for p in sorted(PACKAGE_ROOT.rglob("*.py"))
+        ]
+        model = analyze_files(files)
+        summary_latch = "latch:SummaryDatabase.latch"
+        # Each reaches the summary latch only through a same-module
+        # function defined below it (recover -> _replay_transaction, ...).
+        for qualname in (
+            "durability.recovery._replay_transaction",
+            "durability.recovery._replay_undo",
+            "durability.recovery.recover",
+            "workspace.space.Workspace.create",
+            "workspace.space.Workspace.open",
+            "workspace.space.Workspace.open_many.<local>.open_one",
+            "workspace.space.Workspace.recover_all.<local>.recover_one",
+        ):
+            assert summary_latch in model.may_acquire[f"repro.{qualname}"], qualname
+        for qualname in (
+            "core.dbms.StatisticalDBMS.checkpoint",
+            "core.shell.AnalystShell.do_checkpoint",
+            "core.shell.AnalystShell.do_durability",
+            "durability.checkpoint.Checkpointer.write",
+            "durability.faults.FaultInjector.fsync_directory",
+            "durability.faults.write_atomically",
+            "durability.manager.DurabilityManager.checkpoint",
+            "durability.recovery._replay_transaction",
+            "durability.recovery._replay_undo",
+            "durability.recovery.recover",
+            "durability.wal.WriteAheadLog._writer",
+            "durability.wal.WriteAheadLog.truncate",
+            "durability.wal.WriteAheadLog.truncate_tail",
+            "workspace.manifest.write_manifest",
+            "workspace.space.ManagedView.checkpoint",
+            "workspace.space.ManagedView.close",
+            "workspace.space.Workspace._write_manifest_for",
+            "workspace.space.Workspace.close",
+            "workspace.space.Workspace.close_all",
+            "workspace.space.Workspace.open",
+            "workspace.space.Workspace.open_many.<local>.open_one",
+            "workspace.space.Workspace.recover_all.<local>.recover_one",
+            "workspace.space.Workspace.refresh_manifest",
+        ):
+            assert f"repro.{qualname}" in model.may_block, qualname

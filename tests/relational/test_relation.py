@@ -26,6 +26,25 @@ class TestRelation:
         with pytest.raises(SchemaError):
             Relation("r", schema(), [("bad", 1.0)], validate=True)
 
+    @pytest.mark.parametrize("ragged", [(2,), (2, 2.0, "extra")])
+    def test_ragged_row_refused_even_unvalidated(self, ragged):
+        with pytest.raises(SchemaError):
+            Relation("r", schema(), [(1, 1.0), ragged, (3, 3.0)], validate=False)
+        with pytest.raises(SchemaError):
+            Relation("r", schema()).insert(ragged, validate=False)
+
+    def test_uniformly_wrong_width_refused(self):
+        with pytest.raises(SchemaError):
+            Relation("r", schema(), [(1,), (2,)])
+
+    def test_from_columns(self):
+        rel = Relation.from_columns("r", schema(), [[1, 2], [1.0, NA]])
+        assert list(rel) == [(1, 1.0), (2, NA)]
+        with pytest.raises(SchemaError):
+            Relation.from_columns("r", schema(), [[1, 2], [1.0]])
+        with pytest.raises(SchemaError):
+            Relation.from_columns("r", schema(), [[1, 2]])
+
     def test_insert_and_row(self):
         rel = Relation("r", schema())
         idx = rel.insert((5, 5.0))

@@ -92,6 +92,24 @@ class TestIncrementalRegression:
         left.merge_partial(right.partial_state())
         assert left.value == pytest.approx(whole.value, rel=1e-9)
 
+    def test_cancelled_burst_residue_is_not_rank(self):
+        # Shrunk counterexample: an insert/delete burst over a constant
+        # design leaves ~1e-14 rounding residue in the Gram matrix, which
+        # must still read as rank-deficient, as the fresh fit does.
+        base = [(0.0, 0.0, 0.0)] * 4
+        burst = [(0.0, 1.0, 1.065761175911188), (0.0, 2.0, 16.0)]
+        model = IncrementalLinearRegression(k=2)
+        model.initialize(base)
+        for row in burst:
+            model.on_insert(row)
+        for row in reversed(burst):
+            model.on_delete(row)
+        with pytest.raises(StatisticsError, match="rank"):
+            model.coefficients()
+        clone = IncrementalLinearRegression.from_state(model.to_state())
+        with pytest.raises(StatisticsError, match="rank"):
+            clone.coefficients()
+
     def test_merge_rejects_mismatched_k(self):
         a = IncrementalLinearRegression(k=2)
         b = IncrementalLinearRegression(k=3)

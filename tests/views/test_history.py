@@ -5,7 +5,7 @@ import pytest
 from repro.core.errors import HistoryError
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema, measure
-from repro.views.history import CellChange, OpKind, UpdateHistory
+from repro.views.history import CellChange, Operation, OpKind, UpdateHistory
 
 
 def make_relation():
@@ -125,6 +125,29 @@ class TestVersionMonotonicity:
         for op in history.operations():
             if op.version in peer_seen:
                 assert op == peer_seen[op.version]
+
+    def test_version_cuts_equal_the_filters_over_gapped_histories(self):
+        """The bisected cuts agree with a filter over the log, whatever
+        gaps undos and ``restore`` leave in the versions."""
+        history = UpdateHistory("v")
+        relation = make_relation()
+        for i in range(6):
+            change(relation, history, i, "x", -1.0)  # v1..v6
+        history.undo_last(relation, 2)  # v5, v6 burned
+        change(relation, history, 6, "x", -2.0)  # v7
+        # A restored operation leaves a gap: v8..v10 were never logged here.
+        history.restore(Operation(version=11, kind=OpKind.UPDATE, attribute="y", changes=()))
+        change(relation, history, 7, "x", -3.0)  # v12
+        history.undo_last(relation, 1)  # v12 burned: high-water 12, tail v11
+        log = history.operations()
+        assert [op.version for op in log] == [1, 2, 3, 4, 7, 11]
+        for version in range(-1, history.version + 3):
+            assert history.operations_upto(version) == [
+                op for op in log if op.version <= version
+            ]
+            assert history.operations_since(version) == [
+                op for op in log if op.version > version
+            ]
 
 
 class TestRollback:
