@@ -20,7 +20,7 @@ package: the framing, checksum, and fsync discipline is the durability
 contract, and ad-hoc ``open()`` calls would bypass it.
 """
 
-from repro.durability.checkpoint import Checkpointer, snapshot_dbms
+from repro.durability.checkpoint import Checkpointer
 from repro.durability.faults import (
     NO_FAULTS,
     FaultInjector,
@@ -42,5 +42,4 @@ __all__ = [
     "WalScan",
     "WriteAheadLog",
     "recover",
-    "snapshot_dbms",
 ]

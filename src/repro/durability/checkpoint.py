@@ -27,6 +27,10 @@ document codec (:func:`repro.metadata.persistence.dumps` / ``loads``;
   degrades to a detached, stale entry: recovery may re-read data, but it
   never serves a silently wrong sketch.
 
+A checkpoint pays for the columns written since the last one (analyses run
+for months, SS2.3): a :class:`Checkpointer` keeps each column's encoded bytes
+and splices them back while the column's write epoch is unchanged.
+
 Out of scope (documented in DESIGN.md §4e): the raw tape database — the
 paper treats it as an archival input that is reloaded, not recovered
 (SS2.3) — and derived-column *definitions*, which are Python callables.
@@ -35,6 +39,7 @@ paper treats it as an archival input that is reloaded, not recovered
 from __future__ import annotations
 
 import os
+import weakref
 from pathlib import Path
 from typing import Any
 
@@ -52,6 +57,8 @@ from repro.metadata.persistence import (
     history_to_dict,
     loads,
     management_to_dict,
+    persistable_column,
+    splice,
     view_to_record,
 )
 from repro.obs.tracer import NULL_TRACER, AbstractTracer
@@ -75,30 +82,6 @@ SKETCH_KINDS: dict[str, Any] = {
         IncrementalLinearRegression,
     )
 }
-
-
-def snapshot_dbms(dbms: Any) -> dict:
-    """Serialize a :class:`~repro.core.dbms.StatisticalDBMS` to a dict."""
-    registered = set(dbms.management.view_names())
-    views = []
-    for name in dbms.registry.names():
-        view = dbms.registry.get(name)
-        record: dict[str, Any] = {
-            "name": view.name,
-            **view_to_record(view),
-            "summary": _summary_to_list(view.summary),
-        }
-        if name not in registered:
-            # Views without a registered definition (adopted copies) keep
-            # their history inline; registered ones live in the management
-            # snapshot so there is exactly one source of truth.
-            record["history"] = history_to_dict(view.history)
-        views.append(record)
-    return {
-        "format": SNAPSHOT_FORMAT,
-        "management": management_to_dict(dbms.management),
-        "views": views,
-    }
 
 
 def _summary_to_list(summary: Any) -> list[dict]:
@@ -213,6 +196,8 @@ class Checkpointer:
         self.directory = Path(directory)
         self.faults = faults or FaultInjector()
         self.tracer = tracer if tracer is not None else NULL_TRACER
+        #: Encoded cells, weakly keyed: relation -> attribute -> (epoch, bytes).
+        self._columns: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
     @property
     def path(self) -> Path:
@@ -228,11 +213,48 @@ class Checkpointer:
         the snapshot's authority.
         """
         self.directory.mkdir(parents=True, exist_ok=True)
-        payload = dumps(snapshot_dbms(dbms))
+        payload = self.encode(dbms)
         write_atomically(self.faults, self.path, payload)
         self.tracer.add("checkpoint.write")
         self.tracer.add("checkpoint.bytes", len(payload))
         return self.path
+
+    def encode(self, dbms: Any) -> bytes:
+        """The snapshot of a :class:`~repro.core.dbms.StatisticalDBMS`, as bytes."""
+        registered = set(dbms.management.view_names())
+        views = []
+        for name in dbms.registry.names():
+            view = dbms.registry.get(name)
+            record: dict[str, Any] = {
+                "name": view.name,
+                **view_to_record(view, self._columns_of(view.relation)),
+                "summary": _summary_to_list(view.summary),
+            }
+            if name not in registered:
+                # Views without a registered definition (adopted copies) keep
+                # their history inline; registered ones live in the management
+                # snapshot so there is exactly one source of truth.
+                record["history"] = history_to_dict(view.history)
+            views.append(splice(record))
+        management = management_to_dict(dbms.management)
+        document = {"format": SNAPSHOT_FORMAT, "management": management}
+        return b"".join(splice({**document, "views": splice(views)}))
+
+    def _columns_of(self, relation: Any) -> list[bytes]:
+        """The encoded cells; a column is encoded again only if written since.
+
+        The epoch alone is the stamp: every cell write, row insert and row
+        delete advances it, and a column appended later starts at 1."""
+        cache = self._columns.setdefault(relation, {})
+        for name in relation.schema.names:
+            # Stamped before the copy: a write racing it then misses next time.
+            epoch = relation.epochs.get(name, 0)
+            if cache.get(name, (None,))[0] == epoch:
+                self.tracer.add("checkpoint.columns_reused")
+            else:
+                cache[name] = (epoch, dumps(persistable_column(relation, name)))
+                self.tracer.add("checkpoint.columns_encoded")
+        return splice([cache[name][1] for name in relation.schema.names])
 
     def load(self) -> dict | None:
         """Read the current snapshot (``None`` if absent); a non-snapshot raises."""

@@ -113,6 +113,31 @@ def loads(raw: bytes) -> Any:
         raise MetadataError(f"not a JSON document: {exc}") from exc
 
 
+def splice(document: dict[str, Any] | list[Any]) -> list[bytes]:
+    """Fragments that join to what :func:`dumps` gives ``document`` decoded.
+
+    A value of the object or array is encoded already if it is ``bytes``,
+    or a list of fragments starting with ``bytes`` (what :func:`splice`
+    returns); any other value is encoded here.  :func:`dumps` refuses bytes,
+    so no document value is mistaken for either.  Keys are strings.  The
+    caller joins once, so the payload is copied once."""
+    keyed = isinstance(document, dict)
+    out = [b"{" if keyed else b"["]
+    for key, value in document.items() if keyed else enumerate(document):
+        if len(out) > 1:
+            out.append(b",")
+        if keyed:
+            out.append(dumps(key) + b":")
+        if isinstance(value, bytes):
+            out.append(value)
+        elif isinstance(value, list) and value and isinstance(value[0], bytes):
+            out += value
+        else:
+            out.append(dumps(value))
+    out.append(b"}" if keyed else b"]")
+    return out
+
+
 # -- schema attributes ---------------------------------------------------------------
 
 
@@ -398,17 +423,22 @@ def history_from_dict(data: dict) -> UpdateHistory:
 # -- views ------------------------------------------------------------------------------
 
 
-def view_to_record(view: ConcreteView) -> dict[str, Any]:
-    """A view's owner, schema and cells: one list per attribute, as they are.
+def persistable_column(relation: Relation, name: str) -> list[Any]:
+    """A copy of one attribute's cells, after a type census refuses what
+    :func:`value_to_jsonable` refuses but the C encoder would take (a list)."""
+    column = relation.column(name)
+    for kind in set(map(type, column)):
+        if not issubclass(kind, (int, float, str, type(None), NAType)):
+            raise MetadataError(f"cannot persist value of type {kind.__name__}")
+    return column
 
-    A type census per column refuses what :func:`value_to_jsonable` refuses
-    per cell (a list, say, would be written as an array and come back one)."""
+
+def view_to_record(view: ConcreteView, columns: Any = None) -> dict[str, Any]:
+    """A view's owner, schema and cells: a :func:`persistable_column` per
+    attribute in schema order, or ``columns`` if the caller holds them encoded."""
     relation = view.relation
-    columns = [relation.column(name) for name in relation.schema.names]
-    for column in columns:
-        for kind in set(map(type, column)):
-            if not issubclass(kind, (int, float, str, type(None), NAType)):
-                raise MetadataError(f"cannot persist value of type {kind.__name__}")
+    if columns is None:
+        columns = [persistable_column(relation, name) for name in relation.schema.names]
     return {
         "owner": view.owner,
         "schema": [attribute_to_dict(attr) for attr in relation.schema.attributes],

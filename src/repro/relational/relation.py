@@ -11,7 +11,7 @@ Every change to a :class:`Relation`'s rows is one of its methods, so it
 owns the bookkeeping that must follow each one: its attribute indexes
 (:meth:`~Relation.index_on` — SS2.3's auxiliary structures, built on first
 use and exact ever after) and the per-attribute write epochs that tell the
-MVCC publish path which columns changed.
+MVCC publish path and the checkpoint which columns changed.
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ class Relation:
         self._columns = [list(map(itemgetter(i), rows)) for i in range(len(schema))]
         #: The live indexes by attribute; :meth:`index_on` gets or builds one.
         self.indexes: dict[str, AttributeIndex] = {}
-        #: Cell writes seen per attribute (absent = never written).
+        #: Writes per attribute, rows inserted or deleted included (absent = none).
         self.epochs: dict[str, int] = {}
 
     @classmethod
@@ -105,6 +105,7 @@ class Relation:
         position = len(self)
         for values, value in zip(self._columns, row):
             values.append(value)
+        self._advance_epochs()
         for attr in list(self.indexes):
             self._reindex(attr, position, NA, row[self.schema.index_of(attr)])
         return position
@@ -124,7 +125,9 @@ class Relation:
 
         the indexes are dropped (and rebuilt on next use), not renumbered."""
         self.indexes.clear()
-        return tuple([values.pop(index) for values in self._columns])
+        row = tuple([values.pop(index) for values in self._columns])
+        self._advance_epochs()
+        return row
 
     def append_column(self, attribute: Attribute, values: Sequence[Any]) -> None:
         """Add ``attribute`` as the last column, one value per row; row
@@ -136,6 +139,10 @@ class Relation:
         self.schema = self.schema.extend(attribute)
         self._columns.append(vector)
         self.epochs[attribute.name] = 1
+
+    def _advance_epochs(self) -> None:
+        """Count a row added or removed as a write to every attribute."""
+        self.epochs.update({a: self.epochs.get(a, 0) + 1 for a in self.schema.names})
 
     # -- indexes -------------------------------------------------------------
 

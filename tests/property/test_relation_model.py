@@ -48,6 +48,12 @@ class RelationModel(RuleBasedStateMachine):
         row = self._row(data)
         assert self.relation.insert(row, validate=data.draw(st.booleans())) == len(self.rows)
         self.rows.append(row)
+        self._advance_epochs()
+
+    def _advance_epochs(self):
+        """A row added or removed counts as a write to every attribute."""
+        for name in self.schema.names:
+            self.epochs[name] = self.epochs.get(name, 0) + 1
 
     @precondition(lambda self: self.rows)
     @rule(data=st.data())
@@ -68,6 +74,7 @@ class RelationModel(RuleBasedStateMachine):
         position = data.draw(st.integers(-len(self.rows), len(self.rows) - 1))
         assert self.relation.delete_row(position) == self.rows.pop(position)
         self.indexed.clear()  # dropped, rebuilt on next use
+        self._advance_epochs()
 
     @precondition(lambda self: len(self.schema) < 6)
     @rule(data=st.data(), dtype=st.sampled_from(list(_VALUES)))
