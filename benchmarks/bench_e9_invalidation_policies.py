@@ -52,7 +52,7 @@ def run_no_cache(relation, events, functions):
             functions.get(event.function).compute(values)
             scanned += len(values)
         else:
-            view.set_value(event.row, event.attribute, 30_000.0)
+            view.relation.set_value(event.row, event.attribute, 30_000.0)
     return scanned
 
 

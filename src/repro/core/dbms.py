@@ -21,7 +21,6 @@ from repro.core.session import AnalystSession
 from repro.metadata.management import ManagementDatabase
 from repro.obs.tracer import NULL_TRACER, AbstractTracer
 from repro.relational.relation import Relation
-from repro.storage.wiss import StorageManager
 from repro.summary.summarydb import SummaryDatabase
 from repro.views.materialize import (
     MaterializationReport,
@@ -57,19 +56,13 @@ class StatisticalDBMS:
         self,
         management: ManagementDatabase | None = None,
         raw: RawDatabase | None = None,
-        use_storage_mirrors: bool = False,
-        storage: StorageManager | None = None,
         tracer: AbstractTracer | None = None,
         durability: "DurabilityManager | None" = None,
     ) -> None:
         self.management = management or ManagementDatabase()
         self.raw = raw or RawDatabase()
         self.registry = ViewRegistry()
-        self.use_storage_mirrors = use_storage_mirrors
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.storage = storage or (
-            StorageManager(tracer=self.tracer) if use_storage_mirrors else None
-        )
         self.durability = durability
         if durability is not None:
             durability.bind(self)
@@ -120,17 +113,11 @@ class StatisticalDBMS:
     def _wrap(
         self, relation: Relation, definition: ViewDefinition, analyst: str
     ) -> ConcreteView:
-        storage = None
-        if self.storage is not None:
-            storage = self.storage.create_transposed_file(
-                f"view_{definition.name}", relation.schema.types
-            )
         return ConcreteView(
             name=definition.name,
             relation=relation,
             definition=definition,
             owner=analyst,
-            storage=storage,
             summary=SummaryDatabase(view_name=definition.name, tracer=self.tracer),
         )
 

@@ -348,7 +348,7 @@ class AnalystSession:
         """
         self.stats.undos += 1
         with self.tracer.span("undo", count=count):
-            undone = self.view.history.undo_last(self.view, count)
+            undone = self.view.history.undo_last(self.view.relation, count)
             if self.durability is not None:
                 self.durability.log_undo(
                     self.view.name,

@@ -105,8 +105,6 @@ def _summary_to_list(summary: Any) -> list[dict]:
         }
         if entry.epsilon is not None:
             record["epsilon"] = entry.epsilon
-        if entry.observed_error is not None:
-            record["observed_error"] = entry.observed_error
         maintainer = entry.maintainer
         sketch_kind = getattr(maintainer, "sketch_kind", None)
         if sketch_kind in SKETCH_KINDS:
@@ -177,7 +175,6 @@ def restore_summary_entries(
             kind=record.get("kind", "exact"),
             epsilon=record.get("epsilon"),
         )
-        entry.observed_error = record.get("observed_error")
         if record.get("stale") or maintainer_lost:
             summary.mark_stale(entry, pending=record.get("pending", 0))
         restored += 1
@@ -243,8 +240,8 @@ class Checkpointer:
     def _columns_of(self, relation: Any) -> list[bytes]:
         """The encoded cells; a column is encoded again only if written since.
 
-        The epoch alone is the stamp: every cell write, row insert and row
-        delete advances it, and a column appended later starts at 1."""
+        The epoch alone is the stamp: every cell write advances it, the row
+        count never changes, and a column appended later starts at 1."""
         cache = self._columns.setdefault(relation, {})
         for name in relation.schema.names:
             # Stamped before the copy: a write racing it then misses next time.

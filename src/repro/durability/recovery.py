@@ -15,8 +15,8 @@ durability directory in three phases:
    :meth:`~repro.core.propagation.UpdatePropagator.propagate_operations`
    call maintains the summary entries **incrementally from the log**
    rather than by rescanning the view.  An undo record runs
-   :meth:`~repro.views.history.UpdateHistory.undo_last` against the view and
-   propagates the inverse.
+   :meth:`~repro.views.history.UpdateHistory.undo_last` against the view's
+   relation and propagates the inverse.
 3. **Tail handling** — the first torn or corrupt frame ends the trusted
    log; the file is truncated back to that trusted prefix (so the new
    manager's appends stay reachable to future scans), an uncommitted
@@ -339,7 +339,7 @@ def _replay_undo(dbms: StatisticalDBMS, record: dict, report: RecoveryReport) ->
             f"{len(view.history)} logged; skipped"
         )
         return
-    _propagate(dbms, view, view.history.undo_last(view, count), inverse=True)
+    _propagate(dbms, view, view.history.undo_last(view.relation, count), inverse=True)
     report.undos_replayed += 1
     dbms.tracer.add("recovery.replayed")
 

@@ -28,22 +28,16 @@ bucket labels.
 reported through ``fold`` (and the ``on_insert``/``on_delete``/
 ``on_update``/``apply_batch`` entry points built on it) — i.e. apply the
 change to the underlying data *before* notifying the window.
-Regeneration only happens inside :meth:`value` reads and explicit
-:meth:`regenerate` calls, never inside ``fold``.
+Regeneration only happens inside :meth:`value` and :meth:`count` reads and
+explicit :meth:`regenerate` calls, never inside ``fold``.
 
-**Digest fallback:** a removal the window cannot classify — a value
-inside the window bounds that the window never saw, or any value when the
-multiset is empty — breaks the histogram-window invariant.  A coalesced
-burst such as ``update(x → y); delete(y)`` no longer gets there
-(``apply_batch`` folds added values in before removed ones fold out), but
-change notifications that arrive out of order, or a delta that does not
-match the data, still can, and the window historically raised
-mid-propagation.  With ``digest_fallback`` (the default) it instead enters
-*digest mode*: reads are served from a
-:class:`~repro.incremental.sketches.TDigest` rebuilt lazily from the
-provider (one unsorted pass — the provider is the truth), counted in
-``stats.invariant_breaks``.  An explicit :meth:`regenerate` restores the
-exact window.
+A removal the window cannot classify — a value inside the window bounds
+that the window never saw, or any value when the multiset is empty —
+breaks the histogram-window invariant (change notifications that arrive
+out of order, or a delta that does not match the data).  The window then
+counts ``stats.invariant_breaks`` and goes back to unbuilt, so the next
+read regenerates it from the provider, which is the truth: the answer
+stays exact.
 """
 
 from __future__ import annotations
@@ -54,7 +48,6 @@ from typing import Any, Callable, Iterable
 
 from repro.core.errors import StatisticsError
 from repro.incremental.differencing import IncrementalComputation
-from repro.incremental.sketches import TDigest
 from repro.relational.types import NA, is_na
 
 
@@ -95,7 +88,6 @@ class OrderStatWindow(IncrementalComputation):
         values_provider: Callable[[], Iterable[Any]],
         window_size: int = 100,
         margin: int = 2,
-        digest_fallback: bool = True,
     ) -> None:
         if window_size < 8:
             raise StatisticsError(f"window_size must be >= 8, got {window_size}")
@@ -113,9 +105,6 @@ class OrderStatWindow(IncrementalComputation):
         self._lo_bound: Any = None
         self._hi_bound: Any = None
         self._initialized = False
-        self._digest_fallback = digest_fallback
-        self._digest_mode = False
-        self._digest: TDigest | None = None
 
     # -- target ranks (subclass hook) ---------------------------------------
 
@@ -127,23 +116,14 @@ class OrderStatWindow(IncrementalComputation):
 
     @property
     def count(self) -> int:
-        """Number of non-NA values tracked."""
-        if self._digest_mode:
-            return int(self._ensure_digest().count)
+        """Number of non-NA values tracked (building the window if unbuilt)."""
+        if not self._initialized:
+            self.regenerate()
         return self._below + len(self._window) + self._above
-
-    @property
-    def in_digest_mode(self) -> bool:
-        """Whether reads are currently served through the t-digest."""
-        return self._digest_mode
 
     @property
     def value(self) -> Any:
         """The current order statistic (regenerating if the pointer ran off)."""
-        if self._digest_mode:
-            return self._digest_value()
-        if not self._initialized:
-            self.regenerate()
         n = self.count
         if n == 0:
             return NA
@@ -171,9 +151,7 @@ class OrderStatWindow(IncrementalComputation):
     # -- maintenance ------------------------------------------------------------
 
     def reset(self) -> None:
-        """The empty, initialized multiset (exact mode)."""
-        self._digest_mode = False
-        self._digest = None
+        """The empty, initialized multiset."""
         self._install_from_sorted([])
         self._initialized = True
 
@@ -185,18 +163,13 @@ class OrderStatWindow(IncrementalComputation):
         reflects them.  A batch added to an empty multiset becomes the
         window in one sorting pass.  Removing a value the window has no
         record of (inside the bounds but absent, or from an empty
-        multiset) breaks the histogram-window invariant; with
-        ``digest_fallback`` the window degrades to digest-served reads
-        instead of raising.
+        multiset) breaks the histogram-window invariant: the window goes
+        back to unbuilt and the next read regenerates it.
         """
         if not self._initialized:
             return
         clean = [v for v in values if not is_na(v)]
         if not clean:
-            return
-        if self._digest_mode:
-            # Provider already reflects the change; the next read rebuilds.
-            self._digest = None
             return
         if sign > 0 and self._lo_bound is None:
             clean.sort()
@@ -204,7 +177,7 @@ class OrderStatWindow(IncrementalComputation):
             self._install_from_sorted(clean)
             return
         if self._lo_bound is None:
-            self._break_invariant(f"removing {clean!r} from an empty multiset")
+            self._break_invariant()
             return
         window = self._window
         for value in clean:
@@ -217,42 +190,15 @@ class OrderStatWindow(IncrementalComputation):
             else:
                 i = bisect.bisect_left(window, value)
                 if i == len(window) or window[i] != value:
-                    self._break_invariant(
-                        f"removing value {value!r} not present in the window range"
-                    )
+                    self._break_invariant()
                     return
                 window.pop(i)
             self.stats.pointer_moves += 1
 
-    # -- digest fallback ----------------------------------------------------------
-
-    def _break_invariant(self, reason: str) -> None:
-        """Degrade to digest-served reads (or raise, without the fallback)."""
-        if not self._digest_fallback:
-            raise StatisticsError(reason)
+    def _break_invariant(self) -> None:
+        """Count the break and unbuild: the next read regenerates (SS4.2)."""
         self.stats.invariant_breaks += 1
-        self._digest_mode = True
-        self._digest = None
-
-    def _ensure_digest(self) -> TDigest:
-        digest = self._digest
-        if digest is None:
-            digest = TDigest()
-            digest.fold(self._provider())
-            self.stats.data_passes += 1
-            self._digest = digest
-        return digest
-
-    def _digest_value(self) -> Any:
-        digest = self._ensure_digest()
-        n = int(digest.count)
-        if n == 0:
-            return NA
-        ranks, weights = self._needed_ranks(n)
-        total = 0.0
-        for rank, weight in zip(ranks, weights):
-            total += weight * float(digest.value_at_rank(rank))
-        return total
+        self._initialized = False
 
     # -- regeneration -------------------------------------------------------------
 
@@ -268,13 +214,6 @@ class OrderStatWindow(IncrementalComputation):
         counted as an extra pass; the third miss falls back to a full sort.
         """
         self.stats.regenerations += 1
-        if self._digest_mode:
-            # Exit digest mode with an exact rebuild (one sorting pass).
-            self._digest_mode = False
-            self._digest = None
-            self._full_rebuild()
-            self._initialized = True
-            return
         if not self._initialized or not self._window:
             self._full_rebuild()
             self._initialized = True

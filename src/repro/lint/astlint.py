@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
 from repro.lint.findings import Finding, RuleSpec, Severity, rule
@@ -483,7 +482,6 @@ AST_RULES: tuple[AstRule, ...] = (
         _view_mutation,
         (
             "views/updates.py",
-            "views/view.py",
             "views/history.py",
             "incremental/derived.py",
             "relational/relation.py",
@@ -708,17 +706,3 @@ def lint_source(
         walk.report(RULE_EXPORTS, _exports(tree, module_path))
     return walk.findings
 
-
-def lint_file(
-    path: Path,
-    report_path: str | None = None,
-    select: Iterable[str] | None = None,
-) -> list[Finding]:
-    """Run the AST passes over one file on disk."""
-    source = path.read_text(encoding="utf-8")
-    return lint_source(
-        source,
-        report_path or str(path),
-        module_path=str(path),
-        select=select,
-    )

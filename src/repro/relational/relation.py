@@ -7,11 +7,13 @@ storage structure (heap file or transposed file), so iterating it performs
 accounted I/O.  Relational operators accept anything exposing ``.schema``
 and row iteration, so the two interoperate freely.
 
-Every change to a :class:`Relation`'s rows is one of its methods, so it
-owns the bookkeeping that must follow each one: its attribute indexes
-(:meth:`~Relation.index_on` — SS2.3's auxiliary structures, built on first
-use and exact ever after) and the per-attribute write epochs that tell the
-MVCC publish path and the checkpoint which columns changed.
+A :class:`Relation`'s row count is fixed at construction: its one cell
+write is :meth:`~Relation.set_value`, and :meth:`~Relation.append_column`
+adds a derived vector beside the others.  So it owns the bookkeeping that
+must follow each write: its attribute indexes (:meth:`~Relation.index_on`
+— SS2.3's auxiliary structures, built on first use and exact ever after)
+and the per-attribute write epochs that tell the MVCC publish path and the
+checkpoint which columns changed.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 from repro.core.errors import SchemaError, StorageError
 from repro.relational.index import AttributeIndex
 from repro.relational.schema import Attribute, Schema
-from repro.relational.types import NA, DataType, is_na
+from repro.relational.types import DataType, is_na
 from repro.storage.heapfile import HeapFile
 from repro.storage.sharded import ShardedTransposedFile
 from repro.storage.transposed import TransposedFile
@@ -65,7 +67,7 @@ class Relation:
         self._columns = [list(map(itemgetter(i), rows)) for i in range(len(schema))]
         #: The live indexes by attribute; :meth:`index_on` gets or builds one.
         self.indexes: dict[str, AttributeIndex] = {}
-        #: Writes per attribute, rows inserted or deleted included (absent = none).
+        #: Cell writes per attribute (absent = none).
         self.epochs: dict[str, int] = {}
 
     @classmethod
@@ -96,20 +98,6 @@ class Relation:
         """The row at position ``index``."""
         return tuple([values[index] for values in self._columns])
 
-    def insert(self, row: Sequence[Any], validate: bool = True) -> int:
-        """Append a row; returns its position."""
-        if validate:
-            self.schema.validate_row(row)
-        elif len(row) != len(self._columns):
-            raise SchemaError(f"row has {len(row)} fields, schema has {len(self._columns)}")
-        position = len(self)
-        for values, value in zip(self._columns, row):
-            values.append(value)
-        self._advance_epochs()
-        for attr in list(self.indexes):
-            self._reindex(attr, position, NA, row[self.schema.index_of(attr)])
-        return position
-
     def set_value(self, row: int, attr: str, value: Any) -> Any:
         """Point-update one cell; returns the old value."""
         values = self._columns[self.schema.index_of(attr)]
@@ -119,15 +107,6 @@ class Relation:
         if self.indexes:
             self._reindex(attr, row, old, value)
         return old
-
-    def delete_row(self, index: int) -> tuple[Any, ...]:
-        """Remove and return the row at ``index``; later rows move up, so
-
-        the indexes are dropped (and rebuilt on next use), not renumbered."""
-        self.indexes.clear()
-        row = tuple([values.pop(index) for values in self._columns])
-        self._advance_epochs()
-        return row
 
     def append_column(self, attribute: Attribute, values: Sequence[Any]) -> None:
         """Add ``attribute`` as the last column, one value per row; row
@@ -140,10 +119,6 @@ class Relation:
         self._columns.append(vector)
         self.epochs[attribute.name] = 1
 
-    def _advance_epochs(self) -> None:
-        """Count a row added or removed as a write to every attribute."""
-        self.epochs.update({a: self.epochs.get(a, 0) + 1 for a in self.schema.names})
-
     # -- indexes -------------------------------------------------------------
 
     def index_on(self, attr: str) -> AttributeIndex:
@@ -155,9 +130,9 @@ class Relation:
         return index
 
     def _reindex(self, attr: str, row: int, old: Any, new: Any) -> None:
-        """Carry a cell's change from ``old`` (NA: a new row) to ``new`` into
+        """Carry a cell's change from ``old`` to ``new`` into ``attr``'s
 
-        ``attr``'s index, if it has one."""
+        index, if it has one."""
         index = self.indexes.get(attr)
         if index is None:
             return

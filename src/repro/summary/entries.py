@@ -11,7 +11,7 @@ will be of varying length" (SS3.2).
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Sequence
 
 from repro.core.errors import SummaryError
@@ -63,9 +63,6 @@ class SummaryEntry:
 
     epsilon: float | None = None
     """Documented accuracy bound for sketch results (None = exact)."""
-
-    observed_error: float | None = None
-    """Last measured deviation from an exact recomputation, when known."""
 
     @property
     def size_bytes(self) -> int:

@@ -15,14 +15,11 @@ from __future__ import annotations
 import enum
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import Any, Sequence
 
 from repro.core.errors import HistoryError
 from repro.incremental.differencing import Delta
 from repro.relational.relation import Relation
-
-if TYPE_CHECKING:
-    from repro.views.view import ConcreteView
 
 
 class OpKind(enum.Enum):
@@ -173,18 +170,15 @@ class UpdateHistory:
 
     # -- undo / rollback ----------------------------------------------------------
 
-    def undo_last(
-        self, relation: "Relation | ConcreteView", count: int = 1
-    ) -> list[Operation]:
+    def undo_last(self, relation: Relation, count: int = 1) -> list[Operation]:
         """Reverse the last ``count`` operations against ``relation``.
 
         Returns the undone operations (newest first); each operation's
         changes are restored newest first too, so a cell written twice ends
-        at the value it held before the operation.  Given the view itself,
-        each write is its ``set_value``, so the stored mirror and the
-        copy-on-write epochs follow.  Cost is proportional to the cells
-        changed.  The version counter does not move backwards: the undone
-        versions stay burned.
+        at the value it held before the operation.  Each write is
+        ``Relation.set_value``, so the indexes and copy-on-write epochs
+        follow.  Cost is proportional to the cells changed.  The version
+        counter does not move backwards: the undone versions stay burned.
         """
         if count < 1:
             raise HistoryError(f"count must be >= 1, got {count}")

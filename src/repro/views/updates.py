@@ -67,8 +67,9 @@ def _write_cells(
     a newly recorded one (``None`` if no cell was written), or ``logged``
     restored under its own version."""
     view.schema.index_of(attr)  # validate
+    set_value = view.relation.set_value
     changes = [
-        CellChange(row=row, old=view.set_value(row, attr, new), new=new)
+        CellChange(row=row, old=set_value(row, attr, new), new=new)
         for row, new in cells
     ]
     if logged is not None:
@@ -125,43 +126,6 @@ def update_rows(
     """Point-update specific (row, new_value) pairs of one attribute."""
     operation = _write_cells(view, attr, row_values, description=description)
     return operation.delta() if operation is not None else Delta()
-
-
-def update_rows_by_shard(
-    view: ConcreteView,
-    attr: str,
-    row_values: Sequence[tuple[int, Any]],
-    description: str = "",
-) -> dict[int, Delta]:
-    """Point-update one attribute, routing changes to their owning shards.
-
-    On a view mirrored to a sharded transposed file, one update burst is
-    split by the storage's :class:`~repro.storage.sharded.ShardRouter`
-    into at most one per-shard burst — each applied in shard-local order
-    (so every touched shard's page chains are walked once, and its version
-    counter invalidates the worker-side payload cache once per burst) and
-    logged as its own history operation.  Returns one delta per touched
-    shard; feed ``deltas.values()`` to
-    :meth:`~repro.core.propagation.UpdatePropagator.propagate_batch`,
-    which coalesces them into a single summary sweep.
-
-    A view without a sharded mirror degrades to one burst under shard 0.
-    """
-    router = getattr(view.storage, "router", None)
-    if router is None:
-        return {0: update_rows(view, attr, row_values, description=description)}
-    by_shard: dict[int, list[tuple[int, Any]]] = {}
-    for row_index, value in row_values:
-        by_shard.setdefault(router.shard_of(row_index), []).append((row_index, value))
-    deltas: dict[int, Delta] = {}
-    for shard in sorted(by_shard):
-        deltas[shard] = update_rows(
-            view,
-            attr,
-            by_shard[shard],
-            description=description or f"shard {shard} burst",
-        )
-    return deltas
 
 
 def invalidate_where(

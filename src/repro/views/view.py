@@ -3,27 +3,21 @@
 "We envision several concrete views over a single raw database.  Each view
 is private to a single user ...  Associated with each view is a Summary
 Database" (SS3.2).  A :class:`ConcreteView` bundles the materialized
-relation, its Summary Database, its update history, its derived-column
-manager, and an optional transposed-file mirror on simulated disk so
-column scans are charged realistic I/O.  The relation owns its attribute
-indexes and write epochs; the view adds the mirror write-through.
+relation, its Summary Database, its update history and its derived-column
+manager.  The relation is the only copy of the cells: it owns their one
+write path (``Relation.set_value``), its attribute indexes and its write
+epochs.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, Sequence
 
-from repro.core.errors import ViewError
 from repro.incremental.derived import Derivation, DerivedColumnManager
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
 from repro.relational.types import DataType
-from repro.storage.sharded import ShardedTransposedFile
-from repro.storage.transposed import TransposedFile
 from repro.summary.summarydb import SummaryDatabase
-
-#: Either mirror shape: one transposed file, or one sharded across disks.
-MirrorStorage = TransposedFile | ShardedTransposedFile
 from repro.views.history import UpdateHistory
 from repro.views.materialize import ViewDefinition
 
@@ -42,11 +36,6 @@ class ConcreteView:
         and re-derivation).
     owner:
         The analyst the view is private to.
-    storage:
-        Optional transposed file (plain or sharded) mirroring the relation
-        on simulated disk; column reads then pay accounted I/O and point
-        updates write through.  A sharded mirror additionally makes the
-        view's aggregate queries eligible for scatter-gather execution.
     """
 
     def __init__(
@@ -55,23 +44,15 @@ class ConcreteView:
         relation: Relation,
         definition: ViewDefinition | None = None,
         owner: str = "analyst",
-        storage: MirrorStorage | None = None,
         summary: SummaryDatabase | None = None,
     ) -> None:
-        if storage is not None and len(storage) not in (0, len(relation)):
-            raise ViewError(
-                f"storage holds {len(storage)} rows, relation has {len(relation)}"
-            )
         self.name = name
         self.relation = relation
         self.definition = definition
         self.owner = owner
-        self.storage = storage
         self.summary = summary or SummaryDatabase(view_name=name)
         self.history = UpdateHistory(view_name=name)
         self.derived = DerivedColumnManager(relation)
-        if storage is not None and len(storage) == 0:
-            storage.append_rows(list(relation))
 
     # -- structure ------------------------------------------------------------
 
@@ -106,23 +87,15 @@ class ConcreteView:
     # -- data access --------------------------------------------------------------
 
     def column(self, attr: str) -> list[Any]:
-        """One attribute's values.
-
-        Reads the transposed mirror when present (paying that column's page
-        I/O only — the SS2.6 access pattern); falls back to memory.
-        """
-        if self.storage is not None and attr in self._stored_attrs():
-            index = self._stored_attrs().index(attr)
-            return list(self.storage.scan_column(index))
+        """One attribute's values (a copy of the relation's vector)."""
         return self.relation.column(attr)
 
     def column_provider(self, attr: str) -> Callable[[], list[Any]]:
         """A zero-argument provider for incremental maintainers.
 
-        Reads from memory: maintainer regeneration passes are counted by
-        the maintainers themselves, and the stored mirror serves the
-        I/O-accounting benchmarks.  It holds the relation, not the view:
-        maintainers live in the view's summary, and that would be a cycle.
+        Maintainer regeneration passes are counted by the maintainers
+        themselves.  It holds the relation, not the view: maintainers live
+        in the view's summary, and that would be a cycle.
         """
         relation = self.relation
         return lambda: relation.column(attr)
@@ -134,8 +107,7 @@ class ConcreteView:
 
         Multi-attribute maintainers (fitted models, paired sketches)
         consume observations row-wise; this zips the named columns into
-        tuples on each call, reading from memory like
-        :meth:`column_provider`.
+        tuples on each call, like :meth:`column_provider`.
         """
         names = tuple(attributes)
         relation = self.relation
@@ -143,27 +115,8 @@ class ConcreteView:
             relation.schema.index_of(name)  # validate eagerly
         return lambda: list(zip(*map(relation.column, names)))
 
-    def set_value(self, row: int, attr: str, value: Any) -> Any:
-        """Point-update one cell (writes through to storage); returns the
-
-        old value.  Use :mod:`repro.views.updates` for logged updates."""
-        old = self.relation.set_value(row, attr, value)
-        if self.storage is not None and attr in self._stored_attrs():
-            index = self._stored_attrs().index(attr)
-            self.storage.set_value(row, index, value)
-        return old
-
     def add_derived_column(self, derivation: Derivation, dtype: DataType = DataType.FLOAT) -> None:
-        """Attach a derived column (not mirrored to storage).
+        """Attach a derived column: the paper's SS4.3 "operations whose
 
-        The stored mirror keeps the base attributes only; derived vectors
-        are the paper's SS4.3 "operations whose results are vectors which
-        are added to the data set".
-        """
+        results are vectors which are added to the data set"."""
         self.derived.add(derivation, dtype=dtype)
-
-    def _stored_attrs(self) -> list[str]:
-        # The mirror was created from the materialization schema; derived
-        # columns appended later are memory-only.
-        assert self.storage is not None
-        return self.relation.schema.names[: self.storage.column_count]

@@ -289,21 +289,6 @@ class TestCopyOnWrite:
         assert restored.columns["y"] != touched.columns["y"]
         assert restored.columns["y"] == tuple(float(i * 2) for i in range(10))
 
-    def test_a_row_deleted_and_inserted_is_not_shared_stale(self):
-        # The row count is back where it was and only y is written, yet every
-        # column moved: rows are inserted and deleted through every attribute.
-        coord = build_coordinator()
-        chain = coord.chain("boot", "v")
-        with coord.write("w", "v") as session:
-            relation = session.view.relation
-            relation.delete_row(0)
-            relation.insert((-1.0, -2.0))
-            session.update(col("x") == 9.0, {"y": 99.0})
-        head = chain.latest()
-        for name in ("x", "y"):
-            assert head.columns[name] == tuple(relation.column(name))
-        assert head.columns["x"][0] == 1.0 and head.columns["x"][-1] == -1.0
-
     def test_pinned_columns_stay_frozen_while_the_cell_is_rewritten(self):
         # Publication copies the relation's live vector; a version that
         # held the vector itself would change under its pinned reader.

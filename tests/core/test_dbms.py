@@ -6,7 +6,7 @@ from repro.core.accuracy import AccuracyLevel, AccuracyPreference
 from repro.core.dbms import StatisticalDBMS
 from repro.core.errors import ViewError
 from repro.relational.expressions import col
-from repro.views.materialize import ProjectNode, SelectNode, SourceNode, ViewDefinition
+from repro.views.materialize import SelectNode, SourceNode, ViewDefinition
 from repro.workloads.census import figure1_dataset, generate_microdata
 
 
@@ -68,13 +68,6 @@ class TestViewLifecycle:
         assert "v" not in dbms.registry.names()
         assert dbms.management.view_names() == []
 
-    def test_storage_mirrors(self):
-        db = StatisticalDBMS(use_storage_mirrors=True)
-        db.load_raw(figure1_dataset("census"))
-        created = db.create_view(ViewDefinition("v", SourceNode("census")))
-        assert created.view.storage is not None
-        assert len(created.view.storage) == 9
-
 
 class TestSessions:
     def test_session_computes(self, dbms):
@@ -92,6 +85,20 @@ class TestSessions:
         other = dbms.session("v", analyst="bob")
         assert other.policy.name == "precise"
 
+    def test_mixed_policies_share_the_view(self, dbms):
+        dbms.create_view(ViewDefinition("v", SourceNode("micro")), analyst="a")
+        dbms.management.set_policy(
+            "b", "v", AccuracyPreference(AccuracyLevel.TOLERANT, parameter=3).to_policy()
+        )
+        precise = dbms.session("v", analyst="a")
+        tolerant = dbms.session("v", analyst="b")
+        before = precise.compute("mean", "INCOME")
+        tolerant.compute("mean", "INCOME")
+        precise.update_cells("INCOME", [(0, 0.0)])
+        # Precise sees the change; both share the same view data.
+        assert precise.compute("mean", "INCOME") != before
+        assert tolerant.view is precise.view
+
 
 class TestPublishing:
     def test_publish_and_adopt(self, dbms):
@@ -106,7 +113,7 @@ class TestPublishing:
         assert bad_rows  # bob inherits alice's cleaning
         assert adopted.owner == "bob"
         # Bob's view is private: his changes do not reach alice's.
-        adopted.set_value(0, "INCOME", -1.0)
+        adopted.relation.set_value(0, "INCOME", -1.0)
         assert dbms.view("v").relation.column("INCOME")[0] != -1.0
 
     def test_describe(self, dbms):

@@ -46,7 +46,7 @@ def close(a, b):
 
 
 def point_update(view, attr, row, new):
-    old = view.set_value(row, attr, new)
+    old = view.relation.set_value(row, attr, new)
     return Delta(updates=[(old, new)]), [row]
 
 

@@ -245,9 +245,6 @@ def test_a_checkpoint_encodes_only_what_changed_since_the_last(tmp_path):
     assert since(seven_writes) == (1, 1)  # "x" is encoded, "id" reused
     assert since(lambda: None) == (0, 2)
     assert since(lambda: session.undo(3)) == (1, 1)
-    relation = dbms.view("v1").relation
-    # A row deleted and one inserted: the row count is back, every column moved.
-    assert since(lambda: relation.insert(relation.delete_row(0))) == (2, 0)
 
 
 def test_a_cell_that_cannot_be_persisted_is_refused_after_a_cached_checkpoint(tmp_path):
@@ -255,7 +252,7 @@ def test_a_cell_that_cannot_be_persisted_is_refused_after_a_cached_checkpoint(tm
     dbms.checkpoint()
     path = dbms.durability.checkpoint_path
     before = path.read_bytes()
-    dbms.view("v1").set_value(3, "x", [1.0, 2.0])  # a list would come back a list
+    dbms.view("v1").relation.set_value(3, "x", [1.0, 2.0])  # a list would come back a list
     with pytest.raises(MetadataError, match="list"):
         dbms.checkpoint()
     assert path.read_bytes() == before

@@ -7,7 +7,6 @@ through the restored maintainers — or marks them stale.  Never silently
 wrong.
 """
 
-import math
 import statistics
 
 import pytest
@@ -165,6 +164,14 @@ class TestNeverSilentlyWrong:
         del record["maintainer"]
         restore_summary_entries(summary, [record])
         assert summary.peek("approx_median", "x").stale
+
+    def test_an_observed_error_key_from_older_snapshots_is_ignored(self):
+        summary = SummaryDatabase(view_name="v")
+        restore_summary_entries(summary, [self._record(observed_error=0.01)])
+        entry = summary.peek("approx_median", "x")
+        assert not entry.stale
+        assert entry.result == 2.0
+        assert not hasattr(entry, "observed_error")
 
     def test_registry_covers_all_families(self):
         assert set(SKETCH_KINDS) == {

@@ -138,7 +138,7 @@ class TestPropagateBatch:
 
         deltas, rows = [], []
         for row, new in [(0, 100.0), (7, -3.0), (49, 0.5)]:
-            old = view.set_value(row, "x", new)
+            old = view.relation.set_value(row, "x", new)
             deltas.append(Delta(updates=[(old, new)]))
             rows.append(row)
 

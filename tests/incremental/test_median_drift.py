@@ -9,18 +9,18 @@ mid-propagation, wedging the entry.  Two things now prevent that:
 ``apply_batch`` folds a burst's added values in before its removed values
 fold out, so a coalesced burst is maintained exactly; and a removal the
 window still cannot classify (notifications out of order, a delta that
-does not match the data) routes it through a t-digest rebuild instead of
-raising: the provider already reflects the data (the documented contract),
-so one provider pass restores a correct answer.
+does not match the data) unbuilds the window instead of raising: the
+provider already reflects the data (the documented contract), so the next
+read regenerates it in one pass (SS4.2) and the answer stays exact.
 """
 
 from __future__ import annotations
 
 import random
+import statistics
 
 import pytest
 
-from repro.core.errors import StatisticsError
 from repro.incremental.differencing import Delta
 from repro.incremental.order_stats import MedianWindow, QuantileWindow
 from repro.relational.types import NA
@@ -42,13 +42,13 @@ def test_coalesced_update_then_delete_inside_bounds() -> None:
     window.apply_batch((burst,))
     assert window.value == pytest.approx(15.0)
     assert window.stats.invariant_breaks == 0
-    assert not window.in_digest_mode
+    assert window.value == statistics.median(data)
 
 
 def test_coalesced_burst_on_empty_multiset() -> None:
     """update(NA→5) + delete(5) against an all-NA column: exact through
     ``apply_batch``; the same two changes notified delete-first hit an
-    empty multiset and must degrade, not raise."""
+    empty multiset and must regenerate, not raise."""
     data: list[object] = [NA, NA]
     window = MedianWindow(lambda: list(data))
     window.initialize(data)
@@ -74,29 +74,29 @@ def out_of_order(window: MedianWindow, old: float, new: float) -> None:
     window.on_update(old, new)
 
 
-def test_digest_mode_tracks_later_mutations() -> None:
+def test_a_broken_window_tracks_later_mutations() -> None:
     """After the invariant breaks, later inserts/deletes must still be
-    reflected in reads (digest mode stays provider-correct)."""
+    reflected in reads, exactly."""
     data = [float(v) for v in range(1, 8)]  # 1..7, median 4
     window = MedianWindow(lambda: list(data))
     window.initialize(data)
 
     data[:] = [float(v) for v in range(1, 7)]  # 1..6
     out_of_order(window, 7.0, 6.5)
-    assert window.in_digest_mode
-    assert window.value == pytest.approx(3.5)
+    assert window.stats.invariant_breaks == 1
+    assert window.value == statistics.median(data) == 3.5
 
     # Ordinary maintenance continues after the break.
     data.append(100.0)
     window.on_insert(100.0)
-    assert window.value == pytest.approx(4.0)
+    assert window.value == statistics.median(data) == 4.0
     data.remove(1.0)
     window.on_delete(1.0)
-    assert window.value == pytest.approx(4.5)
+    assert window.value == statistics.median(data) == 4.5
 
 
 def test_explicit_regenerate_restores_exact_window() -> None:
-    """regenerate() exits digest mode and rebuilds the exact window."""
+    """regenerate() after a break rebuilds the exact window."""
     data = [10.0, 20.0, 30.0]
     window = MedianWindow(lambda: list(data))
     window.initialize(data)
@@ -105,8 +105,7 @@ def test_explicit_regenerate_restores_exact_window() -> None:
     assert window.stats.invariant_breaks >= 1
 
     window.regenerate()
-    assert not window.in_digest_mode
-    assert window.value == pytest.approx(15.0)
+    assert window.value == statistics.median(data) == 15.0
     # Exact maintenance resumes: a clean delete must not re-break.
     data.remove(10.0)
     window.on_delete(10.0)
@@ -127,8 +126,7 @@ def test_quantile_window_survives_mixed_burst() -> None:
 
 def test_mixed_storm_matches_sorted_truth() -> None:
     """A long randomized storm of coalesced mixed bursts (with NA churn)
-    must track the sorted-truth median within digest accuracy (exact at
-    these sizes: unit centroids)."""
+    must track the sorted-truth median exactly."""
     rng = random.Random(90210)
     data: list[object] = [float(rng.randint(0, 50)) for _ in range(40)]
     window = MedianWindow(lambda: list(data), window_size=8, margin=1)
@@ -163,14 +161,21 @@ def test_mixed_storm_matches_sorted_truth() -> None:
             truth = clean[n // 2]
         else:
             truth = (clean[n // 2 - 1] + clean[n // 2]) / 2.0
-        assert window.value == pytest.approx(truth)
+        assert window.value == truth
 
 
-def test_pre_fix_failure_mode_documented() -> None:
-    """The historical failure: a bare on_delete of an in-bounds absent
-    value still raises when digest routing is disabled — the raise is the
-    invariant violation the routing exists to absorb."""
-    window = MedianWindow(lambda: [10.0, 20.0, 30.0], digest_fallback=False)
-    window.initialize([10.0, 20.0, 30.0])
-    with pytest.raises(StatisticsError):
-        window.on_delete(25.0)
+def test_an_invariant_break_on_a_large_column_answers_exactly() -> None:
+    """An exact median never answers approximately: after a removal the
+
+    window cannot classify, 20 000 lognormal values give the sorted truth."""
+    rng = random.Random(1982)
+    data = [rng.lognormvariate(10.0, 1.0) for _ in range(20_000)]
+    window = MedianWindow(lambda: list(data))
+    window.initialize(data)
+    ranked = sorted(data)
+    middle = len(ranked) // 2
+    absent = (ranked[middle - 1] + ranked[middle]) / 2  # in bounds, never present
+    assert absent not in data
+    window.on_delete(absent)
+    assert window.stats.invariant_breaks == 1
+    assert window.value == statistics.median(data)

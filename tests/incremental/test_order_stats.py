@@ -114,23 +114,16 @@ class TestMedianWindow:
             backing.update(window, rng.randrange(1000), rng.randrange(5))
             assert window.value == statistics.median(backing.values)
 
-    def test_delete_out_of_window_range_value_errors_if_absent(self):
-        backing = Backing([1.0, 2.0, 3.0])
-        window = MedianWindow(backing.provider, digest_fallback=False)
-        window.value
-        with pytest.raises(StatisticsError):
-            window.on_delete(2.5)  # inside bounds, never present
-
-    def test_delete_absent_value_enters_digest_mode(self):
-        # Default behavior: the invariant break degrades to digest-served
-        # reads off the provider instead of raising mid-propagation.
+    def test_delete_absent_value_regenerates_exactly(self):
+        # The invariant break unbuilds the window instead of raising
+        # mid-propagation; the next read regenerates it off the provider.
         backing = Backing([1.0, 2.0, 3.0])
         window = MedianWindow(backing.provider)
         window.value
         window.on_delete(2.5)  # inside bounds, never present
-        assert window.in_digest_mode
         assert window.stats.invariant_breaks == 1
-        assert window.value == pytest.approx(2.0)
+        assert window.value == statistics.median(backing.values)
+        assert window.stats.regenerations == 2
 
     def test_window_size_validation(self):
         with pytest.raises(StatisticsError):

@@ -88,9 +88,10 @@ class TestViewMutation:
         findings = lint(self.CODE, path="src/repro/views/updates.py")
         assert findings == []
 
-    def test_allowed_in_view_wrapper(self):
+    def test_flagged_in_view_wrapper(self):
+        """The view holds no second copy of its cells, so it writes none."""
         findings = lint(self.CODE, path="src/repro/views/view.py")
-        assert findings == []
+        assert rule_ids(findings) == ["REPRO-A103"]
 
     def test_flagged_in_wal_replay(self):
         """Recovery re-applies logged operations through views.updates;

@@ -1,7 +1,8 @@
 """Model-based test of the column-major :class:`Relation`.
 
-A Hypothesis state machine drives every mutator of a relation and of a
-plain list-of-row-tuples model side by side, and after each step checks
+A Hypothesis state machine builds a relation of drawn rows, then drives
+every mutator of it and of a plain list-of-row-tuples model side by side
+(the row count is fixed at construction), and after each step checks
 every read path — rows, columns, chunk scans, float arrays — plus the
 maintained indexes against fresh builds and the per-attribute write
 epochs.
@@ -11,7 +12,13 @@ import math
 
 from hypothesis import settings
 from hypothesis import strategies as st
-from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    precondition,
+    rule,
+)
 
 from repro.relational.index import AttributeIndex
 from repro.relational.relation import Relation
@@ -41,19 +48,13 @@ class RelationModel(RuleBasedStateMachine):
     def _row(self, data):
         return tuple(data.draw(_VALUES[a.dtype]) for a in self.schema.attributes)
 
+    @initialize(data=st.data())
+    def build(self, data):
+        self.rows = [self._row(data) for _ in range(data.draw(st.integers(0, 8)))]
+        validate = data.draw(st.booleans())
+        self.relation = Relation("r", self.schema, self.rows, validate=validate)
+
     # -- mutators --------------------------------------------------------------
-
-    @rule(data=st.data())
-    def insert(self, data):
-        row = self._row(data)
-        assert self.relation.insert(row, validate=data.draw(st.booleans())) == len(self.rows)
-        self.rows.append(row)
-        self._advance_epochs()
-
-    def _advance_epochs(self):
-        """A row added or removed counts as a write to every attribute."""
-        for name in self.schema.names:
-            self.epochs[name] = self.epochs.get(name, 0) + 1
 
     @precondition(lambda self: self.rows)
     @rule(data=st.data())
@@ -67,14 +68,6 @@ class RelationModel(RuleBasedStateMachine):
         row[i] = value
         self.rows[position] = tuple(row)
         self.epochs[attr.name] = self.epochs.get(attr.name, 0) + 1
-
-    @precondition(lambda self: self.rows)
-    @rule(data=st.data())
-    def delete_row(self, data):
-        position = data.draw(st.integers(-len(self.rows), len(self.rows) - 1))
-        assert self.relation.delete_row(position) == self.rows.pop(position)
-        self.indexed.clear()  # dropped, rebuilt on next use
-        self._advance_epochs()
 
     @precondition(lambda self: len(self.schema) < 6)
     @rule(data=st.data(), dtype=st.sampled_from(list(_VALUES)))
@@ -97,9 +90,10 @@ class RelationModel(RuleBasedStateMachine):
         original = self.relation
         self.relation = original.copy("r2")
         # The copy shares no vector with its source.
-        while len(original):
-            original.delete_row(0)
-        original.append_column(Attribute("gone", DataType.INT), [])
+        for name in original.schema.names:
+            for position in range(len(original)):
+                original.set_value(position, name, "gone")
+        original.append_column(Attribute("gone", DataType.INT), [NA] * len(original))
         self.epochs = {}
         self.indexed = set()
 

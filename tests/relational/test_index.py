@@ -59,15 +59,16 @@ class TestAttributeIndex:
         assert micro.indexes == {"AGE": index}
 
     def test_staleness(self, micro):
-        # Stale means "no longer the relation's index": an insert is
-        # maintained, a delete shifts positions and drops the index.
+        # Stale means "no longer the relation's index": a cell write is
+        # maintained, an unhashable cell drops the index.
         index = AttributeIndex.build(micro, "AGE")
         assert not index.stale_for(micro)
-        micro.insert(micro.row(0), validate=False)
+        micro.set_value(0, "AGE", 99)
         assert not index.stale_for(micro)
         assert index.stale_for(micro.copy())
-        micro.delete_row(0)
+        micro.set_value(0, "AGE", [99])
         assert index.stale_for(micro)
+        micro.set_value(0, "AGE", 99)
         assert not micro.index_on("AGE").stale_for(micro)
 
     def test_one_sided_ranges(self, micro):
@@ -125,26 +126,6 @@ class TestMaintenance:
         assert index.range(hi=2) == [1, 2]
         relation.set_value(1, "v", 99.0)  # another attribute: untouched
         assert_exact(relation)
-
-    def test_insert_is_indexed(self):
-        relation = small_relation()
-        index = relation.index_on("k")
-        position = relation.insert((2, 40.0))
-        assert index.lookup(2) == [1, position]
-        assert not index.stale_for(relation)
-        assert_exact(relation)
-
-    def test_delete_row_drops_the_indexes(self):
-        relation = small_relation()
-        catalog = Catalog()
-        catalog.register(relation, "r")
-        catalog.register_index("r", "k", AttributeIndex.build(relation, "k"))
-        relation.delete_row(0)
-        assert relation.indexes == {}
-        pipeline = plan(parse("SELECT * FROM r WHERE k = 3"), catalog)
-        assert not isinstance(pipeline, IndexScan)
-        assert list(pipeline) == [(3, 30.0)]
-        assert relation.index_on("k").lookup(3) == [1]  # rebuilt on the new positions
 
     def test_appended_column_keeps_indexes_valid(self):
         relation = small_relation()
@@ -209,7 +190,7 @@ class TestPlannerIntegration:
         assert pipeline.rows_fetched < len(micro) / 2
 
     def test_stale_index_not_used(self, micro, indexed_catalog):
-        micro.delete_row(0)  # positions shift: the relation drops its indexes
+        micro.set_value(0, "REGION", [5])  # an unhashable cell drops the index
         pipeline = plan(parse("SELECT * FROM micro WHERE REGION = 5"), indexed_catalog)
         assert not isinstance(pipeline, IndexScan)
 

@@ -25,7 +25,7 @@ def rel(name, cols, rows):
     return Relation(name, Schema([measure(c, DataType.FLOAT) for c in cols]), rows)
 
 
-def people():
+def people(extra_rows=()):
     schema = Schema(
         [
             category("id", DataType.INT),
@@ -36,7 +36,7 @@ def people():
     return Relation(
         "people",
         schema,
-        [(1, 10, 100.0), (2, 10, 200.0), (3, 20, 300.0), (4, 30, NA)],
+        [(1, 10, 100.0), (2, 10, 200.0), (3, 20, 300.0), (4, 30, NA), *extra_rows],
     )
 
 
@@ -84,8 +84,7 @@ class TestJoins:
         assert unmatched[-1] is NA
 
     def test_hash_join_na_keys_never_match(self):
-        left = people()
-        left.insert((5, NA, 10.0), validate=False)
+        left = people(extra_rows=[(5, NA, 10.0)])
         got = HashJoin(left, depts(), ["dept"], ["dept_id"]).rows()
         assert all(r[0] != 5 for r in got)
 

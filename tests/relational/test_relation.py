@@ -30,8 +30,6 @@ class TestRelation:
     def test_ragged_row_refused_even_unvalidated(self, ragged):
         with pytest.raises(SchemaError):
             Relation("r", schema(), [(1, 1.0), ragged, (3, 3.0)], validate=False)
-        with pytest.raises(SchemaError):
-            Relation("r", schema()).insert(ragged, validate=False)
 
     def test_uniformly_wrong_width_refused(self):
         with pytest.raises(SchemaError):
@@ -45,27 +43,11 @@ class TestRelation:
         with pytest.raises(SchemaError):
             Relation.from_columns("r", schema(), [[1, 2]])
 
-    def test_insert_and_row(self):
-        rel = Relation("r", schema())
-        idx = rel.insert((5, 5.0))
-        assert rel.row(idx) == (5, 5.0)
-
-    def test_insert_validates_by_default(self):
-        rel = Relation("r", schema())
-        with pytest.raises(SchemaError):
-            rel.insert(("x", 1.0))
-
     def test_set_value_returns_old(self):
         rel = Relation("r", schema(), [(1, 1.0)])
         old = rel.set_value(0, "v", 9.0)
         assert old == 1.0
         assert rel.row(0) == (1, 9.0)
-
-    def test_delete_row(self):
-        rel = Relation("r", schema(), [(1, 1.0), (2, 2.0)])
-        gone = rel.delete_row(0)
-        assert gone == (1, 1.0)
-        assert len(rel) == 1
 
     def test_column(self):
         rel = Relation("r", schema(), [(1, 1.0), (2, NA)])

@@ -11,7 +11,7 @@ from repro.relational.types import NA, is_na
 from repro.stats.regression import fit_ols, residual_computer, residuals
 
 
-def linear_relation(n=200, noise=0.0, seed=0):
+def linear_relation(n=200, noise=0.0, seed=0, extra_rows=()):
     rng = random.Random(seed)
     schema = Schema([measure("x1"), measure("x2"), measure("y")])
     rows = []
@@ -20,7 +20,7 @@ def linear_relation(n=200, noise=0.0, seed=0):
         x2 = rng.uniform(-5, 5)
         y = 2.0 + 3.0 * x1 - 1.5 * x2 + rng.gauss(0, noise)
         rows.append((x1, x2, y))
-    return Relation("r", schema, rows)
+    return Relation("r", schema, rows + list(extra_rows))
 
 
 class TestFit:
@@ -38,8 +38,7 @@ class TestFit:
         assert model.residual_std == pytest.approx(1.0, abs=0.2)
 
     def test_na_rows_skipped(self):
-        rel = linear_relation(n=50)
-        rel.insert((NA, 1.0, 2.0), validate=False)
+        rel = linear_relation(n=50, extra_rows=[(NA, 1.0, 2.0)])
         model = fit_ols(rel, "y", ["x1", "x2"])
         assert model.n_used == 50
 
@@ -74,8 +73,7 @@ class TestResiduals:
         assert sum(res) == pytest.approx(0.0, abs=1e-6)
 
     def test_na_rows_get_na_residual(self):
-        rel = linear_relation(n=20)
-        rel.insert((NA, 1.0, 2.0), validate=False)
+        rel = linear_relation(n=20, extra_rows=[(NA, 1.0, 2.0)])
         model = fit_ols(rel, "y", ["x1", "x2"])
         res = residuals(rel, model)
         assert is_na(res[-1])

@@ -85,7 +85,7 @@ class TestInvalidate:
     def test_invalidate_where(self):
         """The 1000-year-old person of SS3.1 gets marked NA."""
         view = make_view()
-        view.set_value(4, "age", 1000)
+        view.relation.set_value(4, "age", 1000)
         delta, rows = invalidate_where(view, col("age") > 150, "age")
         assert delta.size == 1
         assert rows == [4]
@@ -113,51 +113,3 @@ class TestInvalidate:
         invalidate_rows(view, [3], "age")
         view.history.undo_last(view.relation, 1)
         assert view.relation.column("age")[3] == 23
-
-
-class TestUpdateRowsByShard:
-    def sharded_view(self, shards=3):
-        from repro.storage.sharded import ShardedTransposedFile
-        from repro.views.updates import update_rows_by_shard
-
-        schema = Schema(
-            [
-                category("id", DataType.INT),
-                measure("age", DataType.INT),
-                measure("income", DataType.FLOAT),
-            ]
-        )
-        rows = [(i, 20 + i, 1000.0 * (i + 1)) for i in range(10)]
-        storage = ShardedTransposedFile(schema.types, shards=shards, name="v")
-        view = ConcreteView("v", Relation("v", schema, rows), storage=storage)
-        return view, update_rows_by_shard
-
-    def test_burst_split_by_owning_shard(self):
-        view, update_by_shard = self.sharded_view(shards=3)
-        deltas = update_by_shard(
-            view, "income", [(0, 0.0), (1, 0.0), (3, 0.0), (6, 0.0)]
-        )
-        # rows 0,3,6 -> shard 0; row 1 -> shard 1
-        assert set(deltas) == {0, 1}
-        assert deltas[0].size == 3
-        assert deltas[1].size == 1
-
-    def test_writes_reach_relation_and_mirror(self):
-        view, update_by_shard = self.sharded_view()
-        update_by_shard(view, "income", [(2, -1.0), (5, -2.0)])
-        assert view.relation.column("income")[2] == -1.0
-        assert view.storage.get_value(5, 2) == -2.0
-
-    def test_each_shard_burst_logged_separately(self):
-        view, update_by_shard = self.sharded_view(shards=2)
-        before = view.version
-        update_by_shard(view, "income", [(0, 0.0), (1, 0.0)])
-        assert view.version == before + 2  # one history op per shard
-
-    def test_unsharded_view_degrades_to_single_burst(self):
-        from repro.views.updates import update_rows_by_shard
-
-        view = make_view()
-        deltas = update_rows_by_shard(view, "income", [(0, 0.0), (9, 0.0)])
-        assert set(deltas) == {0}
-        assert deltas[0].size == 2

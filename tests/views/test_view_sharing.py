@@ -3,14 +3,9 @@
 import pytest
 
 from repro.core.errors import ViewError
-from repro.incremental.derived import LocalDerivation
 from repro.relational.expressions import col
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema, measure
-from repro.relational.types import DataType
-from repro.storage.disk import SimulatedDisk
-from repro.storage.pager import BufferPool
-from repro.storage.transposed import TransposedFile
 from repro.views.materialize import ProjectNode, SelectNode, SourceNode, ViewDefinition
 from repro.views.sharing import ViewRegistry
 from repro.views.view import ConcreteView
@@ -21,14 +16,8 @@ def simple_relation(n=20):
     return Relation("v", schema, [(float(i), float(i * 2)) for i in range(n)])
 
 
-def make_view(name="v", definition=None, storage=False):
-    relation = simple_relation()
-    store = None
-    if storage:
-        disk = SimulatedDisk(block_size=256)
-        pool = BufferPool(disk, capacity=16)
-        store = TransposedFile(pool, relation.schema.types)
-    return ConcreteView(name, relation, definition=definition, storage=store)
+def make_view(name="v", definition=None):
+    return ConcreteView(name, simple_relation(), definition=definition)
 
 
 class TestConcreteView:
@@ -37,36 +26,6 @@ class TestConcreteView:
         assert len(view) == 20
         assert view.version == 0
         assert "v" in repr(view)
-
-    def test_column_via_storage(self):
-        view = make_view(storage=True)
-        disk = view.storage.pool.disk
-        view.storage.pool.clear()
-        disk.reset_stats()
-        assert view.column("y") == [float(i * 2) for i in range(20)]
-        assert disk.stats.block_reads > 0
-
-    def test_set_value_writes_through(self):
-        view = make_view(storage=True)
-        view.set_value(5, "x", -1.0)
-        assert view.relation.column("x")[5] == -1.0
-        assert view.storage.get_value(5, 0) == -1.0
-
-    def test_storage_size_mismatch_rejected(self):
-        relation = simple_relation()
-        disk = SimulatedDisk(block_size=256)
-        pool = BufferPool(disk, capacity=8)
-        store = TransposedFile(pool, relation.schema.types)
-        store.append_row((1.0, 1.0))
-        with pytest.raises(ViewError):
-            ConcreteView("v", relation, storage=store)
-
-    def test_derived_column_memory_only(self):
-        view = make_view(storage=True)
-        view.add_derived_column(LocalDerivation("total", col("x") + col("y")))
-        assert view.column("total")[3] == 9.0
-        # The stored mirror keeps only the base columns.
-        assert view.storage.column_count == 2
 
 
 class TestSharingRegistry:
@@ -143,7 +102,7 @@ class TestPublishing:
         registry.register(view)
         edits = registry.publish(view, publisher="alice")
         # Later private changes do not leak into the snapshot.
-        view.set_value(0, "x", -99.0)
+        view.relation.set_value(0, "x", -99.0)
         assert edits.relation.column("x")[0] == 0.0
         assert edits.publisher == "alice"
         assert registry.published("v") is edits
