@@ -110,6 +110,36 @@ class TestIncrementalRegression:
         with pytest.raises(StatisticsError, match="rank"):
             clone.coefficients()
 
+    def test_cancelled_burst_keeps_the_fit_exact(self):
+        # Inserting then deleting rows far larger than the base leaves
+        # rounding residue in plain Gram sums; compensated sums return the
+        # closed form over the base rows.
+        base = [(1.0, 0.0, 1.0), (1.0, 0.001, 0.0), (-0.25, 0.001, 0.0), (1.0, 0.001, 1.0)]
+        burst = [(-50.0, 4.0, 4.0), (50.0, 50.0, 0.0), (50.0, 50.0, 50.0)]
+        model = IncrementalLinearRegression(k=2)
+        model.initialize(base)
+        for row in burst:
+            model.on_insert(row)
+        for row in reversed(burst):
+            model.on_delete(row)
+        assert model.coefficients() == pytest.approx([0.375, 0.0, 0.625], abs=1e-9)
+        clone = IncrementalLinearRegression.from_state(model.to_state())
+        assert clone.coefficients() == pytest.approx([0.375, 0.0, 0.625], abs=1e-9)
+
+    def test_state_without_compensation_loads(self):
+        # States written before the sums were compensated carry no
+        # compensation keys; they load as uncompensated sums.
+        rows = linear_rows(n=25, seed=13)
+        model = IncrementalLinearRegression(k=2)
+        model.initialize(rows)
+        state = {
+            key: value
+            for key, value in model.to_state().items()
+            if key in ("k", "n", "gram", "moment", "yty", "mass")
+        }
+        clone = IncrementalLinearRegression.from_state(state)
+        assert clone.value == pytest.approx(model.value, rel=1e-12)
+
     def test_merge_rejects_mismatched_k(self):
         a = IncrementalLinearRegression(k=2)
         b = IncrementalLinearRegression(k=3)
