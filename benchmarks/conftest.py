@@ -1,18 +1,16 @@
-"""Shared fixtures and reporting for the experiment benchmarks.
+"""Reporting for the experiment benchmarks.
 
 Each benchmark registers one or more :class:`ExperimentTable` objects via
 :func:`repro.bench.harness.report_table`; the terminal-summary hook here
 prints every registered table after the pytest-benchmark timing block, so
-``pytest benchmarks/ --benchmark-only`` output ends with the evaluation
-tables E1-E12 of DESIGN.md.
+``pytest benchmarks/`` output ends with the evaluation tables E17-E22 of
+EXPERIMENTS.md.  The counting claims E1-E16 are tier-1 tests in
+``tests/claims/``.
 """
 
 from __future__ import annotations
 
-import pytest
-
 from repro.bench.harness import REGISTRY
-from repro.workloads.census import generate_microdata
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
@@ -32,15 +30,3 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         seen.add(key)
         for line in table.render().splitlines():
             terminalreporter.write_line(line)
-
-
-@pytest.fixture(scope="session")
-def microdata_50k():
-    """A 50k-row person-level data set, clean values only."""
-    return generate_microdata(50_000, seed=101, bad_value_rate=0.0)
-
-
-@pytest.fixture(scope="session")
-def microdata_10k():
-    """A 10k-row person-level data set, clean values only."""
-    return generate_microdata(10_000, seed=102, bad_value_rate=0.0)

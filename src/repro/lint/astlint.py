@@ -497,7 +497,6 @@ AST_RULES: tuple[AstRule, ...] = (
             "summary/entries.py",
             "summary/summarydb.py",
             "summary/policies.py",
-            "summary/stored.py",
         ),
     ),
     AstRule(RULE_ROWWISE_BIND, _rowwise_bind, ("relational/vectorized.py",), only=True),
@@ -517,7 +516,6 @@ AST_RULES: tuple[AstRule, ...] = (
             "storage/pager.py",
             "storage/transposed.py",
             "storage/heapfile.py",
-            "storage/wiss.py",
             "relational/vectorized.py",
             "relational/operators.py",
             "relational/planner.py",

@@ -28,7 +28,6 @@ from repro.storage.records import RID, RecordCodec
 from repro.storage.sharded import ShardedTransposedFile, ShardRouter
 from repro.storage.tape import TapeArchive, TapeCostModel, TapeStats
 from repro.storage.transposed import TransposedFile
-from repro.storage.wiss import IOReport, StorageManager
 
 __all__ = [
     "AssociativeDisk",
@@ -42,7 +41,6 @@ __all__ = [
     "DiskCostModel",
     "FIFOPolicy",
     "HeapFile",
-    "IOReport",
     "IOStats",
     "LRUPolicy",
     "MRUPolicy",
@@ -52,7 +50,6 @@ __all__ = [
     "ShardedTransposedFile",
     "ShardRouter",
     "SimulatedDisk",
-    "StorageManager",
     "TapeArchive",
     "TapeCostModel",
     "TapeStats",

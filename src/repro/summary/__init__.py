@@ -12,7 +12,6 @@ from repro.summary.policies import (
     TolerantPolicy,
     make_policy,
 )
-from repro.summary.stored import StoredSummaryStore
 from repro.summary.summarydb import SummaryDatabase, SummaryStats
 
 __all__ = [
@@ -23,7 +22,6 @@ __all__ = [
     "InvalidatePolicy",
     "PeriodicPolicy",
     "PrecisePolicy",
-    "StoredSummaryStore",
     "SummaryDatabase",
     "SummaryEntry",
     "SummaryKey",

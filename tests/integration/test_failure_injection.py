@@ -8,7 +8,6 @@ from repro.core.errors import (
     BufferPoolError,
     DiskError,
     StorageError,
-    SummaryError,
     TapeError,
 )
 from repro.relational.types import DataType
@@ -117,16 +116,3 @@ class TestSessionErrorPaths:
             session.undo(1)
         assert session.compute("mean", "AVE_SALARY") == mean_before
 
-    def test_summary_store_bad_lookup(self):
-        from repro.storage.disk import SimulatedDisk
-        from repro.storage.pager import BufferPool
-        from repro.summary.stored import StoredSummaryStore
-        from repro.summary.summarydb import SummaryDatabase
-
-        disk = SimulatedDisk(block_size=512)
-        store = StoredSummaryStore(BufferPool(disk, capacity=8))
-        summary = SummaryDatabase("v")
-        summary.insert("mean", "x", 1.0)
-        store.save(summary)
-        with pytest.raises(SummaryError):
-            store.lookup("mean", "zzz")

@@ -6,7 +6,10 @@ from repro.obs.tracer import Tracer
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema, measure
 from repro.relational.types import DataType
-from repro.storage.wiss import StorageManager
+from repro.storage.disk import SimulatedDisk
+from repro.storage.heapfile import HeapFile
+from repro.storage.pager import BufferPool
+from repro.storage.transposed import TransposedFile
 from repro.views.view import ConcreteView
 
 
@@ -20,8 +23,8 @@ def make_session(tracer=None, n=50):
 class TestStorageCounters:
     def test_pool_hits_misses_evictions(self):
         tracer = Tracer()
-        storage = StorageManager(block_size=256, pool_pages=4, tracer=tracer)
-        heap = storage.create_heap_file("h", [DataType.INT])
+        pool = BufferPool(SimulatedDisk(block_size=256), capacity=4, tracer=tracer)
+        heap = HeapFile(pool, [DataType.INT], name="h", tracer=tracer)
         heap.insert_many([(i,) for i in range(500)])
         tracer.reset()
         list(heap.scan())
@@ -33,8 +36,8 @@ class TestStorageCounters:
 
     def test_transposed_counters(self):
         tracer = Tracer()
-        storage = StorageManager(block_size=256, pool_pages=64, tracer=tracer)
-        tf = storage.create_transposed_file("t", [DataType.FLOAT, DataType.FLOAT])
+        pool = BufferPool(SimulatedDisk(block_size=256), capacity=64, tracer=tracer)
+        tf = TransposedFile(pool, [DataType.FLOAT, DataType.FLOAT], name="t", tracer=tracer)
         tf.append_rows([(float(i), float(-i)) for i in range(300)])
         tracer.reset()
         chunks = list(tf.scan_column_chunks([0], chunk_size=64))
