@@ -155,6 +155,30 @@ class TestPlannerLowering:
             assert got[key][1] == pytest.approx(sy, rel=1e-9)
 
 
+class TestIntegerSums:
+    """An INT column's sum and mean merge exactly, and the sum stays an int."""
+
+    def run(self, rows, vectorized=True):
+        schema = Schema([category("G", DataType.CATEGORY), measure("K", DataType.INT)])
+        storage = ShardedTransposedFile(schema.types, shards=2, name="ts")
+        catalog = Catalog()
+        catalog.register(StoredRelation.load("ts", schema, rows, storage))
+        text = "SELECT G, sum(K) AS s, avg(K) AS a FROM ts GROUP BY G"
+        return list(plan(parse(text), catalog, use_vectorized=vectorized))
+
+    def test_a_sum_past_two_to_the_53_is_exact(self):
+        rows = [(0, 2**53), (0, 1), (0, 1)]
+        got = self.run(rows)
+        assert got == self.run(rows, vectorized=False)
+        assert got == [(0, 2**53 + 2, (2**53 + 2) / 3)]
+        assert type(got[0][1]) is int
+
+    def test_a_one_row_sum_is_an_int(self):
+        got = self.run([(1, 25)])
+        assert got == [(1, 25, 25.0)]
+        assert [type(v) for v in got[0]] == [int, int, float]
+
+
 class TestShardCountInvariance:
     def test_identical_results_across_shard_counts(self):
         rows = sample_rows(60)
