@@ -12,7 +12,9 @@ The proxies intercept both execution protocols: ``__iter__`` for the row
 engine and ``chunks()`` for the vectorized one, so the same walker covers
 both; leaves that feed data through neither protocol (``VecScan`` pulling
 column chunks off storage, ``IndexScan`` probing rows positionally) are
-their own measurement points.
+their own measurement points.  An operator's detail is taken again once it
+has run, so it can say what running showed: a ``VecScan`` names the vector
+kind each column arrived as.
 """
 
 from __future__ import annotations
@@ -85,6 +87,7 @@ class _Probe:
                 row = next(source)
             except StopIteration:
                 node.elapsed_s += time.perf_counter() - start
+                node.detail = _describe(self._inner)[1]
                 return
             node.elapsed_s += time.perf_counter() - start
             node.rows += 1
@@ -99,10 +102,13 @@ class _Probe:
                 chunk = next(source)
             except StopIteration:
                 node.elapsed_s += time.perf_counter() - start
+                node.detail = _describe(self._inner)[1]
                 return
             node.elapsed_s += time.perf_counter() - start
             node.chunks += 1
             node.rows += chunk.length
+            if node.chunks == 1:
+                node.detail = _describe(self._inner)[1]
             yield chunk
 
     def rows(self) -> list[tuple[Any, ...]]:
@@ -128,6 +134,11 @@ def _describe(op: Any) -> tuple[str, str]:
         details.append(f"source={source.name}")
     if label == "VecScan":
         details.append(f"columns={list(op.schema.names)}")
+        if op.kinds is not None:
+            # object: the column left the array path (a STR column, or an
+            # in-memory relation's list slices).
+            pairs = ", ".join(f"{n}:{k}" for n, k in zip(op.schema.names, op.kinds))
+            details.append(f"vectors=[{pairs}]")
     keys = getattr(op, "keys", None)
     if keys:
         details.append(f"keys={list(keys)}")

@@ -26,7 +26,7 @@ import numpy as np
 from repro.core.errors import SchemaError, StorageError
 from repro.relational.index import AttributeIndex
 from repro.relational.schema import Attribute, Schema
-from repro.relational.types import DataType, is_na
+from repro.relational.types import ColumnVector, DataType, is_na
 from repro.storage.heapfile import HeapFile
 from repro.storage.sharded import ShardedTransposedFile
 from repro.storage.transposed import TransposedFile
@@ -300,13 +300,13 @@ class StoredRelation:
 
     def scan_column_chunks(
         self, indexes: Sequence[int], chunk_size: int = 1024
-    ) -> Iterator[list[list[Any]]]:
+    ) -> Iterator[list[ColumnVector]]:
         """Stream the selected columns as chunks straight off the page chains.
 
         Transposed backing only: the q requested columns are decoded page by
-        page and rechunked, the other m − q columns are never read, and no
-        row tuple is ever built (SS2.6's q-of-m advantage, preserved through
-        execution).
+        page into typed arrays and rechunked, the other m − q columns are
+        never read, and no row tuple is ever built (SS2.6's q-of-m
+        advantage, preserved through execution).
         """
         if not isinstance(self.storage, _COLUMNAR):
             raise StorageError("column-chunk scans need a transposed backing")

@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import enum
 import re
-from typing import Any
+from typing import Any, Iterator, Sequence
+
+import numpy as np
 
 
 class _NAType:
@@ -143,3 +145,143 @@ class DataType(enum.Enum):
                 f"cannot coerce {value!r} to {self.name}"
             ) from exc
         raise ValueError(f"unsupported data type {self!r}")
+
+
+#: The array a fixed-width column's values decode into.  STR has no fixed
+#: width, so a STR column stays a Python list.
+ARRAY_DTYPES: dict[DataType, np.dtype] = {
+    DataType.FLOAT: np.dtype(np.float64),
+    DataType.INT: np.dtype(np.int64),
+    DataType.CATEGORY: np.dtype(np.int32),
+    DataType.BOOL: np.dtype(np.bool_),
+}
+
+
+class ColumnVector:
+    """One attribute's values for a run of rows: a buffer and an NA mask.
+
+    A *typed* vector holds a numpy array (``float64``, ``int64``, ``int32``
+    or ``bool``: what a stored fixed-width column decodes into) and a bool
+    array ``mask``, True where the value is missing, or ``None`` when none
+    is.  A masked slot holds zero, and no unmasked slot holds a NaN.
+
+    An *object* vector holds a Python list (STR columns, in-memory relation
+    feeds, values only a Python function computes) and a list of booleans
+    or ``None`` as its mask; a masked slot keeps its original value (NA or a
+    float NaN) so row reconstruction is a plain zip.
+
+    Iterating, :meth:`to_list` and :meth:`item` give Python values with NA
+    at the masked slots, whichever the kind: the list view every row-wise
+    reader takes.
+    """
+
+    __slots__ = ("data", "mask")
+
+    def __init__(self, data: Any, mask: Any = None) -> None:
+        self.data = data
+        self.mask = mask
+
+    def __len__(self) -> int:
+        return len(self.data)
+
+    def __iter__(self) -> Iterator[Any]:
+        return iter(self.to_list())
+
+    @property
+    def typed(self) -> bool:
+        """Whether the values are a numpy array."""
+        return isinstance(self.data, np.ndarray)
+
+    @property
+    def kind(self) -> str:
+        """``float64``, ``int64``, ``int32``, ``bool`` or ``object``."""
+        return self.data.dtype.name if isinstance(self.data, np.ndarray) else "object"
+
+    @classmethod
+    def from_values(cls, values: Sequence[Any]) -> "ColumnVector":
+        """An object vector over ``values``, deriving the NA mask."""
+        mask = [v is NA or v != v for v in values]
+        return cls(values, mask if True in mask else None)
+
+    def to_list(self) -> Sequence[Any]:
+        """The values row-wise as Python objects, NA at the masked slots.
+
+        An object vector returns its own list: treat it as read-only.
+        """
+        data = self.data
+        if not isinstance(data, np.ndarray):
+            return data
+        out = data.tolist()
+        if self.mask is not None:
+            for i in np.flatnonzero(self.mask).tolist():
+                out[i] = NA
+        return out
+
+    def truth(self) -> Any:
+        """Whether each value is truthy, what a selection keeps: NA is not.
+
+        A bool array for a typed vector (masked slots hold zero, so they
+        are false); an object vector's own list, whose entries a consumer
+        tests as the row engine does.
+        """
+        data = self.data
+        if isinstance(data, np.ndarray):
+            return data if data.dtype == np.bool_ else data != 0
+        return data
+
+    def item(self, i: int) -> Any:
+        """The value at ``i`` as a Python object."""
+        if self.mask is not None and self.mask[i]:
+            return NA
+        value = self.data[i]
+        return value.item() if isinstance(self.data, np.ndarray) else value
+
+    def take(self, index: Any) -> "ColumnVector":
+        """The values at ``index``: positions, or a bool array of rows to keep."""
+        data, mask = self.data, self.mask
+        if isinstance(data, np.ndarray):
+            if mask is None:
+                return ColumnVector(data[index])
+            kept = mask[index]
+            return ColumnVector(data[index], kept if kept.any() else None)
+        if isinstance(index, np.ndarray):
+            index = (np.flatnonzero(index) if index.dtype == bool else index).tolist()
+        if mask is None:
+            return ColumnVector([data[i] for i in index])
+        kept_mask = [mask[i] for i in index]
+        return ColumnVector([data[i] for i in index], kept_mask if True in kept_mask else None)
+
+    def slice(self, start: int, stop: int) -> "ColumnVector":
+        """Rows ``start`` to ``stop``; a typed slice is a view."""
+        mask = self.mask
+        if mask is not None:
+            mask = mask[start:stop]
+            if not (mask.any() if isinstance(mask, np.ndarray) else True in mask):
+                mask = None
+        return ColumnVector(self.data[start:stop], mask)
+
+    @staticmethod
+    def concat(pieces: Sequence["ColumnVector"]) -> "ColumnVector":
+        """The pieces, all of one kind, end to end."""
+        if len(pieces) == 1:
+            return pieces[0]
+        if not pieces:
+            return ColumnVector([])
+        masked = any(p.mask is not None for p in pieces)
+        if pieces[0].typed:
+            data: Any = np.concatenate([p.data for p in pieces])
+            mask: Any = None
+            if masked:
+                mask = np.concatenate(
+                    [np.zeros(len(p), bool) if p.mask is None else p.mask for p in pieces]
+                )
+            return ColumnVector(data, mask)
+        data = [v for p in pieces for v in p.data]
+        mask = None
+        if masked:
+            mask = [m for p in pieces for m in (p.mask or [False] * len(p))]
+        return ColumnVector(data, mask)
+
+    def __repr__(self) -> str:
+        na = 0 if self.mask is None else int(sum(self.mask))
+        return f"ColumnVector({len(self.data)} {self.kind} values, {na} NA)"

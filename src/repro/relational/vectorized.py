@@ -29,67 +29,24 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
+import numpy as np
+
 from repro.core.errors import QueryError
 from repro.relational.aggregates import (
+    Aggregate,
     AggregateSpec,
     group_by_schema,
     spec_aggregate,
     spec_inputs,
 )
 from repro.relational.schema import Schema
-from repro.relational.types import NA
+from repro.relational.types import ColumnVector
 
 #: Default number of rows per column chunk.
 CHUNK_SIZE = 1024
 
 #: What a compiled chunk kernel looks like: ``ColumnChunk -> ColumnVector``.
 ChunkFn = Callable[["ColumnChunk"], "ColumnVector"]
-
-
-class ColumnVector:
-    """One attribute's values for a chunk of rows: a buffer and an NA mask.
-
-    ``data`` is a plain Python list (an ``array.array`` works too for
-    NA-free numeric columns); ``mask`` is a parallel list of booleans with
-    ``True`` where the value is missing, or ``None`` when the chunk holds
-    no NA at all — the fast path every kernel branches on.  Masked slots in
-    ``data`` keep the NA marker so row reconstruction is a plain zip.
-    """
-
-    __slots__ = ("data", "mask")
-
-    def __init__(self, data: Sequence[Any], mask: list[bool] | None = None) -> None:
-        self.data = data
-        self.mask = mask
-
-    def __len__(self) -> int:
-        return len(self.data)
-
-    @classmethod
-    def from_values(cls, values: Sequence[Any]) -> "ColumnVector":
-        """Build a vector from raw values, deriving the NA mask."""
-        mask = [v is NA or v != v for v in values]
-        return cls(values, mask if True in mask else None)
-
-    def to_list(self) -> Sequence[Any]:
-        """The values row-wise, NA included (masked slots already hold NA)."""
-        return self.data
-
-    def take(self, positions: Sequence[int]) -> "ColumnVector":
-        """A new vector holding the values at ``positions``."""
-        data = self.data
-        if self.mask is None:
-            return ColumnVector([data[i] for i in positions], None)
-        mask = self.mask
-        kept_mask = [mask[i] for i in positions]
-        return ColumnVector(
-            [data[i] for i in positions],
-            kept_mask if True in kept_mask else None,
-        )
-
-    def __repr__(self) -> str:
-        na = self.mask.count(True) if self.mask else 0
-        return f"ColumnVector({len(self.data)} values, {na} NA)"
 
 
 class ColumnChunk:
@@ -109,14 +66,21 @@ class ColumnChunk:
         return zip(*(column.to_list() for column in self.columns))
 
     def compress(self, keep: Sequence[Any]) -> "ColumnChunk":
-        """Rows where ``keep`` is truthy (a selection's boolean mask)."""
-        positions = [i for i, flag in enumerate(keep) if flag]
-        if len(positions) == self.length:
+        """Rows where ``keep`` is truthy (a selection's boolean mask).
+
+        A bool array selects by boolean indexing; a list of flags, what an
+        object kernel returns, by the positions of its true entries.
+        """
+        if isinstance(keep, np.ndarray):
+            length = int(np.count_nonzero(keep))
+            index: Any = keep
+        else:
+            index = [i for i, flag in enumerate(keep) if flag]
+            length = len(index)
+        if length == self.length:
             return self
         return ColumnChunk(
-            self.schema,
-            [column.take(positions) for column in self.columns],
-            len(positions),
+            self.schema, [column.take(index) for column in self.columns], length
         )
 
     def __repr__(self) -> str:
@@ -196,13 +160,22 @@ class VecScan(VectorOperator):
         self.schema = source_schema.project(names)
         self._indexes = [source_schema.index_of(n) for n in names]
         self.chunk_size = chunk_size
+        #: Each column's vector kind, once a chunk has shown it (EXPLAIN
+        #: prints it: ``object`` is off the array path).
+        self.kinds: list[str] | None = None
 
     def chunks(self) -> Iterator[ColumnChunk]:
         for raw_columns in self.source.scan_column_chunks(
             self._indexes, self.chunk_size
         ):
-            columns = [ColumnVector.from_values(values) for values in raw_columns]
-            yield ColumnChunk(self.schema, columns, len(raw_columns[0]))
+            # Stored columns arrive as vectors; in-memory ones as list slices.
+            columns = [
+                raw if isinstance(raw, ColumnVector) else ColumnVector.from_values(raw)
+                for raw in raw_columns
+            ]
+            if self.kinds is None:
+                self.kinds = [column.kind for column in columns]
+            yield ColumnChunk(self.schema, columns, len(columns[0]))
 
 
 def needed_columns(
@@ -243,7 +216,7 @@ class VecSelect(VectorOperator):
     def chunks(self) -> Iterator[ColumnChunk]:
         mask_fn = self._mask_fn
         for chunk in self.child.chunks():
-            kept = chunk.compress(mask_fn(chunk).data)
+            kept = chunk.compress(mask_fn(chunk).truth())
             if kept.length:
                 yield kept
 
@@ -309,13 +282,13 @@ def fold_groups(
 
     Buckets each chunk's selected row positions per group, then gives every
     state one ``fold`` per (group, chunk) of what its aggregate consumes —
-    a column slice, or (value, weight) pairs — so method dispatches number
-    groups x specs per chunk, not rows x specs.  ``new_state`` builds a
-    spec's state, or ``None`` when the group size serves it: exact states
-    under :class:`VecGroupBy`, mergeable partials in a shard worker, and
-    nothing else differs between the two.  Groups come back in first-seen
-    order; ``first_row`` counts positions across ``source``'s chunks,
-    unselected rows included.
+    a :class:`ColumnVector` slice, or (value, weight) pairs — so method
+    dispatches number groups x specs per chunk, not rows x specs.
+    ``new_state`` builds a spec's state, or ``None`` when the group size
+    serves it: exact states under :class:`VecGroupBy`, mergeable partials in
+    a shard worker, and nothing else differs between the two.  Groups come
+    back in first-seen order; ``first_row`` counts positions across
+    ``source``'s chunks, unselected rows included.
     """
     schema = source.schema
     key_idx = [schema.index_of(k) for k in keys]
@@ -323,29 +296,68 @@ def fold_groups(
     groups: dict[tuple[Any, ...], GroupPartial] = {}
     base = 0
     for chunk in source.chunks():
-        columns = [column.to_list() for column in chunk.columns]
-        mask = mask_fn(chunk).data if mask_fn is not None else None
-        chunk_keys = zip(*(columns[i] for i in key_idx)) if key_idx else [()] * chunk.length
+        columns = chunk.columns
+        keep = mask_fn(chunk).truth() if mask_fn is not None else None
         # Per spec, what its aggregate consumes of each row: a value, or a tuple.
         inputs = [
-            columns[idx[0]] if len(idx) == 1 else list(zip(*(columns[i] for i in idx)))
+            columns[idx[0]]
+            if len(idx) == 1
+            else list(zip(*(columns[i].to_list() for i in idx)))
             for idx in input_idx
         ]
-        buckets: defaultdict[tuple[Any, ...], list[int]] = defaultdict(list)
-        for r, key in enumerate(chunk_keys):
-            if mask is None or mask[r]:
-                buckets[key].append(r)
-        for key, rows in buckets.items():
+        for key, rows in _buckets(chunk, [columns[i] for i in key_idx], keep):
             group = groups.get(key)
             if group is None:
                 states = [new_state(spec) for spec in specs]
-                groups[key] = group = GroupPartial(key, base + rows[0], 0, states)
+                groups[key] = group = GroupPartial(key, base + int(rows[0]), 0, states)
             group.size += len(rows)
             for state, consumed in zip(group.states, inputs):
                 if state is not None:
-                    state.fold([consumed[r] for r in rows])
+                    state.fold(
+                        consumed.take(rows)
+                        if isinstance(consumed, ColumnVector)
+                        else [consumed[r] for r in rows]
+                    )
         base += chunk.length
     return groups
+
+
+def _buckets(
+    chunk: ColumnChunk, key_columns: list[ColumnVector], keep: Any
+) -> Iterable[tuple[tuple[Any, ...], Any]]:
+    """(group key, ascending positions of its selected rows) per group of a chunk.
+
+    One NA-free typed key column buckets with one stable argsort: each run
+    of equal keys in sorted order is a group, its positions still
+    ascending.  Other keys go a row at a time through a dict.  Keys are
+    Python values either way, and keys equal under ``==`` (``0.0`` and
+    ``-0.0``) fall in one group, as in the row engine's dict.
+    """
+    if len(key_columns) > 1 or any(not c.typed or c.mask is not None for c in key_columns):
+        listed = [column.to_list() for column in key_columns]
+        if isinstance(keep, np.ndarray):
+            keep = keep.tolist()
+        buckets: defaultdict[tuple[Any, ...], list[int]] = defaultdict(list)
+        for r, key in enumerate(zip(*listed)):
+            if keep is None or keep[r]:
+                buckets[key].append(r)
+        return buckets.items()
+    if keep is None:
+        positions = np.arange(chunk.length)
+    elif isinstance(keep, np.ndarray):
+        positions = np.flatnonzero(keep)
+    else:  # an object kernel's flags
+        positions = np.flatnonzero([bool(flag) for flag in keep])
+    if not len(positions):
+        return []
+    if not key_columns:
+        return [((), positions)]
+    values = key_columns[0].data[positions]
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    cuts = np.flatnonzero(ordered[1:] != ordered[:-1]) + 1
+    firsts = ordered[np.concatenate(([0], cuts))].tolist()
+    return zip([(key,) for key in firsts], np.split(positions[order], cuts))
 
 
 def group_rows(
@@ -370,28 +382,37 @@ def group_rows(
 class _ExactState:
     """A fold state that keeps what it is fed and reduces it in one batch.
 
-    ``value`` is the reference evaluator over every value the group saw, in
-    scan order: the row engine's computation, so its result bit for bit,
-    and ``median`` / ``count_distinct`` stay exact off the sharded path.
+    ``value`` is the row engine's computation over every value the group
+    saw, in scan order, so its result bit for bit: the aggregate's array
+    evaluator when the values are one typed vector, else its batch
+    evaluator over the list view.  ``median`` / ``count_distinct`` stay
+    exact off the sharded path.
     """
 
-    __slots__ = ("evaluate", "values")
+    __slots__ = ("aggregate", "parts")
 
-    def __init__(self, evaluate: Callable[[Sequence[Any]], Any]) -> None:
-        self.evaluate = evaluate
-        self.values: list[Any] = []
+    def __init__(self, aggregate: Aggregate) -> None:
+        self.aggregate = aggregate
+        self.parts: list[Any] = []
 
-    def fold(self, values: list[Any]) -> None:
-        self.values += values
+    def fold(self, values: Any) -> None:
+        self.parts.append(values)
 
     @property
     def value(self) -> Any:
-        return self.evaluate(self.values)
+        found = self.aggregate
+        if found.arity == 2:
+            return found.evaluate([pair for part in self.parts for pair in part])
+        vector = ColumnVector.concat(self.parts)
+        if vector.typed and found.vector is not None:
+            data = vector.data if vector.mask is None else vector.data[~vector.mask]
+            return found.vector(data)
+        return found.evaluate(vector.to_list())
 
 
 def _exact_state(spec: AggregateSpec) -> _ExactState | None:
     found = spec_aggregate(spec)
-    return _ExactState(found.evaluate) if found.arity else None
+    return _ExactState(found) if found.arity else None
 
 
 class VecGroupBy(VectorOperator):

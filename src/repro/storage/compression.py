@@ -15,8 +15,10 @@ from functools import lru_cache
 from itertools import chain, repeat
 from typing import Any, Callable, Sequence
 
+import numpy as np
+
 from repro.core.errors import PageError, StorageError
-from repro.relational.types import NA, DataType, is_na
+from repro.relational.types import ARRAY_DTYPES, NA, ColumnVector, DataType, is_na
 
 _NA_SENTINEL = "\x00__NA__"
 _U32 = struct.Struct("<I")
@@ -78,11 +80,32 @@ def rle_encode_bytes(values: Sequence[object], dtype: DataType) -> bytes:
 
 def rle_decode_bytes(buf: Buffer, dtype: DataType) -> list[object]:
     """Inverse of :func:`rle_encode_bytes`."""
+    return list(rle_decode_column(buf, dtype))
+
+
+def rle_decode_column(
+    buf: Buffer, dtype: DataType, count: int | None = None
+) -> ColumnVector:
+    """An RLE page body as a vector; ``count``, if given, is what its runs must hold."""
     if len(buf) < _U32.size:
         raise PageError(f"no run count in the {len(buf)} bytes available")
     (n_runs,) = _U32.unpack_from(buf, 0)
-    flat = _decode_records(buf, _U32.size, dtype, n_runs, "I")
-    return list(chain.from_iterable(map(repeat, flat[0::2], flat[1::2])))
+    if dtype not in _FIXED:
+        flat = _guarded(_decode_each, buf, _U32.size, dtype, n_runs, "I")
+        heads, lengths = flat[0::2], flat[1::2]
+        _check_runs(sum(lengths), count)
+        return ColumnVector.from_values(list(chain.from_iterable(map(repeat, heads, lengths))))
+    heads, na, lengths = _guarded(_decode_array, buf, _U32.size, dtype, n_runs, "I")
+    _check_runs(int(lengths.sum()), count)
+    mask = None if na is None else np.repeat(na, lengths)
+    if mask is not None and not mask.any():
+        mask = None  # every NA run was empty
+    return ColumnVector(np.repeat(heads, lengths), mask)
+
+
+def _check_runs(total: int, count: int | None) -> None:
+    if count is not None and total != count:
+        raise PageError(f"its runs hold {total} values, its count says {count}")
 
 
 # -- dictionary encoding ------------------------------------------------------
@@ -244,10 +267,11 @@ def _decode_value(buf: Buffer, pos: int, dtype: DataType) -> tuple[object, int]:
 # -- the page codec -------------------------------------------------------------
 #
 # A fixed-width column between two NA is a constant-stride array of
-# (marker, value) records, so one compiled ``struct`` format moves the whole
-# run: the marker is a pad byte on the way in and is stamped over the packed
-# run on the way out.  An RLE page is the same records with a uint32 run
-# length after each (``tail="I"``).
+# (marker, value) records.  Going in, one compiled ``struct`` format packs a
+# run, the marker a pad byte stamped over the packed run afterwards; coming
+# out, one ``np.frombuffer`` over the record dtype reads it into the
+# column's array.  An RLE page is the same records with a uint32 run length
+# after each (``tail="I"``).
 
 #: code, converter and width of the types whose values all have one size.
 _FIXED: dict[DataType, tuple[str, Callable[[Any], object], int]] = {
@@ -258,12 +282,12 @@ _FIXED: dict[DataType, tuple[str, Callable[[Any], object], int]] = {
 }
 #: Bytes a run adds to an RLE page beyond its head value.
 RLE_COUNT_SIZE = _U32.size
-#: Longest run moved by one format (a 4 KB page of float64 is 455 values).
-#: With the cache size below it bounds what the compiled formats can hold: a
+#: Longest run moved by one format or one look ahead for the next NA (a 4 KB
+#: page of float64 is 455 values).  With the cache size below it bounds what the compiled formats can hold: a
 #: format of n records is ~32n bytes, so 8 MB with every slot at full length.
 _MAX_RUN = 512
 _FORMATS = 512
-#: Records per run below which the per-value decoder beats the run decoder.
+#: Records per run below which a marker-at-a-time walk beats the run decoder.
 _DENSE_NA = 2
 
 
@@ -292,7 +316,15 @@ def decode_values(buf: Buffer, dtype: DataType, count: int) -> list[object]:
     Bytes after the last value (a page's zero padding) are ignored; a
     buffer that ends before ``count`` values do raises :class:`PageError`.
     """
-    return _decode_records(buf, 0, dtype, count, "")
+    return list(decode_column(buf, dtype, count))
+
+
+def decode_column(buf: Buffer, dtype: DataType, count: int) -> ColumnVector:
+    """:func:`decode_values` as a vector: typed for a fixed-width ``dtype``."""
+    if dtype not in _FIXED:
+        return ColumnVector.from_values(_guarded(_decode_each, buf, 0, dtype, count, ""))
+    values, na, _ = _guarded(_decode_array, buf, 0, dtype, count, "")
+    return ColumnVector(values, na)
 
 
 def _encode_records(
@@ -331,16 +363,12 @@ def _encode_records(
     return b"".join(parts)
 
 
-def _decode_records(
-    buf: Buffer, pos: int, dtype: DataType, count: int, tail: str
-) -> list[object]:
-    """``count`` records from ``buf[pos:]``, flat: each value, then its tail."""
+def _guarded(
+    decode: Callable[..., Any], buf: Buffer, pos: int, dtype: DataType, count: int, tail: str
+) -> Any:
+    """``decode(buf, pos, dtype, count, tail)``, a read past the end a :class:`PageError`."""
     try:
-        fixed = _FIXED.get(dtype)
-        if fixed is None:
-            return _decode_each(buf, pos, dtype, count, tail)
-        stride = 1 + fixed[2] + (_U32.size if tail else 0)
-        return _decode_runs(buf, pos, dtype, fixed[0] + tail, stride, count, tail)
+        return decode(buf, pos, dtype, count, tail)
     except (IndexError, struct.error):
         # Every read past the end of ``buf`` raises one of the two.
         raise PageError(
@@ -361,44 +389,86 @@ def _decode_each(
     return out
 
 
-def _decode_runs(
-    buf: Buffer,
-    pos: int,
-    dtype: DataType,
-    record: str,
-    stride: int,
-    left: int,
-    tail: str,
-) -> list[object]:
-    out: list[object] = []
-    count = left
-    steps = 0
-    while left:
-        # Each step below moves one run of values or of NA.  Where NA come so
-        # thick that a step moves under _DENSE_NA records, a record at a time
-        # is the faster way through the rest of the page.
-        if steps >= 16 and count - left < _DENSE_NA * steps:
-            return out + _decode_each(buf, pos, dtype, left, tail)
+@lru_cache(maxsize=None)
+def _records(dtype: DataType, tail: str) -> np.dtype:
+    """The packed (marker, value[, tail]) record, for ``np.frombuffer``."""
+    code, _, width = _FIXED[dtype]
+    fields = [("marker", "u1"), ("value", "u1" if dtype is DataType.BOOL else "<" + code)]
+    return np.dtype(fields + [("tail", "<u4")] if tail else fields)
+
+
+def _decode_array(
+    buf: Buffer, pos: int, dtype: DataType, count: int, tail: str
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+    """``count`` fixed-width records from ``buf[pos:]`` as arrays.
+
+    Returns the values (zero where NA), the NA mask (``None`` without NA)
+    and, with a ``tail``, each record's uint32 tail.  The records of a
+    column without NA are one constant-stride array, read by one
+    ``np.frombuffer`` over the record dtype.  An NA record is shorter, so
+    the decoder first finds them: the first zero in a strided slice of the
+    markers ahead is the next NA, and everything before it is a run of
+    values.  The NA records are then cut out of the bytes, which leaves the
+    value records as one array again.
+    """
+    records = _records(dtype, tail)
+    stride = records.itemsize
+    na_size = 1 + (_U32.size if tail else 0)
+    start = pos
+    # One copy of the page: strided slices of bytes are a C loop, of a
+    # memoryview an element-at-a-time one.
+    data = bytes(buf)
+    na_slots: list[int] = []  # which records are NA
+    na_starts: list[int] = []  # and where each starts
+    done = steps = 0
+    while done < count:
+        # Where NA come so thick that a step moves under _DENSE_NA records,
+        # a marker at a time is the faster way through the rest.
+        if steps >= 16 and done < _DENSE_NA * steps:
+            for i in range(done, count):
+                if data[pos]:
+                    pos += stride
+                else:
+                    na_slots.append(i)
+                    na_starts.append(pos)
+                    pos += na_size
+            break
         steps += 1
-        # The markers of the records ahead, were none of them NA: the first
-        # zero among them is the next NA, and everything before it is a run.
         # Looking no further than one run keeps a page of many NA linear.
-        ahead = min(left, _MAX_RUN)
-        run = bytes(buf[pos : pos + ahead * stride : stride]).find(0)
+        ahead = min(count - done, _MAX_RUN)
+        run = data[pos : pos + ahead * stride : stride].find(0)
         if run:
             run = ahead if run < 0 else run
-            out.extend(_run_format(record, run).unpack_from(buf, pos))
             pos += run * stride
-            left -= run
-        elif tail:
-            out.append(NA)
-            out.append(_U32.unpack_from(buf, pos + 1)[0])
-            pos += 1 + _U32.size
-            left -= 1
-        else:
-            markers = bytes(buf[pos : pos + ahead])
+            done += run
+            continue
+        run = 1  # with a tail, the bytes after the marker are not markers
+        if not tail and done + 1 < count and data[pos + 1 : pos + 2] == b"\x00":
+            markers = data[pos : pos + min(count - done, _MAX_RUN)]
             run = len(markers) - len(markers.lstrip(b"\x00"))
-            out.extend([NA] * run)
-            pos += run
-            left -= run
-    return out
+        na_slots.extend(range(done, done + run))
+        na_starts.extend(range(pos, pos + run * na_size, na_size))
+        pos += run * na_size
+        done += run
+    if pos > len(data):
+        raise IndexError("the records run past the end of the buffer")
+    values = np.zeros(count, ARRAY_DTYPES[dtype])
+    tails = np.zeros(count, np.uint32) if tail else None
+    if not na_slots:
+        block = np.frombuffer(data, records, count, start)
+        values[:] = block["value"]
+        if tails is not None:
+            tails[:] = block["tail"]
+        return values, None, tails
+    # The value records between the NA ones, end to end.
+    cuts = [start, *(b for a in na_starts for b in (a, a + na_size)), pos]
+    body = b"".join([data[a:b] for a, b in zip(cuts[0::2], cuts[1::2])])
+    block = np.frombuffer(body, records)
+    na = np.zeros(count, bool)
+    na[na_slots] = True
+    present = ~na
+    values[present] = block["value"]
+    if tails is not None:
+        tails[present] = block["tail"]
+        tails[na] = [_U32.unpack_from(data, a + 1)[0] for a in na_starts]
+    return values, na, tails

@@ -18,12 +18,13 @@ scan costs (and therefore the scatter fan-out) uniform.
 
 from __future__ import annotations
 
-from itertools import islice
-from typing import Iterable, Iterator, Sequence
+from typing import Any, Iterable, Iterator, Sequence
+
+import numpy as np
 
 from repro.core.errors import StorageError
 from repro.obs.tracer import NULL_TRACER, AbstractTracer
-from repro.relational.types import DataType
+from repro.relational.types import ColumnVector, DataType
 from repro.storage.disk import DEFAULT_BLOCK_SIZE, SimulatedDisk
 from repro.storage.pager import BufferPool
 from repro.storage.transposed import TransposedFile
@@ -211,38 +212,41 @@ class ShardedTransposedFile:
 
     def scan_column_chunks(
         self, indexes: Sequence[int], chunk_size: int = 1024
-    ) -> Iterator[list[list[object]]]:
+    ) -> Iterator[list[ColumnVector]]:
         """Global-order column chunks, interleaved from the shard chains.
 
         Same contract as :meth:`TransposedFile.scan_column_chunks`; this is
         the fallback feed when a plan cannot be lowered to the per-shard
-        scatter (the scatter path scans each shard's file directly).
+        scatter (the scatter path scans each shard's file directly).  A
+        chunk's rows on one shard are every Nth row of it, so each shard's
+        run goes in with one strided assignment.
         """
         if not indexes:
             raise StorageError("scan_column_chunks requires at least one column")
         if chunk_size <= 0:
             raise StorageError(f"chunk_size must be positive, got {chunk_size}")
-        # The inner list is built eagerly: _merge is a generator, so a lazy
-        # feed would be consumed only after the comprehension rebinds ``i``.
-        merged = [
-            self._merge([file.scan_column(i) for file in self._files])
-            for i in indexes
-        ]
-        remaining = self._row_count
-        while remaining > 0:
-            take = min(chunk_size, remaining)
-            out: list[list[object]] = []
-            for col_pos, stream in enumerate(merged):
-                values = list(islice(stream, take))
-                if len(values) < take:
+        shards = self.router.shards
+        cursors = [[file.cursor(i) for file in self._files] for i in indexes]
+        produced = 0
+        while produced < self._row_count:
+            take = min(chunk_size, self._row_count - produced)
+            out: list[ColumnVector] = []
+            for column, per_shard in zip(indexes, cursors):
+                # Chunk offset ``at`` holds global row produced + at, which
+                # lives on shard (produced + at) % N.
+                runs = [
+                    per_shard[(produced + at) % shards].take(len(range(at, take, shards)))
+                    for at in range(min(shards, take))
+                ]
+                short = take - sum(len(run) for run in runs)
+                if short:
                     raise StorageError(
-                        f"column {indexes[col_pos]} shard chains exhausted "
-                        f"{take - len(values)} rows early"
+                        f"column {column} shard chains exhausted {short} rows early"
                     )
-                out.append(values)
+                out.append(_interleave(runs, take))
             self.tracer.add("sharded.chunks")
             yield out
-            remaining -= take
+            produced += take
 
     # -- internals -----------------------------------------------------------
 
@@ -268,3 +272,20 @@ class ShardedTransposedFile:
 
 
 _EXHAUSTED = object()
+
+
+def _interleave(runs: Sequence[ColumnVector], length: int) -> ColumnVector:
+    """One vector whose offsets ``at``, ``at + N``, ... hold ``runs[at]``."""
+    step = len(runs)
+    masked = any(run.mask is not None for run in runs)
+    if runs[0].typed:
+        data: Any = np.empty(length, runs[0].data.dtype)
+        mask: Any = np.zeros(length, bool) if masked else None
+    else:
+        data = [None] * length
+        mask = [False] * length if masked else None
+    for at, run in enumerate(runs):
+        data[at::step] = run.data
+        if run.mask is not None:
+            mask[at::step] = run.mask
+    return ColumnVector(data, mask)

@@ -22,9 +22,11 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterator, Sequence
 
+import numpy as np
+
 from repro.core.errors import PageError, StorageError
 from repro.obs.tracer import NULL_TRACER, AbstractTracer
-from repro.relational.types import DataType
+from repro.relational.types import ColumnVector, DataType, is_na
 from repro.storage import compression as comp
 from repro.storage.pager import BufferPool
 
@@ -80,7 +82,7 @@ class _Column:
         # page (the informational query walking a row range, or an RLE
         # column probed value by value) skip re-decoding the whole page.
         self._memo_page_no = -1
-        self._memo_values: list[object] | None = None
+        self._memo_values: ColumnVector | None = None
 
     # -- append ------------------------------------------------------------
 
@@ -173,10 +175,10 @@ class _Column:
         for meta in self.pages:
             yield from self._read_page(meta)
 
-    def scan_pages(self) -> Iterator[list[object]]:
-        """Stream the column page by page, each as a decoded value list.
+    def scan_pages(self) -> Iterator[ColumnVector]:
+        """Stream the column page by page, each as a decoded vector.
 
-        Callers must treat the yielded lists as read-only: they may be the
+        Callers must treat the yielded vectors as read-only: they may be the
         memoized decode shared with point lookups.
         """
         for meta in self.pages:
@@ -184,15 +186,20 @@ class _Column:
 
     def get(self, row: int) -> object:
         meta = self._page_for_row(row)
-        values = self._read_page(meta)
-        return values[row - meta.first_row]
+        return self._read_page(meta).item(row - meta.first_row)
 
     def set(self, row: int, value: object) -> None:
         meta = self._page_for_row(row)
+        decoded = self._read_page(meta)
+        at = row - meta.first_row
+        if decoded.typed and self.compress is None and not is_na(value):
+            if decoded.mask is None or not decoded.mask[at]:
+                self._patch(meta, decoded, at, value)
+                return
         # A copy: the decode may be the memoized one, and a rewrite that
         # does not fit must leave it as the page still is.
-        values = list(self._read_page(meta))
-        values[row - meta.first_row] = value
+        values = list(decoded)
+        values[at] = value
         if self.compress == "rle":
             body = comp.rle_encode_bytes(values, self.dtype)
         else:
@@ -216,6 +223,23 @@ class _Column:
                 self._open_runs = comp.rle_runs(values)
         self._invalidate_memo()
 
+    def _patch(self, meta: _ColumnPage, decoded: ColumnVector, at: int, value: object) -> None:
+        """Overwrite value ``at`` of a plain fixed-width page in place.
+
+        A value replacing a value keeps the record's size, so the bytes
+        before and after it stay where they are: the record starts after
+        ``at`` earlier records, of which the NA ones are one byte long.
+        """
+        record = comp._encode_value(value, self.dtype)
+        missing = 0 if decoded.mask is None else int(np.count_nonzero(decoded.mask[:at]))
+        offset = _COUNT.size + at * len(record) - missing * (len(record) - 1)
+        page = self.pool.fetch_page(meta.page_no)
+        try:
+            page[offset : offset + len(record)] = record
+        finally:
+            self.pool.unpin(meta.page_no, dirty=True)
+        self._invalidate_memo()
+
     # -- internals ----------------------------------------------------------
 
     def _page_for_row(self, row: int) -> _ColumnPage:
@@ -237,13 +261,13 @@ class _Column:
         self._memo_page_no = -1
         self._memo_values = None
 
-    def _read_page(self, meta: _ColumnPage) -> list[object]:
+    def _read_page(self, meta: _ColumnPage) -> ColumnVector:
         if meta.page_no == self._memo_page_no and self._memo_values is not None:
             return self._memo_values
         self.tracer.add("transposed.pages_read")
         page = self.pool.fetch_page(meta.page_no)
         try:
-            # Decoded straight out of the pinned frame, no copy of the page.
+            # Decoded out of the pinned frame: the codec copies it once.
             (count,) = _COUNT.unpack_from(page, 0)
             if count != meta.count:
                 raise PageError(
@@ -253,21 +277,46 @@ class _Column:
             body = memoryview(page)[_COUNT.size :]
             try:
                 if self.compress == "rle":
-                    values = comp.rle_decode_bytes(body, self.dtype)
+                    values = comp.rle_decode_column(body, self.dtype, count)
                 else:
-                    values = comp.decode_values(body, self.dtype, count)
+                    values = comp.decode_column(body, self.dtype, count)
             except PageError as exc:
                 raise PageError(f"page {meta.page_no} is damaged: {exc}") from None
         finally:
             self.pool.unpin(meta.page_no)
-        if len(values) != count:
-            raise PageError(
-                f"page {meta.page_no} is damaged: its runs hold "
-                f"{len(values)} values, its count says {count}"
-            )
+        if values.typed:
+            # Shared with every reader of the memo: nobody writes into it.
+            values.data.flags.writeable = False
         self._memo_page_no = meta.page_no
         self._memo_values = values
         return values
+
+
+class ColumnCursor:
+    """One column's page chain read forward, any number of values at a time."""
+
+    __slots__ = ("_pages", "_page", "_at")
+
+    def __init__(self, column: _Column) -> None:
+        self._pages = column.scan_pages()
+        self._page: ColumnVector | None = None
+        self._at = 0
+
+    def take(self, n: int) -> ColumnVector:
+        """The next ``n`` values; fewer only where the chain ends."""
+        pieces: list[ColumnVector] = []
+        while n:
+            page = self._page
+            if page is None or self._at == len(page):
+                page = self._page = next(self._pages, None)
+                self._at = 0
+                if page is None:
+                    break
+            piece = page.slice(self._at, self._at + n)
+            self._at += len(piece)
+            n -= len(piece)
+            pieces.append(piece)
+        return ColumnVector.concat(pieces)
 
 
 class TransposedFile:
@@ -359,47 +408,42 @@ class TransposedFile:
 
     def scan_column_chunks(
         self, indexes: Sequence[int], chunk_size: int = 1024
-    ) -> Iterator[list[list[object]]]:
+    ) -> Iterator[list[ColumnVector]]:
         """Stream fixed-size column chunks straight off the page chains.
 
-        Each yielded item is one list of values per requested column, all of
-        the same length (``chunk_size``, except possibly the final chunk).
-        Only the requested columns' pages are read — the q-of-m access
-        pattern of SS2.6 — and no row tuples are ever built; this is the
-        feed the vectorized execution engine consumes.
+        Each yielded item is one :class:`ColumnVector` per requested column,
+        all of the same length (``chunk_size``, except possibly the final
+        chunk): typed arrays sliced out of the decoded pages for fixed-width
+        columns.  Only the requested columns' pages are read — the q-of-m
+        access pattern of SS2.6 — and no row tuples are ever built; this is
+        the feed the vectorized execution engine consumes.
         """
         if not indexes:
             raise StorageError("scan_column_chunks requires at least one column")
         if chunk_size <= 0:
             raise StorageError(f"chunk_size must be positive, got {chunk_size}")
-        streams = [self._columns[i].scan_pages() for i in indexes]
-        buffers: list[list[object]] = [[] for _ in indexes]
-        remaining = self._row_count
+        cursors = [self.cursor(i) for i in indexes]
         produced = 0
-        while remaining > 0:
-            take = min(chunk_size, remaining)
-            out: list[list[object]] = []
-            for col_pos, (buffer, stream) in enumerate(zip(buffers, streams)):
-                while len(buffer) < take:
-                    # A bare next() here would surface a truncated page
-                    # chain as PEP 479's RuntimeError; translate exhaustion
-                    # into a diagnosable storage fault instead.
-                    page_values = next(stream, None)
-                    if page_values is None:
-                        column = indexes[col_pos]
-                        have = produced + len(buffer)
-                        raise StorageError(
-                            f"column {column} page chain exhausted after "
-                            f"{have} of {self._row_count} rows "
-                            f"({self._row_count - have} missing)"
-                        )
-                    buffer.extend(page_values)
-                out.append(buffer[:take])
-                del buffer[:take]
+        while produced < self._row_count:
+            take = min(chunk_size, self._row_count - produced)
+            out: list[ColumnVector] = []
+            for column, cursor in zip(indexes, cursors):
+                vector = cursor.take(take)
+                if len(vector) < take:
+                    have = produced + len(vector)
+                    raise StorageError(
+                        f"column {column} page chain exhausted after "
+                        f"{have} of {self._row_count} rows "
+                        f"({self._row_count - have} missing)"
+                    )
+                out.append(vector)
             self.tracer.add("transposed.chunks")
             yield out
             produced += take
-            remaining -= take
+
+    def cursor(self, index: int) -> "ColumnCursor":
+        """A forward reader of one column's page chain."""
+        return ColumnCursor(self._columns[index])
 
     def get_value(self, row: int, column: int) -> object:
         """Point-read one cell."""

@@ -7,9 +7,12 @@ import pytest
 from repro.core.errors import QueryError
 from repro.relational.catalog import Catalog
 from repro.relational.planner import explain_analyze
-from repro.relational.relation import Relation
+from repro.relational.relation import Relation, StoredRelation
 from repro.relational.schema import Schema, category, measure
 from repro.relational.types import DataType
+from repro.storage.disk import SimulatedDisk
+from repro.storage.pager import BufferPool
+from repro.storage.transposed import TransposedFile
 
 
 @pytest.fixture()
@@ -54,6 +57,29 @@ class TestEngines:
         vec = explain_analyze(QUERY, catalog, engine="vectorized")
         row = explain_analyze(QUERY, catalog, engine="row")
         assert sorted(vec.relation) == sorted(row.relation)
+
+    def test_scan_names_each_columns_vector_kind(self, catalog):
+        schema = Schema(
+            [
+                measure("x", DataType.FLOAT),
+                measure("k", DataType.INT),
+                category("g", DataType.CATEGORY),
+                measure("b", DataType.BOOL),
+                category("s", DataType.STR),
+            ]
+        )
+        rows = [(float(i), i, i % 4, i % 2 == 0, f"s{i % 3}") for i in range(50)]
+        pool = BufferPool(SimulatedDisk(block_size=256), capacity=4)
+        stored = StoredRelation.load("stored", schema, rows, TransposedFile(pool, schema.types))
+        catalog.register(stored)
+        text = "SELECT s, count(*) AS n FROM stored WHERE x > k / 2 AND b = 1 AND g < 3 GROUP BY s"
+        result = explain_analyze(text, catalog)
+        expected = "vectors=[x:float64, k:int64, g:int32, b:bool, s:object]"
+        assert expected in result.root.find("VecScan").detail
+        assert expected in result.render()
+        # An in-memory relation's chunks are list slices: every column is object.
+        scan = explain_analyze(QUERY, catalog).root.find("VecScan")
+        assert "vectors=[dept:object, age:object]" in scan.detail
 
     def test_auto_picks_vectorized_for_chunk_source(self, catalog):
         assert explain_analyze(QUERY, catalog).engine == "vectorized"

@@ -1,21 +1,24 @@
 """The page codec against its written-down spec.
 
-``encode_values``/``decode_values`` and the RLE pair move a run of
-fixed-width values per ``struct`` call; ``_encode_value``/``_decode_value``
-are the same format one value at a time.  The bulk codec has to produce the
-reference's bytes and read them back to the reference's values, whatever the
-NA density, and a file appended in bulk has to be the file appended row by
-row.
+``encode_values`` and ``rle_encode_bytes`` pack a run of fixed-width values
+per ``struct`` call; ``decode_column`` and ``rle_decode_column`` read a page
+into a typed array, one ``np.frombuffer`` per run, and ``decode_values`` /
+``rle_decode_bytes`` are their list views.  ``_encode_value`` /
+``_decode_value`` are the same format one value at a time.  The bulk codec
+has to produce the reference's bytes and read them back to the reference's
+values, whatever the NA density, and a file appended in bulk has to be the
+file appended row by row.
 """
 
 import struct
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.errors import PageError
-from repro.relational.types import NA, DataType, is_na
+from repro.relational.types import ARRAY_DTYPES, NA, DataType, is_na
 from repro.storage import compression as comp
 from repro.storage.disk import SimulatedDisk
 from repro.storage.pager import BufferPool
@@ -113,13 +116,46 @@ def test_rle_codec_is_the_reference(column, padding):
     assert decoded == [NA if is_na(v) else v for v in values]
 
 
+def assert_typed(vector, dtype, reference):
+    """``vector`` is ``dtype``'s array form of the ``reference`` values."""
+    assert vector.kind == ARRAY_DTYPES[dtype].name
+    assert spelled(vector.to_list()) == spelled(reference)
+    assert [vector.item(i) for i in range(len(vector))] == vector.to_list()
+    missing = [v is NA for v in reference]
+    if vector.mask is None:
+        assert not any(missing)
+    else:
+        assert vector.mask.tolist() == missing
+        assert not vector.data[vector.mask].any()  # a masked slot holds zero
+
+
+fixed_columns = typed_columns().filter(lambda column: column[0] in ARRAY_DTYPES)
+
+
+@given(fixed_columns, st.integers(0, 40))
+@settings(max_examples=300, deadline=None)
+def test_array_decoder_is_the_reference(column, padding):
+    dtype, values = column
+    plain = comp.encode_values(values, dtype) + bytes(padding)
+    vector = comp.decode_column(plain, dtype, len(values))
+    assert_typed(vector, dtype, reference_decode(plain, dtype, len(values)))
+    rle = comp.rle_encode_bytes(values, dtype) + bytes(padding)
+    for count in (None, len(values)):
+        vector = comp.rle_decode_column(rle, dtype, count)
+        assert_typed(vector, dtype, reference_rle_decode(rle, dtype))
+    with pytest.raises(PageError, match="its runs hold"):
+        comp.rle_decode_column(rle, dtype, len(values) + 1)
+
+
 @given(typed_columns(max_size=40), st.data())
 @settings(max_examples=200, deadline=None)
 def test_a_buffer_cut_short_is_a_page_error(column, data):
     dtype, values = column
     for raw, decode in (
         (comp.encode_values(values, dtype), lambda b: comp.decode_values(b, dtype, len(values))),
+        (comp.encode_values(values, dtype), lambda b: comp.decode_column(b, dtype, len(values))),
         (comp.rle_encode_bytes(values, dtype), lambda b: comp.rle_decode_bytes(b, dtype)),
+        (comp.rle_encode_bytes(values, dtype), lambda b: comp.rle_decode_column(b, dtype)),
     ):
         if not values:
             continue
@@ -164,6 +200,53 @@ def test_edge_pages(dtype):
             assert raw == reference(values, dtype)
             for buf in (raw, raw + bytes(17), memoryview(bytearray(raw))):
                 assert spelled(decode(buf)) == spelled(values)
+        if dtype in ARRAY_DTYPES:
+            buf = memoryview(bytearray(comp.encode_values(values, dtype) + bytes(17)))
+            written = [NA if is_na(v) else v for v in values]
+            assert_typed(comp.decode_column(buf, dtype, len(values)), dtype, written)
+
+
+@given(typed_columns(max_size=200), st.sampled_from([None, "rle"]), st.integers(1, 3), st.data())
+@settings(max_examples=100, deadline=None)
+def test_a_page_whose_count_is_off_is_a_page_error(column, compress, off, data):
+    dtype, values = column
+    if not values:
+        return
+    pool = BufferPool(SimulatedDisk(block_size=128), capacity=2)
+    file = TransposedFile(pool, [dtype], compress=compress)
+    file.append_rows([(v,) for v in values])
+    pool.flush_all()
+    pool.clear()
+    meta = data.draw(st.sampled_from(file._columns[0].pages))
+    block = pool.disk._state.blocks[meta.page_no]
+    (count,) = struct.unpack_from("<H", block, 0)
+    pool.disk._state.blocks[meta.page_no] = struct.pack("<H", count + off) + block[2:]
+    with pytest.raises(PageError, match=f"page {meta.page_no} "):
+        list(file.scan_column_chunks([0], 64))
+    with pytest.raises(PageError, match=f"page {meta.page_no} "):
+        file.get_value(meta.first_row, 0)
+
+
+@given(fixed_columns, st.data())
+@settings(max_examples=100, deadline=None)
+def test_a_value_written_in_place_leaves_the_page_encoded_afresh(column, data):
+    dtype, values = column
+    pool = BufferPool(SimulatedDisk(block_size=128), capacity=2)
+    file = TransposedFile(pool, [dtype])
+    file.append_rows([(v,) for v in values])
+    present = [i for i, v in enumerate(values) if not is_na(v)]
+    if present:
+        for _ in range(data.draw(st.integers(1, 5))):
+            row = data.draw(st.sampled_from(present))
+            value = data.draw(VALUES[dtype].filter(lambda v: not is_na(v)))
+            file.set_value(row, 0, value)
+            values[row] = value
+    pool.flush_all()
+    for meta in file._columns[0].pages:
+        block = pool.disk._state.blocks[meta.page_no]
+        cells = values[meta.first_row : meta.first_row + meta.count]
+        encoded = struct.pack("<H", meta.count) + comp.encode_values(cells, dtype)
+        assert block == encoded + bytes(len(block) - len(encoded))
 
 
 def test_out_of_range_int_is_refused_as_before():

@@ -7,11 +7,12 @@ columns, and chunk sizes that straddle chunk boundaries (1, chunk - 1,
 chunk, chunk + 1, 3*chunk).
 """
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.relational.aggregates import AggregateSpec, GroupBy
+from repro.relational.aggregates import AGGREGATES, AggregateSpec, GroupBy
 from repro.relational.expressions import col
 from repro.relational.operators import Project, Select
 from repro.relational.relation import Relation
@@ -132,3 +133,42 @@ def test_boundary_row_counts(n_rows):
     rel = Relation("t", SCHEMA, rows)
     vec = VecSelect(VecScan(rel, chunk_size=CHUNK), col("X") >= 0)
     assert vec.rows() == list(Select(rel, col("X") >= 0))
+
+
+ARRAYS = st.one_of(
+    # One decimal: only a left-to-right sum reproduces Python's last bits.
+    st.lists(
+        st.one_of(
+            st.integers(-(10**6), 10**6).map(lambda i: i / 10),
+            st.floats(allow_nan=False),
+            st.sampled_from([0.0, -0.0, 1e16]),
+        ),
+        max_size=300,
+    ).map(lambda v: np.array(v, np.float64)),
+    st.lists(st.integers(-(2**63), 2**63 - 1), max_size=300).map(
+        lambda v: np.array(v, np.int64)
+    ),
+    st.lists(st.integers(-(2**31), 2**31 - 1), max_size=300).map(
+        lambda v: np.array(v, np.int32)
+    ),
+    st.lists(st.booleans(), max_size=300).map(lambda v: np.array(v, bool)),
+)
+
+
+@given(ARRAYS)
+@settings(max_examples=300, deadline=None)
+def test_array_evaluators_are_the_list_evaluators(values):
+    """Each ``vec_*`` twin returns its list evaluator's answer, bit for bit.
+
+    ``repr`` tells ``-0.0`` from ``0.0`` and ``True`` from ``1``; a float sum
+    that only a sequential left-to-right addition reproduces shows in its
+    last digits.
+    """
+    listed = values.tolist()
+    for name, found in AGGREGATES.items():
+        if found.vector is None:
+            continue
+        want = found.evaluate(listed)
+        got = found.vector(values)
+        assert type(got) is type(want), name
+        assert repr(got) == repr(want), name

@@ -1,5 +1,6 @@
 """The vectorized execution engine: chunks, kernels, operators, planner hook."""
 
+import numpy as np
 import pytest
 
 from repro.core.errors import ExpressionError, QueryError, StorageError
@@ -63,6 +64,42 @@ class TestColumnVector:
         taken = vec.take([0, 2])
         assert taken.to_list() == [1.0, 3.0]
         assert taken.mask is None
+
+
+class TestTypedColumnVector:
+    def typed(self):
+        return ColumnVector(np.array([1.5, 0.0, -2.0, 0.0]), np.array([False, True, False, True]))
+
+    def test_list_view_puts_na_at_masked_slots(self):
+        vec = self.typed()
+        assert vec.typed and vec.kind == "float64"
+        assert vec.to_list() == [1.5, NA, -2.0, NA]
+        assert list(vec) == vec.to_list()
+        assert [type(v) for v in vec] == [float, type(NA), float, type(NA)]
+        assert vec.item(1) is NA and type(vec.item(2)) is float
+
+    def test_take_by_bool_array_and_by_positions(self):
+        vec = self.typed()
+        kept = vec.take(np.array([True, False, True, False]))
+        assert kept.data.tolist() == [1.5, -2.0] and kept.mask is None
+        picked = vec.take([3, 0])
+        assert picked.to_list() == [NA, 1.5]
+        assert picked.mask.tolist() == [True, False]
+
+    def test_slice_and_concat(self):
+        vec = self.typed()
+        assert vec.slice(0, 1).mask is None
+        joined = ColumnVector.concat([vec.slice(0, 1), vec.slice(1, 4)])
+        assert joined.to_list() == vec.to_list()
+        assert joined.mask.tolist() == vec.mask.tolist()
+
+    def test_compress_with_a_bool_array_is_boolean_indexing(self):
+        schema = Schema([measure("X"), category("G", DataType.STR)])
+        chunk = ColumnChunk(schema, [self.typed(), ColumnVector(["a", "b", "c", "d"])], 4)
+        kept = chunk.compress(np.array([False, True, True, False]))
+        assert kept.length == 2
+        assert list(kept.iter_rows()) == [(NA, "b"), (-2.0, "c")]
+        assert chunk.compress(np.ones(4, bool)) is chunk
 
 
 class TestColumnChunk:
@@ -218,19 +255,87 @@ class TestTransposedChunkScan:
             assert got == [r[3] for r in rows], chunk_size
 
 
+class TestTypedKernelsKeepPythonSemantics:
+    """Over typed vectors a kernel is numpy only where numpy answers as Python.
+
+    Each expression sits where numpy alone would answer otherwise: an int64
+    past 2**53 compared with a float, int64 arithmetic that overflows, an
+    integer division past 2**53, bools added, a zero divisor, ``inf - inf``.
+    """
+
+    ROWS = [
+        (2**53, 2**53 + 1, 1.5, True),
+        (2**53 + 1, -(2**53) - 1, float("inf"), True),
+        (2**62, 2**62, -0.0, False),
+        (-(2**63), 3, 0.0, True),
+        (7, NA, NA, NA),
+        (0, 2**63 - 1, 2.5, False),
+    ]
+    EXPRESSIONS = [
+        col("K") > 9007199254740992.0,
+        col("K") == 9007199254740992.0,
+        col("K") <= col("X"),
+        col("K") == col("J"),
+        col("K").between(0.0, 9007199254740992.0),
+        col("K").is_in([9007199254740992.0, 7]),
+        col("B") == 1,
+        col("X") + col("X") > 0,
+        (col("X") - col("X")).is_na(),
+    ]
+    ITEMS = [
+        ("kk", col("K") * col("J")),
+        ("ksum", col("K") + col("J")),
+        ("kdiv", col("K") / col("J")),
+        ("kx", col("K") - col("X")),
+        ("bb", col("B") + col("B")),
+        ("xz", col("X") / 0),
+        ("xx", col("X") - col("X")),
+        ("k3", col("K") / 3),
+    ]
+
+    def relation(self):
+        schema = Schema(
+            [
+                measure("K", DataType.INT),
+                measure("J", DataType.INT),
+                measure("X"),
+                measure("B", DataType.BOOL),
+            ]
+        )
+        pool = BufferPool(SimulatedDisk(block_size=512), capacity=8)
+        return StoredRelation.load("k", schema, self.ROWS, TransposedFile(pool, schema.types))
+
+    @staticmethod
+    def same(got, want):
+        assert [[type(v) for v in row] for row in got] == [[type(v) for v in row] for row in want]
+        assert repr(got) == repr(want)
+
+    @pytest.mark.parametrize("predicate", EXPRESSIONS, ids=repr)
+    def test_selection(self, predicate):
+        stored = self.relation()
+        got = VecSelect(VecScan(stored, chunk_size=4), predicate).rows()
+        self.same(got, list(Select(stored, predicate)))
+
+    @pytest.mark.parametrize("item", ITEMS, ids=lambda item: item[0])
+    def test_computed_column(self, item):
+        stored = self.relation()
+        got = VecProject(VecScan(stored, chunk_size=4), [item]).rows()
+        self.same(got, list(Project(stored, [item])))
+
+
 class TestDecodedPageMemo:
     def test_consecutive_probes_decode_once(self, monkeypatch):
         _, _, stored, rows = transposed_relation(compress="rle")
         from repro.storage import compression as comp
 
         calls = {"n": 0}
-        original = comp.rle_decode_bytes
+        original = comp.rle_decode_column
 
-        def counting(body, dtype):
+        def counting(body, dtype, count):
             calls["n"] += 1
-            return original(body, dtype)
+            return original(body, dtype, count)
 
-        monkeypatch.setattr(comp, "rle_decode_bytes", counting)
+        monkeypatch.setattr(comp, "rle_decode_column", counting)
         for row in range(10):  # all on the first page of the column
             assert stored.storage.get_value(row, 4) == rows[row][4]
         assert calls["n"] == 1
