@@ -15,6 +15,11 @@ the row engine takes ``(a + b) / 2``.  Those cells agree to
 Columns cover every stored type (CATEGORY/INT/FLOAT/BOOL/STR), each at an
 NA rate of 0, 5%, 50% or 100%, so pages without NA, pages dense with NA and
 all-NA pages all reach the decoder.
+
+The join statements decode G through a code book and S through a tag
+table, as E6 does.  Both engines share the one hash join, so the row
+engine cannot vouch for it: their reference is a nested-loop join under
+the row ``GroupBy`` over the in-memory rows, compared exactly.
 """
 
 import math
@@ -22,10 +27,13 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.relational.aggregates import AggregateSpec, GroupBy
 from repro.relational.catalog import Catalog
+from repro.relational.expressions import col
+from repro.relational.operators import NestedLoopJoin, Select
 from repro.relational.planner import plan
 from repro.relational.relation import Relation, StoredRelation
-from repro.relational.schema import Schema, category, measure
+from repro.relational.schema import Attribute, AttributeRole, Schema, category, measure
 from repro.relational.sharded import ShardedGroupBy, get_executor
 from repro.relational.sql import parse
 from repro.relational.types import NA, DataType
@@ -80,6 +88,58 @@ TOP = "SELECT X, K, S FROM {t} WHERE {p} ORDER BY X DESC LIMIT 5"
 STATEMENTS = (GROUPED, TOTALS, ROWS, COMPUTED, TOP)
 #: Float aggregates a scatter-gather plan computes in another order.
 APPROXIMATE = {"sx", "ax", "mdx"}
+
+#: Code book for G (code 3 is missing, code 2 has two labels, NA never
+#: matches) and a tag table for S (tag "b" is missing, "a" has two values).
+CODES = Relation(
+    "codes",
+    Schema(
+        [
+            category("CODE", DataType.CATEGORY),
+            Attribute("LABEL", DataType.STR, AttributeRole.CATEGORY),
+        ]
+    ),
+    [(0, "zero"), (1, "one"), (2, "two"), (NA, "none"), (2, "deux")],
+)
+TAGS = Relation(
+    "tags",
+    Schema([category("TAG", DataType.STR), measure("N", DataType.INT)]),
+    [("a", 1), ("", 2), ("é", 3), ("a", 4)],
+)
+JOIN_SPECS = [
+    AggregateSpec("count", "K", "nk"),
+    AggregateSpec("sum", "K", "sk"),
+    AggregateSpec("min", "X", "mnx"),
+    AggregateSpec("max", "X", "mxx"),
+    AggregateSpec("sum", "X", "sx"),
+    AggregateSpec("count", None, "c"),
+]
+JOIN_AGGS = (
+    "count(K) AS nk, sum(K) AS sk, min(X) AS mnx, max(X) AS mxx, sum(X) AS sx, count(*) AS c"
+)
+#: (statement, right table, left key, right key, left join?, group key, specs).
+JOINS = (
+    (
+        f"SELECT LABEL, {JOIN_AGGS} FROM {{t}} JOIN codes ON G = CODE WHERE {{p}} GROUP BY LABEL",
+        CODES, "G", "CODE", False, "LABEL", JOIN_SPECS,
+    ),
+    (
+        f"SELECT LABEL, {JOIN_AGGS} FROM {{t}} LEFT JOIN codes ON G = CODE "
+        "WHERE {p} GROUP BY LABEL",
+        CODES, "G", "CODE", True, "LABEL", JOIN_SPECS,
+    ),
+    (
+        "SELECT G, count(*) AS c, sum(N) AS sn, min(N) AS mn, avg(X) AS ax FROM {t} "
+        "JOIN tags ON S = TAG WHERE {p} GROUP BY G",
+        TAGS, "S", "TAG", False, "G",
+        [
+            AggregateSpec("count", None, "c"),
+            AggregateSpec("sum", "N", "sn"),
+            AggregateSpec("min", "N", "mn"),
+            AggregateSpec("avg", "X", "ax"),
+        ],
+    ),
+)
 
 
 def literal(value):
@@ -169,7 +229,7 @@ class Holders:
         get_executor(sharded).mode = "serial"
         self.memory = Relation("tm", SCHEMA, rows)
         self.catalog = Catalog()
-        for relation in (self.plain, self.sharded, self.memory):
+        for relation in (self.plain, self.sharded, self.memory, CODES, TAGS):
             self.catalog.register(relation)
 
     def correct(self, row, name, value):
@@ -204,7 +264,34 @@ def assert_same(got, want, names, approximate, where):
                 assert a == b or (a != a and b != b), (where, name, a, b)
 
 
+def nested_loop_reference(holders, join, predicate):
+    """A join statement's rows: nested-loop join, then the row GroupBy."""
+    _, right, left_key, right_key, left_join, key, specs = join
+    where = parse(f"SELECT * FROM tm WHERE {predicate}").where
+    equal = col(left_key) == col(right_key)
+    rows = NestedLoopJoin(Select(holders.memory, where), right, equal).rows()
+    if left_join:
+        pad = (NA,) * len(right.schema)
+        rows = []
+        for row in Select(holders.memory, where):
+            found = NestedLoopJoin(Relation("one", SCHEMA, [row]), right, equal).rows()
+            rows.extend(found or [row + pad])
+    joined_schema = SCHEMA.concat(right.schema)
+    return GroupBy(Relation("joined", joined_schema, rows), [key], specs).rows()
+
+
+def check_joins(holders, predicate):
+    for join in JOINS:
+        reference = nested_loop_reference(holders, join, predicate)
+        for table in ("tm", "t", "ts"):
+            text = join[0].format(t=table, p=predicate)
+            for vectorized in (True, False):
+                got, pipeline = run(text, holders.catalog, vectorized)
+                assert_same(got, reference, pipeline.schema.names, False, (text, vectorized))
+
+
 def check_all(holders, predicate):
+    check_joins(holders, predicate)
     for template in STATEMENTS:
         reference, pipeline = run(template.format(t="tm", p=predicate), holders.catalog, False)
         names = pipeline.schema.names
