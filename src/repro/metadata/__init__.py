@@ -8,7 +8,7 @@ from repro.metadata.codebook import (
     CodeConflict,
     detect_inconsistencies,
 )
-from repro.metadata.functions import FunctionRegistry, ResultKind, StatFunction
+from repro.metadata.functions import FunctionRegistry, StatFunction
 from repro.metadata.management import ManagementDatabase
 from repro.metadata.rules import (
     IncrementalRule,
@@ -32,7 +32,6 @@ __all__ = [
     "MetaGraph",
     "NavigationSession",
     "RegenerateRule",
-    "ResultKind",
     "ROOT",
     "RuleKind",
     "RuleOutcome",

@@ -28,7 +28,6 @@ registered ones, so the catalogue's listing does not depend on query history.
 
 from __future__ import annotations
 
-import enum
 import re
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Sequence
@@ -66,16 +65,6 @@ from repro.stats.models import IncrementalLinearRegression
 from repro.stats.regression import ols_summary
 
 
-class ResultKind(enum.Enum):
-    """Shape of a cached result (SS3.2: results of varying type/length)."""
-
-    SCALAR = "scalar"
-    PAIR = "pair"
-    VECTOR = "vector"
-    HISTOGRAM = "histogram"
-    TABLE = "table"
-
-
 ValuesProvider = Callable[[], Iterable[Any]]
 MaintainerFactory = Callable[[ValuesProvider], IncrementalComputation]
 
@@ -88,7 +77,6 @@ class StatFunction:
     compute: Callable[..., Any]
     """Batch evaluator over one column of values per attribute."""
 
-    result_kind: ResultKind
     maintainer_factory: MaintainerFactory | None = None
     numeric_only: bool = True
     """Meaningless on encoded CATEGORY attributes when True (SS3.2)."""
@@ -229,7 +217,6 @@ def _heavy_hitters_function(name: str, k: int) -> StatFunction:
     return StatFunction(
         name=name,
         compute=lambda values, k=k: _heavy_hitters_exact(values, k),
-        result_kind=ResultKind.VECTOR,
         maintainer_factory=lambda provider, k=k: _initialized(
             HeavyHitterSketch(k=k), provider
         ),
@@ -275,7 +262,6 @@ class FunctionRegistry:
             function = StatFunction(
                 name=name,
                 compute=lambda values: desc.quantile(values, q),
-                result_kind=ResultKind.SCALAR,
                 maintainer_factory=lambda provider: QuantileWindow(q, provider),
             )
             self._synthesized[name] = function
@@ -295,82 +281,71 @@ def _default_functions() -> list[StatFunction]:
         StatFunction(
             "count",
             lambda values: float(len([v for v in values if not is_na(v)])),
-            ResultKind.SCALAR,
             _simple_factory(IncrementalCount),
             numeric_only=False,
         ),
         StatFunction(
             "na_count",
             lambda values: float(desc.na_count(values)),
-            ResultKind.SCALAR,
             lambda provider: _initialized(_NACounter(), provider),
             numeric_only=False,
         ),
-        StatFunction("sum", desc.vsum, ResultKind.SCALAR, _simple_factory(IncrementalSum)),
-        StatFunction("mean", desc.mean, ResultKind.SCALAR, _simple_factory(IncrementalMean)),
-        StatFunction("var", desc.variance, ResultKind.SCALAR, _simple_factory(IncrementalVariance)),
-        StatFunction("std", desc.std, ResultKind.SCALAR, _simple_factory(IncrementalStd)),
-        StatFunction("min", desc.vmin, ResultKind.SCALAR, _simple_factory(IncrementalMin)),
-        StatFunction("max", desc.vmax, ResultKind.SCALAR, _simple_factory(IncrementalMax)),
+        StatFunction("sum", desc.vsum, _simple_factory(IncrementalSum)),
+        StatFunction("mean", desc.mean, _simple_factory(IncrementalMean)),
+        StatFunction("var", desc.variance, _simple_factory(IncrementalVariance)),
+        StatFunction("std", desc.std, _simple_factory(IncrementalStd)),
+        StatFunction("min", desc.vmin, _simple_factory(IncrementalMin)),
+        StatFunction("max", desc.vmax, _simple_factory(IncrementalMax)),
         StatFunction(
             "median",
             desc.median,
-            ResultKind.SCALAR,
             lambda provider: MedianWindow(provider),
         ),
         StatFunction(
             "mode",
             desc.mode,
-            ResultKind.SCALAR,
             _simple_factory(IncrementalFrequency),
             numeric_only=False,
         ),
         StatFunction(
             "unique_count",
             lambda values: float(desc.unique_count(values)),
-            ResultKind.SCALAR,
             lambda provider: _initialized(_UniqueCounter(), provider),
             numeric_only=False,
         ),
         StatFunction(
             "histogram",
             _histogram_two_vectors,
-            ResultKind.HISTOGRAM,
             _histogram_factory,
         ),
         StatFunction(
             "trimmed_mean",
             lambda values: desc.trimmed_mean(values),
-            ResultKind.SCALAR,
             None,  # depends on order statistics; fallback is invalidation
         ),
-        StatFunction("iqr", desc.iqr, ResultKind.SCALAR, None),
-        StatFunction("mad", desc.mad, ResultKind.SCALAR, None),
-        StatFunction("rms", desc.rms, ResultKind.SCALAR, _algebraic_factory("rms")),
+        StatFunction("iqr", desc.iqr, None),
+        StatFunction("mad", desc.mad, None),
+        StatFunction("rms", desc.rms, _algebraic_factory("rms")),
         StatFunction(
             "skewness",
             desc.skewness,
-            ResultKind.SCALAR,
             _algebraic_factory("skewness"),
         ),
         StatFunction(
             "kurtosis_excess",
             desc.kurtosis_excess,
-            ResultKind.SCALAR,
             _algebraic_factory("kurtosis_excess"),
         ),
-        StatFunction("cv", desc.cv, ResultKind.SCALAR, _algebraic_factory("cv")),
+        StatFunction("cv", desc.cv, _algebraic_factory("cv")),
         StatFunction(
             "geometric_mean",
             desc.geometric_mean,
-            ResultKind.SCALAR,
             _algebraic_factory("geometric_mean"),
         ),
         # -- mergeable sketch summaries (MADlib direction, ROADMAP item 3) --
         StatFunction(
             "approx_median",
             desc.median,
-            ResultKind.SCALAR,
             lambda provider: _initialized(TDigest(), provider),
             summary_kind="sketch",
             epsilon=EPSILON_TDIGEST,
@@ -378,7 +353,6 @@ def _default_functions() -> list[StatFunction]:
         StatFunction(
             "approx_distinct",
             lambda values: float(desc.unique_count(values)),
-            ResultKind.SCALAR,
             lambda provider: _initialized(
                 HyperLogLog(values_provider=provider), provider
             ),
@@ -389,7 +363,6 @@ def _default_functions() -> list[StatFunction]:
         StatFunction(
             "reservoir",
             _reservoir_compute,
-            ResultKind.VECTOR,
             lambda provider: _initialized(ReservoirSample(), provider),
             summary_kind="sketch",
         ),
@@ -398,7 +371,7 @@ def _default_functions() -> list[StatFunction]:
         # Not numeric_only: a rank correlation of ordinal codes, a model on
         # dummy-coded categories and a table of categories are meaningful.
         *(
-            StatFunction(name, fn, ResultKind.SCALAR, None, numeric_only=False, arity=2)
+            StatFunction(name, fn, None, numeric_only=False, arity=2)
             for name, fn in (
                 ("pearson", corr.pearson),
                 ("spearman", corr.spearman),
@@ -408,7 +381,6 @@ def _default_functions() -> list[StatFunction]:
         StatFunction(
             "ols_model",  # (response, predictor, ...) -> (n, r2, residual std, b0, b1, ...)
             ols_summary,
-            ResultKind.VECTOR,
             _simple_factory(IncrementalLinearRegression),
             numeric_only=False,
             summary_kind="model",
@@ -418,7 +390,6 @@ def _default_functions() -> list[StatFunction]:
         StatFunction(
             "crosstab",  # (row, column[, weight]) -> (row labels, column labels, cells)
             crosstab_summary,
-            ResultKind.TABLE,
             None,
             numeric_only=False,
             arity=2,

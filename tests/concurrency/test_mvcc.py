@@ -22,7 +22,7 @@ from repro.concurrency import (
 from repro.core.dbms import StatisticalDBMS
 from repro.core.errors import FunctionError, SchemaError, SnapshotError
 from repro.incremental.derived import LocalDerivation
-from repro.metadata.functions import ResultKind, StatFunction
+from repro.metadata.functions import StatFunction
 from repro.relational.expressions import col
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema, measure
@@ -399,7 +399,7 @@ class TestOneCataloguePinnedCompute:
         coord = build_coordinator()
         seen = []
         coord.dbms.management.functions.register(
-            StatFunction("probe", lambda values: seen.append(values), ResultKind.SCALAR)
+            StatFunction("probe", lambda values: seen.append(values))
         )
         with coord.read("s1", "v") as snap:
             snap.compute("probe", "x")

@@ -165,7 +165,7 @@ def test_seeded_incremental_rule_without_maintainer_detected():
 
     claims INCREMENTAL but cannot build a maintainer is a finding."""
     from repro.lint import run_lint
-    from repro.metadata.functions import FunctionRegistry, ResultKind, StatFunction
+    from repro.metadata.functions import FunctionRegistry, StatFunction
     from repro.metadata.rules import RuleRepository
 
     registry = FunctionRegistry()
@@ -177,7 +177,6 @@ def test_seeded_incremental_rule_without_maintainer_detected():
         StatFunction(
             "phantom_inc",
             lambda values: 0.0,
-            ResultKind.SCALAR,
             no_maintainer,
         )
     )

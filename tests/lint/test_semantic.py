@@ -20,7 +20,7 @@ from repro.lint.semantic import (
     check_registry_coherence,
     run_semantic_checks,
 )
-from repro.metadata.functions import FunctionRegistry, ResultKind, StatFunction
+from repro.metadata.functions import FunctionRegistry, StatFunction
 from repro.metadata.rules import RuleRepository
 from repro.stats import descriptive as desc
 
@@ -77,7 +77,7 @@ class TestLiveMaintainers:
             raise RuntimeError("no maintainer here")
 
         registry.register(
-            StatFunction("broken_inc", _mean, ResultKind.SCALAR, exploding_factory)
+            StatFunction("broken_inc", _mean, exploding_factory)
         )
         findings = list(check_live_maintainers(registry, RuleRepository(registry)))
         assert [f for f in findings if "broken_inc" in f.message]
@@ -86,7 +86,7 @@ class TestLiveMaintainers:
     def test_non_computation_maintainer_reported(self, registry):
         registry.register(
             StatFunction(
-                "bogus_inc", _mean, ResultKind.SCALAR, lambda provider: object()
+                "bogus_inc", _mean, lambda provider: object()
             )
         )
         findings = list(check_live_maintainers(registry, RuleRepository(registry)))
@@ -108,7 +108,7 @@ class TestLiveMaintainers:
             return maintainer
 
         registry.register(
-            StatFunction("drifting_mean", _mean, ResultKind.SCALAR, factory)
+            StatFunction("drifting_mean", _mean, factory)
         )
         findings = list(check_live_maintainers(registry, RuleRepository(registry)))
         assert any(
@@ -188,7 +188,7 @@ class TestOrderStatistics:
             return maintainer
 
         registry.register(
-            StatFunction("median", desc.median, ResultKind.SCALAR, fake_factory)
+            StatFunction("median", desc.median, fake_factory)
         )
         findings = list(check_order_statistics(registry, RuleRepository(registry)))
         assert rule_ids(findings) == {"REPRO-S003"}
@@ -227,7 +227,7 @@ class TestInvalidationPaths:
 
         registry.register(
             StatFunction(
-                "opaque", lambda values: Opaque(), ResultKind.SCALAR, None
+                "opaque", lambda values: Opaque(), None
             )
         )
         findings = list(

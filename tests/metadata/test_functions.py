@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.errors import FunctionError
-from repro.metadata.functions import FunctionRegistry, ResultKind
+from repro.metadata.functions import FunctionRegistry
 from repro.relational.schema import category, measure
 from repro.relational.types import NA, DataType
 
@@ -23,7 +23,6 @@ class TestResolution:
 
     def test_quantile_synthesis(self, registry):
         fn = registry.get("quantile_95")
-        assert fn.result_kind is ResultKind.SCALAR
         values = list(range(101))
         assert fn.compute(values) == pytest.approx(95.0)
 
@@ -43,7 +42,7 @@ class TestResolution:
         from repro.metadata.functions import StatFunction
 
         registry.register(
-            StatFunction("always_seven", lambda values: 7.0, ResultKind.SCALAR)
+            StatFunction("always_seven", lambda values: 7.0)
         )
         assert registry.get("always_seven").compute([1]) == 7.0
 
@@ -75,7 +74,7 @@ class TestResolution:
     def test_registered_name_wins_over_synthesis(self, registry, first):
         from repro.metadata.functions import StatFunction
 
-        mine = StatFunction("quantile_95", lambda values: -1.0, ResultKind.SCALAR)
+        mine = StatFunction("quantile_95", lambda values: -1.0)
         if first == "synthesize":
             assert registry.get("quantile_95").compute(list(range(101))) == 95.0
         registry.register(mine)

@@ -166,7 +166,7 @@ class TestRepositoryDefaulting:
 
     def test_custom_function_with_maintainer_defaults_incremental(self, registry):
         from repro.incremental.aggregates import IncrementalSum
-        from repro.metadata.functions import ResultKind, StatFunction
+        from repro.metadata.functions import StatFunction
 
         def factory(provider):
             maintainer = IncrementalSum()
@@ -174,17 +174,17 @@ class TestRepositoryDefaulting:
             return maintainer
 
         registry.register(
-            StatFunction("double_sum", lambda v: 2 * sum(v), ResultKind.SCALAR, factory)
+            StatFunction("double_sum", lambda v: 2 * sum(v), factory)
         )
         rule = RuleRepository(registry).rule_for("double_sum")
         assert rule.kind is RuleKind.INCREMENTAL
         assert isinstance(rule, IncrementalRule)
 
     def test_custom_function_without_maintainer_defaults_invalidate(self, registry):
-        from repro.metadata.functions import ResultKind, StatFunction
+        from repro.metadata.functions import StatFunction
 
         registry.register(
-            StatFunction("opaque_stat", lambda v: 0.0, ResultKind.SCALAR, None)
+            StatFunction("opaque_stat", lambda v: 0.0, None)
         )
         rule = RuleRepository(registry).rule_for("opaque_stat")
         assert rule.kind is RuleKind.INVALIDATE
