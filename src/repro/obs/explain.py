@@ -14,7 +14,7 @@ both; leaves that feed data through neither protocol (``VecScan`` pulling
 column chunks off storage, ``IndexScan`` probing rows positionally) are
 their own measurement points.  An operator's detail is taken again once it
 has run, so it can say what running showed: a ``VecScan`` names the vector
-kind each column arrived as.
+kind each column arrived as, a ``HashJoin`` its build rows and probe key's.
 """
 
 from __future__ import annotations
@@ -70,13 +70,16 @@ class _Probe:
 
     Forwards the plan-node protocol (``schema``, ``__iter__``, ``chunks``)
     to the wrapped operator while attributing each ``next()`` to the
-    operator's :class:`OpStats` node.
+    operator's :class:`OpStats` node.  Only a chunk operator's probe has
+    ``chunks``, so a consumer can ask the probe whether its input has them.
     """
 
     def __init__(self, inner: Any, node: OpStats) -> None:
         self._inner = inner
         self._node = node
         self.schema = inner.schema
+        if hasattr(inner, "chunks"):
+            self.chunks = self._chunks
 
     def __iter__(self) -> Iterator[Any]:
         node = self._node
@@ -93,7 +96,7 @@ class _Probe:
             node.rows += 1
             yield row
 
-    def chunks(self) -> Iterator[Any]:
+    def _chunks(self) -> Iterator[Any]:
         node = self._node
         source = self._inner.chunks()
         while True:
@@ -148,6 +151,9 @@ def _describe(op: Any) -> tuple[str, str]:
     fetched = getattr(op, "rows_fetched", None)
     if isinstance(fetched, int):
         details.append(f"index_rows={fetched}")
+    build = getattr(op, "build_rows", None)
+    if isinstance(build, int):
+        details.append(f"build_rows={build}, probe_key={op.probe_kind}")
     return label, ", ".join(d for d in details if d)
 
 
@@ -173,17 +179,17 @@ def instrument(op: Any) -> tuple[Any, OpStats]:
 def uses_vectorized(op: Any) -> bool:
     """Whether the (instrumented or raw) plan runs on the vectorized engine.
 
-    The engine of a plan is the engine of its spine, the ``child`` chain
-    from the root: a join is row-engine work, and so is everything above
-    it, even when its probe input is a pruned vectorized scan.
+    The engine of a plan is the engine of the operator under its Sort and
+    Limit: a chunk operator (a hash join too) is the vectorized engine, and
+    the row engine's selection, projection or group-by is not.
     """
+    from repro.relational.operators import Limit, Sort
     from repro.relational.vectorized import VectorOperator
 
     inner = op._inner if isinstance(op, _Probe) else op
-    if isinstance(inner, VectorOperator):
-        return True
-    child = getattr(inner, "child", None)
-    return child is not None and uses_vectorized(child)
+    if isinstance(inner, (Sort, Limit)):
+        return uses_vectorized(inner.child)
+    return isinstance(inner, VectorOperator)
 
 
 def render(root: OpStats, engine: str, total_rows: int) -> str:

@@ -11,16 +11,16 @@ The plan shape is fixed — scan -> (pushed selections) -> join -> selection
   attribute registered in the catalog serves an equality, one-sided range
   or BETWEEN conjunct (join-free queries), the remaining conjuncts running
   as a residual filter;
-* a join-free query over a chunk-capable source (in-memory relation or
+* a query over a chunk-capable source (in-memory relation or
   transposed-file backing) runs on the vectorized engine
   (:mod:`repro.relational.vectorized`): the scan is pruned to the columns
   the query touches and selection/projection/group-by execute
   chunk-at-a-time, falling back to the row engine for index access and
   heap-backed sources;
-* a join runs on the row engine, but over a transposed-file probe (left)
-  input it reads only the columns the query touches plus the join keys,
-  with the pushed conjuncts as chunk kernels — unless the query is
-  ``SELECT *``; and
+* the hash join is a chunk operator with the vectorized stack above it;
+  over a transposed-file probe (left) input it reads only the columns the
+  query touches plus the join keys, with the pushed conjuncts as chunk
+  kernels — unless the query is ``SELECT *``; and
 * HAVING becomes a selection over the group-by output (it may reference
   aggregate aliases).
 """
@@ -43,7 +43,6 @@ from repro.relational.index import (
 from repro.relational.operators import (
     HashJoin,
     Limit,
-    Operator,
     Project,
     Select,
     Sort,
@@ -107,11 +106,11 @@ def plan(query: Query, catalog: Catalog, use_vectorized: bool = True) -> Any:
         pipeline, where = _try_index_access(query.table, pipeline, where, catalog)
 
     vectorized: Any = None
-    if use_vectorized and query.join is None and pipeline is left:
-        # Index access won (pipeline replaced) or a join intervened — both
-        # keep the row engine; otherwise a sharded aggregate query runs
-        # scatter-gather, and any other chunk-capable source runs the
-        # whole select/project/group-by stack vectorized.
+    if use_vectorized and pipeline is left:
+        # Index access won (pipeline replaced) and keeps the row engine;
+        # otherwise a sharded aggregate query runs scatter-gather, and any
+        # other chunk-capable source, a join included, runs the whole
+        # select/project/group-by stack vectorized.
         vectorized = _try_vectorized(query, pipeline, where)
 
     if vectorized is not None:
@@ -231,11 +230,8 @@ def _try_vectorized(query: Query, source: Any, where: ex.Expr | None) -> Any:
         VecProject,
         VecSelect,
         as_chunk_pipeline,
-        supports_column_chunks,
     )
 
-    if not supports_column_chunks(source):
-        return None
     specs, items, needed = _query_shape(query, source.schema, where)
     if (
         specs is not None
@@ -259,15 +255,12 @@ def _try_vectorized(query: Query, source: Any, where: ex.Expr | None) -> Any:
 
 
 def _try_pruned_probe(query: Query, source: Any, right: Any, pushed: ex.Expr | None) -> Any:
-    """A join's probe input read q-of-m, or ``None`` to scan it row-wise.
+    """A join's probe input read q-of-m, or ``None`` to feed it unpruned.
 
-    The join, and everything above it, stays on the row engine and takes
-    the probe rows through the row iterator every vectorized operator has;
-    what changes is that only the columns the query touches (plus the join
-    keys) are read, and the pushed conjuncts run as chunk kernels.  ``SELECT
-    *`` needs the full width, a heap-backed input cannot be pruned, and
-    in-memory rows are tuples already: pruning those skips no page and
-    costs a transposition each way.
+    Only the columns the query touches (plus the join keys) are read, and
+    the pushed conjuncts run as chunk kernels.  ``SELECT *`` needs the full
+    width, a heap-backed input cannot be pruned, and an in-memory relation
+    reads no page either way; the join lifts those inputs itself.
     """
     from repro.relational.vectorized import VecScan, VecSelect
 
@@ -341,9 +334,9 @@ def explain_analyze(
     ``engine`` selects the execution engine: ``"auto"`` takes whatever the
     planner picks, ``"vectorized"`` requires the vectorized path (raising
     :class:`QueryError` when the query cannot run on it), and ``"row"``
-    forces the row engine.  A join is the row engine's: a pruned vectorized
-    scan may feed its probe side (the tree shows it), but the plan is
-    labelled ``"row"`` and refused under ``"vectorized"``.  The result is an
+    forces the row engine above the scans and joins.  The hash join is a
+    chunk operator under either engine; its line shows its build-side rows
+    and its probe key's vector kind.  The result is an
     :class:`~repro.obs.explain.ExplainResult` whose ``render()`` shows
     per-operator row counts and inclusive wall time.
     """
@@ -358,7 +351,7 @@ def explain_analyze(
     if engine == "vectorized" and not vectorized:
         raise QueryError(
             "query cannot run on the vectorized engine "
-            "(joins, index access, and heap-backed sources are row-only)"
+            "(index access and heap-backed sources are row-only)"
         )
     probed, stats = instrument(pipeline)
     relation = Relation.from_operator(name, probed)

@@ -16,11 +16,12 @@ serves them straight from the q requested page chains (the other m - q
 columns are never read), and an in-memory relation slices its row list.
 :func:`as_chunk_pipeline` is the planner's hook — it lifts any
 chunk-capable source into this engine and returns ``None`` for sources
-(heap files, joins) that must stay on the row engine.
+(heap files) that must stay on the row engine.  The hash join
+(:class:`~repro.relational.operators.HashJoin`) is a chunk operator too.
 
 Every operator still exposes ``.schema`` and row iteration, so vectorized
-segments compose freely with the row operators (Sort, Limit, joins) and
-with :class:`~repro.relational.relation.Relation.from_operator`.
+segments compose freely with the row operators (Sort, Limit) and with
+:class:`~repro.relational.relation.Relation.from_operator`.
 """
 
 from __future__ import annotations
@@ -118,7 +119,7 @@ class VectorOperator:
 
     Subclasses implement :meth:`chunks`; row iteration and ``rows()`` come
     for free, so a vectorized segment drops into any place a row operator
-    fits (Sort, Limit, joins, ``Relation.from_operator``).
+    fits (Sort, Limit, ``Relation.from_operator``).
     """
 
     schema: Schema
@@ -454,9 +455,9 @@ def as_chunk_pipeline(
 
     An existing :class:`VectorOperator` passes through (``columns`` is then
     ignored — pruning happened at its scan); a chunk-capable relation gets
-    a :class:`VecScan` over the named columns.  Anything else — heap-backed
-    relations, join outputs — returns ``None`` and the caller falls back to
-    the row engine.
+    a :class:`VecScan` over the named columns.  Anything else — a
+    heap-backed relation, a row operator — returns ``None`` and the caller
+    falls back to the row engine.
     """
     if isinstance(source, VectorOperator):
         return source

@@ -237,8 +237,8 @@ def evaluate(node: DefNode, raw_db: RawDatabase) -> Any:
 
     Select/project/aggregate run on the vectorized engine whenever the
     child pipeline can feed column chunks (a tape read lands in an
-    in-memory relation, which always can); joins stay on the row engine,
-    consuming any vectorized children through their row adapters.
+    in-memory relation, which always can, and the hash join is a chunk
+    operator whatever its inputs).
     """
     if isinstance(node, SourceNode):
         return raw_db.read(node.dataset)

@@ -84,7 +84,7 @@ class TestEngines:
     def test_auto_picks_vectorized_for_chunk_source(self, catalog):
         assert explain_analyze(QUERY, catalog).engine == "vectorized"
 
-    def test_vectorized_refused_for_join(self, catalog):
+    def test_vectorized_accepted_for_join(self, catalog):
         catalog.register(
             Relation(
                 "depts",
@@ -93,9 +93,10 @@ class TestEngines:
             )
         )
         join = "SELECT * FROM people JOIN depts ON dept = d"
-        with pytest.raises(QueryError, match="vectorized"):
-            explain_analyze(join, catalog, engine="vectorized")
-        assert explain_analyze(join, catalog).engine == "row"
+        result = explain_analyze(join, catalog, engine="vectorized")
+        assert result.engine == "vectorized"
+        assert "build_rows=2, probe_key=object" in result.root.detail
+        assert explain_analyze(join, catalog).engine == "vectorized"
 
     def test_unknown_engine_rejected(self, catalog):
         with pytest.raises(QueryError, match="unknown engine"):

@@ -11,6 +11,7 @@ from repro.relational.relation import Relation
 from repro.relational.schema import Schema, category, measure
 from repro.relational.sql import parse
 from repro.relational.types import NA, DataType
+from repro.relational.vectorized import VecSelect
 from repro.workloads.census import figure1_dataset
 
 
@@ -31,9 +32,10 @@ class TestPushdown:
             "SELECT * FROM census JOIN codes ON AGE_GROUP = CODE "
             "WHERE SEX = 'M' AND LABEL = 'a' AND POPULATION > LABEL"
         )
-        # POPULATION > LABEL references both sides: must stay above the join.
+        # POPULATION > LABEL references both sides: must stay above the join,
+        # where it runs as a chunk kernel over the join's output.
         pipeline = plan(q, catalog)
-        assert isinstance(pipeline, Select)
+        assert isinstance(pipeline, VecSelect)
         assert isinstance(pipeline.child, HashJoin)
 
     def test_all_pushed_leaves_join_on_top(self, catalog):
