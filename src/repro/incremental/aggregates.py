@@ -221,6 +221,49 @@ class ExactMean(ExactSum):
         return NA if is_na(total) else total / self.count
 
 
+class ExactExtreme(IncrementalComputation):
+    """The SQL ``min`` (``max`` if ``greatest``) as a partial: the extreme alone.
+
+    A typed batch's first least (greatest) element comes from ``argmin``
+    (``argmax``), as in ``vec_min``, any other's from ``min`` (``max``); only
+    a value strictly beyond the held one replaces it.  Shard workers only
+    insert, and removing raises: :class:`IncrementalMinMax` keeps a multiset.
+    """
+
+    def __init__(self, greatest: bool = False) -> None:
+        self.greatest = greatest
+        self.reset()
+
+    def reset(self) -> None:
+        self._value: Any = NA
+
+    def fold(self, values: Iterable[Any], sign: int = 1) -> None:
+        if sign < 0:
+            raise StatisticsError("an extreme-only partial cannot remove values")
+        present = _present(values)
+        if present is None:
+            clean = [v for v in values if not is_na(v)]
+            if clean:
+                self.merge_partial(max(clean) if self.greatest else min(clean))
+        elif len(present):
+            pick = np.argmax(present) if self.greatest else np.argmin(present)
+            self.merge_partial(present[int(pick)].item())
+
+    def partial_state(self) -> Any:
+        return self._value
+
+    def merge_partial(self, state: Any) -> None:
+        held = self._value
+        if state is not NA and (
+            held is NA or (state > held if self.greatest else state < held)
+        ):
+            self._value = state
+
+    @property
+    def value(self) -> Any:
+        return self._value
+
+
 class IncrementalVariance(IncrementalComputation):
     """Sample variance (ddof=1) via Welford with exact downdating.
 

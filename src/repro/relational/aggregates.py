@@ -32,11 +32,10 @@ import numpy as np
 
 from repro.core.errors import QueryError
 from repro.incremental.aggregates import (
+    ExactExtreme,
     ExactMean,
     ExactSum,
     IncrementalCount,
-    IncrementalMax,
-    IncrementalMin,
     IncrementalWeightedMean,
 )
 from repro.incremental.differencing import DEFINITIONS, AlgebraicForm, IncrementalComputation
@@ -253,8 +252,10 @@ AGGREGATES: dict[str, Aggregate] = {
     "sum": Aggregate(agg_sum, partial=ExactSum, vector=vec_sum),
     "avg": Aggregate(agg_avg, partial=ExactMean, vector=vec_avg),
     "mean": Aggregate(agg_avg, partial=ExactMean, vector=vec_avg),
-    "min": Aggregate(agg_min, partial=IncrementalMin, vector=vec_min),
-    "max": Aggregate(agg_max, partial=IncrementalMax, vector=vec_max),
+    "min": Aggregate(agg_min, partial=ExactExtreme, vector=vec_min),
+    "max": Aggregate(
+        agg_max, partial=functools.partial(ExactExtreme, greatest=True), vector=vec_max
+    ),
     "median": Aggregate(
         agg_median, partial=functools.partial(QuantileDigest, 0.5), vector=vec_median
     ),

@@ -11,12 +11,14 @@ incremental layer's ``merge_partial()`` protocol on gather.
 
 Why the results match the single-stream engine: the partial states the
 aggregate table names (:data:`repro.relational.aggregates.AGGREGATES`) are
-partition-order independent — power sums, counters, value multisets,
+partition-order independent — power sums, counters, extremes,
 (numerator, denominator) pairs — so the merged totals are the same no
-matter how rows were split across shards.  Group output order is restored
-by tagging each group with the *global* row number of its first selected
-row (the router's inverse mapping) and sorting the merged groups on the
-minimum tag: exactly the first-seen order VecGroupBy produces.
+matter how rows were split across shards, and a shard ships a few scalars
+per group and aggregate (a sketch for median and count_distinct).  Group
+output order is restored by tagging each group with the *global* row
+number of its first selected row (the router's inverse mapping) and
+sorting the merged groups on the minimum tag: exactly the first-seen
+order VecGroupBy produces.
 
 Shard affinity: each shard owns one single-worker process pool, and the
 shard's file is shipped (pickled) to that worker once, cached under a

@@ -1,5 +1,8 @@
 """Scatter-gather group-by: planner lowering, merge math, process mode."""
 
+import pickle
+import random
+
 import pytest
 
 from repro.core.errors import QueryError, SchemaError
@@ -19,6 +22,7 @@ from repro.relational.schema import Schema, category, measure
 from repro.relational.sharded import (
     ShardedGroupBy,
     ShardExecutor,
+    gather_rows,
     get_executor,
     is_mergeable,
     is_sharded_source,
@@ -292,6 +296,49 @@ class TestProcessMode:
         finally:
             process.close()
 
+    def test_the_shipped_partials_are_small(self):
+        """Each shard ships a few scalars per group and aggregate, not the
+        values: the scan_mix-shaped query's partials pickle to under 4 KB."""
+        rng = random.Random(1982)
+        schema = Schema(
+            [category("G", DataType.CATEGORY)] + [measure(f"C{i}") for i in range(1, 5)]
+        )
+        rows = []
+        for _ in range(20_000):
+            values = [round(rng.uniform(0.0, 1000.0), 1) for _ in range(4)]
+            if rng.random() < 0.02:
+                values[0] = NA
+            rows.append((rng.randrange(8), *values))
+        storage = ShardedTransposedFile(schema.types, shards=2, name="mix")
+        stored = StoredRelation.load("mix", schema, rows, storage)
+        query = parse(
+            "SELECT G, count(C1) AS n, sum(C1) AS s, avg(C2) AS a, min(C3) AS mn, "
+            "max(C3) AS mx FROM mix WHERE C4 > 200 GROUP BY G"
+        )
+        specs = [
+            AggregateSpec("count", "C1", "n"),
+            AggregateSpec("sum", "C1", "s"),
+            AggregateSpec("avg", "C2", "a"),
+            AggregateSpec("min", "C3", "mn"),
+            AggregateSpec("max", "C3", "mx"),
+        ]
+        executor = ShardExecutor(storage, mode="process")
+        try:
+            per_shard = executor.run(
+                schema, ["G", "C1", "C2", "C3", "C4"], query.where, ["G"], specs
+            )
+        finally:
+            executor.close()
+        assert sum(len(pickle.dumps(partials)) for partials in per_shard) <= 4096
+        catalog = Catalog()
+        catalog.register(stored)
+        want = list(plan(query, catalog, use_vectorized=False))
+        got = gather_rows(per_shard, ["G"], specs)
+        assert [row[0] for row in got] == [row[0] for row in want]
+        for row, reference in zip(got, want):
+            assert row[1] == reference[1] and row[4:] == reference[4:]
+            assert row[2:4] == pytest.approx(reference[2:4], rel=1e-12)
+
     def test_process_pool_sees_writes_after_version_bump(self):
         rows = [("a", 1.0, 1.0), ("a", 2.0, 2.0)]
         stored = sharded_relation(rows, shards=2, name="q")
@@ -305,6 +352,60 @@ class TestProcessMode:
             assert second == [("a", 12.0)]
         finally:
             executor.close()
+
+
+class TestExtremes:
+    """Sharded min/max equal the row engine's, in value and in type."""
+
+    SCHEMA = Schema(
+        [category("G", DataType.CATEGORY), measure("K", DataType.INT), measure("X")]
+    )
+    ROWS = [
+        (0, 7, 2.5),
+        (1, NA, NA),
+        (0, -(2**62), 0.5),
+        (2, 3, NA),
+        (0, 2**62, -1.5),
+        (1, NA, NA),
+        (2, 3, 4.0),
+        (0, 7, -1.5),
+    ]
+
+    def both(self, text, mode):
+        storage = ShardedTransposedFile(self.SCHEMA.types, shards=2, name="ts")
+        stored = StoredRelation.load("ts", self.SCHEMA, self.ROWS, storage)
+        catalog = Catalog()
+        catalog.register(stored)
+        executor = get_executor(storage)  # the one the planner's plan takes
+        executor.mode = mode
+        try:
+            pipeline = plan(parse(text), catalog)
+            assert contains_sharded(pipeline)
+            return list(pipeline), list(plan(parse(text), catalog, use_vectorized=False))
+        finally:
+            executor.close()
+
+    @pytest.mark.parametrize("mode", ["serial", "process"])
+    def test_int_float_and_na_only_groups(self, mode):
+        got, want = self.both(
+            "SELECT G, min(K) AS a, max(K) AS b, min(X) AS c, max(X) AS d FROM ts GROUP BY G",
+            mode,
+        )
+        assert got == want == [
+            (0, -(2**62), 2**62, -1.5, 2.5),
+            (1, NA, NA, NA, NA),
+            (2, 3, 3, 4.0, 4.0),
+        ]
+        assert [[type(v) for v in row] for row in got] == [
+            [type(v) for v in row] for row in want
+        ]
+
+    @pytest.mark.parametrize("mode", ["serial", "process"])
+    def test_an_empty_selection(self, mode):
+        got, want = self.both(
+            "SELECT min(K) AS a, max(X) AS b FROM ts WHERE X > 100.0", mode
+        )
+        assert got == want == [(NA, NA)]
 
 
 class TestSourceProbe:
