@@ -4,7 +4,7 @@ Claims reproduced:
 
 * a join-free group-by/aggregate query over a horizontally partitioned
   transposed view can be scattered to per-shard scans whose mergeable
-  partial states (count / power sums / min-max multisets) gather into
+  partial states (counters / exact sums / min-max extremes) gather into
   exactly the single-stream vectorized answer; and
 * the scatter-gather path at ``shards=1`` costs no more than a modest
   constant factor over the plain vectorized engine (the partial-state
@@ -134,7 +134,7 @@ def test_e20_sharded_scatter_gather_sweep():
 
     table.note(
         "every sweep point returns the identical result rows; partial "
-        "states (power sums, min-max multisets) merge in first-seen order"
+        "states (counters, exact sums, min-max extremes) merge in first-seen order"
     )
     report_table(table)
     _TABLES.append(table)
