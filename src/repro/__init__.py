@@ -26,8 +26,8 @@ The package implements the paper's proposed statistical DBMS end to end:
   transactions, and group commit;
 * ``repro.server`` — an asyncio wire server (length-prefixed JSON frames)
   plus a blocking client, so many analysts can share one DBMS process;
-* ``repro.workloads`` — census-like generators and EDA/CDA session
-  workloads for the benchmarks.
+* ``repro.workloads`` — census-like generators, session event streams
+  and update streams for the claims tests and examples.
 
 Quickstart::
 

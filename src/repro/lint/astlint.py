@@ -565,7 +565,6 @@ AST_RULES: tuple[AstRule, ...] = (
             "workspace/manifest.py",
             "workspace/space.py",
             "workspace/index.py",
-            "workspace/fleet.py",
         ),
     ),
 )

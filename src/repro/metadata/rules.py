@@ -144,7 +144,7 @@ class RuleRepository:
     The default wiring realizes the paper's architecture: functions with an
     incremental form (including the median's manual window scheme) get
     :class:`IncrementalRule`; everything else gets :class:`InvalidateRule`
-    (the SS4.3 fallback).  ``force_mode`` overrides everything — benchmark
+    (the SS4.3 fallback).  ``force_mode`` overrides everything — claim
     E9 uses it to compare the three designs.
     """
 

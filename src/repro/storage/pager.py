@@ -7,8 +7,8 @@ disk I/O and the replacement policy determines which pages survive.
 
 The paper notes (SS2.4) that statistical scans clash with general-purpose
 memory management; the pool therefore supports multiple policies (LRU,
-Clock, FIFO, MRU) so benchmarks can show, e.g., MRU's advantage on repeated
-full-column scans larger than the pool.
+Clock, FIFO, MRU); claim E15 (``tests/claims/``) counts MRU's advantage on
+repeated full-column scans larger than the pool.
 """
 
 from __future__ import annotations

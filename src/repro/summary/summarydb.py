@@ -10,7 +10,7 @@ Lookup uses the (function, attribute) search argument through a B+-tree
 secondary index; entries are *clustered on attribute name* "to facilitate
 efficient access to all results on a given column" — which is exactly what
 update propagation needs (SS4.1).  A page-layout simulation quantifies the
-clustering benefit (benchmark E10): entries are assigned to fixed-capacity
+clustering benefit (claim E10): entries are assigned to fixed-capacity
 pages either in attribute-clustered or insertion order, and
 ``pages_for_attribute`` counts the pages an attribute sweep touches.
 """

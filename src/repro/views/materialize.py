@@ -276,7 +276,7 @@ def materialize(
     """Evaluate a view definition against the raw database.
 
     Returns the materialized relation and the tape cost it took — the
-    quantity benchmark E8 amortizes over the analysis lifetime.
+    quantity claim E8 amortizes over the analysis lifetime.
     """
     before = raw_db.tape.stats.snapshot()
     pipeline = evaluate(definition.root, raw_db)

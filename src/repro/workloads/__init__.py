@@ -1,6 +1,6 @@
-"""Synthetic workloads: census-like data (Figure 1 at scale), EDA/CDA
+"""Synthetic workloads: census-like data (Figure 1 at scale), analysis
 
-session scripts, and update streams."""
+session event streams, and update streams."""
 
 from repro.workloads.census import (
     age_group_codebook,
@@ -18,14 +18,11 @@ from repro.workloads.sessions import (
     EventKind,
     SessionEvent,
     SessionGenerator,
-    cda_script,
-    eda_script,
 )
 from repro.workloads.updates import (
     PointUpdate,
     correction_stream,
     drift_stream,
-    invalidation_stream,
 )
 
 __all__ = [
@@ -36,15 +33,12 @@ __all__ = [
     "SessionGenerator",
     "age_group_codebook",
     "age_group_codebook_1980",
-    "cda_script",
     "census_schema",
     "correction_stream",
     "drift_stream",
-    "eda_script",
     "figure1_dataset",
     "generate_census_summary",
     "generate_microdata",
-    "invalidation_stream",
     "microdata_schema",
     "race_codebook",
     "region_codebook",

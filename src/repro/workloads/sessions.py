@@ -6,7 +6,8 @@ an operation, such as median, repeatedly on the same data set" (SS2.3), and
 analyses interleave long exploratory/confirmatory phases with occasional
 updates (SS2.2).  These generators produce query/update event streams with
 Zipf-skewed (function, attribute) popularity and a configurable update
-fraction, which is what benchmarks E1 and E9 replay.
+fraction, which is what the claims tests E1 and E9 (``tests/claims/``)
+replay.
 """
 
 from __future__ import annotations
@@ -114,34 +115,3 @@ class SessionGenerator:
                 fn, attr = self._rng.choices(self._pairs, weights=self._weights)[0]
                 yield SessionEvent(kind=EventKind.QUERY, function=fn, attribute=attr)
 
-
-def eda_script(attributes: Sequence[str]) -> list[SessionEvent]:
-    """A fixed exploratory-phase script per SS2.2: ranges first, then
-
-    distribution shape, then outlier hunting statistics."""
-    events: list[SessionEvent] = []
-    for attr in attributes:
-        for fn in ("min", "max", "count", "unique_count"):
-            events.append(SessionEvent(EventKind.QUERY, function=fn, attribute=attr))
-    for attr in attributes:
-        for fn in ("mean", "std", "median", "histogram"):
-            events.append(SessionEvent(EventKind.QUERY, function=fn, attribute=attr))
-    for attr in attributes:
-        for fn in ("quantile_5", "quantile_95", "mean", "std"):
-            events.append(SessionEvent(EventKind.QUERY, function=fn, attribute=attr))
-    return events
-
-
-def cda_script(attributes: Sequence[str]) -> list[SessionEvent]:
-    """A confirmatory-phase script: the same standing statistics re-asked
-
-    (this is where the cache pays), plus trimmed means over cached
-    quantiles."""
-    events: list[SessionEvent] = []
-    for _ in range(3):
-        for attr in attributes:
-            for fn in ("median", "mean", "std", "quantile_5", "quantile_95"):
-                events.append(
-                    SessionEvent(EventKind.QUERY, function=fn, attribute=attr)
-                )
-    return events

@@ -1,9 +1,9 @@
 """Update-stream generators.
 
 Statistical databases are "relatively static" (SS3.2) — updates are point
-corrections discovered during data checking, occasional invalidations of
-suspicious observations, and slow drift when new data arrives.  These
-streams drive benchmarks E2/E3/E9.
+corrections discovered during data checking and slow drift when new data
+arrives.  These streams drive claim E3 (``tests/claims/``) and
+``examples/incremental_maintenance.py``.
 """
 
 from __future__ import annotations
@@ -62,11 +62,3 @@ def drift_stream(
         level += drift_per_step
         yield PointUpdate(row=rng.randrange(n_rows), value=level + rng.gauss(0, noise_sd))
 
-
-def invalidation_stream(
-    n_rows: int, count: int, seed: int = 0
-) -> Iterator[PointUpdate]:
-    """Marking random observations invalid (NA), the SS3.1 operation."""
-    rng = random.Random(seed)
-    for _ in range(count):
-        yield PointUpdate(row=rng.randrange(n_rows), value=NA)

@@ -8,22 +8,9 @@ Three layers over one directory tree:
   durable single-view DBMS per directory, with pooled bulk
   open/checkpoint/recover that quarantines damage instead of dying;
 * :mod:`repro.workspace.index` — the queryable metadata index that makes
-  a fleet of thousands of views navigable without opening any of them;
-* :mod:`repro.workspace.fleet` — named scenario mixes composed from
-  :mod:`repro.workloads`, driven at the wire server by a deterministic
-  multi-client driver.
+  a fleet of thousands of views navigable without opening any of them.
 """
 
-from repro.workspace.fleet import (
-    SCENARIOS,
-    FleetDriver,
-    FleetGenerator,
-    FleetOp,
-    Scenario,
-    ScenarioResult,
-    build_fleet_dbms,
-    derive_seed,
-)
 from repro.workspace.index import IndexEntry, WorkspaceIndex
 from repro.workspace.manifest import (
     MANIFEST_NAME,
@@ -37,20 +24,12 @@ from repro.workspace.space import ManagedView, Workspace, WorkspaceReport
 
 __all__ = [
     "MANIFEST_NAME",
-    "SCENARIOS",
-    "FleetDriver",
-    "FleetGenerator",
-    "FleetOp",
     "IndexEntry",
     "ManagedView",
-    "Scenario",
-    "ScenarioResult",
     "ViewManifest",
     "Workspace",
     "WorkspaceIndex",
     "WorkspaceReport",
-    "build_fleet_dbms",
-    "derive_seed",
     "manifest_path",
     "read_manifest",
     "view_space_id",

@@ -54,6 +54,27 @@ def test_checkpoint_bounds_replay(tmp_path):
     assert recovered.view("v1").relation.row(1)[1] == 50.0
 
 
+@pytest.mark.parametrize("checkpoint", [False, True], ids=["wal", "checkpoint"])
+def test_replay_counts_the_updates_since_the_last_checkpoint(tmp_path, checkpoint):
+    """Without a checkpoint recovery replays every logged update; after one
+    it replays none, whatever the log held before."""
+    updates = 60
+    dbms = durable_dbms(tmp_path)
+    session = dbms.session("v1")
+    for fn in ("sum", "mean", "count"):
+        session.compute(fn, "x")
+    for i in range(updates):
+        session.update_cells("x", [(i % 20, float(i))])
+    if checkpoint:
+        dbms.checkpoint()
+    dbms.durability.close()
+
+    recovered, report = recover(tmp_path)
+    assert report.checkpoint_loaded is checkpoint
+    assert report.operations_replayed == (0 if checkpoint else updates)
+    assert recovered.view("v1").column("x") == dbms.view("v1").column("x")
+
+
 def test_checkpointed_summary_entries_are_maintained_incrementally(tmp_path):
     tracer = Tracer()
     dbms = durable_dbms(tmp_path, tracer=tracer)

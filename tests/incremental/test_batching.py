@@ -160,6 +160,32 @@ class TestPropagateBatch:
         assert report.entries_visited == 7
         assert report.attributes == ["x"]
 
+    def test_each_maintainer_sees_one_apply_batch_per_burst(
+        self, propagation_setup
+    ):
+        management, view, propagator = propagation_setup
+        functions = ["count", "sum", "mean", "std", "var", "min", "max", "median"]
+        calls = {}
+        for fn in functions:
+            maintainer = seed_cache(management, view, fn, "x").maintainer
+            fold_burst = maintainer.apply_batch
+
+            def counted(deltas, fn=fn, fold_burst=fold_burst):
+                calls[fn] = calls.get(fn, 0) + 1
+                return fold_burst(deltas)
+
+            maintainer.apply_batch = counted
+
+        deltas, rows = [], []
+        for i in range(40):
+            row = i % 50
+            old = view.relation.set_value(row, "x", float(1000 + i))
+            deltas.append(Delta(updates=[(old, float(1000 + i))]))
+            rows.append(row)
+        propagator.propagate_batch("x", deltas, rows)
+        # Forty deltas, one call per maintainer: the burst folds as a whole.
+        assert calls == dict.fromkeys(functions, 1)
+
     def test_empty_burst_is_noop(self, propagation_setup):
         management, view, propagator = propagation_setup
         seed_cache(management, view, "sum", "x")

@@ -324,8 +324,8 @@ class TestTracerConstructInHotPath:
         def bench():
             return Tracer()
         """
-        assert lint(code, path="benchmarks/bench_x.py", select={"REPRO-A107"}) == []
-        assert lint(code, path="src/repro/bench/harness.py", select={"REPRO-A107"}) == []
+        assert lint(code, path="bench/scan_mix.py", select={"REPRO-A107"}) == []
+        assert lint(code, path="src/repro/core/dbms.py", select={"REPRO-A107"}) == []
 
 
 class TestDurabilityIo:

@@ -1,11 +1,15 @@
 """Counters the instrumented subsystems charge to an injected tracer."""
 
+from collections import Counter
+
 from repro.core.session import AnalystSession
 from repro.metadata.management import ManagementDatabase
-from repro.obs.tracer import Tracer
-from repro.relational.relation import Relation
+from repro.obs.tracer import NullTracer, Tracer
+from repro.relational.expressions import col
+from repro.relational.relation import Relation, StoredRelation
 from repro.relational.schema import Schema, measure
 from repro.relational.types import DataType
+from repro.relational.vectorized import VecProject, VecScan, VecSelect
 from repro.storage.disk import SimulatedDisk
 from repro.storage.heapfile import HeapFile
 from repro.storage.pager import BufferPool
@@ -123,3 +127,91 @@ class TestPropagationSpans:
         # propagation sweep (S5: batched inverse deltas).
         assert [child.name for child in undo_span.children] == ["propagate"]
         assert undo_span.children[0].counters["entries_visited"] == 1
+
+
+class CountingNullTracer(NullTracer):
+    """The disabled tracer, counting how often instrumented code calls it."""
+
+    __slots__ = ("calls",)
+
+    def __init__(self):
+        self.calls = Counter()
+
+    def span(self, name, **attrs):
+        self.calls[name] += 1
+        return super().span(name, **attrs)
+
+    def add(self, counter, value=1):
+        self.calls[counter] += 1
+
+
+SCAN_ROWS = 100_000
+SCAN_COLUMNS = ["C1", "C7"]
+
+
+def stored_scan_file(tracer, columns=10):
+    """A 10-column transposed file, flushed, behind a 64-page pool."""
+    pool = BufferPool(SimulatedDisk(block_size=4096), capacity=64, tracer=tracer)
+    storage = TransposedFile(pool, [DataType.FLOAT] * columns, tracer=tracer)
+    storage.append_rows(
+        [
+            tuple(float((i * 7 + c * 13) % 1000) for c in range(columns))
+            for i in range(SCAN_ROWS)
+        ]
+    )
+    pool.flush_all()
+    schema = Schema([measure(f"C{c}") for c in range(columns)])
+    return StoredRelation("scan", schema, storage)
+
+
+def q_of_m_scan(stored):
+    """2 of 10 columns, filtered, through the vectorized engine."""
+    return VecProject(
+        VecSelect(VecScan(stored, columns=SCAN_COLUMNS), col("C1") > 250.0),
+        SCAN_COLUMNS,
+    ).rows()
+
+
+class TestDisabledHookCount:
+    """A disabled tracer costs one empty call per hook, so the scan's cost
+    in hooks is the number of calls, bounded per page and per chunk."""
+
+    #: Each page read charges ``transposed.pages_read`` plus one pool hit
+    #: or miss and at most one eviction; each chunk charges one call.
+    CALLS_PER_PAGE_OR_CHUNK = 3
+
+    def test_a_q_of_m_scan_calls_the_hooks_per_page_not_per_row(self):
+        tracer = CountingNullTracer()
+        stored = stored_scan_file(tracer)
+        tracer.calls.clear()  # drop the calls charged while loading
+        rows = q_of_m_scan(stored)
+        assert len(rows) == 74_900
+        calls = sum(tracer.calls.values())
+        pages, chunks = (
+            tracer.calls["transposed.pages_read"],
+            tracer.calls["transposed.chunks"],
+        )
+        assert pages > 0 and chunks > 0
+        assert calls <= self.CALLS_PER_PAGE_OR_CHUNK * (pages + chunks)
+        # ~1 400 calls for 200 000 values read: a hook in any per-row or
+        # per-value loop would reach the hundreds of thousands.
+        assert calls < SCAN_ROWS * len(SCAN_COLUMNS) / 100
+
+    def test_an_enabled_tracer_records_the_page_and_chunk_breakdown(self):
+        disabled = CountingNullTracer()
+        unrecorded = stored_scan_file(disabled)
+        disabled.calls.clear()
+        q_of_m_scan(unrecorded)
+        tracer = Tracer()
+        stored = stored_scan_file(tracer)
+        tracer.reset()
+        with tracer.span("scan") as span:
+            q_of_m_scan(stored)
+        assert span.total("transposed.chunks") > 0
+        assert span.total("transposed.pages_read") > 0
+        assert span.total("pool.hit") + span.total("pool.miss") > 0
+        # Both tracers see the same hooks: the disabled count is what an
+        # enabled tracer records.
+        assert span.counters == {
+            name: disabled.calls[name] for name in span.counters
+        }

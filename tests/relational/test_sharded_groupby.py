@@ -1,11 +1,13 @@
 """Scatter-gather group-by: planner lowering, merge math, process mode."""
 
+import bisect
 import pickle
 import random
 
 import pytest
 
 from repro.core.errors import QueryError, SchemaError
+from repro.incremental.sketches import EPSILON_HLL, EPSILON_TDIGEST
 from repro.obs.tracer import Tracer
 from repro.relational.aggregates import (
     AGGREGATES,
@@ -181,6 +183,42 @@ class TestIntegerSums:
         got = self.run([(1, 25)])
         assert got == [(1, 25, 25.0)]
         assert [type(v) for v in got[0]] == [int, int, float]
+
+
+def median_rank_error(ordered, estimate):
+    """How far ``estimate``'s empirical rank in ``ordered`` lies from 0.5."""
+    lo = bisect.bisect_left(ordered, estimate) / len(ordered)
+    hi = bisect.bisect_right(ordered, estimate) / len(ordered)
+    return 0.0 if lo <= 0.5 <= hi else min(abs(lo - 0.5), abs(hi - 0.5))
+
+
+class TestSketchLowering:
+    """``median`` and ``count_distinct`` scatter as t-digest and
+    HyperLogLog partials; their merged answers stay inside the stamped
+    epsilon of exact truth."""
+
+    ROWS, GROUPS = 20_000, 5
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_sketch_lowering_stays_inside_its_epsilon(self, shards):
+        # X = i: 4 000 distinct values per group, so each HyperLogLog runs
+        # dense (past its exact sparse regime) and each t-digest compresses.
+        rows = [(f"g{i % self.GROUPS}", float(i)) for i in range(self.ROWS)]
+        schema = Schema([category("G", DataType.STR), measure("X")])
+        storage = ShardedTransposedFile(schema.types, shards=shards, name="s")
+        catalog = Catalog()
+        catalog.register(StoredRelation.load("s", schema, rows, storage))
+        pipeline = plan(
+            parse("SELECT G, median(X) AS m, count_distinct(X) AS d FROM s GROUP BY G"),
+            catalog,
+        )
+        assert contains_sharded(pipeline)
+        got = list(pipeline)
+        assert len(got) == self.GROUPS
+        for group, median, distinct in got:
+            ordered = sorted(x for g, x in rows if g == group)
+            assert median_rank_error(ordered, median) <= EPSILON_TDIGEST
+            assert abs(distinct - len(ordered)) / len(ordered) <= EPSILON_HLL
 
 
 class TestShardCountInvariance:

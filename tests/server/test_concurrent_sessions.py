@@ -177,6 +177,61 @@ class TestInterleavedSessions:
             thread.stop()
 
 
+class TestReadsTakeNoLock:
+    """Readers pin published versions and take no lock; only writes do."""
+
+    ANALYSTS = 4
+    REQUESTS = 25
+    WRITE_EVERY = 5
+
+    def test_lock_grants_are_bounded_by_writes_and_handshakes(self, tmp_path):
+        tracer = ConcurrentTracer()
+        server = AnalystServer(
+            build_served_dbms(tmp_path, tracer), tracer=tracer,
+            max_workers=self.ANALYSTS, max_inflight=self.ANALYSTS, max_queue=64,
+        )
+        thread = ServerThread(server).start()
+        errors = []
+
+        def analyst(index):
+            try:
+                with ServerClient(port=thread.port, timeout_s=30) as conn:
+                    conn.handshake(f"analyst{index}")
+                    conn.open_view("v")
+                    for i in range(self.REQUESTS):
+                        # Phase-shifted so the writes spread over the run.
+                        if (i + index) % self.WRITE_EVERY == self.WRITE_EVERY - 1:
+                            value = float(index * 1000 + i)
+                            conn.update("v", {"a": value, "b": value})
+                        else:
+                            conn.query("v", ("mean", "var", "sum")[i % 3], "a")
+            except Exception as exc:  # noqa: BLE001 - collected for the assert
+                errors.append(f"analyst{index}: {type(exc).__name__}: {exc}")
+
+        workers = [
+            threading.Thread(target=analyst, args=(i,), daemon=True)
+            for i in range(self.ANALYSTS)
+        ]
+        try:
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(60)
+            assert not errors, errors
+            totals = tracer.counter_totals()
+        finally:
+            thread.stop()
+        requests = self.ANALYSTS * self.REQUESTS
+        writes = self.ANALYSTS * (self.REQUESTS // self.WRITE_EVERY)
+        assert totals["server.request"] >= requests
+        # One grant per write, one registry grant per handshake and the
+        # view's one-time bootstrap: the 80 reads add none.
+        assert 0 < totals["lock.grant"] <= writes + self.ANALYSTS + 2
+        assert totals["mvcc.publish"] > 0
+        assert totals["mvcc.pin"] > 0
+        assert "txn.snapshot_violation" not in totals
+
+
 class TestSanitizedStress:
     """Phase 3: rerun the interleaved workload under the lock-order sanitizer.
 

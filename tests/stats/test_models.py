@@ -214,6 +214,29 @@ class TestSessionFitModel:
         )
         assert warm.n_used == reference.n_used
 
+    def test_a_cell_update_refreshes_the_model_by_folding_two_rows(self):
+        session = model_session(rows=linear_rows(n=2_000, seed=5))
+        session.fit_model("y", ["x1", "x2"])
+        maintainer = session.view.summary.peek(
+            "ols_model", ("y", "x1", "x2")
+        ).maintainer
+        folded = []
+        fold_rows = maintainer.fold
+
+        def counted(values, sign=1):
+            values = list(values)
+            folded.extend(sign for _ in values)
+            return fold_rows(values, sign)
+
+        maintainer.fold = counted
+        session.update_cells("x1", [(4, 9.25)])
+        warm = session.fit_model("y", ["x1", "x2"])
+        # The old row folds out and the new row in; a refit folds all 2 000.
+        assert sorted(folded) == [-1, 1]
+        assert list(warm.coefficients) == pytest.approx(
+            list(refit_reference(session).coefficients), rel=1e-8
+        )
+
     def test_update_to_na_keeps_model_warm_and_exact(self):
         session = model_session()
         before = session.fit_model("y", ["x1", "x2"])

@@ -3,20 +3,15 @@
 import pytest
 
 from repro.core.errors import SamplingError
-from repro.relational.types import NA, is_na
+from repro.relational.types import is_na
 from repro.workloads.census import (
     age_group_codebook,
     figure1_dataset,
     generate_census_summary,
     generate_microdata,
 )
-from repro.workloads.sessions import (
-    EventKind,
-    SessionGenerator,
-    cda_script,
-    eda_script,
-)
-from repro.workloads.updates import correction_stream, drift_stream, invalidation_stream
+from repro.workloads.sessions import EventKind, SessionGenerator
+from repro.workloads.updates import correction_stream, drift_stream
 
 
 class TestCensusData:
@@ -90,14 +85,6 @@ class TestSessionGenerator:
         with pytest.raises(SamplingError):
             SessionGenerator(["a"], update_fraction=1.0)
 
-    def test_scripts(self):
-        eda = eda_script(["x", "y"])
-        cda = cda_script(["x", "y"])
-        assert all(e.kind is EventKind.QUERY for e in eda + cda)
-        # CDA re-asks the same statistics: the cache-hit workload.
-        pairs = [(e.function, e.attribute) for e in cda]
-        assert len(set(pairs)) < len(pairs)
-
 
 class TestUpdateStreams:
     def test_correction_stream_near_old_values(self):
@@ -109,11 +96,6 @@ class TestUpdateStreams:
     def test_drift_stream_increases(self):
         updates = list(drift_stream(100, 500, start=0.0, drift_per_step=1.0, seed=2))
         assert updates[-1].value > updates[0].value + 400
-
-    def test_invalidation_stream(self):
-        updates = list(invalidation_stream(10, 20, seed=3))
-        assert all(u.value is NA for u in updates)
-        assert all(0 <= u.row < 10 for u in updates)
 
     def test_correction_validation(self):
         with pytest.raises(SamplingError):
