@@ -4,8 +4,8 @@ A lock-based read path serializes exactly the traffic a statistical
 database should serve lock-free: throughput collapsed past 4 analysts
 when every ``query``/``columns``/``history`` request locked the view and
 then mutated the Summary Database under its latch.  Reads go through MVCC
-instead, and ``tests/server/test_concurrent_sessions.py`` bounds the lock
-grants by the writes and handshakes alone:
+instead (``tests/server/test_concurrent_sessions.py`` bounds the lock
+grants by the writes and handshakes alone):
 
 * **Writers publish, readers pin.**  A :class:`VersionChain` holds, per
   view, a chain of frozen :class:`ViewVersion` records — the history

@@ -149,18 +149,18 @@ SCAN_ROWS = 100_000
 SCAN_COLUMNS = ["C1", "C7"]
 
 
-def stored_scan_file(tracer, columns=10):
+def stored_scan_file(tracer):
     """A 10-column transposed file, flushed, behind a 64-page pool."""
     pool = BufferPool(SimulatedDisk(block_size=4096), capacity=64, tracer=tracer)
-    storage = TransposedFile(pool, [DataType.FLOAT] * columns, tracer=tracer)
+    storage = TransposedFile(pool, [DataType.FLOAT] * 10, tracer=tracer)
     storage.append_rows(
         [
-            tuple(float((i * 7 + c * 13) % 1000) for c in range(columns))
+            tuple(float((i * 7 + c * 13) % 1000) for c in range(10))
             for i in range(SCAN_ROWS)
         ]
     )
     pool.flush_all()
-    schema = Schema([measure(f"C{c}") for c in range(columns)])
+    schema = Schema([measure(f"C{c}") for c in range(10)])
     return StoredRelation("scan", schema, storage)
 
 
@@ -212,6 +212,4 @@ class TestDisabledHookCount:
         assert span.total("pool.hit") + span.total("pool.miss") > 0
         # Both tracers see the same hooks: the disabled count is what an
         # enabled tracer records.
-        assert span.counters == {
-            name: disabled.calls[name] for name in span.counters
-        }
+        assert span.counters == dict(disabled.calls)

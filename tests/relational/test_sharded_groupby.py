@@ -271,6 +271,7 @@ class TestShardedGroupByOperator:
         list(op)
         (root,) = [s for s in tracer.roots if s.name == "shard.scatter_gather"]
         assert root.total("shard.scatter") == 4
+        assert root.total("shard.gather") >= 4
         assert root.attrs["shards"] == 4
 
     def test_mergeable_funcs_frozen(self):
