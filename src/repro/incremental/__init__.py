@@ -15,7 +15,6 @@ from repro.incremental.aggregates import (
     IncrementalStd,
     IncrementalSum,
     IncrementalVariance,
-    IncrementalWeightedMean,
 )
 from repro.incremental.derived import (
     DerivationKind,
@@ -68,7 +67,6 @@ __all__ = [
     "IncrementalStd",
     "IncrementalSum",
     "IncrementalVariance",
-    "IncrementalWeightedMean",
     "LocalDerivation",
     "MaintainedHistogram",
     "MedianWindow",

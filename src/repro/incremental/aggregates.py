@@ -17,22 +17,9 @@ import math
 from collections import Counter
 from typing import Any, Iterable
 
-import numpy as np
-
 from repro.core.errors import StatisticsError
 from repro.incremental.differencing import IncrementalComputation
-from repro.relational.types import NA, ColumnVector, is_na
-
-
-def _present(values: Any) -> np.ndarray | None:
-    """A typed vector's non-NA values as one array; ``None`` for anything else.
-
-    The SQL grouping loop feeds the shard workers' partial states typed
-    column slices; those states take the array instead of a value at a time.
-    """
-    if isinstance(values, ColumnVector) and values.typed:
-        return values.data if values.mask is None else values.data[~values.mask]
-    return None
+from repro.relational.types import NA, is_na
 
 
 class IncrementalCount(IncrementalComputation):
@@ -48,15 +35,10 @@ class IncrementalCount(IncrementalComputation):
     def fold(self, values: Iterable[Any], sign: int = 1) -> None:
         na_marker = NA
         total = na = 0
-        present = _present(values)
-        if present is not None:
-            total = len(values)  # type: ignore[arg-type]
-            na = total - len(present)
-        else:
-            for value in values:
-                total += 1
-                if value is na_marker or (isinstance(value, float) and value != value):
-                    na += 1
+        for value in values:
+            total += 1
+            if value is na_marker or (isinstance(value, float) and value != value):
+                na += 1
         self._na += sign * na
         self._n += sign * (total - na)
         self._require_tracked(min(self._n, self._na))
@@ -132,7 +114,7 @@ class IncrementalMean(IncrementalSum):
     """Running mean: the compensated sum over the count."""
 
     def partial_state(self) -> Any:
-        """``(n, mean)`` — what the shards have always exchanged."""
+        """``(n, mean)``."""
         return (self._n, 0.0 if self._n == 0 else self.value)
 
     def merge_partial(self, state: Any) -> None:
@@ -149,128 +131,11 @@ class IncrementalMean(IncrementalSum):
         return self._n
 
 
-class ExactSum(IncrementalComputation):
-    """The SQL ``sum`` as a mergeable partial: exact while the values are ints.
-
-    Ints (and bools) add up in a Python int, so an INT column's sum merged
-    from shards is the row engine's ``sum`` to the last unit, and an int.
-    The floats of a batch add up exactly rounded (``math.fsum``), and the
-    batch totals by plain addition; once a float is present, the value is
-    that sum plus the int total, a float.  A typed vector's batch is one
-    array: its dtype says ints or floats, and its mask where the NA are.
-    """
-
-    def __init__(self) -> None:
-        self.reset()
-
-    def reset(self) -> None:
-        self._int = 0
-        self._ints = 0  # non-NA int values tracked
-        self._sum = 0.0
-        self._floats = 0  # non-NA float values tracked
-
-    def fold(self, values: Iterable[Any], sign: int = 1) -> None:
-        present = _present(values)
-        ints: list[Any] = []
-        floats: list[Any] = []
-        if present is None:
-            for value in values:
-                if type(value) is int or type(value) is bool:
-                    ints.append(value)
-                elif not (value is NA or (isinstance(value, float) and value != value)):
-                    floats.append(value)
-        elif present.dtype.kind == "f":
-            floats = present.tolist()
-        else:
-            ints = present.tolist()
-        self._int += sign * sum(ints)
-        self._ints += sign * len(ints)
-        if floats:
-            self._sum += sign * math.fsum(floats)
-            self._floats += sign * len(floats)
-        self._require_tracked(min(self._ints, self._floats))
-
-    def partial_state(self) -> tuple[int, int, int, float]:
-        return (self._ints, self._int, self._floats, self._sum)
-
-    def merge_partial(self, state: tuple[int, int, int, float]) -> None:
-        ints, total, floats, float_sum = state
-        self._ints += ints
-        self._int += total
-        self._floats += floats
-        self._sum += float_sum
-
-    @property
-    def count(self) -> int:
-        """Number of non-NA values contributing."""
-        return self._ints + self._floats
-
-    @property
-    def value(self) -> Any:
-        if self._floats:
-            return self._sum + self._int
-        return self._int if self._ints else NA
-
-
-class ExactMean(ExactSum):
-    """The SQL ``avg``: :class:`ExactSum` over the count, ints divided exactly."""
-
-    @property
-    def value(self) -> Any:
-        total = super().value
-        return NA if is_na(total) else total / self.count
-
-
-class ExactExtreme(IncrementalComputation):
-    """The SQL ``min`` (``max`` if ``greatest``) as a partial: the extreme alone.
-
-    A typed batch's first least (greatest) element comes from ``argmin``
-    (``argmax``), as in ``vec_min``, any other's from ``min`` (``max``); only
-    a value strictly beyond the held one replaces it.  Shard workers only
-    insert, and removing raises: :class:`IncrementalMinMax` keeps a multiset.
-    """
-
-    def __init__(self, greatest: bool = False) -> None:
-        self.greatest = greatest
-        self.reset()
-
-    def reset(self) -> None:
-        self._value: Any = NA
-
-    def fold(self, values: Iterable[Any], sign: int = 1) -> None:
-        if sign < 0:
-            raise StatisticsError("an extreme-only partial cannot remove values")
-        present = _present(values)
-        if present is None:
-            clean = [v for v in values if not is_na(v)]
-            if clean:
-                self.merge_partial(max(clean) if self.greatest else min(clean))
-        elif len(present):
-            pick = np.argmax(present) if self.greatest else np.argmin(present)
-            self.merge_partial(present[int(pick)].item())
-
-    def partial_state(self) -> Any:
-        return self._value
-
-    def merge_partial(self, state: Any) -> None:
-        held = self._value
-        if state is not NA and (
-            held is NA or (state > held if self.greatest else state < held)
-        ):
-            self._value = state
-
-    @property
-    def value(self) -> Any:
-        return self._value
-
-
 class IncrementalVariance(IncrementalComputation):
     """Sample variance (ddof=1) via Welford with exact downdating.
 
     The form for Summary Database entries that live through long update
-    streams; shard partials whose merged result must not depend on the
-    partition use the power sums of
-    :class:`~repro.incremental.differencing.AlgebraicForm` instead.
+    streams.
     """
 
     def __init__(self) -> None:
@@ -381,13 +246,8 @@ class IncrementalMinMax(IncrementalComputation):
             self._max = hi
 
     def fold(self, values: Iterable[Any], sign: int = 1) -> None:
-        present = _present(values)
         na_marker = NA
-        clean = (
-            present.tolist()
-            if present is not None
-            else [v for v in values if not (v is na_marker or (isinstance(v, float) and v != v))]
-        )
+        clean = [v for v in values if not (v is na_marker or (isinstance(v, float) and v != v))]
         if not clean:
             return
         counts = self._counts
@@ -448,44 +308,3 @@ class IncrementalMax(IncrementalMinMax):
     @property
     def value(self) -> Any:
         return self._max
-
-
-class IncrementalWeightedMean(IncrementalComputation):
-    """Weighted mean over (value, weight) pairs; O(1) per pair.
-
-    Supports the paper's SS2.2 derived data set: when populations change,
-    the weighted average salary updates without revisiting every partition.
-    """
-
-    def __init__(self) -> None:
-        self.reset()
-
-    def reset(self) -> None:
-        self._num = 0.0
-        self._den = 0.0
-
-    def fold(self, values: Iterable[Any], sign: int = 1) -> None:
-        num = den = 0.0
-        for v, w in values:
-            if is_na(v) or is_na(w):
-                continue
-            num += float(v) * float(w)
-            den += float(w)
-        self._num += sign * num
-        self._den += sign * den
-        if sign < 0:
-            # The state tracks total weight, not a count; allow the
-            # roundoff a legitimate remove-everything leaves behind.
-            self._require_tracked(self._den, slack=1e-9 * abs(den))
-
-    def partial_state(self) -> tuple[float, float]:
-        return (self._num, self._den)
-
-    def merge_partial(self, state: tuple[float, float]) -> None:
-        num, den = state
-        self._num += num
-        self._den += den
-
-    @property
-    def value(self) -> Any:
-        return NA if self._den == 0 else self._num / self._den

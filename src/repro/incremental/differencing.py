@@ -97,11 +97,11 @@ class IncrementalComputation:
     A concrete maintainer writes its arithmetic in exactly three places —
     :meth:`reset` (the empty state), :meth:`fold` (add or remove a batch of
     values) and :attr:`value` (finalize) — plus :meth:`partial_state` /
-    :meth:`merge_partial` where shard partials can be combined.  Every
+    :meth:`merge_partial` where two states can be combined.  Every
     other way of driving a maintainer is defined here, once, in terms of
-    those: batch evaluation is a fold from empty, a shard partial is a
-    fold followed by a merge, finite differencing (SS4.2) is a fold of the
-    delta's added values and a ``sign=-1`` fold of its removed ones.
+    those: batch evaluation is a fold from empty, finite differencing
+    (SS4.2) is a fold of the delta's added values and a ``sign=-1`` fold of
+    its removed ones.
     Subclasses do not override the derived entry points (lint REPRO-S005).
     """
 
@@ -113,9 +113,7 @@ class IncrementalComputation:
         """Add (``sign=+1``) or remove (``sign=-1``) a batch of values.
 
         NA skipping, domain tracking and the numerics live here and
-        nowhere else.  The shard workers feed whole selected column slices
-        through the ``+1`` direction on every scan chunk, so that loop is
-        the hot path.  Removing a value the state does not hold raises
+        nowhere else.  Removing a value the state does not hold raises
         :class:`~repro.core.errors.StatisticsError` wherever the maintainer
         can tell.
         """
@@ -194,15 +192,13 @@ class IncrementalComputation:
             self.fold(removed, -1)
         return self.value
 
-    # -- mergeable partial states (scatter-gather protocol) ------------------
+    # -- mergeable partial states ---------------------------------------------
 
     def partial_state(self) -> Any:
         """A picklable snapshot of this computation's accumulated state.
 
-        The scatter-gather executor (:mod:`repro.relational.sharded`) runs
-        one computation per shard and merges the shards' partial states with
-        :meth:`merge_partial` — the MADlib partial-aggregate + merge shape.
-        The snapshot must be self-contained: merging it into a freshly
+        The MADlib partial-aggregate + merge shape; sketch and model
+        persistence build on it.  The snapshot must be self-contained: merging it into a freshly
         constructed computation of the same type reproduces the source's
         value contribution exactly.
         """
@@ -214,8 +210,7 @@ class IncrementalComputation:
         """Fold another computation's :meth:`partial_state` into this one.
 
         Merging is commutative up to floating-point rounding and must be
-        exact for exactly representable inputs, so scatter-gather over k
-        shards reuses the same differencing math as the single-shard path.
+        exact for exactly representable inputs.
         """
         raise NotIncrementallyComputable(
             f"{type(self).__name__} has no mergeable partial state"

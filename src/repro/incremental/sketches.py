@@ -6,20 +6,17 @@ approximate-but-mergeable *sketches* living inside the database as
 first-class summary entries.  Every sketch here implements the
 :class:`~repro.incremental.differencing.IncrementalComputation` protocol
 — ``reset`` / ``fold(values, sign)`` / ``value`` plus ``partial_state()``
-/ ``merge_partial()`` — so it serves three roles with one state machine:
+/ ``merge_partial()`` — so it serves two roles with one state machine:
 
 * a **maintainer** for a ``(function, attributes)`` summary entry that
   stays warm under analyst insert/delete/update;
-* a **partial aggregate** under ``ShardedGroupBy`` scatter-gather — which
-  finally lifts ``median``/``count_distinct``/``quantile_NN`` off the
-  single-stream fallback (ROADMAP items 2 and 3);
 * a **persistable** state (``to_state``/``from_state``) that round-trips
   through checkpoints, unlike the pointer-chasing order-stat windows.
 
 Determinism: every hashed sketch takes an explicit integer ``seed`` and
 hashes through keyed blake2b over canonical value bytes, so results are
 reproducible across processes and independent of ``PYTHONHASHSEED`` —
-required for process-mode shard workers to agree with the coordinator.
+so a persisted sketch reads back to the same answers.
 
 Accuracy contracts (enforced by the property suite):
 
@@ -187,38 +184,6 @@ class TDigest(IncrementalComputation):
             cum += weight
         return means[-1]
 
-    def value_at_rank(self, rank: float) -> Any:
-        """Value at a (possibly fractional) zero-based rank.
-
-        Treats centroid *i* as ``weight`` points at ``mean_i`` occupying
-        ranks ``cum_i .. cum_i + weight_i − 1``, interpolating linearly in
-        the unit gap between adjacent centroids.  For a digest of unit
-        centroids this reproduces sorted-order indexing exactly, which is
-        what lets the order-stat windows serve their ``_needed_ranks``
-        through a digest without changing quantile conventions.
-        """
-        self._compress()
-        means, weights = self._means, self._weights
-        if not means:
-            return NA
-        if rank <= 0.0:
-            return means[0]
-        cum = 0.0
-        prev_top = 0.0
-        prev_mean = means[0]
-        for mean, weight in zip(means, weights):
-            lo = cum
-            hi = cum + weight - 1.0
-            if rank < lo:
-                frac = (rank - prev_top) / (lo - prev_top)
-                return prev_mean + frac * (mean - prev_mean)
-            if rank <= hi:
-                return mean
-            prev_top = hi
-            prev_mean = mean
-            cum += weight
-        return means[-1]
-
     # -- compression ---------------------------------------------------------
 
     def _compress(self) -> None:
@@ -252,7 +217,7 @@ class TDigest(IncrementalComputation):
         self._means = means
         self._weights = weights
 
-    # -- scatter-gather ------------------------------------------------------
+    # -- mergeable partial states ---------------------------------------------
 
     def partial_state(self) -> Any:
         self._compress()
@@ -293,31 +258,12 @@ class TDigest(IncrementalComputation):
         return digest
 
 
-class QuantileDigest(TDigest):
-    """A t-digest whose ``value`` is one fixed quantile, read off by rank.
-
-    The rank ``q·(n−1)`` is the type-7 position ``agg_quantile`` and
-    ``agg_median`` interpolate at, so while the digest holds unit
-    centroids the SQL aggregates finalize to the batch answer exactly.
-    """
-
-    def __init__(self, q: float) -> None:
-        super().__init__()
-        self.q = q
-
-    @property
-    def value(self) -> Any:
-        return self.value_at_rank(self.q * (self.count - 1))
-
-
 class HyperLogLog(IncrementalComputation):
     """Distinct-value counter: exact sparse multiset, then HLL registers.
 
     Below ``sparse_limit`` distinct hashes the sketch keeps an exact
     hash → multiplicity map, so the estimate is exact (up to 64-bit hash
-    collisions), deletes are exact, and sparse merges are exact — which
-    makes sharded ``count_distinct`` bit-for-bit equal to the
-    single-stream path at test scale.  Beyond the limit it densifies into
+    collisions), deletes are exact, and sparse merges are exact.  Beyond the limit it densifies into
     the classical 2^p register array (relative error ≈ 1.04/√2^p ≈ 1.6 %
     at the default p=12, documented as ``EPSILON_HLL``).
 
@@ -433,7 +379,7 @@ class HyperLogLog(IncrementalComputation):
             estimate = m * math.log(m / zeros)
         return int(round(estimate))
 
-    # -- scatter-gather ------------------------------------------------------
+    # -- mergeable partial states ---------------------------------------------
 
     def partial_state(self) -> Any:
         if self._dirty:
@@ -569,7 +515,7 @@ class ReservoirSample(IncrementalComputation):
         """The sample as a tuple (stable, encodable)."""
         return tuple(self._sample)
 
-    # -- scatter-gather ------------------------------------------------------
+    # -- mergeable partial states ---------------------------------------------
 
     def partial_state(self) -> Any:
         return {"sample": list(self._sample), "n": self._n, "k": self.k}
@@ -624,7 +570,7 @@ class CountMinSketch(IncrementalComputation):
     ``estimate(v)`` overestimates the true multiplicity of ``v`` by at
     most ``(e / width) × total`` with probability ``1 − e^-depth``; it
     never underestimates.  Because the state is a linear function of the
-    input multiset, deletes subtract exactly and shard merges add exactly.
+    input multiset, deletes subtract exactly and merges add exactly.
     """
 
     sketch_kind = "countmin"
@@ -672,7 +618,7 @@ class CountMinSketch(IncrementalComputation):
         """Total tracked (non-NA) count — exact."""
         return float(self._total)
 
-    # -- scatter-gather ------------------------------------------------------
+    # -- mergeable partial states ---------------------------------------------
 
     def partial_state(self) -> Any:
         return {"rows": [list(row) for row in self._rows], "total": self._total}
@@ -778,7 +724,7 @@ class HeavyHitterSketch(IncrementalComputation):
         )
         return tuple((v, float(count)) for v, count in ranked[: self.k] if count > 0)
 
-    # -- scatter-gather ------------------------------------------------------
+    # -- mergeable partial states ---------------------------------------------
 
     def partial_state(self) -> Any:
         return {

@@ -14,8 +14,7 @@ Three layers share one findings engine:
   layer, no cache-entry writes that bypass the rule repository, no
   row-wise ``bind`` in vectorized chunk loops, no ``Tracer`` built on a
   hot path, no WAL/checkpoint or workspace-manifest file access outside
-  their packages, no lock constructed outside the concurrency layer, and
-  no view/summary mutation reachable from shard workers;
+  their packages, and no lock constructed outside the concurrency layer;
 * **concurrency** (``REPRO-C2xx``) — builds a project-wide call graph and
   lock model, then reports lock-order cycles, unbounded lock waits on
   request paths, unguarded acquires, shared-state writes that escape

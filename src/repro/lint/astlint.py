@@ -93,17 +93,6 @@ RULE_LOCK_CONSTRUCT = rule(
         "graph and can deadlock the service layer undetectably"
     ),
 )
-RULE_SHARD_ISOLATION = rule(
-    "REPRO-A110",
-    "cross-shard mutation reachable from shard worker code",
-    severity=Severity.ERROR,
-    rationale=(
-        "shard workers run in separate processes against a private copy of "
-        "their shard; importing the view/summary layers there, or calling "
-        "their write APIs, mutates process-local state the coordinator "
-        "never sees — scatter-gather results silently diverge from the view"
-    ),
-)
 RULE_ROWWISE_BIND = rule(
     "REPRO-A106",
     "row-wise Expr.bind inside a vectorized chunk loop",
@@ -138,31 +127,6 @@ LOCK_CONSTRUCTORS = frozenset(
 #: Modules whose ``Name(...)`` calls of a lock constructor count even
 #: without an attribute receiver (``from threading import Lock``).
 LOCK_MODULES = frozenset({"threading", "asyncio", "multiprocessing"})
-
-#: Import prefixes a shard worker may never pull in: the view/summary
-#: layers carry mutable per-analyst state that only exists in the
-#: coordinator process.
-SHARD_FORBIDDEN_IMPORTS = ("repro.views", "repro.summary")
-
-#: Names whose import anywhere drags view-layer mutation into a worker.
-SHARD_FORBIDDEN_NAMES = frozenset({"ConcreteView", "SummaryDatabase"})
-
-#: Write-API attribute calls forbidden in shard workers: a worker runs in
-#: its own process, so any of these would mutate a private copy.
-SHARD_WRITE_ATTRS = frozenset(
-    {
-        "set_value",
-        "append_row",
-        "append_rows",
-        "add_derived_column",
-        "mark_stale",
-        "refresh",
-        "record",
-        "apply_insert",
-        "apply_delete",
-        "apply_update",
-    }
-)
 
 _MUTABLE_CALLS = frozenset(
     {"list", "dict", "set", "bytearray", "defaultdict", "Counter", "deque", "OrderedDict"}
@@ -337,53 +301,6 @@ def _rowwise_bind(node: ast.AST, walk: _Walk) -> Iterator[Hit]:
         )
 
 
-def _shard_isolation(node: ast.AST, walk: _Walk) -> Iterator[Hit]:
-    """REPRO-A110: shard worker code must not mutate cross-shard state.
-
-    Worker modules are shipped (pickled) into shard processes, where every
-    object is a process-local copy: importing the view or summary layers
-    there, or calling their write APIs (``set_value``, ``mark_stale``,
-    ``record``, ...), would mutate state the coordinator never observes.
-    Workers scan and fold; all mutation stays in the coordinator.
-    """
-    if isinstance(node, ast.Import):
-        for alias in node.names:
-            if _forbidden_module(alias.name):
-                yield node, (
-                    f"shard worker imports {alias.name}; workers run in "
-                    "separate processes and may not touch the view/summary "
-                    "layers — keep them scan-and-fold only"
-                )
-    elif isinstance(node, ast.ImportFrom):
-        module = node.module or ""
-        if _forbidden_module(module):
-            yield node, (
-                f"shard worker imports from {module}; workers run in "
-                "separate processes and may not touch the view/summary "
-                "layers — keep them scan-and-fold only"
-            )
-        else:
-            for alias in node.names:
-                if alias.name in SHARD_FORBIDDEN_NAMES:
-                    yield node, (
-                        f"shard worker imports {alias.name}; per-analyst "
-                        "view state exists only in the coordinator process"
-                    )
-    elif _method(node) in SHARD_WRITE_ATTRS:
-        yield node, (
-            f"shard worker calls .{_method(node)}(); a worker's objects are "
-            "process-local copies, so writes never reach the "
-            "coordinator — route all mutation through the coordinator"
-        )
-
-
-def _forbidden_module(module: str) -> bool:
-    return any(
-        module == prefix or module.startswith(prefix + ".")
-        for prefix in SHARD_FORBIDDEN_IMPORTS
-    )
-
-
 def _tracer_construct(node: ast.AST, walk: _Walk) -> Iterator[Hit]:
     """REPRO-A107: a hot-path module constructs a ``Tracer``.
 
@@ -500,14 +417,6 @@ AST_RULES: tuple[AstRule, ...] = (
         ),
     ),
     AstRule(RULE_ROWWISE_BIND, _rowwise_bind, ("relational/vectorized.py",), only=True),
-    # Code shipped to shard processes; vectorized.py hosts the grouping
-    # loop (fold_groups) the workers execute.
-    AstRule(
-        RULE_SHARD_ISOLATION,
-        _shard_isolation,
-        ("relational/shardworker.py", "relational/vectorized.py"),
-        only=True,
-    ),
     # The instrumented hot paths: tracing arrives by injection.
     AstRule(
         RULE_TRACER_CONSTRUCT,

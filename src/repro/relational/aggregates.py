@@ -31,15 +31,6 @@ from typing import Any, Callable, Iterator, Sequence
 import numpy as np
 
 from repro.core.errors import QueryError
-from repro.incremental.aggregates import (
-    ExactExtreme,
-    ExactMean,
-    ExactSum,
-    IncrementalCount,
-    IncrementalWeightedMean,
-)
-from repro.incremental.differencing import DEFINITIONS, AlgebraicForm, IncrementalComputation
-from repro.incremental.sketches import HyperLogLog, QuantileDigest
 from repro.relational.schema import Attribute, AttributeRole, Schema
 from repro.relational.types import NA, DataType, is_na, quantile_fraction
 
@@ -180,9 +171,7 @@ def agg_count_distinct(values: Sequence[Any]) -> int:
 def agg_quantile(values: Sequence[Any], q: float) -> Any:
     """Type-7 quantile (linear interpolation at ``q·(n−1)``); NA if empty.
 
-    The same convention as :func:`repro.stats.descriptive.quantile` and as
-    the sharded t-digest finalizer's ``value_at_rank``, so the three paths
-    agree exactly on small groups.
+    The same convention as :func:`repro.stats.descriptive.quantile`.
     """
     clean = sorted(_clean(values))
     n = len(clean)
@@ -223,8 +212,6 @@ class Aggregate:
     ``evaluate`` is the batch reference over what the aggregate consumes,
     which ``arity`` names: ``0`` the group's rows (only their number
     matters), ``1`` one column's values, ``2`` (value, weight) pairs.
-    ``partial`` builds its mergeable per-shard state, if it has one; an
-    ``arity`` 0 aggregate needs none, every group carries its size.
     ``vector``, if given, is ``evaluate`` over a typed array of the non-NA
     values, with the same result.
     """
@@ -232,39 +219,25 @@ class Aggregate:
     evaluate: Callable[[Sequence[Any]], Any]
     arity: int = 1
     integer: bool = False
-    partial: Callable[[], IncrementalComputation] | None = None
     vector: Callable[[np.ndarray], Any] | None = None
 
 
-def _power_sums(name: str) -> Callable[[], IncrementalComputation]:
-    # Merged power sums do not depend on how the rows were partitioned
-    # (exact for integer-valued data).
-    return functools.partial(AlgebraicForm, DEFINITIONS[name])
-
-
-#: The one name -> aggregate table of the SQL path: the parser, the row,
-#: vectorized and sharded group-by operators, their output schema and the
-#: planner's sharded lowering all read it, so adding an aggregate is adding
-#: a row.
+#: The one name -> aggregate table of the SQL path: the parser, the row and
+#: vectorized group-by operators and their output schema all read it, so
+#: adding an aggregate is adding a row.
 AGGREGATES: dict[str, Aggregate] = {
-    "count": Aggregate(agg_count, integer=True, partial=IncrementalCount, vector=vec_count),
+    "count": Aggregate(agg_count, integer=True, vector=vec_count),
     "count_star": Aggregate(agg_count_star, arity=0, integer=True),
-    "sum": Aggregate(agg_sum, partial=ExactSum, vector=vec_sum),
-    "avg": Aggregate(agg_avg, partial=ExactMean, vector=vec_avg),
-    "mean": Aggregate(agg_avg, partial=ExactMean, vector=vec_avg),
-    "min": Aggregate(agg_min, partial=ExactExtreme, vector=vec_min),
-    "max": Aggregate(
-        agg_max, partial=functools.partial(ExactExtreme, greatest=True), vector=vec_max
-    ),
-    "median": Aggregate(
-        agg_median, partial=functools.partial(QuantileDigest, 0.5), vector=vec_median
-    ),
-    "var": Aggregate(agg_var, partial=_power_sums("var")),
-    "std": Aggregate(agg_std, partial=_power_sums("std")),
-    # Shard workers only insert, so the sketch needs no values provider;
-    # its seeded hashing keeps process-mode workers in agreement.
-    "count_distinct": Aggregate(agg_count_distinct, integer=True, partial=HyperLogLog),
-    "weighted_avg": Aggregate(_agg_weighted_pairs, arity=2, partial=IncrementalWeightedMean),
+    "sum": Aggregate(agg_sum, vector=vec_sum),
+    "avg": Aggregate(agg_avg, vector=vec_avg),
+    "mean": Aggregate(agg_avg, vector=vec_avg),
+    "min": Aggregate(agg_min, vector=vec_min),
+    "max": Aggregate(agg_max, vector=vec_max),
+    "median": Aggregate(agg_median, vector=vec_median),
+    "var": Aggregate(agg_var),
+    "std": Aggregate(agg_std),
+    "count_distinct": Aggregate(agg_count_distinct, integer=True),
+    "weighted_avg": Aggregate(_agg_weighted_pairs, arity=2),
 }
 
 
@@ -279,10 +252,7 @@ def resolve_aggregate(func: str) -> Aggregate | None:
     if found is None:
         q = quantile_fraction(func)
         if q is not None:
-            found = Aggregate(
-                functools.partial(agg_quantile, q=q),
-                partial=functools.partial(QuantileDigest, q),
-            )
+            found = Aggregate(functools.partial(agg_quantile, q=q))
     return found
 
 
@@ -304,35 +274,14 @@ def spec_inputs(spec: AggregateSpec) -> list[str]:
     return [name for name in names if name is not None]
 
 
-def is_mergeable(func: str) -> bool:
-    """Whether shards can answer an aggregate with partials merged on gather."""
-    found = resolve_aggregate(func)
-    return found is not None and (found.arity == 0 or found.partial is not None)
-
-
-def make_partial(spec: AggregateSpec) -> IncrementalComputation | None:
-    """A fresh mergeable state for one spec (``None``: the group size serves it).
-
-    The shard workers (accumulate) and the coordinator (merge) both build
-    their states here, so the two sides cannot disagree about a function's
-    partial representation.
-    """
-    found = spec_aggregate(spec)
-    if found.arity == 0:
-        return None
-    if found.partial is None:
-        raise QueryError(f"aggregate {spec.func!r} has no mergeable partial form")
-    return found.partial()
-
-
 def group_by_schema(
     in_schema: Schema, keys: Sequence[str], specs: Sequence[AggregateSpec]
 ) -> Schema:
     """Validate a group-by against its input schema; return the output schema.
 
     The key attributes followed by one MEASURE column per spec.  Shared by
-    the row, vectorized and sharded group-by operators, so all three accept
-    and reject the same plans and name their columns alike.
+    the row and vectorized group-by operators, so both accept and reject
+    the same plans and name their columns alike.
     """
     if not specs:
         raise QueryError("group-by requires at least one aggregate")
@@ -356,8 +305,8 @@ class GroupBy:
 
     With an empty key list, produces one row of grand totals.  The output
     schema has the key attributes (CATEGORY role) followed by one column per
-    :class:`AggregateSpec`.  This is the reference the vectorized and
-    sharded operators are checked against: it gathers each group's rows and
+    :class:`AggregateSpec`.  This is the reference the vectorized
+    operator is checked against: it gathers each group's rows and
     hands every aggregate's batch evaluator exactly what it consumes.
     """
 

@@ -11,8 +11,8 @@ The plan shape is fixed — scan -> (pushed selections) -> join -> selection
   attribute registered in the catalog serves an equality, one-sided range
   or BETWEEN conjunct (join-free queries), the remaining conjuncts running
   as a residual filter;
-* a query over a chunk-capable source (in-memory relation or
-  transposed-file backing) runs on the vectorized engine
+* a query over a chunk-capable source (in-memory relation, or a
+  transposed-file backing, sharded or not) runs on the vectorized engine
   (:mod:`repro.relational.vectorized`): the scan is pruned to the columns
   the query touches and selection/projection/group-by execute
   chunk-at-a-time, falling back to the row engine for index access and
@@ -108,9 +108,8 @@ def plan(query: Query, catalog: Catalog, use_vectorized: bool = True) -> Any:
     vectorized: Any = None
     if use_vectorized and pipeline is left:
         # Index access won (pipeline replaced) and keeps the row engine;
-        # otherwise a sharded aggregate query runs scatter-gather, and any
-        # other chunk-capable source, a join included, runs the whole
-        # select/project/group-by stack vectorized.
+        # otherwise any chunk-capable source, sharded storage and a join
+        # included, runs the whole select/project/group-by stack vectorized.
         vectorized = _try_vectorized(query, pipeline, where)
 
     if vectorized is not None:
@@ -217,14 +216,7 @@ def _projection_items(query: Query) -> list[Any] | None:
 
 
 def _try_vectorized(query: Query, source: Any, where: ex.Expr | None) -> Any:
-    """Build a vectorized pipeline for ``query``, or ``None`` to stay row-wise.
-
-    A grouped query over sharded transposed storage whose aggregates are all
-    mergeable runs scatter-gather, the selection pushed into the per-shard
-    scans.  Plain projections over shards take the ordinary pruned scan:
-    scatter would only re-concatenate rows.
-    """
-    from repro.relational.sharded import ShardedGroupBy, is_mergeable, is_sharded_source
+    """Build a vectorized pipeline for ``query``, or ``None`` to stay row-wise."""
     from repro.relational.vectorized import (
         VecGroupBy,
         VecProject,
@@ -233,13 +225,6 @@ def _try_vectorized(query: Query, source: Any, where: ex.Expr | None) -> Any:
     )
 
     specs, items, needed = _query_shape(query, source.schema, where)
-    if (
-        specs is not None
-        and is_sharded_source(source)
-        and all(is_mergeable(spec.func) for spec in specs)
-    ):
-        grouped = ShardedGroupBy(source, query.group_by, specs, where=where)
-        return _grouped_tail(query, grouped, VecSelect, VecProject)
     pipeline = as_chunk_pipeline(source, columns=needed)
     if pipeline is None:
         return None

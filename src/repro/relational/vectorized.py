@@ -258,47 +258,33 @@ def _column_picker(index: int) -> ChunkFn:
 
 
 @dataclass
-class GroupPartial:
-    """One group of a grouped aggregation, as folded, merged or shipped.
+class _Group:
+    """One group of a grouped aggregation while it is folded."""
 
-    ``states`` are live fold states until a shard worker swaps in their
-    picklable ``partial_state()`` snapshots (and the global ``first_row``)
-    for the trip to the coordinator.
-    """
-
-    key: tuple[Any, ...]
     first_row: int  # position of the group's first selected row
     size: int  # selected rows (count(*) numerator)
-    states: list[Any]  # one per spec (None where the size serves it)
+    states: list[_ExactState | None]  # one per spec (None where the size serves it)
 
 
 def fold_groups(
-    source: VectorOperator,
-    keys: Sequence[str],
-    specs: Sequence[AggregateSpec],
-    new_state: Callable[[AggregateSpec], Any],
-    mask_fn: ChunkFn | None = None,
-) -> dict[tuple[Any, ...], GroupPartial]:
-    """The one grouping loop: a map from group key to one fold state per spec.
+    source: VectorOperator, keys: Sequence[str], specs: Sequence[AggregateSpec]
+) -> dict[tuple[Any, ...], _Group]:
+    """The grouping loop: a map from group key to one exact state per spec.
 
-    Buckets each chunk's selected row positions per group, then gives every
-    state one ``fold`` per (group, chunk) of what its aggregate consumes —
-    a :class:`ColumnVector` slice, or (value, weight) pairs — so method
-    dispatches number groups x specs per chunk, not rows x specs.
-    ``new_state`` builds a spec's state, or ``None`` when the group size
-    serves it: exact states under :class:`VecGroupBy`, mergeable partials in
-    a shard worker, and nothing else differs between the two.  Groups come
-    back in first-seen order; ``first_row`` counts positions across
-    ``source``'s chunks, unselected rows included.
+    Buckets each chunk's row positions per group, then gives every state
+    one ``fold`` per (group, chunk) of what its aggregate consumes — a
+    :class:`ColumnVector` slice, or (value, weight) pairs — so method
+    dispatches number groups x specs per chunk, not rows x specs.  Groups
+    come back in first-seen order; ``first_row`` counts positions across
+    ``source``'s chunks.
     """
     schema = source.schema
     key_idx = [schema.index_of(k) for k in keys]
     input_idx = [[schema.index_of(n) for n in spec_inputs(spec)] for spec in specs]
-    groups: dict[tuple[Any, ...], GroupPartial] = {}
+    groups: dict[tuple[Any, ...], _Group] = {}
     base = 0
     for chunk in source.chunks():
         columns = chunk.columns
-        keep = mask_fn(chunk).truth() if mask_fn is not None else None
         # Per spec, what its aggregate consumes of each row: a value, or a tuple.
         inputs = [
             columns[idx[0]]
@@ -306,11 +292,11 @@ def fold_groups(
             else list(zip(*(columns[i].to_list() for i in idx)))
             for idx in input_idx
         ]
-        for key, rows in _buckets(chunk, [columns[i] for i in key_idx], keep):
+        for key, rows in _buckets(chunk, [columns[i] for i in key_idx]):
             group = groups.get(key)
             if group is None:
-                states = [new_state(spec) for spec in specs]
-                groups[key] = group = GroupPartial(key, base + int(rows[0]), 0, states)
+                states = [_exact_state(spec) for spec in specs]
+                groups[key] = group = _Group(base + int(rows[0]), 0, states)
             group.size += len(rows)
             for state, consumed in zip(group.states, inputs):
                 if state is not None:
@@ -320,13 +306,14 @@ def fold_groups(
                         else [consumed[r] for r in rows]
                     )
         base += chunk.length
-    return groups
+    # _buckets hands a chunk's new groups over in key order, not first-seen.
+    return dict(sorted(groups.items(), key=lambda item: item[1].first_row))
 
 
 def _buckets(
-    chunk: ColumnChunk, key_columns: list[ColumnVector], keep: Any
+    chunk: ColumnChunk, key_columns: list[ColumnVector]
 ) -> Iterable[tuple[tuple[Any, ...], Any]]:
-    """(group key, ascending positions of its selected rows) per group of a chunk.
+    """(group key, ascending positions of its rows) per group of a chunk.
 
     One NA-free typed key column buckets with one stable argsort: each run
     of equal keys in sorted order is a group, its positions still
@@ -336,48 +323,20 @@ def _buckets(
     """
     if len(key_columns) > 1 or any(not c.typed or c.mask is not None for c in key_columns):
         listed = [column.to_list() for column in key_columns]
-        if isinstance(keep, np.ndarray):
-            keep = keep.tolist()
         buckets: defaultdict[tuple[Any, ...], list[int]] = defaultdict(list)
         for r, key in enumerate(zip(*listed)):
-            if keep is None or keep[r]:
-                buckets[key].append(r)
+            buckets[key].append(r)
         return buckets.items()
-    if keep is None:
-        positions = np.arange(chunk.length)
-    elif isinstance(keep, np.ndarray):
-        positions = np.flatnonzero(keep)
-    else:  # an object kernel's flags
-        positions = np.flatnonzero([bool(flag) for flag in keep])
-    if not len(positions):
+    if not chunk.length:
         return []
     if not key_columns:
-        return [((), positions)]
-    values = key_columns[0].data[positions]
+        return [((), np.arange(chunk.length))]
+    values = key_columns[0].data
     order = np.argsort(values, kind="stable")
     ordered = values[order]
     cuts = np.flatnonzero(ordered[1:] != ordered[:-1]) + 1
     firsts = ordered[np.concatenate(([0], cuts))].tolist()
-    return zip([(key,) for key in firsts], np.split(positions[order], cuts))
-
-
-def group_rows(
-    groups: dict[tuple[Any, ...], GroupPartial],
-    keys: Sequence[str],
-    specs: Sequence[AggregateSpec],
-    new_state: Callable[[AggregateSpec], Any],
-) -> list[tuple[Any, ...]]:
-    """Finalize folded groups into output rows, in first-seen order.
-
-    With no grouping keys and no group, one grand-total row over the empty
-    input is emitted (SQL semantics, the row engine's too).
-    """
-    if not keys and not groups:
-        groups[()] = GroupPartial((), 0, 0, [new_state(spec) for spec in specs])
-    return [
-        (*group.key, *(group.size if s is None else s.value for s in group.states))
-        for group in sorted(groups.values(), key=lambda group: group.first_row)
-    ]
+    return zip([(key,) for key in firsts], np.split(order, cuts))
 
 
 class _ExactState:
@@ -386,8 +345,7 @@ class _ExactState:
     ``value`` is the row engine's computation over every value the group
     saw, in scan order, so its result bit for bit: the aggregate's array
     evaluator when the values are one typed vector, else its batch
-    evaluator over the list view.  ``median`` / ``count_distinct`` stay
-    exact off the sharded path.
+    evaluator over the list view.
     """
 
     __slots__ = ("aggregate", "parts")
@@ -432,8 +390,14 @@ class VecGroupBy(VectorOperator):
         self.specs = list(specs)
 
     def chunks(self) -> Iterator[ColumnChunk]:
-        groups = fold_groups(self.child, self.keys, self.specs, _exact_state)
-        out_rows = group_rows(groups, self.keys, self.specs, _exact_state)
+        groups = fold_groups(self.child, self.keys, self.specs)
+        if not self.keys and not groups:
+            # The grand-total row over an empty input (SQL's, the row engine's).
+            groups[()] = _Group(0, 0, [_exact_state(spec) for spec in self.specs])
+        out_rows = [
+            (*key, *(group.size if s is None else s.value for s in group.states))
+            for key, group in groups.items()
+        ]
         yield _chunk_from_block(self.schema, out_rows, len(self.schema))
 
 
@@ -470,7 +434,6 @@ __all__ = [
     "CHUNK_SIZE",
     "ColumnChunk",
     "ColumnVector",
-    "GroupPartial",
     "VecGroupBy",
     "VecProject",
     "VecScan",
@@ -479,7 +442,6 @@ __all__ = [
     "as_chunk_pipeline",
     "chunks_from_rows",
     "fold_groups",
-    "group_rows",
     "needed_columns",
     "supports_column_chunks",
 ]

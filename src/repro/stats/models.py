@@ -12,9 +12,8 @@ normal equations (subtract ``n·x̄x̄ᵀ``) so catastrophic cancellation on
 shifted data is confined to the accumulation, not amplified by the solve.
 Every sum is Neumaier-compensated, so rows inserted and then deleted leave
 no residue when they dwarf the rows that stay.
-The states of two accumulators add component-wise, so the model merges
-under scatter-gather exactly like the power-sum aggregates
-(``partial_state`` / ``merge_partial``).
+The states of two accumulators add component-wise, so two models merge
+(``partial_state`` / ``merge_partial``), and a model persists as its state.
 
 The solve is numpy-free on purpose: the closed-form Gauss–Jordan solve
 doubles as the independent reference the property suite checks
@@ -237,7 +236,7 @@ class IncrementalLinearRegression(IncrementalComputation):
             *[float(b) for b in fit["coefficients"]],
         )
 
-    # -- scatter-gather ------------------------------------------------------
+    # -- mergeable partial states ---------------------------------------------
 
     def partial_state(self) -> Any:
         return {

@@ -25,7 +25,7 @@ from repro.storage.pager import (
     ReplacementPolicy,
 )
 from repro.storage.records import RID, RecordCodec
-from repro.storage.sharded import ShardedTransposedFile, ShardRouter
+from repro.storage.sharded import ShardedTransposedFile
 from repro.storage.tape import TapeArchive, TapeCostModel, TapeStats
 from repro.storage.transposed import TransposedFile
 
@@ -48,7 +48,6 @@ __all__ = [
     "ReplacementPolicy",
     "RID",
     "ShardedTransposedFile",
-    "ShardRouter",
     "SimulatedDisk",
     "TapeArchive",
     "TapeCostModel",

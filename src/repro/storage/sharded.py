@@ -1,19 +1,17 @@
-"""Horizontally sharded transposed files (ROADMAP item 2).
+"""Horizontally sharded transposed files.
 
 A :class:`ShardedTransposedFile` partitions one logical transposed view
 across N shard files, each on its own :class:`SimulatedDisk` behind its own
-:class:`BufferPool` — the multi-spindle layout the scatter-gather executor
-(:mod:`repro.relational.sharded`) fans out over, one worker process per
-shard, merging per-shard partial aggregates on gather (the MADlib
-partial-aggregate + merge shape).
+:class:`BufferPool` — the multi-spindle layout.  Queries read it in global
+row order through :meth:`ShardedTransposedFile.scan_column_chunks`, the
+same chunk feed a plain :class:`TransposedFile` gives the vectorized
+engine, so a sharded table answers exactly as one file does.
 
 Placement is round-robin modulo: global row ``r`` lives on shard ``r % N``
 at local position ``r // N``.  The :class:`ShardRouter` is the single
-authority for that arithmetic — delta routing in the view layer and
-global-order reconstruction here both go through it, so the mapping cannot
-drift between writers and readers.  Round-robin keeps shards balanced to
-within one row under append-only growth, which is what makes the per-shard
-scan costs (and therefore the scatter fan-out) uniform.
+authority for that arithmetic, so point access and the interleaved scans
+cannot drift apart.  Round-robin keeps shards balanced to within one row
+under append-only growth.
 """
 
 from __future__ import annotations
@@ -48,21 +46,6 @@ class ShardRouter:
         """The owning shard's local position of global row ``row``."""
         return row // self.shards
 
-    def global_row(self, shard: int, local: int) -> int:
-        """Inverse mapping: (shard, local position) back to the global row."""
-        return local * self.shards + shard
-
-    def split(self, rows: Iterable[int]) -> dict[int, list[int]]:
-        """Group global rows by owning shard, preserving per-shard order.
-
-        This is the delta-routing primitive: one update burst becomes at
-        most N per-shard bursts, each expressed in local row numbers.
-        """
-        by_shard: dict[int, list[int]] = {}
-        for row in rows:
-            by_shard.setdefault(self.shard_of(row), []).append(self.local_row(row))
-        return by_shard
-
 
 class ShardedTransposedFile:
     """One logical transposed file partitioned across N shard files.
@@ -71,13 +54,8 @@ class ShardedTransposedFile:
     ``append_row``, ``set_value``, ``get_value``, ``scan_column_chunks``,
     ...) so :class:`repro.relational.relation.StoredRelation` and
     :class:`repro.views.view.ConcreteView` can sit on either without
-    branching.  Global-order scans interleave the shard chains through the
-    router; the fast path is the per-shard scatter in
-    :mod:`repro.relational.sharded`, which never needs the interleave.
-
-    Each shard carries a monotonically increasing *version* (bumped on any
-    mutation touching it) so worker-process caches can detect staleness
-    without content hashing.
+    branching.  Scans interleave the shard chains back into global row
+    order through the router.
     """
 
     def __init__(
@@ -96,33 +74,25 @@ class ShardedTransposedFile:
         self.types = tuple(types)
         self.compress = compress
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.disks = [
-            SimulatedDisk(block_size=block_size) for _ in range(shards)
-        ]
-        self.pools = [
-            BufferPool(disk, capacity=pool_capacity, policy=policy, tracer=self.tracer)
-            for disk in self.disks
-        ]
         self._files = [
             TransposedFile(
-                pool,
+                BufferPool(
+                    SimulatedDisk(block_size=block_size),
+                    capacity=pool_capacity,
+                    policy=policy,
+                    tracer=self.tracer,
+                ),
                 self.types,
                 name=f"{name}.shard{index}",
                 compress=compress,
                 tracer=self.tracer,
             )
-            for index, pool in enumerate(self.pools)
+            for index in range(shards)
         ]
-        self._versions = [0] * shards
         self._row_count = 0
 
     def __len__(self) -> int:
         return self._row_count
-
-    @property
-    def shard_count(self) -> int:
-        """Number of shards (one simulated disk + file each)."""
-        return self.router.shards
 
     @property
     def column_count(self) -> int:
@@ -133,20 +103,6 @@ class ShardedTransposedFile:
     def page_count(self) -> int:
         """Total pages across all shards and columns."""
         return sum(file.page_count for file in self._files)
-
-    # -- per-shard access (the scatter path) --------------------------------
-
-    def shard_file(self, shard: int) -> TransposedFile:
-        """The shard's own :class:`TransposedFile` (local row numbering)."""
-        return self._files[shard]
-
-    def shard_row_count(self, shard: int) -> int:
-        """Rows resident on one shard."""
-        return len(self._files[shard])
-
-    def shard_version(self, shard: int) -> int:
-        """Mutation counter for one shard (worker-cache staleness check)."""
-        return self._versions[shard]
 
     # -- mutation ------------------------------------------------------------
 
@@ -171,15 +127,14 @@ class ShardedTransposedFile:
             part = rows[first::shards]
             if part:
                 file.append_rows(part)
-                self._versions[shard] += len(part)
         self._row_count += len(rows)
 
     def set_value(self, row: int, column: int, value: object) -> None:
         """Point-update one cell on its owning shard."""
         self._check_row(row)
-        shard = self.router.shard_of(row)
-        self._files[shard].set_value(self.router.local_row(row), column, value)
-        self._versions[shard] += 1
+        self._files[self.router.shard_of(row)].set_value(
+            self.router.local_row(row), column, value
+        )
 
     # -- access (global row order) -------------------------------------------
 
@@ -215,9 +170,8 @@ class ShardedTransposedFile:
     ) -> Iterator[list[ColumnVector]]:
         """Global-order column chunks, interleaved from the shard chains.
 
-        Same contract as :meth:`TransposedFile.scan_column_chunks`; this is
-        the fallback feed when a plan cannot be lowered to the per-shard
-        scatter (the scatter path scans each shard's file directly).  A
+        Same contract as :meth:`TransposedFile.scan_column_chunks`, so the
+        vectorized engine reads a sharded table as it reads one file.  A
         chunk's rows on one shard are every Nth row of it, so each shard's
         run goes in with one strided assignment.
         """

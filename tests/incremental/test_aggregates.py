@@ -15,7 +15,6 @@ from repro.incremental.aggregates import (
     IncrementalStd,
     IncrementalSum,
     IncrementalVariance,
-    IncrementalWeightedMean,
 )
 from repro.relational.types import NA, is_na
 
@@ -139,29 +138,6 @@ class TestMinMax:
         assert mm.value == (2.0, 2.0)
 
 
-class TestWeightedMean:
-    def test_basic(self):
-        wm = IncrementalWeightedMean()
-        wm.initialize([(10.0, 1.0), (20.0, 3.0)])
-        assert wm.value == pytest.approx(17.5)
-
-    def test_update_pair(self):
-        wm = IncrementalWeightedMean()
-        wm.initialize([(10.0, 1.0), (20.0, 1.0)])
-        wm.on_update((10.0, 1.0), (40.0, 1.0))
-        assert wm.value == pytest.approx(30.0)
-
-    def test_na_pairs_skipped(self):
-        wm = IncrementalWeightedMean()
-        wm.initialize([(10.0, 1.0), (NA, 5.0), (20.0, NA)])
-        assert wm.value == pytest.approx(10.0)
-
-    def test_empty_na(self):
-        wm = IncrementalWeightedMean()
-        wm.initialize([])
-        assert is_na(wm.value)
-
-
 class TestVarianceDeleteGuards:
     """Deletes of values the state never saw must fail loudly (SS4.2).
 
@@ -197,7 +173,7 @@ class TestVarianceDeleteGuards:
 
 
 class TestPartialMerge:
-    """Scatter-gather contract: merged shard partials == one-shot state."""
+    """Merge contract: merged partial states == one-shot state."""
 
     def split_halves(self, values):
         return values[0::2], values[1::2]
@@ -231,17 +207,6 @@ class TestPartialMerge:
         # Merged multiset still supports subsequent deletes.
         merged.on_delete(9.0)
         assert merged.max == 7.5
-
-    def test_weighted_mean_merge(self):
-        values = [1.0, 2.0, 3.0, 4.0]
-        weights = [1.0, 1.0, 2.0, 4.0]
-        a, b = IncrementalWeightedMean(), IncrementalWeightedMean()
-        a.initialize(zip(values[:2], weights[:2]))
-        b.initialize(zip(values[2:], weights[2:]))
-        a.merge_partial(b.partial_state())
-        whole = IncrementalWeightedMean()
-        whole.initialize(zip(values, weights))
-        assert a.value == pytest.approx(whole.value)
 
     def test_merge_empty_partial_is_identity(self):
         full = IncrementalMean()

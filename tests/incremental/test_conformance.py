@@ -1,21 +1,17 @@
 """Conformance: every maintainer the system can construct is one fold.
 
 An :class:`~repro.incremental.differencing.IncrementalComputation` writes
-its arithmetic once, in ``fold(values, sign)``; batch evaluation, shard
-partials and finite differencing are all derived from it.  So one suite
-covers every maintainer there is — each ``FunctionRegistry`` row with a
-maintainer factory, whatever its arity (a one-attribute row is fed values,
-an n-attribute row such as the OLS model row tuples), and each
-``make_partial`` spec — and checks the only thing that matters: after
-any interleaving of ``fold(+)``,
-``fold(-)``, ``merge_partial`` and a 1-tuple ``apply_batch`` (the four ways
-production reaches the arithmetic), the maintained value equals the
-function's batch ``compute`` over the resulting multiset — exactly, or
-within the stamped epsilon for sketches — NA values and the empty state
-included.  Values are small integers so power sums stay exact.  A state
-that holds too little to remove a value (the SQL min/max partial keeps only
-its extreme: shard workers only insert) must refuse every removal loudly,
-and is driven through insertions and merges alone.
+its arithmetic once, in ``fold(values, sign)``; batch evaluation, merged
+partial states and finite differencing are all derived from it.  So one
+suite covers every maintainer there is — each ``FunctionRegistry`` row with
+a maintainer factory, whatever its arity (a one-attribute row is fed
+values, an n-attribute row such as the OLS model row tuples) — and checks
+the only thing that matters: after any interleaving of ``fold(+)``,
+``fold(-)``, ``merge_partial`` and a 1-tuple ``apply_batch``, the
+maintained value equals the function's batch ``compute`` over the
+resulting multiset — exactly, or within the stamped epsilon for sketches —
+NA values and the empty state included.  Values are small integers so
+power sums stay exact.
 """
 
 from __future__ import annotations
@@ -31,9 +27,6 @@ import pytest
 from repro.core.errors import NotIncrementallyComputable, StatisticsError
 from repro.incremental.differencing import Delta, IncrementalComputation
 from repro.metadata.functions import FunctionRegistry
-from repro.relational.aggregates import AggregateSpec, resolve_aggregate
-from repro.relational.sharded import gather_rows
-from repro.relational.shardworker import GroupPartial, make_partial
 from repro.relational.types import NA, is_na
 from repro.stats.models import IncrementalLinearRegression
 
@@ -150,30 +143,6 @@ class Registered(Subject):
             assert same(live, self.function.compute(data)), name
 
 
-class ShardPartial(Subject):
-    def __init__(self, func: str) -> None:
-        weight = "w" if func == "weighted_avg" else None
-        self.spec = AggregateSpec(func, "x", func, weight=weight)
-        if weight:
-            self.draw, self.one = OBSERVATIONS[2]  # type: ignore[assignment]
-
-    def make(self, provider: Provider) -> IncrementalComputation:
-        partial = make_partial(self.spec)
-        assert partial is not None
-        partial.fold(provider())
-        return partial
-
-    def check(self, maintainer: Any, data: list[Any]) -> None:
-        # Finalize the way the coordinator does: one shard's partial,
-        # merged into a fresh state and read out by gather_rows.
-        shard = GroupPartial((), 0, len(data), [maintainer.partial_state()])
-        ((live,),) = gather_rows([[shard]], [], [self.spec])
-        # A table row's batch evaluator consumes what its partial is fed.
-        found = resolve_aggregate(self.spec.func)
-        assert found is not None
-        assert same(live, found.evaluate(data)), self.spec.func
-
-
 def check_regression(maintainer: Any, data: list[Any]) -> None:
     rows = [row for row in data if not any(is_na(v) for v in row)]
     assert maintainer.n_used == len(rows)
@@ -198,11 +167,6 @@ def subjects() -> dict[str, Subject]:
     names = [n for n in registry.names() if registry.get(n).is_incremental]
     names += ["quantile_25", "quantile_90", "heavy_hitters_3"]
     found: dict[str, Subject] = {f"registry:{n}": Registered(n) for n in names}
-    for func in (
-        "count", "sum", "avg", "mean", "var", "std", "min", "max",
-        "weighted_avg", "median", "quantile_75", "count_distinct",
-    ):
-        found[f"partial:{func}"] = ShardPartial(func)
     found["model:ols"] = Registered(
         "ols_model", bare=lambda: IncrementalLinearRegression(k=2)
     )
@@ -220,15 +184,6 @@ def mergeable(subject: Subject) -> bool:
     return True
 
 
-def removable(subject: Subject) -> bool:
-    """Whether the maintainer removes values; one that cannot raises on any."""
-    try:
-        subject.make(lambda: [subject.one]).fold([subject.one], -1)
-    except StatisticsError:
-        return False
-    return True
-
-
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("name", sorted(SUBJECTS))
 def test_any_interleaving_equals_batch_compute(name: str, seed: int) -> None:
@@ -241,9 +196,7 @@ def test_any_interleaving_equals_batch_compute(name: str, seed: int) -> None:
     # The provider contract: data changes first, then the maintainer hears.
     maintainer = subject.make(lambda: list(data))
     subject.check(maintainer, data)
-    removes = removable(subject)
-    operations = ["add"] + (["remove", "delta"] if removes else [])
-    operations += ["merge"] if mergeable(subject) else []
+    operations = ["add", "remove", "delta"] + (["merge"] if mergeable(subject) else [])
 
     def take(count: int) -> list[Any]:
         return [data.pop(rng.randrange(len(data))) for _ in range(min(count, len(data)))]
@@ -272,10 +225,6 @@ def test_any_interleaving_equals_batch_compute(name: str, seed: int) -> None:
             delta = Delta(inserts=fresh[2:], deletes=deletes, updates=updates)
             maintainer.apply_batch((delta,))
         subject.check(maintainer, data)
-    if not removes:
-        with pytest.raises(StatisticsError):
-            maintainer.fold(take(1), -1)
-        return
     # ... and back down to the empty state.
     maintainer.fold(take(len(data)), -1)
     subject.check(maintainer, data)
@@ -285,8 +234,8 @@ EXACT = sorted(
     name
     for name in SUBJECTS
     if name.split(":")[1]
-    in {"count", "na_count", "sum", "mean", "avg", "var", "std", "min", "max",
-        "weighted_avg", "rms", "skewness", "cv", "ols", "ols_model"}
+    in {"count", "na_count", "sum", "mean", "var", "std", "min", "max",
+        "rms", "skewness", "cv", "ols", "ols_model"}
 )
 
 

@@ -1,6 +1,5 @@
 """Seeded-violation tests for the AST lint passes (layer 2)."""
 
-import inspect
 import textwrap
 
 from repro.lint.astlint import lint_source
@@ -498,84 +497,3 @@ class TestLockConstruct:
         findings = lint(code, path="src/repro/core/dbms.py", select={"REPRO-A109"})
         index = parse_suppressions(textwrap.dedent(code))
         assert [f for f in findings if not index.suppresses(f)] == []
-
-
-class TestShardWorkerIsolation:
-    WORKER = "src/repro/relational/shardworker.py"
-    LOOP = "src/repro/relational/vectorized.py"
-
-    def test_views_import_flagged(self):
-        code = """
-        from repro.views.view import ConcreteView
-        """
-        findings = lint(code, path=self.WORKER, select={"REPRO-A110"})
-        assert rule_ids(findings) == ["REPRO-A110"]
-
-    def test_summary_module_import_flagged(self):
-        code = """
-        import repro.summary.summarydb
-        """
-        findings = lint(code, path=self.WORKER, select={"REPRO-A110"})
-        assert rule_ids(findings) == ["REPRO-A110"]
-
-    def test_reexported_view_name_flagged(self):
-        code = """
-        from repro.core.dbms import ConcreteView
-        """
-        findings = lint(code, path=self.WORKER, select={"REPRO-A110"})
-        assert rule_ids(findings) == ["REPRO-A110"]
-
-    def test_write_api_call_flagged(self):
-        code = """
-        def run(file, request):
-            file.set_value(0, 0, None)
-        """
-        findings = lint(code, path=self.WORKER, select={"REPRO-A110"})
-        assert rule_ids(findings) == ["REPRO-A110"]
-        assert ".set_value" in findings[0].message
-
-    def test_history_record_flagged(self):
-        code = """
-        def run(view):
-            view.history.record(None, "x", [])
-        """
-        findings = lint(code, path=self.WORKER, select={"REPRO-A110"})
-        assert rule_ids(findings) == ["REPRO-A110"]
-
-    def test_read_only_worker_passes(self):
-        code = """
-        from repro.relational.vectorized import VecScan
-        from repro.storage.transposed import TransposedFile
-
-        def run_partial(file, request):
-            return [sum(chunk) for chunk in file.scan_column(0)]
-        """
-        assert lint(code, path=self.WORKER, select={"REPRO-A110"}) == []
-
-    def test_write_api_call_in_grouping_loop_flagged(self):
-        # Shard workers execute vectorized.fold_groups, so its module is in scope.
-        code = """
-        def fold_groups(chunks, source):
-            for chunk in chunks:
-                source.append_rows(chunk)
-        """
-        findings = lint(code, path=self.LOOP, select={"REPRO-A110"})
-        assert rule_ids(findings) == ["REPRO-A110"]
-        assert ".append_rows" in findings[0].message
-
-    def test_shipped_grouping_loop_is_clean(self):
-        import repro.relational.vectorized as module
-
-        shipped = inspect.getsource(module)
-        assert "def fold_groups(" in shipped
-        findings = lint_source(shipped, self.LOOP, select={"REPRO-A110", "REPRO-A106"})
-        assert findings == []
-
-    def test_other_modules_exempt(self):
-        code = """
-        from repro.views.view import ConcreteView
-
-        def apply(view):
-            view.set_value(0, "x", 1)
-        """
-        assert lint(code, path="src/repro/relational/sharded.py", select={"REPRO-A110"}) == []

@@ -327,6 +327,6 @@ def test_sharded_bulk_append_lays_shards_out_as_a_row_loop_does(rows, cuts, comp
     for part in batches(rows, cuts):
         batched.append_rows(part)
     for shard in range(2):
-        assert image(batched.shard_file(shard)) == image(looped.shard_file(shard))
+        assert image(batched._files[shard]) == image(looped._files[shard])
     assert len(batched) == len(looped) == len(rows)
     assert same_cells(batched.scan_rows(), rows, compress)

@@ -1,12 +1,12 @@
-"""Property tests for the scatter-gather path and partial-state protocol.
+"""Property tests for sharded tables and the partial-state protocol.
 
-Two invariants from ISSUE 8:
+Two invariants:
 
 * insert-then-delete returns every incremental computation to a state
   equivalent to never having seen the values (including ``AlgebraicForm``
   with a ``sumlog`` measure, whose non-positive counter must unwind);
-* sharded scatter-gather produces exactly the single-stream vectorized
-  answer for every shard count, on NA-heavy columns.
+* a grouped query over a sharded table answers exactly as over one
+  stream, for every shard count, on NA-heavy columns.
 """
 
 import pytest
@@ -93,8 +93,7 @@ def test_sumlog_form_round_trips(base, burst):
     assert equivalent(form.value, reference.value)
 
 
-# Integer-valued measures keep float addition associative, so the sharded
-# answer must be *identical* (==, not approx) for every shard count.
+# The answer must be *identical* (==, not approx) for every shard count.
 int_measure = st.one_of(
     st.integers(min_value=-1000, max_value=1000).map(float), st.just(NA)
 )
@@ -130,12 +129,10 @@ def test_sharded_equals_single_stream_for_all_shard_counts(rows):
         assert run_query(rows, shards) == reference
 
 
-# -- sketch aggregates (ISSUE 9): t-digest medians/quantiles and HLL -------
+# -- order and distinct-count aggregates --------------------------------------
 #
-# At property-test scale the digests hold only unit centroids and the HLL
-# stays in exact sparse mode, so the merged sketch answers are *bit for
-# bit* the single-stream answers for every shard count — determinism of
-# the seeded hashing and of centroid merging is exactly what's on trial.
+# Medians, quantiles and distinct counts are the batch answers for every
+# shard count.
 
 SKETCH_QUERY = (
     "SELECT G, median(X) AS med, count(DISTINCT X) AS d, "

@@ -128,15 +128,12 @@ class TestExecution:
         assert r.row(0)[0] == "F"  # women outnumber men in Figure 1
 
     def test_a_row_added_to_the_table_is_the_whole_job(self, monkeypatch):
-        """Parser, planner and all three group-by operators read one table."""
-        import functools
+        """Parser, planner and both group-by operators read one table."""
         import math
 
-        from repro.incremental.differencing import DEFINITIONS, AlgebraicForm
         from repro.relational.aggregates import AGGREGATES, Aggregate, GroupBy
         from repro.relational.relation import Relation, StoredRelation
         from repro.relational.schema import Schema, category, measure
-        from repro.relational.sharded import ShardedGroupBy
         from repro.relational.vectorized import VecGroupBy
         from repro.storage.sharded import ShardedTransposedFile
 
@@ -144,13 +141,7 @@ class TestExecution:
             clean = [v for v in values if v is not NA]
             return math.sqrt(sum(v * v for v in clean) / len(clean)) if clean else NA
 
-        monkeypatch.setitem(
-            AGGREGATES,
-            "rms",
-            Aggregate(rms, partial=functools.partial(AlgebraicForm, DEFINITIONS["rms"])),
-        )
-        # Shard workers in another process would import their own table.
-        monkeypatch.setattr("repro.relational.sharded.os.cpu_count", lambda: 1)
+        monkeypatch.setitem(AGGREGATES, "rms", Aggregate(rms))
         schema = Schema([category("g", DataType.STR), measure("x")])
         rows = [(f"g{i % 3}", NA if i % 7 == 3 else float(i % 11)) for i in range(40)]
         text = "SELECT g, RMS(x) AS r, COUNT(*) AS n FROM t GROUP BY g"
@@ -168,16 +159,13 @@ class TestExecution:
         for cat, vectorized, operator in (
             (memory, False, GroupBy),
             (memory, True, VecGroupBy),
-            (sharded, True, ShardedGroupBy),
+            (sharded, True, VecGroupBy),
         ):
             pipeline = plan(parse(text), cat, use_vectorized=vectorized)
             assert operator in operators(pipeline)
             results.append(list(pipeline))
-        want = sorted(results[0])
-        assert [key for key, _, _ in want] == ["g0", "g1", "g2"]
-        for got in results[1:]:
-            assert [(k, n) for k, _, n in sorted(got)] == [(k, n) for k, _, n in want]
-            assert [r for _, r, _ in sorted(got)] == pytest.approx([r for _, r, _ in want])
+        assert [key for key, _, _ in results[0]] == ["g0", "g1", "g2"]
+        assert results[1] == results[2] == results[0]
 
     def test_weighted_avg(self, catalog):
         r = execute(

@@ -29,17 +29,7 @@ class TestShardRouter:
         for r in range(30):
             shard = router.shard_of(r)
             local = router.local_row(r)
-            assert router.global_row(shard, local) == r
-
-    def test_split_groups_rows_by_owner_in_local_numbering(self):
-        router = ShardRouter(4)
-        by_shard = router.split(range(10))
-        assert by_shard == {
-            0: [0, 1, 2],  # global 0, 4, 8
-            1: [0, 1, 2],  # global 1, 5, 9
-            2: [0, 1],  # global 2, 6
-            3: [0, 1],  # global 3, 7
-        }
+            assert local * 3 + shard == r
 
     def test_single_shard_is_identity(self):
         router = ShardRouter(1)
@@ -54,7 +44,7 @@ class TestShardRouter:
 class TestShardedTransposedFile:
     def test_append_distributes_round_robin(self):
         storage = make_sharded(rows_fixture(10), shards=4)
-        assert [storage.shard_row_count(s) for s in range(4)] == [3, 3, 2, 2]
+        assert [len(file) for file in storage._files] == [3, 3, 2, 2]
         assert len(storage) == 10
 
     def test_get_value_routes_to_owner(self):
@@ -86,17 +76,6 @@ class TestShardedTransposedFile:
         assert got0 == list(cols[0])
         assert got2 == list(cols[2])
 
-    def test_set_value_bumps_only_owner_version(self):
-        storage = make_sharded(rows_fixture(8), shards=4)
-        before = [storage.shard_version(s) for s in range(4)]
-        storage.set_value(5, 0, -1.0)  # row 5 -> shard 1
-        after = [storage.shard_version(s) for s in range(4)]
-        assert after[1] == before[1] + 1
-        assert [a for i, a in enumerate(after) if i != 1] == [
-            b for i, b in enumerate(before) if i != 1
-        ]
-        assert storage.get_value(5, 0) == -1.0
-
     def test_na_round_trips(self):
         storage = make_sharded([(NA, 1, "a"), (2.0, NA, "b")], shards=2)
         assert storage.get_value(0, 0) is NA
@@ -105,15 +84,13 @@ class TestShardedTransposedFile:
     def test_bad_row_in_a_batch_appends_nothing(self):
         rows = rows_fixture(10)
         storage = make_sharded(rows, shards=4)
-        versions = [storage.shard_version(s) for s in range(4)]
         # The short row (global row 11) belongs to shard 3, the last one
         # written; shards 0 and 2 take their rows of the batch before it.
         batch = [(100.0, 100, "x"), (101.0, 101, "x"), (102.0, 102, "x")]
         with pytest.raises(StorageError, match="2 fields"):
             storage.append_rows([batch[0], batch[1][:2], batch[2]])
         assert len(storage) == 10
-        assert [storage.shard_row_count(s) for s in range(4)] == [3, 3, 2, 2]
-        assert [storage.shard_version(s) for s in range(4)] == versions
+        assert [len(file) for file in storage._files] == [3, 3, 2, 2]
         # The next append still lands every row on its own global position.
         storage.append_rows(batch)
         assert [tuple(r) for r in storage.scan_rows()] == rows + batch
@@ -122,12 +99,12 @@ class TestShardedTransposedFile:
         storage = make_sharded(rows_fixture(12), shards=3)
         # Doctor shard 1: drop its last page for column 0 so the merged
         # scan runs dry before the advertised row count.
-        storage.shard_file(1)._columns[0].pages.pop()
+        storage._files[1]._columns[0].pages.pop()
         with pytest.raises(StorageError):
             list(storage.scan_column(0))
 
     def test_truncated_chain_raises_in_chunked_scan(self):
         storage = make_sharded(rows_fixture(12), shards=3)
-        storage.shard_file(2)._columns[1].pages.pop()
+        storage._files[2]._columns[1].pages.pop()
         with pytest.raises(StorageError):
             list(storage.scan_column_chunks([1], chunk_size=4))
